@@ -242,18 +242,27 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
-def _apply_config_file(args, parser) -> None:
-    """Values from --config override the command-line flags."""
+def _apply_config_file(args, argv, parser):
+    """Values from --config override the command-line flags.  They are
+    parsed as if written after the flags, so each meets the type, choices
+    and arity of the option it overrides."""
     path = getattr(args, "config", None)
     if not path:
-        return
+        return args
     with open(path) as f:
         overrides = json.load(f)
+    if not isinstance(overrides, dict):
+        parser.error(f"config file {path!r} must hold a JSON object")
+    extra = []
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             parser.error(f"config key {key!r} does not match any option")
-        setattr(args, attr, value)
+        if value is None:
+            parser.error(f"config key {key!r} is null; give a value or leave it out")
+        extra.append("--" + attr.replace("_", "-"))
+        extra += [str(v) for v in (value if isinstance(value, list) else [value])]
+    return parser.parse_args([*argv, *extra])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, parser)
+        args = _apply_config_file(args, argv, parser)
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -8,7 +8,6 @@ read-only, so concurrent reads are safe.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -459,11 +458,3 @@ def state_from_document(doc: dict) -> QuantumState:
             raise ValueError("vector length does not match declared dim")
         return QuantumState.pure(v)
     return QuantumState.density(matrix_from_lists(doc["matrix"]))
-
-
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
-
-
-def loads(text: str) -> dict:
-    return json.loads(text)

@@ -84,24 +84,3 @@ def reconstruction(name: str, method: str) -> tuple[np.ndarray, ...]:
 
 def fixture_names() -> tuple[str, ...]:
     return IDEAL_NAMES
-
-
-def tetrahedral_states() -> np.ndarray:
-    """The four pure states whose half-projectors form the tetrahedral POVM."""
-    s2 = np.sqrt(2)
-    w = np.exp(2j * np.pi / 3)
-    return np.array([
-        [1, 0],
-        [1 / np.sqrt(3), s2 / np.sqrt(3)],
-        [1 / np.sqrt(3), s2 * w / np.sqrt(3)],
-        [1 / np.sqrt(3), s2 * w.conjugate() / np.sqrt(3)],
-    ], dtype=complex)
-
-
-def trine_states() -> np.ndarray:
-    """The three pure states whose (2/3)-projectors form the trine POVM."""
-    out = []
-    for m in ideal_povm("trine").effects:
-        w, v = np.linalg.eigh(m)
-        out.append(v[:, -1])
-    return np.array(out)

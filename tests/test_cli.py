@@ -138,6 +138,32 @@ class TestOutputPlumbing:
         assert payload["config"]["seed"] == 9
         assert payload["config"]["shots"] == 4000
 
+    @pytest.mark.parametrize("argv, override, option", [
+        (("simulate", "--povm", "trine"), {"shots": "abc"}, "--shots"),
+        (("simulate", "--povm", "trine"), {"state": "bogus"}, "--state"),
+        (("usd", "--random", "3", "4"), {"trials": "x"}, "--trials"),
+        (("compare", "--povm", "trine"), {"shots": 8192.5}, "--shots"),
+        (("table1",), {"format": "xml"}, "--format"),
+        (("fixtures",), {"seed": "one"}, "--seed"),
+    ])
+    def test_config_value_checked_like_its_flag(self, capsys, tmp_path, argv, override, option):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(override))
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--config", str(config)])
+        assert exit_info.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [("[1, 2]", "JSON object"),
+                                               ('{"out": null}', "null")])
+    def test_malformed_config_rejected(self, capsys, tmp_path, text, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--config", str(config)])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_seed_recorded_in_payload(self, capsys):
         _, out, _ = run_cli(capsys, "usd", "--symmetric", "4", "0.1", "--seed", "17")
         assert json.loads(out)["seed"] == 17

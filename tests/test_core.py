@@ -110,6 +110,18 @@ class TestHaarStates:
         sigma = np.sqrt((dim - 1) / (dim**2 * (dim + 1)) / draws)
         assert abs(weights.mean() - 1 / dim) < 3 * sigma
 
+    def test_sampler_is_complex_haar(self):
+        # complex Haar: E sum_i |v_i|^4 = 2/(D+1) and E v_0^2 = 0; a real
+        # Gaussian sampler gives 3/(D+2) and a real, positive E v_0^2 = 1/D
+        dim, draws = 4, 4000
+        rng = np.random.default_rng(4000)
+        v = np.array([haar_random_pure_state(dim, rng).vector for _ in range(draws)])
+        purity = np.sum(np.abs(v) ** 4, axis=1)
+        square = v[:, 0] ** 2
+        for sample, mean in ((purity, 2 / (dim + 1)), (square.real, 0.0), (square.imag, 0.0)):
+            stderr = sample.std(ddof=1) / np.sqrt(draws)
+            assert abs(sample.mean() - mean) < 5 * stderr
+
 
 class TestPovmValidation:
     def test_incomplete_rejected(self):

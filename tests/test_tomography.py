@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmsim import fixtures
 from povmsim.core import (
@@ -10,13 +14,43 @@ from povmsim.core import (
 )
 from povmsim.simulation import PostProcessingMap, apply_postprocessing
 from povmsim.tomography import (
+    MAX_SUBSET_OUTCOMES,
     TomographyRecord,
     bias_mitigated_statistics,
     operational_distance,
+    operator_norm_hermitian,
     probe_states,
     reconstruct_effect,
     reconstruct_povm,
 )
+
+
+def _reference_distance(ms, ns) -> float:
+    """The operational distance by one eigensolve per outcome subset."""
+    ms, ns = [np.asarray(m) for m in ms], [np.asarray(n) for n in ns]
+    k = max(len(ms), len(ns))
+    zero = np.zeros_like(ms[0], dtype=complex)
+    diffs = [a - b for a, b in zip(ms + [zero] * (k - len(ms)), ns + [zero] * (k - len(ns)))]
+    if float(np.max(np.abs(sum(diffs)))) <= 1e-12:
+        subsets = ((0, *tail) for r in range(k) for tail in combinations(range(1, k), r))
+    else:
+        subsets = (sub for r in range(1, k + 1) for sub in combinations(range(k), r))
+    return max(operator_norm_hermitian(sum((diffs[i] for i in sub), zero)) for sub in subsets)
+
+
+def _qubit_closed_form(ms, ns) -> float:
+    """max over all subsets of |c0| + |c| for the subset sum c0 1 + c.sigma."""
+    paulis = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    diffs = np.array(ms, dtype=complex) - np.array(ns, dtype=complex)
+    coeffs = np.einsum("kij,pji->kp", diffs, paulis).real / 2
+    k = len(diffs)
+    subsets = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    sums = subsets @ coeffs
+    return float(np.max(np.abs(sums[:, 0]) + np.linalg.norm(sums[:, 1:], axis=1)))
+
+
+def _any_povm(dim, n_outcomes, seed):
+    return random_povm(dim, n_outcomes, seed, rank=-(-dim // n_outcomes))
 
 
 class TestReconstructEffect:
@@ -120,7 +154,6 @@ class TestOperationalDistance:
         m = random_rank_one_povm(2, 4, rng)
         n = random_rank_one_povm(2, 4, rng)
         diffs = [a - b for a, b in zip(m.effects, n.effects)]
-        from povmsim.tomography import operator_norm_hermitian
         for subset in ((0,), (0, 1), (1, 3), (2,)):
             comp = tuple(i for i in range(4) if i not in subset)
             a = operator_norm_hermitian(sum(diffs[i] for i in subset))
@@ -144,6 +177,34 @@ class TestOperationalDistance:
     def test_dimension_mismatch(self, trine):
         with pytest.raises(ValueError, match="dimension"):
             operational_distance(trine, [np.eye(3)])
+
+    @settings(derandomize=True, deadline=None)
+    @given(dim=st.sampled_from((2, 3)), k=st.integers(1, 8),
+           kind=st.sampled_from(("complete", "incomplete", "padded")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_scan_matches_reference(self, dim, k, kind, seed):
+        rng = np.random.default_rng(seed)
+        m = _any_povm(dim, k, rng).effects
+        if kind == "padded":
+            n = _any_povm(dim, int(rng.integers(1, k + 1)), rng).effects
+        else:
+            n = _any_povm(dim, k, rng).effects
+            if kind == "incomplete":
+                n = [(1 - 1e-3) * e for e in n]
+        for a, b in ((m, n), (n, m)):
+            assert abs(operational_distance(a, b) - _reference_distance(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", (1.0, 1 - 1e-3))
+    def test_sixteen_outcome_qubit_pair_matches_closed_form(self, scale):
+        rng = np.random.default_rng(16)
+        m = random_povm(2, 16, rng).effects
+        n = [scale * e for e in random_povm(2, 16, rng).effects]
+        assert abs(operational_distance(m, n) - _qubit_closed_form(m, n)) <= 1e-12
+
+    def test_outcome_limit(self):
+        effects = [np.eye(2) / (MAX_SUBSET_OUTCOMES + 1)] * (MAX_SUBSET_OUTCOMES + 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_SUBSET_OUTCOMES} outcomes"):
+            operational_distance(effects, effects)
 
 
 class TestBiasMitigation:

@@ -190,8 +190,16 @@ def cmd_usd(args) -> int:
 def cmd_compare(args) -> int:
     if args.plan:
         with open(args.plan) as f:
-            plan = load_experiment_plan(json.load(f))
-        povm = fixtures.ideal_povm(plan.povm_fixture)
+            try:
+                plan = load_experiment_plan(json.load(f))
+            except ValueError as err:
+                raise UsageError(f"plan {args.plan!r}: {err}")
+        try:
+            povm = fixtures.ideal_povm(plan.povm_fixture)
+        except KeyError:
+            raise UsageError(f"plan {args.plan!r}: unknown povm_fixture "
+                             f"{plan.povm_fixture!r}; available: "
+                             f"{', '.join(fixtures.fixture_names())}")
         povm_name, noise = plan.povm_fixture, plan.noise
         shots, seed = plan.shots, plan.seed
         noise_label = {"noise.cnot": noise.cnot_depolarizing,

@@ -12,10 +12,11 @@ averaging the relabelled statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .core import PAULI_X, HADAMARD, Povm, QuantumState, _rng
+from .core import PAULI_X, HADAMARD, Povm, QuantumState, _freeze, _rng
 from .naimark import NaimarkDilation, naimark_dilation
 from .simulation import (
     PostselectionScheme,
@@ -76,27 +77,36 @@ class ExperimentPlan:
     seed: int
 
 
-def load_experiment_plan(doc: dict) -> ExperimentPlan:
+def load_experiment_plan(doc) -> ExperimentPlan:
     """Parse a plan mapping with flat dotted noise keys.
 
     Recognized keys: noise.cnot, noise.su2, noise.readout_bias, shots, seed,
-    scheme, povm_fixture.
+    scheme, povm_fixture.  A value of the wrong type or range raises
+    ValueError naming its key.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a plan must be a JSON object, got {type(doc).__name__}")
     known = {"noise.cnot", "noise.su2", "noise.readout_bias",
              "shots", "seed", "scheme", "povm_fixture"}
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown plan keys: {sorted(unknown)}")
-    noise = NoiseModel(cnot_depolarizing=float(doc.get("noise.cnot", 0.0)),
-                       su2_depolarizing=float(doc.get("noise.su2", 0.0)),
-                       readout_bias=float(doc.get("noise.readout_bias", 0.0)))
+
+    def typed(key, default, kinds, what, low=None):
+        v = doc.get(key, default)
+        if isinstance(v, bool) or not isinstance(v, kinds) or not (low is None or v >= low):
+            raise ValueError(f"plan key {key!r} must be {what}, got {v!r}")
+        return v
+
+    noise = NoiseModel(*(float(typed(key, 0.0, (int, float), "a number"))
+                         for key in ("noise.cnot", "noise.su2", "noise.readout_bias")))
     scheme = doc.get("scheme", "both")
     if scheme not in ("postselection", "naimark", "both"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    return ExperimentPlan(povm_fixture=doc.get("povm_fixture", "tetrahedral"),
+    return ExperimentPlan(povm_fixture=typed("povm_fixture", "tetrahedral", str, "a string"),
                           scheme=scheme, noise=noise,
-                          shots=int(doc.get("shots", 8192)),
-                          seed=int(doc.get("seed", 0)))
+                          shots=typed("shots", 8192, int, "an integer of at least 1", 1),
+                          seed=typed("seed", 0, int, "a non-negative integer", 0))
 
 
 @dataclass(frozen=True)
@@ -119,6 +129,9 @@ class Circuit:
             raise ValueError("only 1- and 2-qubit circuits are supported")
         if not self.measured:
             self.measured = tuple(range(self.n_qubits))
+        measured = set(self.measured)
+        if len(measured) != len(self.measured) or not measured <= set(range(self.n_qubits)):
+            raise ValueError(f"measured qubits {self.measured} must be distinct register qubits")
 
     def _check_qubit(self, q: int):
         if not 0 <= q < self.n_qubits:
@@ -155,68 +168,74 @@ class Circuit:
     def copy(self) -> "Circuit":
         return Circuit(self.n_qubits, list(self.gates), self.measured)
 
-    def gate_matrix(self, gate: Gate) -> np.ndarray:
-        """Full-register matrix of one gate (qubit 0 is the leading factor)."""
-        if gate.kind == "cnot":
-            return _cnot_matrix(self.n_qubits, *gate.qubits)
-        single = HADAMARD if gate.kind == "h" else gate.matrix
-        return _embed_single(single, gate.qubits[0], self.n_qubits)
-
     def unitary(self) -> np.ndarray:
         u = np.eye(2 ** self.n_qubits, dtype=complex)
         for gate in self.gates:
-            u = self.gate_matrix(gate) @ u
+            u = _gate_matrix(gate, self.n_qubits) @ u
         return u
 
 
-def _embed_single(m: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    ops = [np.eye(2, dtype=complex)] * n_qubits
-    ops[qubit] = m
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+_CNOTS = {(0, 1): _freeze(np.eye(4, dtype=complex)[[0, 1, 3, 2]]),
+          (1, 0): _freeze(np.eye(4, dtype=complex)[[0, 3, 2, 1]])}
 
 
-def _cnot_matrix(n_qubits: int, control: int, target: int) -> np.ndarray:
-    dim = 2 ** n_qubits
-    u = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        bits = [(m >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits)]
-        if bits[control]:
-            bits[target] ^= 1
-        out = sum(b << (n_qubits - 1 - q) for q, b in enumerate(bits))
-        u[out, m] = 1.0
-    return u
+def _gate_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
+    """Full-register matrix of one gate (qubit 0 is the leading factor)."""
+    if gate.kind == "cnot":
+        return _CNOTS[gate.qubits]  # a CNOT needs both qubits of a 2-qubit register
+    single = HADAMARD if gate.kind == "h" else gate.matrix
+    if n_qubits == 1:
+        return single
+    return np.kron(single, np.eye(2)) if gate.qubits[0] == 0 else np.kron(np.eye(2), single)
 
 
 def depolarize(rho: np.ndarray, p: float, qubits, n_qubits: int) -> np.ndarray:
-    """Depolarizing channel on a qubit subset: rho -> (1-p) rho + p 1/2^k (x) tr_k rho."""
+    """Depolarizing channel on a qubit subset: rho -> (1-p) rho + p 1/2^k (x) tr_k rho.
+
+    ``rho`` may carry leading stack axes; the channel acts on the last two.
+    """
     if p == 0.0:
         return rho
     qubits = tuple(qubits)
     if len(qubits) == n_qubits:
-        mixed = np.eye(2 ** n_qubits, dtype=complex) * (np.trace(rho) / 2 ** n_qubits)
-        return (1 - p) * rho + p * mixed
+        dim = 2 ** n_qubits
+        trace = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+        return (1 - p) * rho + p * trace * np.eye(dim) / dim
     # single qubit of a two-qubit register: trace it out and re-tensor
     (q,) = qubits
-    t = rho.reshape(2, 2, 2, 2)
+    t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
     if q == 0:
-        reduced = np.trace(t, axis1=0, axis2=2)  # keeps qubit 1
-        mixed = np.kron(np.eye(2) / 2, reduced)
+        reduced = np.trace(t, axis1=-4, axis2=-2)  # keeps qubit 1
+        mixed = np.einsum("ac,...bd->...abcd", np.eye(2) / 2, reduced)
     else:
-        reduced = np.trace(t, axis1=1, axis2=3)  # keeps qubit 0
-        mixed = np.kron(reduced, np.eye(2) / 2)
-    return (1 - p) * rho + p * mixed
+        reduced = np.trace(t, axis1=-3, axis2=-1)  # keeps qubit 0
+        mixed = np.einsum("...ac,bd->...abcd", reduced, np.eye(2) / 2)
+    return (1 - p) * rho + p * mixed.reshape(rho.shape)
 
 
-def _readout_confusion(n_measured: int, bias: float) -> np.ndarray:
-    """Classical channel: a true '1' reads '0' with probability bias."""
-    k1 = np.array([[1.0, bias], [0.0, 1.0 - bias]])
-    out = np.eye(1)
-    for _ in range(n_measured):
-        out = np.kron(out, k1)
-    return out
+def _evolve(gates, n_qubits: int, rhos: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Push a (P, dim, dim) stack of density matrices through ``gates``,
+    each gate followed by its depolarizing channel."""
+    for gate in gates:
+        u = _gate_matrix(gate, n_qubits)
+        rhos = u @ rhos @ u.conj().T
+        p = noise.cnot_depolarizing if gate.kind == "cnot" else noise.su2_depolarizing
+        rhos = depolarize(rhos, p, gate.qubits, n_qubits)
+    return rhos
+
+
+def _readout(rhos: np.ndarray, n_qubits: int, measured, bias: float) -> np.ndarray:
+    """(P, 2**len(measured)) readout distributions of a (P, dim, dim) stack:
+    clip the diagonal, marginalize onto the measured bits (packed in
+    ``measured`` order), normalize, then apply the readout confusion."""
+    diag = np.clip(np.diagonal(rhos, axis1=-2, axis2=-1).real, 0.0, None)
+    bits = diag.reshape(-1, *[2] * n_qubits)
+    kept = sorted(measured)
+    marginal = bits.sum(axis=tuple(1 + q for q in range(n_qubits) if q not in measured))
+    probs = marginal.transpose(0, *(1 + kept.index(q) for q in measured)).reshape(len(diag), -1)
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    flip = np.array([[1.0, bias], [0.0, 1.0 - bias]])  # a true '1' reads '0' with probability bias
+    return probs @ reduce(np.kron, [flip] * len(measured)).T
 
 
 def exact_output_distribution(circuit: Circuit, state: QuantumState,
@@ -226,26 +245,9 @@ def exact_output_distribution(circuit: Circuit, state: QuantumState,
     if state.dim != dim:
         raise ValueError(f"state dimension {state.dim} does not match the "
                          f"{circuit.n_qubits}-qubit register")
-    rho = np.array(state.rho, dtype=complex)
-    for gate in circuit.gates:
-        u = circuit.gate_matrix(gate)
-        rho = u @ rho @ u.conj().T
-        if gate.kind == "cnot":
-            rho = depolarize(rho, noise.cnot_depolarizing, gate.qubits, circuit.n_qubits)
-        else:
-            rho = depolarize(rho, noise.su2_depolarizing, gate.qubits, circuit.n_qubits)
-    diag = np.clip(np.diag(rho).real, 0.0, None)
-    # marginalize over unmeasured qubits, packing measured bits in order
-    measured = circuit.measured
-    probs = np.zeros(2 ** len(measured))
-    for m in range(dim):
-        bits = [(m >> (circuit.n_qubits - 1 - q)) & 1 for q in range(circuit.n_qubits)]
-        out = 0
-        for b in (bits[q] for q in measured):
-            out = (out << 1) | b
-        probs[out] += diag[m]
-    probs = probs / probs.sum()
-    return _readout_confusion(len(measured), noise.readout_bias) @ probs
+    rho = _evolve(circuit.gates, circuit.n_qubits,
+                  np.asarray(state.rho, dtype=complex)[None], noise)
+    return _readout(rho, circuit.n_qubits, circuit.measured, noise.readout_bias)[0]
 
 
 def run_shots(circuit: Circuit, state: QuantumState, noise: NoiseModel,
@@ -289,8 +291,6 @@ _MAGIC = np.array([[1, 1j, 0, 0],
                    [0, 0, 1j, -1],
                    [1, -1j, 0, 0]], dtype=complex) / np.sqrt(2)
 _MAGIC_DAG = _MAGIC.conj().T
-_CNOT01 = _cnot_matrix(2, 0, 1)
-_CNOT10 = _cnot_matrix(2, 1, 0)
 _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                  dtype=complex)
 _S_GATE = np.diag([1.0, 1j])
@@ -447,7 +447,7 @@ def _gates_0_cnots(u: np.ndarray) -> list[Gate]:
 
 def _gates_1_cnot(u: np.ndarray) -> list[Gate]:
     swap_u = np.exp(1j * np.pi / 4) * _SWAP @ u
-    v_inner = _to_su4(_SWAP @ _CNOT01)
+    v_inner = _to_su4(_SWAP @ _CNOTS[0, 1])
     a, b, c, d = _extract_prefactors(swap_u, v_inner)
     # swap_u = (a x b) SWAP CNOT (c x d); commuting the SWAP to the left
     # exchanges the output-side factors, and the SWAPs cancel
@@ -472,7 +472,7 @@ def _gates_2_cnots(u: np.ndarray) -> list[Gate]:
         phi = (x - y) / 2
         middle = [Gate("su2", (0,), _rz(delta)), Gate("su2", (1,), _rx(phi))]
         inner = np.kron(_rz(delta), _rx(phi))
-    v_inner = _CNOT10 @ inner @ _CNOT10
+    v_inner = _CNOTS[1, 0] @ inner @ _CNOTS[1, 0]
     a, b, c, d = _extract_prefactors(u, v_inner)
     return [Gate("su2", (0,), c), Gate("su2", (1,), d),
             Gate("cnot", (1, 0)), *middle, Gate("cnot", (1, 0)),
@@ -546,20 +546,28 @@ class PipelineResult:
     shots_total: int = 0
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+def _mitigated_record(circuit: Circuit, rhos: np.ndarray, noise: NoiseModel,
+                      shots: int, rng: np.random.Generator) -> TomographyRecord:
+    """Bias-mitigated frequencies of ``circuit`` on a (P, dim, dim) probe stack.
 
-
-def _variant_record(circuit: Circuit, probes, noise: NoiseModel, shots: int,
-                    rng_children) -> TomographyRecord:
-    rows = []
-    for probe, child in zip(probes, rng_children):
-        rec = run_shots(circuit, probe, noise, shots, np.random.default_rng(child))
-        counts = rec.counts()[: rec.n_outcomes]
-        rows.append(counts / counts.sum())
-    return TomographyRecord(np.array(rows))
+    The circuit's gates run once on the whole stack; only the trailing x
+    gates of each flip variant are applied per variant, and each variant's
+    counts for every probe come from one multinomial draw.
+    """
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    n, measured = circuit.n_qubits, circuit.measured
+    evolved = _evolve(circuit.gates, n, rhos, noise)
+    variants = {}
+    for mask in range(2 ** len(measured)):
+        flips = [Gate("su2", (q,), PAULI_X) for i, q in enumerate(measured)
+                 if mask >> (len(measured) - 1 - i) & 1]
+        probs = _readout(_evolve(flips, n, evolved, noise), n, measured, noise.readout_bias)
+        defect = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+        if not defect <= 1e-9:  # also catches NaN
+            raise ValueError(f"readout rows are not distributions (defect {defect:.2e})")
+        variants[mask] = TomographyRecord(rng.multinomial(shots, probs) / shots)
+    return bias_mitigated_statistics(variants)
 
 
 def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
@@ -576,33 +584,26 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     n = scheme.target.n_outcomes
     m = scheme.n_components
     alphas = scheme.weights * scheme.target.dim
-    seq = _seed_sequence(seed)
+    rng = _rng(seed)
     if randomization == "block":
         alloc = proportional_shot_allocation(alphas, cap)
     elif randomization == "per_shot":
         total = int(np.sum(proportional_shot_allocation(alphas, cap)))
-        alloc = np.random.default_rng(seq.spawn(1)[0]).multinomial(total, scheme.weights)
-        alloc = np.maximum(alloc, 1)
+        alloc = np.maximum(rng.multinomial(total, scheme.weights), 1)
     else:
         raise ValueError(f"unknown randomization mode {randomization!r}")
 
-    probes = probe_states()
-    table = np.zeros((len(probes), n + 1))
+    rhos = np.stack([probe.rho for probe in probe_states()])
+    table = np.zeros((len(rhos), n + 1))
     shots_total = 0
-    children = iter(seq.spawn(2 * m * len(probes)))
     for k in range(m):
-        circuit = compile_postselection_circuit(scheme.states[k])
-        flipped = circuit.copy().x(0)
         shots_k = int(alloc[k])
-        variants = {}
-        for mask, circ in ((0, circuit), (1, flipped)):
-            variants[mask] = _variant_record(circ, probes, noise, shots_k,
-                                             [next(children) for _ in probes])
-        mitigated = bias_mitigated_statistics(variants)
+        mitigated = _mitigated_record(compile_postselection_circuit(scheme.states[k]),
+                                      rhos, noise, shots_k, rng)
         # register outcome 0 is "+" -> parent outcome; 1 is the failure slot
         table[:, scheme.parents[k]] += shots_k * mitigated.frequencies[:, 0]
         table[:, n] += shots_k * mitigated.frequencies[:, 1]
-        shots_total += 2 * shots_k * len(probes)
+        shots_total += 2 * shots_k * len(rhos)
     table /= table.sum(axis=1, keepdims=True)
     labels = list(scheme.target.labels) + ["fail"]
     record = TomographyRecord(table, outcome_labels=labels)
@@ -613,14 +614,6 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
                           shots_total=shots_total)
 
 
-def _embed_probe(probe: QuantumState, dilation: NaimarkDilation) -> QuantumState:
-    """Join the system probe with the |0> ancilla in register ordering."""
-    vector = np.zeros(dilation.ext_dim, dtype=complex)
-    for j, register_index in enumerate(dilation.embedding):
-        vector[register_index] = probe.vector[j]
-    return QuantumState.pure(vector)
-
-
 def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed,
                        dilation: NaimarkDilation | None = None) -> PipelineResult:
     """Run the two-qubit dilation circuit over the probe set with the four
@@ -628,19 +621,12 @@ def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed,
     if dilation is None:
         dilation = naimark_dilation(povm, mode="qubit_register")
     circuit = compile_naimark_circuit(dilation)
-    probes = [_embed_probe(p, dilation) for p in probe_states()]
-    seq = _seed_sequence(seed)
-    children = iter(seq.spawn(4 * len(probes)))
-    variants = {}
-    for mask in range(4):
-        circ = circuit.copy()
-        if mask & 2:
-            circ.x(0)
-        if mask & 1:
-            circ.x(1)
-        variants[mask] = _variant_record(circ, probes, noise, cap,
-                                         [next(children) for _ in probes])
-    mitigated = bias_mitigated_statistics(variants)
+    # each system probe joined with the |0> ancilla, in register ordering
+    system = np.stack([p.vector for p in probe_states()])
+    vectors = np.zeros((len(system), dilation.ext_dim), dtype=complex)
+    vectors[:, list(dilation.embedding)] = system
+    rhos = np.einsum("pi,pj->pij", vectors, vectors.conj())
+    mitigated = _mitigated_record(circuit, rhos, noise, cap, _rng(seed))
     # reorder register outcomes into logical outcome order
     perm = dilation.permutation
     table = mitigated.frequencies[:, list(perm)]
@@ -650,7 +636,7 @@ def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed,
     reconstruction = reconstruct_povm(record)
     residual = float(sum(b.alpha for b in reconstruction.bloch[n:] if b is not None))
     return PipelineResult(record, reconstruction, residual_mass=residual,
-                          shots_total=4 * cap * len(probes))
+                          shots_total=4 * cap * len(rhos))
 
 
 @dataclass
@@ -667,8 +653,7 @@ def compare_schemes(povm: Povm, noise: NoiseModel, shots: int, seed,
                     ) -> SchemeComparison:
     """Full pipeline both ways: compile, run bias-mitigated probes,
     tomograph, and score against the ideal POVM."""
-    seq = _seed_sequence(seed)
-    post_seed, naimark_seed = seq.spawn(2)
+    post_seed, naimark_seed = _rng(seed).spawn(2)
     scheme = postselection_scheme(povm)
     post = postselection_tomography(scheme, noise, shots, post_seed)
     nai = naimark_tomography(povm, noise, shots, naimark_seed)

@@ -26,7 +26,7 @@ from .core import (
 
 PROBE_LABELS = ("z0", "z1", "x+", "y+")
 MAX_SUBSET_OUTCOMES = 20
-SUBSET_BLOCK_BITS = 12  # outcomes whose 2**12 subset sums are solved in one batch
+SUBSET_BLOCK_ELEMENTS = 2 ** 14  # matrix entries per batch of subset sums: 2**12 at d = 2
 
 
 def probe_states() -> tuple[QuantumState, ...]:
@@ -210,7 +210,8 @@ def operational_distance(m, n) -> float:
     effects.  When both measurements are complete the subset and its
     complement give the same norm, so only subsets containing outcome 0 are
     scanned; otherwise all subsets are.  The subset sums are stacked and
-    solved by one batched eigvalsh per block of 2**SUBSET_BLOCK_BITS.
+    solved by one batched eigvalsh per block of at most
+    SUBSET_BLOCK_ELEMENTS matrix entries, so memory does not grow with d.
     """
     ms = _effect_list(m)
     ns = _effect_list(n)
@@ -226,9 +227,21 @@ def operational_distance(m, n) -> float:
     diffs = np.stack([a - b for a, b in zip(ms, ns)])
     complete_pair = float(np.max(np.abs(diffs.sum(axis=0)))) <= 1e-12
     base, free = (diffs[0], diffs[1:]) if complete_pair else (zero, diffs)
-    block = _subset_sums(free[:SUBSET_BLOCK_BITS])
-    return max(operator_norm_hermitian(block + offset)
-               for offset in _subset_sums(free[SUBSET_BLOCK_BITS:]) + base)
+    bits = max(1, (SUBSET_BLOCK_ELEMENTS // dim ** 2).bit_length() - 1)
+    return max(operator_norm_hermitian(block) for block in _subset_sum_blocks(free, base, bits))
+
+
+def _subset_sum_blocks(parts, base, bits):
+    """``base`` plus every subset sum of ``parts``, 2**bits sums at a time:
+    the sums over the first ``bits`` parts form one stack, and the sums over
+    the rest, built the same way, are added to it as offsets."""
+    if len(parts) <= bits:
+        yield _subset_sums(parts) + base
+        return
+    block = _subset_sums(parts[:bits])
+    for offsets in _subset_sum_blocks(parts[bits:], base, bits):
+        for offset in offsets:
+            yield block + offset
 
 
 def _subset_sums(parts):

@@ -107,6 +107,30 @@ class TestCompare:
         assert code == 2
         assert "preset" in err
 
+    def test_plan_run(self, capsys, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"povm_fixture": "trine", "noise.cnot": 0.1,
+                                    "noise.readout_bias": 0.05, "shots": 4096,
+                                    "seed": 4}))
+        code, out, _ = run_cli(capsys, "compare", "--plan", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["noise"]["noise.cnot"] == 0.1
+        assert payload["rows"][0]["povm"] == "trine"
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"povm_fixture": "nope"}, "unknown povm_fixture 'nope'"),
+        ({"shots": 1.7}, "plan key 'shots' must be an integer"),
+        ([1, 2], "a plan must be a JSON object"),
+    ])
+    def test_malformed_plan_rejected(self, capsys, tmp_path, plan, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        code, out, err = run_cli(capsys, "compare", "--plan", str(path))
+        assert code == 2
+        assert message in err
+        assert out == ""
+
 
 class TestOutputPlumbing:
     def test_fixtures_listing(self, capsys):

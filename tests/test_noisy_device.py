@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmsim.core import (
     PAULI_X,
@@ -12,7 +14,10 @@ from povmsim.naimark import dilated_statistics, naimark_dilation
 from povmsim.noisy_device import (
     Circuit,
     NoiseModel,
+    _evolve,
+    _mitigated_record,
     _phase_distance,
+    _readout,
     _sequence_unitary,
     compare_schemes,
     compile_naimark_circuit,
@@ -26,7 +31,94 @@ from povmsim.noisy_device import (
     two_qubit_gate_sequence,
 )
 from povmsim.simulation import postselection_scheme
-from povmsim.tomography import operational_distance
+from povmsim.tomography import operational_distance, probe_states
+
+_CNOTS = {(0, 1): np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+          (1, 0): np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])}
+_HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
+def _reference_depolarize(rho, p, qubits, n_qubits):
+    """The channel on one density matrix, with np.kron re-tensoring."""
+    if len(qubits) == n_qubits:
+        return (1 - p) * rho + p * np.trace(rho) * np.eye(2 ** n_qubits) / 2 ** n_qubits
+    t = rho.reshape(2, 2, 2, 2)
+    if qubits == (0,):
+        mixed = np.kron(np.eye(2) / 2, np.trace(t, axis1=0, axis2=2))
+    else:
+        mixed = np.kron(np.trace(t, axis1=1, axis2=3), np.eye(2) / 2)
+    return (1 - p) * rho + p * mixed
+
+
+def _reference_distribution(circuit, rho, noise):
+    """The former simulator: one probe, one full-register gate at a time,
+    and a loop over basis states packing the measured bits."""
+    n = circuit.n_qubits
+    for gate in circuit.gates:
+        if gate.kind == "cnot":
+            u, p = _CNOTS[gate.qubits], noise.cnot_depolarizing
+        else:
+            single = _HADAMARD if gate.kind == "h" else gate.matrix
+            ops = [np.eye(2)] * n
+            ops[gate.qubits[0]] = single
+            u, p = (ops[0] if n == 1 else np.kron(*ops)), noise.su2_depolarizing
+        rho = _reference_depolarize(u @ rho @ u.conj().T, p, gate.qubits, n)
+    diag = np.clip(np.diag(rho).real, 0.0, None)
+    probs = np.zeros(2 ** len(circuit.measured))
+    for m in range(2 ** n):
+        bits = [(m >> (n - 1 - q)) & 1 for q in range(n)]
+        out = 0
+        for q in circuit.measured:
+            out = (out << 1) | bits[q]
+        probs[out] += diag[m]
+    probs = probs / probs.sum()
+    b = noise.readout_bias
+    confusion = np.array([[1.0]])
+    for _ in circuit.measured:
+        confusion = np.kron(confusion, [[1.0, b], [0.0, 1.0 - b]])
+    return confusion @ probs
+
+
+def _flipped(circuit, mask):
+    """The variant with x gates on the measured qubits whose outcome bit is set in mask."""
+    flipped = circuit.copy()
+    k = len(circuit.measured)
+    for i, q in enumerate(circuit.measured):
+        if mask >> (k - 1 - i) & 1:
+            flipped.x(q)
+    return flipped
+
+
+def _exact_mitigated(circuit, rhos, noise):
+    """Average over flip masks of the relabelled exact distributions."""
+    k = 2 ** len(circuit.measured)
+    table = np.zeros((len(rhos), k))
+    for mask in range(k):
+        flipped = _flipped(circuit, mask)
+        for p, rho in enumerate(rhos):
+            table[p, np.arange(k) ^ mask] += _reference_distribution(flipped, rho, noise)
+    return table / k
+
+
+@st.composite
+def _noisy_circuits(draw):
+    n = draw(st.sampled_from((1, 2)))
+    measured = draw(st.sampled_from(((0,),) if n == 1 else ((0,), (1,), (0, 1), (1, 0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circuit = Circuit(n, measured=measured)
+    for kind in draw(st.lists(st.sampled_from(("su2", "h", "cnot")), max_size=8)):
+        q = int(rng.integers(n))
+        if kind == "su2":
+            circuit.su2(q, haar_random_unitary(2, rng))
+        elif kind == "h":
+            circuit.h(q)
+        elif n == 2:
+            circuit.cnot(q, 1 - q)
+    probability = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    noise = NoiseModel(draw(probability), draw(probability), draw(probability))
+    a = rng.standard_normal((3, 2 ** n, 2 ** n)) + 1j * rng.standard_normal((3, 2 ** n, 2 ** n))
+    rhos = a @ a.conj().swapaxes(1, 2)
+    return circuit, noise, rhos / np.trace(rhos, axis1=1, axis2=2)[:, None, None]
 
 
 class TestNoiseModel:
@@ -291,3 +383,65 @@ class TestCompareSchemes:
         result = compare_schemes(random4, NoiseModel.preset("ibmx4-like"),
                                  shots=50_000, seed=2)
         assert result.d_op_postselection < result.d_op_naimark
+
+
+class TestBatchedEvolution:
+    @pytest.mark.parametrize("measured", ((0, 0), (2,), (1, -1)))
+    def test_measured_qubits_validated(self, measured):
+        with pytest.raises(ValueError, match="distinct register qubits"):
+            Circuit(2, measured=measured)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=_noisy_circuits())
+    def test_matches_per_probe_reference(self, case):
+        circuit, noise, rhos = case
+        n, measured = circuit.n_qubits, circuit.measured
+        evolved = _evolve(circuit.gates, n, rhos, noise)
+        for mask in range(2 ** len(measured)):
+            flipped = _flipped(circuit, mask)
+            flips = flipped.gates[len(circuit.gates):]
+            got = _readout(_evolve(flips, n, evolved, noise), n, measured, noise.readout_bias)
+            assert got.shape == (len(rhos), 2 ** len(measured))
+            for p, rho in enumerate(rhos):
+                want = _reference_distribution(flipped, rho, noise)
+                assert np.max(np.abs(got[p] - want)) <= 1e-12
+
+    def test_exact_distribution_is_a_row_of_the_batched_pass(self, trine):
+        circuit = compile_naimark_circuit(naimark_dilation(trine, mode="qubit_register"))
+        noise = NoiseModel.preset("ibmx4-like")
+        states = [QuantumState.pure(np.kron(p.vector, [1, 0])) for p in pauli_eigenstates()]
+        rhos = np.stack([s.rho for s in states])
+        batched = _readout(_evolve(circuit.gates, 2, rhos, noise), 2, (0, 1), noise.readout_bias)
+        # a stack of one and a stack of six may take different matmul kernels
+        for state, row in zip(states, batched):
+            assert np.max(np.abs(exact_output_distribution(circuit, state, noise) - row)) <= 1e-15
+
+    @pytest.mark.parametrize("two_qubit", (False, True))
+    def test_mitigated_counts_five_sigma(self, trine, two_qubit):
+        noise = NoiseModel(cnot_depolarizing=0.05, su2_depolarizing=0.01, readout_bias=0.1)
+        if two_qubit:
+            circuit = compile_naimark_circuit(naimark_dilation(trine, mode="qubit_register"))
+            rhos = np.stack([np.kron(p.rho, np.diag([1, 0])) for p in probe_states()])
+        else:
+            circuit = compile_postselection_circuit([np.cos(0.4), np.exp(0.3j) * np.sin(0.4)])
+            rhos = np.stack([p.rho for p in probe_states()])
+        shots = 200_000
+        got = _mitigated_record(circuit, rhos, noise, shots, np.random.default_rng(12))
+        want = _exact_mitigated(circuit, rhos, noise)
+        # an average of one multinomial frequency per flip variant: by
+        # concavity its variance is at most p(1-p) / (variants * shots)
+        sigma = np.sqrt(want * (1 - want) / (want.shape[1] * shots))
+        assert np.all(np.abs(got.frequencies - want) <= 5 * np.maximum(sigma, 1e-9))
+
+    def test_naimark_pipeline_five_sigma(self, trine):
+        noise = NoiseModel.preset("ibmx4-like")
+        dilation = naimark_dilation(trine, mode="qubit_register")
+        circuit = compile_naimark_circuit(dilation)
+        shots = 100_000
+        result = naimark_tomography(trine, noise, cap=shots, seed=5, dilation=dilation)
+        assert list(dilation.embedding) == [0, 2]  # the ancilla is qubit 1, in |0>
+        rhos = np.stack([np.kron(p.rho, np.diag([1, 0])) for p in probe_states()])
+        want = _exact_mitigated(circuit, rhos, noise)[:, list(dilation.permutation)]
+        sigma = np.sqrt(want * (1 - want) / (4 * shots))  # as above, four variants
+        got = result.record.frequencies
+        assert np.all(np.abs(got - want) <= 5 * np.maximum(sigma, 1e-9))

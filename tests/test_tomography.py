@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -200,6 +201,29 @@ class TestOperationalDistance:
         m = random_povm(2, 16, rng).effects
         n = [scale * e for e in random_povm(2, 16, rng).effects]
         assert abs(operational_distance(m, n) - _qubit_closed_form(m, n)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ("complete", "incomplete"))
+    def test_nested_blocks_match_reference(self, kind):
+        # at d = 64 a block holds 2**2 sums, so seven outcomes nest four deep
+        rng = np.random.default_rng(64)
+        m = random_povm(64, 7, rng, rank=10).effects
+        n = random_povm(64, 7, rng, rank=10).effects
+        if kind == "incomplete":
+            n = [(1 - 1e-3) * e for e in n]
+        assert abs(operational_distance(m, n) - _reference_distance(m, n)) <= 1e-12
+
+    def test_block_memory_bounded_in_dimension(self):
+        rng = np.random.default_rng(14)
+        m = random_povm(16, 14, rng, rank=2).effects
+        n = random_povm(16, 14, rng, rank=2).effects
+        tracemalloc.start()
+        try:
+            operational_distance(m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # blocks of 2**12 sums whatever d is peaked at 64 MiB here
+        assert peak < 4 * 2**20
 
     def test_outcome_limit(self):
         effects = [np.eye(2) / (MAX_SUBSET_OUTCOMES + 1)] * (MAX_SUBSET_OUTCOMES + 1)

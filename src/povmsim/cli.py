@@ -201,26 +201,31 @@ def cmd_compare(args) -> int:
                              f"{plan.povm_fixture!r}; available: "
                              f"{', '.join(fixtures.fixture_names())}")
         povm_name, noise = plan.povm_fixture, plan.noise
-        shots, seed = plan.shots, plan.seed
+        shots, seed, scheme = plan.shots, plan.seed, plan.scheme
         noise_label = {"noise.cnot": noise.cnot_depolarizing,
                        "noise.su2": noise.su2_depolarizing,
                        "noise.readout_bias": noise.readout_bias}
     else:
+        if args.shots < 1:
+            raise UsageError(f"--shots must be at least 1, got {args.shots}")
         povm, povm_name = _resolve_povm(args)
         try:
             noise = NoiseModel.preset(args.noise)
         except KeyError as err:
             raise UsageError(str(err).strip('"'))
-        shots, seed, noise_label = args.shots, args.seed, args.noise
-    result = compare_schemes(povm, noise, shots, seed)
-    rows = [{"povm": povm_name,
-             "naimark": result.d_op_naimark,
-             "our_scheme": result.d_op_postselection,
-             "postselection_fraction": result.postselection_fraction,
-             "naimark_residual_mass": result.naimark_residual_mass}]
+        shots, seed, scheme, noise_label = args.shots, args.seed, "both", args.noise
+    result = compare_schemes(povm, noise, shots, seed, scheme)
+    row = {"povm": povm_name,
+           "naimark": result.d_op_naimark,
+           "our_scheme": result.d_op_postselection,
+           "postselection_fraction": result.postselection_fraction,
+           "naimark_residual_mass": result.naimark_residual_mass}
     config = {"command": "compare", "povm": povm_name, "noise": noise_label,
               "shots": shots, "seed": seed}
-    _emit({"rows": rows, "seed": seed}, config, args)
+    if scheme != "both":
+        config["scheme"] = scheme
+    _emit({"rows": [{k: v for k, v in row.items() if v is not None}], "seed": seed},
+          config, args)
     return 0
 
 
@@ -327,7 +332,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(args, argv, parser)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to devnull
+        # so the flush at interpreter exit cannot raise again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

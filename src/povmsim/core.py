@@ -8,6 +8,7 @@ read-only, so concurrent reads are safe.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -95,15 +96,87 @@ def min_eigenvalue(matrix, atol: float | None = None) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def validate_effect(matrix: np.ndarray, atol: float, name: str = "effect") -> np.ndarray:
-    """Check Hermiticity and spectrum in [-atol, 1 + atol]; return symmetrized copy."""
-    m = require_hermitian(as_operator(matrix, name), atol, name)
-    evs = np.linalg.eigvalsh(m)
-    if evs[0] < -atol:
-        raise InvariantViolation("positivity", -evs[0], f"{name} has eigenvalue {evs[0]:.3e} < 0")
-    if evs[-1] > 1 + atol:
-        raise InvariantViolation("effect bound", evs[-1] - 1, f"{name} has eigenvalue {evs[-1]:.6f} > 1")
-    return m
+def as_effect_stack(effects) -> np.ndarray:
+    """Coerce POVM effects to one (n, d, d) complex stack with finite entries.
+
+    One conversion and one finiteness test for the whole stack; only when
+    they fail is each effect coerced on its own, so that the error names the
+    first bad effect as :func:`as_operator` does.
+    """
+    mats = effects if isinstance(effects, np.ndarray) else list(effects)
+    try:
+        stack = np.asarray(mats, dtype=complex)
+        if stack.ndim == 3 and len(stack) and stack.shape[1] == stack.shape[2] >= 1 \
+                and np.all(np.isfinite(stack)):
+            return stack
+    except (TypeError, ValueError):
+        pass
+    if not [as_operator(m, f"effect {i}") for i, m in enumerate(mats)]:
+        raise ValueError("a POVM needs at least one effect")
+    raise ValueError("all effects must share one dimension")
+
+
+def validate_effects(stack: np.ndarray, atol: float) -> np.ndarray:
+    """Check all effects at once (Hermitian, spectrum in [-atol, 1 + atol])
+    and return the symmetrized stack.  The error names the first failing
+    effect and its first failing check, in that order."""
+    adjoint = stack.conj().swapaxes(1, 2)
+    herm = np.max(np.abs(stack - adjoint), axis=(1, 2))
+    sym = (stack + adjoint) / 2
+    evs = np.linalg.eigvalsh(sym)
+    failing = np.flatnonzero((herm > atol) | (evs[:, 0] < -atol) | (evs[:, -1] > 1 + atol))
+    if failing.size:
+        i = failing[0]
+        low, high = evs[i, 0], evs[i, -1]
+        if herm[i] > atol:
+            raise InvariantViolation("hermiticity", herm[i],
+                                     f"effect {i} is not Hermitian (defect {herm[i]:.3e})")
+        if low < -atol:
+            raise InvariantViolation("positivity", -low, f"effect {i} has eigenvalue {low:.3e} < 0")
+        raise InvariantViolation("effect bound", high - 1,
+                                 f"effect {i} has eigenvalue {high:.6f} > 1")
+    return sym
+
+
+@dataclass(frozen=True)
+class RankOneParts:
+    """Pieces a_k|v_k><v_k| (unit ``vectors[k]``) split from effect ``parents[k]``."""
+
+    weights: np.ndarray
+    vectors: np.ndarray
+    parents: np.ndarray
+
+    def effects(self) -> np.ndarray:
+        """The pieces as an (m, d, d) stack, each entry formed as np.outer forms it."""
+        v = self.vectors
+        return self.weights[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])
+
+
+def rank_one_parts(effects: np.ndarray, atol: float) -> RankOneParts:
+    """Every eigenpair with eigenvalue a > atol of a Hermitian (n, d, d) stack,
+    from one batched eigh, ordered by (parent, descending a)."""
+    w, v = np.linalg.eigh(effects)
+    parents, k = np.nonzero(w[:, ::-1] > atol)
+    k = w.shape[1] - 1 - k
+    return RankOneParts(w[parents, k], v[parents, :, k], parents)
+
+
+def dominant_rank_one(effects: np.ndarray, atol: float) -> RankOneParts:
+    """The largest eigenpair of each matrix of a Hermitian (n, d, d) stack,
+    from one batched eigh; raises if another eigenvalue exceeds atol in size."""
+    w, v = np.linalg.eigh(effects)
+    failing = np.flatnonzero(np.abs(w[:, :-1]).max(axis=1, initial=0.0) > atol)
+    if failing.size:
+        raise ValueError(f"effect {failing[0]} is not rank-one within {atol:.1e}")
+    return RankOneParts(w[:, -1], v[:, :, -1], np.arange(len(w)))
+
+
+def inverse_sqrt(total: np.ndarray) -> np.ndarray:
+    """B^{-1/2}, which rebalances pieces summing to B into a complete POVM."""
+    w, v = np.linalg.eigh(total)
+    if w[0] <= 0:
+        raise ValueError("effects do not span the space; cannot rebalance")
+    return (v * w ** -0.5) @ v.conj().T
 
 
 class QuantumState:
@@ -188,33 +261,36 @@ class Povm:
 
     def __init__(self, effects: Iterable, labels: Sequence[str] | None = None,
                  atol: float | None = None):
-        mats = [as_operator(e, f"effect {i}") for i, e in enumerate(effects)]
-        if not mats:
-            raise ValueError("a POVM needs at least one effect")
-        dim = mats[0].shape[0]
-        if any(m.shape[0] != dim for m in mats):
-            raise ValueError("all effects must share one dimension")
+        stack = as_effect_stack(effects)
+        n, dim = stack.shape[:2]
         if atol is None:
             atol = default_atol(dim)
         self._atol = float(atol)
-        mats = [validate_effect(m, self._atol, f"effect {i}") for i, m in enumerate(mats)]
-        total = sum(mats)
-        defect = float(np.max(np.abs(total - np.eye(dim))))
+        self._stack = _freeze(validate_effects(stack, self._atol))
+        defect = self.completeness_defect
         if defect > self._atol:
             raise InvariantViolation("completeness", defect,
                                      f"effects sum to identity only within {defect:.3e}")
         if labels is None:
-            labels = tuple(str(i + 1) for i in range(len(mats)))
+            labels = tuple(str(i + 1) for i in range(n))
         else:
             labels = tuple(str(l) for l in labels)
-            if len(labels) != len(mats):
+            if len(labels) != n:
                 raise ValueError("labels must match the number of effects")
-        self._effects = tuple(_freeze(m) for m in mats)
+        self._effects = tuple(self._stack)
         self._labels = labels
+        self._rank_one = None
+
+    @classmethod
+    def from_rank_one(cls, parts: RankOneParts, atol: float | None = None) -> "Povm":
+        """The POVM of the pieces; it keeps them as :attr:`rank_one`."""
+        povm = cls(parts.effects(), atol=atol)
+        povm._rank_one = RankOneParts(*map(_freeze, (parts.weights, parts.vectors, parts.parents)))
+        return povm
 
     @property
     def dim(self) -> int:
-        return self._effects[0].shape[0]
+        return self._stack.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -223,6 +299,16 @@ class Povm:
     @property
     def effects(self) -> tuple[np.ndarray, ...]:
         return self._effects
+
+    @property
+    def stack(self) -> np.ndarray:
+        """All effects as one read-only (n, d, d) array."""
+        return self._stack
+
+    @property
+    def rank_one(self) -> RankOneParts | None:
+        """The pieces of :meth:`from_rank_one`, so no step eigensolves again."""
+        return self._rank_one
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -234,7 +320,7 @@ class Povm:
 
     @property
     def completeness_defect(self) -> float:
-        return float(np.max(np.abs(sum(self._effects) - np.eye(self.dim))))
+        return float(np.max(np.abs(self._stack.sum(axis=0) - np.eye(self.dim))))
 
     def __len__(self) -> int:
         return len(self._effects)
@@ -250,8 +336,7 @@ class Povm:
             atol = max(self.atol, other.atol)
         if self.dim != other.dim or self.n_outcomes != other.n_outcomes:
             return False
-        return all(np.allclose(a, b, atol=atol, rtol=0.0)
-                   for a, b in zip(self._effects, other._effects))
+        return np.allclose(self._stack, other._stack, atol=atol, rtol=0.0)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, outcomes={self.n_outcomes})"
@@ -298,14 +383,18 @@ class ProjectiveMeasurement(Povm):
 
 
 class BlochVector:
-    """A qubit effect in the form (alpha/2)(1 + n.sigma)."""
+    """A qubit matrix in the form (alpha/2)(1 + n.sigma), alpha > 0.
+
+    It is a valid effect when its eigenvalues alpha(1 -+ |n|)/2 lie in
+    [0, 1] (see :attr:`physical`); a reconstruction may give one that is not.
+    """
 
     def __init__(self, alpha: float, n: Sequence[float]):
         self.alpha = float(alpha)
         self.n = _freeze(np.asarray(n, dtype=float).reshape(3))
-        if not (0 < self.alpha <= 1 + TOLERANCE_SCALE):
+        if not self.alpha > 0:
             raise InvariantViolation("effect weight", abs(self.alpha),
-                                     f"alpha must be in (0, 1], got {self.alpha}")
+                                     f"alpha must be positive, got {self.alpha}")
 
     @property
     def length(self) -> float:
@@ -313,8 +402,9 @@ class BlochVector:
 
     @property
     def physical(self) -> bool:
-        """True when the reconstructed matrix is a valid effect (|n| <= 1)."""
-        return self.length <= 1 + 1e-9
+        """True when the matrix is a valid effect: |n| <= 1 and its largest
+        eigenvalue alpha(1 + |n|)/2 <= 1 (implied by |n| <= 1 when alpha <= 1)."""
+        return self.length <= 1 + 1e-9 and self.alpha * (1 + self.length) / 2 <= 1 + 1e-9
 
     def to_matrix(self) -> np.ndarray:
         nx, ny, nz = self.n
@@ -397,8 +487,7 @@ def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
     if rank < 1:
         raise ValueError("rank must be positive")
     fine = random_rank_one_povm(dim, n_outcomes * rank, seed)
-    effects = [sum(fine.effects[i * rank:(i + 1) * rank]) for i in range(n_outcomes)]
-    return Povm(effects)
+    return Povm(fine.stack.reshape(n_outcomes, rank, dim, dim).sum(axis=1))
 
 
 def pauli_eigenstates() -> tuple[QuantumState, ...]:

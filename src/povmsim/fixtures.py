@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import Povm, matrix_from_lists, povm_from_document
+from .core import Povm, dominant_rank_one, inverse_sqrt, matrix_from_lists, povm_from_document
 
 IDEAL_NAMES = ("tetrahedral", "trine", "random4", "trivial")
 RECONSTRUCTION_METHODS = ("postselection", "naimark")
@@ -41,18 +41,9 @@ def repair_rank_one_povm(effects, atol: float = 2e-3) -> Povm:
     rebalanced as B^{-1/2} M_i B^{-1/2} with B the sum of the parts, which
     restores exact completeness while keeping every effect rank one.
     """
-    parts = []
-    for i, m in enumerate(effects):
-        m = np.asarray(m, dtype=complex)
-        w, v = np.linalg.eigh((m + m.conj().T) / 2)
-        if abs(w[:-1]).max(initial=0.0) > atol:
-            raise ValueError(f"effect {i} is not rank-one within {atol:.1e}")
-        parts.append(w[-1] * np.outer(v[:, -1], v[:, -1].conj()))
-    total = sum(parts)
-    w, v = np.linalg.eigh(total)
-    if w[0] <= 0:
-        raise ValueError("effects do not span the space; cannot rebalance")
-    inv_sqrt = (v * w ** -0.5) @ v.conj().T
+    stack = np.asarray(effects, dtype=complex)
+    parts = dominant_rank_one((stack + stack.conj().swapaxes(1, 2)) / 2, atol).effects()
+    inv_sqrt = inverse_sqrt(parts.sum(axis=0))
     return Povm([inv_sqrt @ p @ inv_sqrt for p in parts])
 
 

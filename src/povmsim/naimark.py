@@ -15,6 +15,7 @@ from .core import (
     QuantumState,
     _freeze,
     born_probabilities,
+    dominant_rank_one,
     matrix_from_lists,
     matrix_to_lists,
     povm_from_document,
@@ -68,8 +69,7 @@ class NaimarkDilation:
     @property
     def isometry(self) -> np.ndarray:
         """The ext_dim x dim block actually fixed by the POVM."""
-        cols = [self.unitary[:, self.permutation[j]] for j in range(self.dim)]
-        return np.column_stack(cols)
+        return self.unitary[:, list(self.embedding)]
 
     @property
     def isometry_defect(self) -> float:
@@ -104,15 +104,8 @@ class NaimarkDilation:
 
 
 def _rank_one_parts(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    weights = []
-    states = []
-    for i, m in enumerate(povm.effects):
-        w, v = np.linalg.eigh(m)
-        if np.any(w[:-1] > povm.atol):
-            raise ValueError(f"effect {i} is not rank-one within tolerance")
-        weights.append(max(float(w[-1]), 0.0))
-        states.append(v[:, -1])
-    return np.array(weights), np.array(states)
+    parts = povm.rank_one or dominant_rank_one(povm.stack, povm.atol)
+    return np.maximum(parts.weights, 0.0), parts.vectors
 
 
 def _complete_columns(partial: np.ndarray, filled: list[int]) -> np.ndarray:
@@ -122,14 +115,17 @@ def _complete_columns(partial: np.ndarray, filled: list[int]) -> np.ndarray:
     Deterministic: each new column is the remainder of the standard basis
     vector with the largest component outside the current span (lowest index
     on ties), so the completion is stable under tiny input perturbations.
+    The remainders of all basis vectors are kept between columns and only
+    the newest column's projection is taken off them, so the whole
+    completion costs O(n^3).
     """
     d_ext = partial.shape[0]
     u = partial.copy()
     basis_cols = [u[:, j] for j in filled]
+    residuals = np.eye(d_ext, dtype=complex)
+    for b in basis_cols:
+        residuals -= np.outer(b, b.conj() @ residuals)
     for j in (j for j in range(d_ext) if j not in filled):
-        residuals = np.eye(d_ext, dtype=complex)
-        for b in basis_cols:
-            residuals -= np.outer(b, b.conj() @ residuals)
         norms = np.linalg.norm(residuals, axis=0)
         pick = int(np.argmax(np.round(norms, 12)))
         if norms[pick] < 1e-6:
@@ -141,6 +137,7 @@ def _complete_columns(partial: np.ndarray, filled: list[int]) -> np.ndarray:
         v = v / np.linalg.norm(v)
         u[:, j] = v
         basis_cols.append(v)
+        residuals -= np.outer(v, v.conj() @ residuals)
     return u
 
 
@@ -187,9 +184,7 @@ def naimark_dilation(povm: Povm, mode: str = "abstract") -> NaimarkDilation:
         # outcomes fill the leftover register indices in order
         perm = [0, 2]
         perm += [j for j in range(d_ext) if j not in perm]
-    p = np.zeros((d_ext, d_ext))
-    for logical, register in enumerate(perm):
-        p[register, logical] = 1.0
+    p = np.eye(d_ext)[:, perm]  # logical outcome j -> register index perm[j]
     return NaimarkDilation(povm, p @ padded @ p.T, perm, mode)
 
 
@@ -203,8 +198,7 @@ def dilated_statistics(dilation: NaimarkDilation, state: QuantumState) -> np.nda
     rho_ext[np.ix_(emb, emb)] = state.rho
     sigma = dilation.unitary @ rho_ext @ dilation.unitary.conj().T
     register_probs = np.clip(np.diag(sigma).real, 0.0, None)
-    probs = np.array([register_probs[dilation.permutation[i]]
-                      for i in range(dilation.ext_dim)])
+    probs = register_probs[list(dilation.permutation)]
     return probs / probs.sum()
 
 

@@ -33,6 +33,7 @@ from .tomography import (
 )
 
 DECOMPOSITION_ATOL = 1e-8
+SCHEMES = ("postselection", "naimark", "both")
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def load_experiment_plan(doc) -> ExperimentPlan:
     noise = NoiseModel(*(float(typed(key, 0.0, (int, float), "a number"))
                          for key in ("noise.cnot", "noise.su2", "noise.readout_bias")))
     scheme = doc.get("scheme", "both")
-    if scheme not in ("postselection", "naimark", "both"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     return ExperimentPlan(povm_fixture=typed("povm_fixture", "tetrahedral", str, "a string"),
                           scheme=scheme, noise=noise,
@@ -264,11 +265,12 @@ def run_shots(circuit: Circuit, state: QuantumState, noise: NoiseModel,
 
 
 def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
-    """Per-measurement run counts N_j = round(cap * a_j / max a_j).
+    """Per-measurement run counts N_j = max(1, round(cap * a_j / max a_j)).
 
     Block-allocation stand-in for per-run randomization: downstream
     frequency normalization divides by sum N_j, which reproduces the
-    weights exactly in expectation.
+    weights exactly in expectation.  Every measurement gets at least one
+    run, so a small cap cannot leave a component unmeasured.
     """
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
@@ -277,7 +279,7 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
         raise ValueError("weights must be positive")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    return np.rint(cap * w / np.max(w)).astype(int)
+    return np.maximum(np.rint(cap * w / np.max(w)), 1).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -641,27 +643,35 @@ def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed,
 
 @dataclass
 class SchemeComparison:
-    d_op_postselection: float
-    d_op_naimark: float
-    postselection_fraction: float
-    naimark_residual_mass: float
-    postselection: PipelineResult
-    naimark: PipelineResult
+    """Scores of the routes that ran; the fields of a route not run are None."""
+
+    d_op_postselection: float | None = None
+    d_op_naimark: float | None = None
+    postselection_fraction: float | None = None
+    naimark_residual_mass: float | None = None
+    postselection: PipelineResult | None = None
+    naimark: PipelineResult | None = None
 
 
 def compare_schemes(povm: Povm, noise: NoiseModel, shots: int, seed,
-                    ) -> SchemeComparison:
-    """Full pipeline both ways: compile, run bias-mitigated probes,
-    tomograph, and score against the ideal POVM."""
+                    scheme: str = "both") -> SchemeComparison:
+    """Full pipeline for the routes ``scheme`` names ("postselection",
+    "naimark" or "both"): compile, run bias-mitigated probes, tomograph, and
+    score against the ideal POVM.  Each route draws from its own stream
+    spawned from ``seed``, so it gives the same numbers whether or not the
+    other route runs."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     post_seed, naimark_seed = _rng(seed).spawn(2)
-    scheme = postselection_scheme(povm)
-    post = postselection_tomography(scheme, noise, shots, post_seed)
-    nai = naimark_tomography(povm, noise, shots, naimark_seed)
-    return SchemeComparison(
-        d_op_postselection=operational_distance(povm, post.reconstruction),
-        d_op_naimark=operational_distance(povm, nai.reconstruction),
-        postselection_fraction=post.postselection_fraction,
-        naimark_residual_mass=nai.residual_mass,
-        postselection=post,
-        naimark=nai,
-    )
+    result = SchemeComparison()
+    if scheme != "naimark":
+        post = postselection_tomography(postselection_scheme(povm), noise, shots, post_seed)
+        result.postselection = post
+        result.d_op_postselection = operational_distance(povm, post.reconstruction)
+        result.postselection_fraction = post.postselection_fraction
+    if scheme != "postselection":
+        nai = naimark_tomography(povm, noise, shots, naimark_seed)
+        result.naimark = nai
+        result.d_op_naimark = operational_distance(povm, nai.reconstruction)
+        result.naimark_residual_mass = nai.residual_mass
+    return result

@@ -10,7 +10,6 @@ failing, this samples exactly from M; the success probability is 1/d.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +19,16 @@ from .core import (
     Povm,
     ProjectiveMeasurement,
     QuantumState,
+    RankOneParts,
     _freeze,
     _rng,
     born_probabilities,
     default_atol,
+    dominant_rank_one,
+    inverse_sqrt,
     povm_from_document,
     povm_to_document,
+    rank_one_parts,
 )
 
 ORTHOGONALITY_ATOL = 1e-9
@@ -101,9 +104,8 @@ def apply_postprocessing(povm: Povm, pmap: PostProcessingMap) -> Povm:
     """N_j = sum_k q(j|k) M_k."""
     if pmap.n_in != povm.n_outcomes:
         raise ValueError(f"map expects {pmap.n_in} outcomes, POVM has {povm.n_outcomes}")
-    stacked = np.stack(povm.effects)
-    out = np.einsum("jk,kab->jab", pmap.matrix, stacked)
-    return Povm(list(out), atol=povm.atol)
+    out = np.einsum("jk,kab->jab", pmap.matrix, povm.stack)
+    return Povm(out, atol=povm.atol)
 
 
 def convex_combination(terms) -> Povm:
@@ -130,41 +132,35 @@ def build_mq(povm: Povm, q: float) -> Povm:
     """The (n+1)-outcome POVM (q M_1, ..., q M_n, (1-q) 1)."""
     if not 0 < q <= 1:
         raise ValueError(f"q must be in (0, 1], got {q}")
-    effects = [q * m for m in povm.effects]
-    effects.append((1 - q) * np.eye(povm.dim))
+    effects = np.concatenate([q * povm.stack, [(1 - q) * np.eye(povm.dim)]])
     return Povm(effects, labels=list(povm.labels) + [FAIL_LABEL], atol=povm.atol)
 
 
 def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
     """Split every effect into rank-one pieces plus the merge map undoing it.
 
-    Effects are eigendecomposed; eigenvalues below the POVM tolerance are
-    dropped.  Pieces are ordered by (parent outcome, descending eigenvalue).
-    The tiny completeness defect introduced by dropping is redistributed
-    symmetrically (B^{-1/2} . B^{-1/2}), which preserves rank-one-ness;
-    a defect beyond the tolerance is an error.
+    All effects are eigendecomposed in one batched eigh; eigenvalues below
+    the POVM tolerance are dropped.  Pieces are ordered by (parent outcome,
+    descending eigenvalue).  The tiny completeness defect introduced by
+    dropping is redistributed symmetrically (v -> B^{-1/2} v for every piece
+    a|v><v|, B the sum of the pieces), which preserves rank-one-ness; a
+    defect beyond the tolerance is an error.  The refined POVM keeps its
+    pieces (:attr:`Povm.rank_one`).
     """
-    pieces = []
-    parents = []
-    for i, m in enumerate(povm.effects):
-        w, v = np.linalg.eigh(m)
-        for k in range(w.size - 1, -1, -1):
-            if w[k] > povm.atol:
-                pieces.append(w[k] * np.outer(v[:, k], v[:, k].conj()))
-                parents.append(i)
-    if not pieces:
+    parts = rank_one_parts(povm.stack, povm.atol)
+    if not parts.parents.size:
         raise InvariantViolation("positivity", 0.0, "POVM has no non-null effects")
-    total = sum(pieces)
+    total = parts.effects().sum(axis=0)
     defect = float(np.max(np.abs(total - np.eye(povm.dim))))
     if defect > max(povm.atol, default_atol(povm.dim)):
         raise InvariantViolation("completeness", defect,
                                  f"refinement leaves completeness defect {defect:.3e}")
     if defect > 1e-14:
-        w, v = np.linalg.eigh(total)
-        inv_sqrt = (v * w ** -0.5) @ v.conj().T
-        pieces = [inv_sqrt @ p @ inv_sqrt for p in pieces]
-    refined = Povm(pieces, atol=povm.atol)
-    merge = PostProcessingMap.deterministic(parents, n_out=povm.n_outcomes)
+        u = parts.vectors @ inverse_sqrt(total).T
+        norms = np.linalg.norm(u, axis=1)
+        parts = RankOneParts(parts.weights * norms ** 2, u / norms[:, None], parts.parents)
+    refined = Povm.from_rank_one(parts, atol=povm.atol)
+    merge = PostProcessingMap.deterministic(parts.parents, n_out=povm.n_outcomes)
     return refined, merge
 
 
@@ -216,11 +212,9 @@ class PostselectionScheme:
         if defect > default_atol(len(self.weights)):
             raise InvariantViolation("weight normalization", defect)
         self.success_probability = 1.0 / target.dim
-        simulated = self.simulated_povm()
         expected = build_mq(target, self.success_probability)
-        if not simulated.allclose(expected):
-            dev = max(np.max(np.abs(a - b))
-                      for a, b in zip(simulated.effects, expected.effects))
+        dev = float(np.max(np.abs(self.simulated_povm().stack - expected.stack)))
+        if not dev <= target.atol:
             raise InvariantViolation("postselection construction", dev)
 
     @property
@@ -255,11 +249,11 @@ class PostselectionScheme:
         """Assemble the mixture and relabelling into the realized POVM."""
         d = self.target.dim
         n = self.target.n_outcomes
-        effects = [np.zeros((d, d), dtype=complex) for _ in range(n + 1)]
-        for k in range(self.n_components):
-            proj = np.outer(self.states[k], self.states[k].conj())
-            effects[self.parents[k]] = effects[self.parents[k]] + self.weights[k] * proj
-            effects[n] = effects[n] + self.weights[k] * (np.eye(d) - proj)
+        projs = self.states[:, :, None] * self.states.conj()[:, None, :]
+        weights = self.weights[:, None, None]
+        effects = np.zeros((n + 1, d, d), dtype=complex)
+        np.add.at(effects, self.parents, weights * projs)
+        effects[n] = (weights * (np.eye(d) - projs)).sum(axis=0)
         return Povm(effects, labels=list(self.target.labels) + [FAIL_LABEL],
                     atol=self.target.atol)
 
@@ -278,9 +272,6 @@ class PostselectionScheme:
         states = np.array([[complex(re, im) for re, im in s] for s in doc["states"]])
         return cls(target, states, doc["weights"], doc["parents"])
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2)
-
     def __repr__(self) -> str:
         return (f"PostselectionScheme(outcomes={self.target.n_outcomes}, "
                 f"components={self.n_components}, q={self.success_probability:g})")
@@ -288,18 +279,8 @@ class PostselectionScheme:
 
 def postselection_scheme(povm: Povm) -> PostselectionScheme:
     """Build the 1/d-success postselection protocol for an arbitrary POVM."""
-    refined, merge = rank_one_refinement(povm)
-    d = povm.dim
-    states = []
-    weights = []
-    parents = []
-    for k, m in enumerate(refined.effects):
-        w, v = np.linalg.eigh(m)
-        a = float(w[-1])
-        states.append(v[:, -1])
-        weights.append(a / d)
-        parents.append(int(np.argmax(merge.matrix[:, k])))
-    return PostselectionScheme(povm, np.array(states), weights, parents)
+    parts = rank_one_refinement(povm)[0].rank_one
+    return PostselectionScheme(povm, parts.vectors, parts.weights / povm.dim, parts.parents)
 
 
 @dataclass(frozen=True)
@@ -430,15 +411,11 @@ def max_success_bound_rank_one(povm: Povm) -> float:
     projective-simulable realization of M_q then decomposes over only n+1
     distinct projective measurements, forcing q <= 1/d.
     """
-    directions = []
-    for i, m in enumerate(povm.effects):
-        w, v = np.linalg.eigh(m)
-        if np.any(w[:-1] > povm.atol):
-            raise ValueError(f"effect {i} is not rank-one; the bound does not apply")
-        directions.append(v[:, -1])
-    for i in range(len(directions)):
-        for j in range(i + 1, len(directions)):
-            if abs(np.vdot(directions[i], directions[j])) <= ORTHOGONALITY_ATOL:
-                raise ValueError(
-                    f"effects {i} and {j} have orthogonal states; the bound does not apply")
+    directions = dominant_rank_one(povm.stack, povm.atol).vectors
+    overlaps = np.abs(directions.conj() @ directions.T)
+    orthogonal = np.argwhere(np.triu(overlaps <= ORTHOGONALITY_ATOL, k=1))
+    if orthogonal.size:
+        i, j = orthogonal[0]
+        raise ValueError(
+            f"effects {i} and {j} have orthogonal states; the bound does not apply")
     return 1.0 / povm.dim

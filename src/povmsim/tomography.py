@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    PAULI_X,
+    PAULI_Y,
     BlochVector,
     Povm,
     QuantumState,
     _freeze,
     as_operator,
-    default_atol,
 )
 
 PROBE_LABELS = ("z0", "z1", "x+", "y+")
@@ -141,7 +142,9 @@ def reconstruct_effect(freqs) -> BlochVector:
 class Reconstruction:
     """Linear-inversion output: effects plus physicality diagnostics.
 
-    ``bloch[i]`` is ``None`` for an outcome that never fired (zero effect).
+    ``bloch[i]`` is ``None`` for an outcome that never fired (zero effect)
+    and for one that fired only on the x+ and y+ probes: its weight alpha is
+    0, so it has no Bloch form, and it is flagged unphysical.
     """
 
     effects: tuple[np.ndarray, ...]
@@ -157,14 +160,12 @@ class Reconstruction:
     def physical(self) -> bool:
         return not self.unphysical_outcomes
 
-    def as_povm(self, atol: float) -> Povm:
-        return Povm(self.effects, atol=atol)
-
 
 def reconstruct_povm(record: TomographyRecord) -> Reconstruction:
     """Reconstruct every effect of a qubit measurement from a record.
 
-    Outcomes whose Bloch vector leaves the unit ball are flagged as
+    Outcomes that are not valid effects (see :attr:`BlochVector.physical`,
+    and the alpha = 0 case of :class:`Reconstruction`) are flagged as
     unphysical but kept as-is; the completeness defect ||sum M_i - 1|| is
     reported rather than corrected.
     """
@@ -179,6 +180,12 @@ def reconstruct_povm(record: TomographyRecord) -> Reconstruction:
             # outcome never fired on any probe: a null effect
             bloch.append(None)
             effects.append(np.zeros((2, 2), dtype=complex))
+            continue
+        if column[0] + column[1] <= 0:
+            # the traceless inversion p(x+) X + p(y+) Y has a negative eigenvalue
+            bloch.append(None)
+            effects.append(column[2] * PAULI_X + column[3] * PAULI_Y)
+            warned.append(i)
             continue
         b = reconstruct_effect(column)
         bloch.append(b)

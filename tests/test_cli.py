@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import povmsim
 from povmsim.cli import main, table1_rows
 
 
@@ -118,6 +123,45 @@ class TestCompare:
         assert payload["config"]["noise"]["noise.cnot"] == 0.1
         assert payload["rows"][0]["povm"] == "trine"
 
+    def test_low_shot_tomography_reports_unphysical_outcome(self, capsys):
+        # three shots reconstruct an outcome with alpha = 1.048 > 1
+        code, out, err = run_cli(capsys, "compare", "--povm", "random4",
+                                 "--shots", "3", "--seed", "1")
+        assert code == 0, err
+        row = json.loads(out)["rows"][0]
+        assert 0.0 <= row["our_scheme"] <= 2.0
+
+    def test_zero_shots_is_usage_error_naming_flag(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--povm", "trine", "--shots", "0")
+        assert code == 2
+        assert "--shots" in err
+        assert out == ""
+
+    def test_one_shot_measures_every_component(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--povm", "random4",
+                                 "--shots", "1", "--seed", "1")
+        assert code == 0, err
+        assert json.loads(out)["config"]["shots"] == 1
+
+    @pytest.mark.parametrize("scheme, keys", [
+        ("naimark", {"naimark", "naimark_residual_mass"}),
+        ("postselection", {"our_scheme", "postselection_fraction"}),
+    ])
+    def test_plan_scheme_runs_only_that_route(self, capsys, tmp_path, scheme, keys):
+        plan = {"povm_fixture": "trine", "noise.cnot": 0.1, "shots": 2048, "seed": 6}
+        both_path, one_path = tmp_path / "both.json", tmp_path / "one.json"
+        both_path.write_text(json.dumps({**plan, "scheme": "both"}))
+        one_path.write_text(json.dumps({**plan, "scheme": scheme}))
+        _, both_out, _ = run_cli(capsys, "compare", "--plan", str(both_path))
+        code, one_out, _ = run_cli(capsys, "compare", "--plan", str(one_path))
+        assert code == 0
+        both, one = json.loads(both_out), json.loads(one_out)
+        assert "scheme" not in both["config"]
+        assert one["config"]["scheme"] == scheme
+        assert set(one["rows"][0]) == {"povm"} | keys
+        for key in keys:
+            assert one["rows"][0][key] == both["rows"][0][key]
+
     @pytest.mark.parametrize("plan, message", [
         ({"povm_fixture": "nope"}, "unknown povm_fixture 'nope'"),
         ({"shots": 1.7}, "plan key 'shots' must be an integer"),
@@ -187,6 +231,25 @@ class TestOutputPlumbing:
             main(["table1", "--config", str(config)])
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_pipe_exits_quietly(self, unbuffered):
+        # the reading end is closed before povmsim writes a byte; buffered
+        # output meets the closed pipe only when it is flushed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(povmsim.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            result = subprocess.run([sys.executable, "-m", "povmsim.cli", "table1"],
+                                    stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                    timeout=60)
+        finally:
+            os.close(write_end)
+        assert result.stderr == b""
+        assert result.returncode == 1
 
     def test_seed_recorded_in_payload(self, capsys):
         _, out, _ = run_cli(capsys, "usd", "--symmetric", "4", "0.1", "--seed", "17")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmsim.core import (
     BlochVector,
@@ -9,7 +11,9 @@ from povmsim.core import (
     Povm,
     ProjectiveMeasurement,
     QuantumState,
+    as_operator,
     born_probabilities,
+    default_atol,
     haar_random_pure_state,
     min_eigenvalue,
     operator_norm,
@@ -18,6 +22,7 @@ from povmsim.core import (
     povm_to_document,
     random_povm,
     random_rank_one_povm,
+    require_hermitian,
     state_from_document,
     state_to_document,
 )
@@ -163,6 +168,102 @@ class TestPovmValidation:
             tetrahedral.effects[0][0, 0] = 9.0
 
 
+def _reference_validate_effect(matrix, atol, name):
+    """The former per-effect check, kept as the oracle for the batched one."""
+    m = require_hermitian(as_operator(matrix, name), atol, name)
+    evs = np.linalg.eigvalsh(m)
+    if evs[0] < -atol:
+        raise InvariantViolation("positivity", -evs[0], f"{name} has eigenvalue {evs[0]:.3e} < 0")
+    if evs[-1] > 1 + atol:
+        raise InvariantViolation("effect bound", evs[-1] - 1, f"{name} has eigenvalue {evs[-1]:.6f} > 1")
+    return m
+
+
+def _reference_povm_effects(effects, atol=None):
+    """The former Povm.__init__ loop: coerce, validate one effect at a time
+    in order, then check completeness."""
+    mats = [as_operator(e, f"effect {i}") for i, e in enumerate(effects)]
+    if not mats:
+        raise ValueError("a POVM needs at least one effect")
+    dim = mats[0].shape[0]
+    if any(m.shape[0] != dim for m in mats):
+        raise ValueError("all effects must share one dimension")
+    atol = default_atol(dim) if atol is None else atol
+    mats = [_reference_validate_effect(m, atol, f"effect {i}") for i, m in enumerate(mats)]
+    defect = float(np.max(np.abs(sum(mats) - np.eye(dim))))
+    if defect > atol:
+        raise InvariantViolation("completeness", defect,
+                                 f"effects sum to identity only within {defect:.3e}")
+    return mats
+
+
+def _outcome(build, effects):
+    try:
+        return "ok", build(effects)
+    except (InvariantViolation, ValueError) as err:
+        return type(err).__name__, getattr(err, "invariant", None), str(err)
+
+
+def _assert_same_outcome(effects):
+    want = _outcome(_reference_povm_effects, effects)
+    got = _outcome(lambda e: Povm(e).effects, effects)
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+    else:
+        assert got == want
+
+
+#: a change to one effect: (kind, effect, row, column, size); "hermiticity",
+#: "negative" and "above_one" move one entry, "incomplete" scales the effect
+_PERTURBATION = st.tuples(
+    st.sampled_from(["hermiticity", "negative", "above_one", "incomplete", "none"]),
+    st.integers(0, 9), st.integers(0, 4), st.integers(0, 4),
+    st.sampled_from([1e-12, 1e-8, 1e-3, 0.3, 2.0]))
+
+
+class TestBatchedValidation:
+    """Povm validates all effects with one batched eigvalsh; it must raise
+    what the former per-effect loop raised, for the same first effect."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(2, 4), st.integers(1, 6), st.integers(1, 2), st.integers(0, 2**31),
+           st.lists(_PERTURBATION, min_size=1, max_size=2))
+    def test_matches_per_effect_loop(self, d, n, rank, seed, perturbations):
+        n = max(n, -(-d // rank))
+        effects = np.array(random_povm(d, n, seed, rank=rank).effects)
+        for kind, k, i, j, size in perturbations:
+            k, i, j = k % n, i % d, j % d
+            if kind == "hermiticity":
+                j = (i + 1 + j % (d - 1)) % d  # an off-diagonal entry, its mirror untouched
+                effects[k, i, j] += size * (1 + 1j)
+            elif kind == "negative":
+                effects[k, i, i] -= size + effects[k, i, i].real
+            elif kind == "above_one":
+                effects[k, i, i] += size + 1 - effects[k, i, i].real
+            elif kind == "incomplete":
+                effects[k] *= 1 - size / 4
+        _assert_same_outcome(effects)
+        _assert_same_outcome(list(effects))
+
+    @pytest.mark.parametrize("effects", [
+        [],
+        [np.eye(2), np.eye(3)],
+        [np.eye(2) / 2, np.ones((2, 3))],
+        [np.eye(2) / 2, np.full((2, 2), np.nan)],
+        [np.eye(2) / 2, np.eye(2) / 2, np.full((2, 2), np.inf), np.eye(3)],
+        [np.zeros((0, 0))],
+        [1.0],
+        [[[0.5, 0], [0, 0.5]], [[0.5, 0], [0, 0.5]]],
+        [np.diag([-0.5, 1.5]), np.diag([1.5, -0.5])],  # positivity is checked first
+    ])
+    def test_malformed_input_reported_as_before(self, effects):
+        _assert_same_outcome(effects)
+
+    def test_generator_input(self, tetrahedral):
+        assert Povm(m for m in tetrahedral.effects).allclose(tetrahedral, atol=0.0)
+
+
 class TestBlochVector:
     def test_round_trip_fixture_effects(self, tetrahedral, trine):
         for povm in (tetrahedral, trine):
@@ -189,6 +290,20 @@ class TestBlochVector:
     def test_weight_range(self):
         with pytest.raises(InvariantViolation):
             BlochVector(0.0, [0, 0, 0])
+
+    @pytest.mark.parametrize("alpha, n, physical", [
+        (1.5, [0, 0, 0], True),       # 0.75 * 1
+        (1.5, [0, 0, 1 / 3], True),   # eigenvalues 1 and 0.5
+        (1.5, [0, 0, 0.5], False),    # largest eigenvalue 1.125
+        (2.0, [0, 0, 0], True),       # the identity
+        (1.0, [0, 0.6, 0.8], True),   # a rank-one projector
+        (1.0, [0, 0.6, 0.81], False),
+    ])
+    def test_physical_means_valid_effect(self, alpha, n, physical):
+        b = BlochVector(alpha, n)
+        assert b.physical == physical
+        evs = np.linalg.eigvalsh(b.to_matrix())
+        assert (evs[0] >= -1e-12 and evs[-1] <= 1 + 1e-12) == physical
 
 
 class TestRandomPovms:

@@ -9,7 +9,52 @@ from povmsim.core import (
     pauli_eigenstates,
     random_rank_one_povm,
 )
-from povmsim.naimark import check_against_born, dilated_statistics, naimark_dilation
+from povmsim.core import random_povm
+from povmsim.naimark import (
+    _complete_columns,
+    check_against_born,
+    dilated_statistics,
+    naimark_dilation,
+)
+from povmsim.simulation import rank_one_refinement
+
+#: the (d, n, rank) shapes of the exact_scale benchmark workload
+EXACT_SHAPES = ((4, 16, 1), (8, 16, 2), (8, 48, 1), (16, 32, 2), (16, 64, 1), (32, 64, 1))
+
+
+def _reference_complete_columns(partial, filled):
+    """The former O(n^4) completion: the residual matrix is rebuilt from the
+    identity for every new column.  Kept as the oracle for the O(n^3) one."""
+    d_ext = partial.shape[0]
+    u = partial.copy()
+    basis_cols = [u[:, j] for j in filled]
+    for j in (j for j in range(d_ext) if j not in filled):
+        residuals = np.eye(d_ext, dtype=complex)
+        for b in basis_cols:
+            residuals -= np.outer(b, b.conj() @ residuals)
+        norms = np.linalg.norm(residuals, axis=0)
+        pick = int(np.argmax(np.round(norms, 12)))
+        if norms[pick] < 1e-6:
+            raise RuntimeError("ran out of basis vectors during completion")
+        v = residuals[:, pick] / norms[pick]
+        for b in basis_cols:
+            v = v - np.vdot(b, v) * b
+        v = v / np.linalg.norm(v)
+        u[:, j] = v
+        basis_cols.append(v)
+    return u
+
+
+def _reference_abstract_unitary(povm):
+    """The former dilation: one eigh per effect, then the O(n^4) completion."""
+    weights, states = [], []
+    for m in povm.effects:
+        w, v = np.linalg.eigh(m)
+        weights.append(max(float(w[-1]), 0.0))
+        states.append(v[:, -1])
+    core = np.zeros((povm.n_outcomes, povm.n_outcomes), dtype=complex)
+    core[:, :povm.dim] = np.sqrt(weights)[:, None] * np.array(states).conj()
+    return _reference_complete_columns(core, list(range(povm.dim)))
 
 
 class TestConstruction:
@@ -56,6 +101,38 @@ class TestConstruction:
         povm = random_rank_one_povm(3, 4, 3)
         with pytest.raises(ValueError, match="qubit"):
             naimark_dilation(povm, mode="qubit_register")
+
+
+class TestCompletion:
+    @pytest.mark.parametrize("d, n, rank", EXACT_SHAPES)
+    def test_bit_identical_to_reference_at_exact_scale_shapes(self, d, n, rank):
+        refined, _ = rank_one_refinement(random_povm(d, n, 1000 * d + n, rank=rank))
+        unitary = naimark_dilation(refined).unitary
+        partial = np.zeros_like(unitary)
+        partial[:, :d] = unitary[:, :d]
+        assert np.array_equal(_complete_columns(partial, list(range(d))),
+                              _reference_complete_columns(partial, list(range(d))))
+        assert np.array_equal(unitary, _reference_complete_columns(partial, list(range(d))))
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (3, 7), (4, 16), (16, 64), (32, 64)])
+    def test_unrefined_dilation_bit_identical_to_former_one(self, d, n):
+        povm = random_rank_one_povm(d, n, d + n)
+        assert np.array_equal(naimark_dilation(povm).unitary, _reference_abstract_unitary(povm))
+
+    def test_fixture_dilations_bit_identical_to_former_ones(self, all_fixture_povms):
+        for povm in all_fixture_povms.values():
+            assert np.array_equal(naimark_dilation(povm).unitary, _reference_abstract_unitary(povm))
+
+    def test_refined_dilation_uses_kept_pieces(self, monkeypatch):
+        refined, _ = rank_one_refinement(random_povm(8, 48, 5))
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("naimark_dilation eigensolved a refined POVM")
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        dilation = naimark_dilation(refined)
+        assert dilation.isometry_defect < 1e-12
+        assert dilation.unitarity_defect < 1e-12
 
 
 class TestStatistics:

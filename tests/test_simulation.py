@@ -63,6 +63,56 @@ class TestRankOneRefinement:
             assert povm_equal(apply_postprocessing(refined, merge), povm)
 
 
+    def test_rebalance_keeps_rank_one_unit_pieces(self):
+        # eigenvalue 1e-9 is below the tolerance: dropping it leaves a
+        # completeness defect that v -> B^{-1/2} v must redistribute
+        small = 1e-9
+        povm = Povm([np.diag([0.6, small]), np.diag([0.4, 1 - small])])
+        refined, merge = rank_one_refinement(povm)
+        parts = refined.rank_one
+        assert refined.n_outcomes == 3
+        assert np.max(np.abs(np.linalg.norm(parts.vectors, axis=1) - 1)) < 1e-15
+        assert refined.completeness_defect < 1e-15
+        assert np.max(np.abs(refined.stack - parts.effects())) < 1e-15
+        assert povm_equal(apply_postprocessing(refined, merge), povm, atol=2 * small)
+
+    def test_pieces_kept_on_refined_povm(self):
+        povm = random_povm(4, 6, 8, rank=2)
+        refined, merge = rank_one_refinement(povm)
+        parts = refined.rank_one
+        # the stored effects are the symmetrized pieces
+        assert np.max(np.abs(refined.stack - parts.effects())) < 1e-15
+        assert np.array_equal(merge.matrix.argmax(axis=0), parts.parents)
+        assert povm.rank_one is None
+        with pytest.raises(ValueError):
+            parts.vectors[0, 0] = 1.0
+
+
+def _count_eigensolves(monkeypatch):
+    counts = {"calls": 0}
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, solver=solver, **kwargs):
+            counts["calls"] += 1
+            return solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestEigensolveCount:
+    """Each eigendecomposition runs once over the whole effect stack, so the
+    number of solves does not grow with the number of outcomes."""
+
+    @pytest.mark.parametrize("d, n, rank", [(2, 3, 1), (8, 48, 1), (16, 32, 2)])
+    def test_scheme_build_is_a_few_batched_solves(self, monkeypatch, d, n, rank):
+        povm = random_povm(d, n, 3, rank=rank)
+        counts = _count_eigensolves(monkeypatch)
+        postselection_scheme(povm)
+        # refinement eigh (+ rebalance), refined, simulated and M_q validation
+        assert counts["calls"] <= 5
+
+
 class TestPostProcessing:
     def test_identity_map(self, trine):
         assert povm_equal(apply_postprocessing(trine, PostProcessingMap.identity(3)), trine)
@@ -167,6 +217,16 @@ class TestPostselectionScheme:
             # rank-one targets because each component owns one slot
             assert povm_equal(sim.mixture(),
                               Povm(list(target.effects), atol=target.atol), atol=1e-9)
+
+    @pytest.mark.parametrize("d, n, rank", [(2, 4, 1), (3, 5, 2), (8, 16, 2), (16, 64, 1)])
+    def test_states_and_weights_match_per_piece_eigh(self, d, n, rank):
+        povm = random_povm(d, n, 40 + d, rank=rank)
+        refined, _ = rank_one_refinement(povm)
+        scheme = postselection_scheme(povm)
+        for k, piece in enumerate(refined.effects):
+            w, v = np.linalg.eigh(piece)
+            assert abs(scheme.weights[k] * d - w[-1]) < 1e-12
+            assert abs(abs(np.vdot(v[:, -1], scheme.states[k])) - 1) < 1e-12
 
     def test_serialization_round_trip(self, trine):
         scheme = postselection_scheme(trine)

@@ -119,6 +119,36 @@ class TestReconstructPovm:
         assert not recon.physical
 
 
+    def test_weight_above_one_is_flagged_not_raised(self):
+        # outcome 0 has alpha = p(z0) + p(z1) = 1.2 and largest eigenvalue
+        # 1.2 (1 + |n|) / 2 = 1.05: low-shot noise can give that
+        table = np.array([
+            [0.80, 0.20],
+            [0.40, 0.60],
+            [1.00, 0.00],
+            [0.60, 0.40],
+        ])
+        recon = reconstruct_povm(TomographyRecord(table))
+        assert recon.bloch[0].alpha == pytest.approx(1.2)
+        assert np.linalg.eigvalsh(recon.effects[0])[-1] > 1
+        assert 0 in recon.unphysical_outcomes
+
+    def test_zero_weight_outcome_is_flagged_not_raised(self):
+        # outcome 1 fired only on the x+ probe: alpha = 0, no Bloch form
+        table = np.array([
+            [1.0, 0.0],
+            [1.0, 0.0],
+            [0.5, 0.5],
+            [1.0, 0.0],
+        ])
+        recon = reconstruct_povm(TomographyRecord(table))
+        assert recon.bloch[1] is None
+        assert 1 in recon.unphysical_outcomes
+        probes = probe_states()
+        born = [np.vdot(p.vector, recon.effects[1] @ p.vector).real for p in probes]
+        assert np.allclose(born, table[:, 1], atol=1e-15)
+
+
 class TestOperationalDistance:
     def test_self_distance_zero(self, all_fixture_povms):
         for povm in all_fixture_povms.values():

@@ -206,8 +206,6 @@ def cmd_compare(args) -> int:
                        "noise.su2": noise.su2_depolarizing,
                        "noise.readout_bias": noise.readout_bias}
     else:
-        if args.shots < 1:
-            raise UsageError(f"--shots must be at least 1, got {args.shots}")
         povm, povm_name = _resolve_povm(args)
         try:
             noise = NoiseModel.preset(args.noise)
@@ -332,6 +330,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(args, argv, parser)
+        if getattr(args, "shots", 1) < 1:
+            raise UsageError(f"--shots must be at least 1, got {args.shots}")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -131,8 +131,9 @@ class TestCompare:
         row = json.loads(out)["rows"][0]
         assert 0.0 <= row["our_scheme"] <= 2.0
 
-    def test_zero_shots_is_usage_error_naming_flag(self, capsys):
-        code, out, err = run_cli(capsys, "compare", "--povm", "trine", "--shots", "0")
+    @pytest.mark.parametrize("command", ["compare", "simulate"])
+    def test_zero_shots_is_usage_error_naming_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--povm", "trine", "--shots", "0")
         assert code == 2
         assert "--shots" in err
         assert out == ""

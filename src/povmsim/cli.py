@@ -253,6 +253,13 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _apply_config_file(args, argv, parser):
     """Values from --config override the command-line flags.  They are
     parsed as if written after the flags, so each meets the type, choices
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--povm", help="fixture name")
     p.add_argument("--povm-file", help="POVM JSON document")
     p.add_argument("--state", default="zero", choices=STATE_NAMES)
-    p.add_argument("--shots", type=int, default=100_000)
+    p.add_argument("--shots", type=positive_int, default=100_000)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--povm", help="fixture name")
     p.add_argument("--povm-file", help="POVM JSON document")
     p.add_argument("--noise", default="ibmx4-like")
-    p.add_argument("--shots", type=int, default=8192)
+    p.add_argument("--shots", type=positive_int, default=8192)
     p.add_argument("--plan", help="experiment plan JSON (noise.* keys override everything)")
     common(p)
     p.set_defaults(func=cmd_compare)
@@ -330,8 +337,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(args, argv, parser)
-        if getattr(args, "shots", 1) < 1:
-            raise UsageError(f"--shots must be at least 1, got {args.shots}")
         code = args.func(args)
         sys.stdout.flush()
         return code

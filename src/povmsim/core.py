@@ -96,26 +96,6 @@ def min_eigenvalue(matrix, atol: float | None = None) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def as_effect_stack(effects) -> np.ndarray:
-    """Coerce POVM effects to one (n, d, d) complex stack with finite entries.
-
-    One conversion and one finiteness test for the whole stack; only when
-    they fail is each effect coerced on its own, so that the error names the
-    first bad effect as :func:`as_operator` does.
-    """
-    mats = effects if isinstance(effects, np.ndarray) else list(effects)
-    try:
-        stack = np.asarray(mats, dtype=complex)
-        if stack.ndim == 3 and len(stack) and stack.shape[1] == stack.shape[2] >= 1 \
-                and np.all(np.isfinite(stack)):
-            return stack
-    except (TypeError, ValueError):
-        pass
-    if not [as_operator(m, f"effect {i}") for i, m in enumerate(mats)]:
-        raise ValueError("a POVM needs at least one effect")
-    raise ValueError("all effects must share one dimension")
-
-
 def validate_effects(stack: np.ndarray, atol: float) -> np.ndarray:
     """Check all effects at once (Hermitian, spectrum in [-atol, 1 + atol])
     and return the symmetrized stack.  The error names the first failing
@@ -152,23 +132,22 @@ class RankOneParts:
         return self.weights[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])
 
 
-def rank_one_parts(effects: np.ndarray, atol: float) -> RankOneParts:
-    """Every eigenpair with eigenvalue a > atol of a Hermitian (n, d, d) stack,
-    from one batched eigh, ordered by (parent, descending a)."""
+def rank_one_parts(effects: np.ndarray, atol: float, dominant: bool = False) -> RankOneParts:
+    """Eigenpairs of a Hermitian (n, d, d) stack from one batched eigh,
+    ordered by (parent, descending a): every pair with a > atol, or with
+    ``dominant`` only the largest of each matrix, raising if another
+    eigenvalue exceeds atol in size."""
     w, v = np.linalg.eigh(effects)
-    parents, k = np.nonzero(w[:, ::-1] > atol)
+    keep = w[:, ::-1] > atol
+    if dominant:
+        failing = np.flatnonzero(np.abs(w[:, :-1]).max(axis=1, initial=0.0) > atol)
+        if failing.size:
+            raise ValueError(f"effect {failing[0]} is not rank-one within {atol:.1e}")
+        keep = np.zeros_like(keep)
+        keep[:, 0] = True
+    parents, k = np.nonzero(keep)
     k = w.shape[1] - 1 - k
     return RankOneParts(w[parents, k], v[parents, :, k], parents)
-
-
-def dominant_rank_one(effects: np.ndarray, atol: float) -> RankOneParts:
-    """The largest eigenpair of each matrix of a Hermitian (n, d, d) stack,
-    from one batched eigh; raises if another eigenvalue exceeds atol in size."""
-    w, v = np.linalg.eigh(effects)
-    failing = np.flatnonzero(np.abs(w[:, :-1]).max(axis=1, initial=0.0) > atol)
-    if failing.size:
-        raise ValueError(f"effect {failing[0]} is not rank-one within {atol:.1e}")
-    return RankOneParts(w[:, -1], v[:, :, -1], np.arange(len(w)))
 
 
 def inverse_sqrt(total: np.ndarray) -> np.ndarray:
@@ -261,12 +240,16 @@ class Povm:
 
     def __init__(self, effects: Iterable, labels: Sequence[str] | None = None,
                  atol: float | None = None):
-        stack = as_effect_stack(effects)
-        n, dim = stack.shape[:2]
+        mats = [as_operator(e, f"effect {i}") for i, e in enumerate(effects)]
+        if not mats:
+            raise ValueError("a POVM needs at least one effect")
+        n, dim = len(mats), mats[0].shape[0]
+        if any(m.shape[0] != dim for m in mats):
+            raise ValueError("all effects must share one dimension")
         if atol is None:
             atol = default_atol(dim)
         self._atol = float(atol)
-        self._stack = _freeze(validate_effects(stack, self._atol))
+        self._stack = _freeze(validate_effects(np.stack(mats), self._atol))
         defect = self.completeness_defect
         if defect > self._atol:
             raise InvariantViolation("completeness", defect,
@@ -277,7 +260,6 @@ class Povm:
             labels = tuple(str(l) for l in labels)
             if len(labels) != n:
                 raise ValueError("labels must match the number of effects")
-        self._effects = tuple(self._stack)
         self._labels = labels
         self._rank_one = None
 
@@ -294,11 +276,11 @@ class Povm:
 
     @property
     def n_outcomes(self) -> int:
-        return len(self._effects)
+        return len(self._stack)
 
     @property
     def effects(self) -> tuple[np.ndarray, ...]:
-        return self._effects
+        return tuple(self._stack)
 
     @property
     def stack(self) -> np.ndarray:
@@ -323,13 +305,13 @@ class Povm:
         return float(np.max(np.abs(self._stack.sum(axis=0) - np.eye(self.dim))))
 
     def __len__(self) -> int:
-        return len(self._effects)
+        return len(self._stack)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self._effects)
+        return iter(self._stack)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self._effects[i]
+        return self._stack[i]
 
     def allclose(self, other: "Povm", atol: float | None = None) -> bool:
         if atol is None:
@@ -352,14 +334,14 @@ class ProjectiveMeasurement(Povm):
     def __init__(self, effects: Iterable, labels: Sequence[str] | None = None,
                  atol: float | None = None):
         super().__init__(effects, labels=labels, atol=atol)
-        for i, p in enumerate(self.effects):
+        for i, p in enumerate(self):
             defect = float(np.max(np.abs(p @ p - p)))
             if defect > self.atol:
                 raise InvariantViolation("idempotence", defect,
                                          f"effect {i} is not a projector (P^2 != P by {defect:.3e})")
         for i in range(self.n_outcomes):
             for j in range(i + 1, self.n_outcomes):
-                defect = float(np.max(np.abs(self.effects[i] @ self.effects[j])))
+                defect = float(np.max(np.abs(self[i] @ self[j])))
                 if defect > self.atol:
                     raise InvariantViolation("orthogonality", defect,
                                              f"effects {i},{j} are not orthogonal")

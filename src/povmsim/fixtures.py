@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import Povm, dominant_rank_one, inverse_sqrt, matrix_from_lists, povm_from_document
+from .core import Povm, inverse_sqrt, matrix_from_lists, povm_from_document, rank_one_parts
 
 IDEAL_NAMES = ("tetrahedral", "trine", "random4", "trivial")
 RECONSTRUCTION_METHODS = ("postselection", "naimark")
@@ -42,7 +42,7 @@ def repair_rank_one_povm(effects, atol: float = 2e-3) -> Povm:
     restores exact completeness while keeping every effect rank one.
     """
     stack = np.asarray(effects, dtype=complex)
-    parts = dominant_rank_one((stack + stack.conj().swapaxes(1, 2)) / 2, atol).effects()
+    parts = rank_one_parts((stack + stack.conj().swapaxes(1, 2)) / 2, atol, dominant=True).effects()
     inv_sqrt = inverse_sqrt(parts.sum(axis=0))
     return Povm([inv_sqrt @ p @ inv_sqrt for p in parts])
 

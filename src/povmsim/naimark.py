@@ -15,11 +15,11 @@ from .core import (
     QuantumState,
     _freeze,
     born_probabilities,
-    dominant_rank_one,
     matrix_from_lists,
     matrix_to_lists,
     povm_from_document,
     povm_to_document,
+    rank_one_parts,
 )
 
 MODES = ("abstract", "qubit_register")
@@ -103,11 +103,6 @@ class NaimarkDilation:
                 f"ext_dim={self.ext_dim}, mode={self.mode!r})")
 
 
-def _rank_one_parts(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    parts = povm.rank_one or dominant_rank_one(povm.stack, povm.atol)
-    return np.maximum(parts.weights, 0.0), parts.vectors
-
-
 def _complete_columns(partial: np.ndarray, filled: list[int]) -> np.ndarray:
     """Fill the unspecified columns by pivoted orthogonalization of the
     standard basis against the existing column span.
@@ -156,11 +151,11 @@ def naimark_dilation(povm: Povm, mode: str = "abstract") -> NaimarkDilation:
     n = povm.n_outcomes
     if n < d:
         raise ValueError("a rank-one POVM needs at least dim outcomes")
-    weights, states = _rank_one_parts(povm)
+    parts = povm.rank_one or rank_one_parts(povm.stack, povm.atol, dominant=True)
 
     # n x n core: columns j < d carry the isometry, the rest are completed
     core = np.zeros((n, n), dtype=complex)
-    core[:, :d] = np.sqrt(weights)[:, None] * states.conj()
+    core[:, :d] = np.sqrt(np.maximum(parts.weights, 0.0))[:, None] * parts.vectors.conj()
     core = _complete_columns(core, filled=list(range(d)))
 
     if mode == "abstract":

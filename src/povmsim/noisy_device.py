@@ -265,12 +265,11 @@ def run_shots(circuit: Circuit, state: QuantumState, noise: NoiseModel,
 
 
 def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
-    """Per-measurement run counts N_j = max(1, round(cap * a_j / max a_j)).
+    """Per-measurement run counts N_j = round(cap * a_j / max a_j).
 
     Block-allocation stand-in for per-run randomization: downstream
     frequency normalization divides by sum N_j, which reproduces the
-    weights exactly in expectation.  Every measurement gets at least one
-    run, so a small cap cannot leave a component unmeasured.
+    weights exactly in expectation.
     """
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
@@ -279,7 +278,7 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
         raise ValueError("weights must be positive")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    return np.maximum(np.rint(cap * w / np.max(w)), 1).astype(int)
+    return np.rint(cap * w / np.max(w)).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +587,8 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     alphas = scheme.weights * scheme.target.dim
     rng = _rng(seed)
     if randomization == "block":
-        alloc = proportional_shot_allocation(alphas, cap)
+        # at least one run each, so a small cap leaves no component unmeasured
+        alloc = np.maximum(proportional_shot_allocation(alphas, cap), 1)
     elif randomization == "per_shot":
         total = int(np.sum(proportional_shot_allocation(alphas, cap)))
         alloc = np.maximum(rng.multinomial(total, scheme.weights), 1)

@@ -24,7 +24,6 @@ from .core import (
     _rng,
     born_probabilities,
     default_atol,
-    dominant_rank_one,
     inverse_sqrt,
     povm_from_document,
     povm_to_document,
@@ -124,7 +123,7 @@ def convex_combination(terms) -> Povm:
     if defect > default_atol(n):
         raise InvariantViolation("weight normalization", defect)
     atol = max(p.atol for _, p in terms)
-    effects = [sum(w * p.effects[i] for w, p in terms) for i in range(n)]
+    effects = [sum(w * p[i] for w, p in terms) for i in range(n)]
     return Povm(effects, atol=atol)
 
 
@@ -411,7 +410,7 @@ def max_success_bound_rank_one(povm: Povm) -> float:
     projective-simulable realization of M_q then decomposes over only n+1
     distinct projective measurements, forcing q <= 1/d.
     """
-    directions = dominant_rank_one(povm.stack, povm.atol).vectors
+    directions = rank_one_parts(povm.stack, povm.atol, dominant=True).vectors
     overlaps = np.abs(directions.conj() @ directions.T)
     orthogonal = np.argwhere(np.triu(overlaps <= ORTHOGONALITY_ATOL, k=1))
     if orthogonal.size:

@@ -139,7 +139,7 @@ def usd_success(ensemble: Ensemble, povm: Povm) -> UsdResult:
     for i in range(n):
         psi = ensemble.states[i]
         for j in range(n):
-            value = float(np.vdot(psi, povm.effects[j] @ psi).real)
+            value = float(np.vdot(psi, povm[j] @ psi).real)
             if i == j:
                 success += ensemble.probs[i] * value
             elif value > UNAMBIGUITY_ATOL:

@@ -132,11 +132,17 @@ class TestCompare:
         assert 0.0 <= row["our_scheme"] <= 2.0
 
     @pytest.mark.parametrize("command", ["compare", "simulate"])
-    def test_zero_shots_is_usage_error_naming_flag(self, capsys, command):
-        code, out, err = run_cli(capsys, command, "--povm", "trine", "--shots", "0")
-        assert code == 2
-        assert "--shots" in err
-        assert out == ""
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_zero_shots_is_usage_error_naming_flag(self, capsys, tmp_path, command, via_config):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"shots": 0}))
+        extra = ["--config", str(config)] if via_config else ["--shots", "0"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--povm", "trine", *extra])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --shots: must be at least 1" in captured.err
+        assert captured.out == ""
 
     def test_one_shot_measures_every_component(self, capsys):
         code, out, err = run_cli(capsys, "compare", "--povm", "random4",

@@ -318,6 +318,11 @@ class TestShotAllocation:
         with pytest.raises(ValueError):
             proportional_shot_allocation([], 10)
 
+    def test_small_weight_may_round_to_zero(self):
+        # the floor of one run is applied by the block route, not here, so
+        # the per-shot route draws the same total as before
+        assert np.array_equal(proportional_shot_allocation([1.0, 0.01], 10), [10, 0])
+
 
 class TestPipelines:
     def test_noiseless_tomography_recovers_povm(self, tetrahedral):
@@ -353,6 +358,20 @@ class TestPipelines:
                                             randomization="per_shot")
         gap = operational_distance(block.reconstruction, per_shot.reconstruction)
         assert gap < 0.02  # sampling scale; no systematic difference
+
+    def test_low_cap_run_counts(self, random4):
+        # at cap 1 the random4 weights round to [0, 0, 1, 1]: the block route
+        # still runs every component once, the per-shot route draws its
+        # counts for a total of 2, not of the floored 4
+        scheme = postselection_scheme(random4)
+        noise = NoiseModel.preset("noiseless")
+        per_run = 2 * len(probe_states())
+        block = postselection_tomography(scheme, noise, cap=1, seed=5)
+        assert block.shots_total == per_run * 4
+        per_shot = postselection_tomography(scheme, noise, cap=1, seed=np.random.default_rng(2),
+                                            randomization="per_shot")
+        drawn = np.maximum(np.random.default_rng(2).multinomial(2, scheme.weights), 1)
+        assert per_shot.shots_total == per_run * drawn.sum()
 
     def test_bias_mitigation_restores_half_postselection(self, tetrahedral):
         scheme = postselection_scheme(tetrahedral)

@@ -55,10 +55,24 @@ def _state_by_name(name: str, dim: int) -> QuantumState:
     return table[name]
 
 
+def _load_document(path: str, option: str, loader):
+    """``loader`` applied to the JSON object in ``path``.  A document that is
+    not an object, or lacks a key the loader reads, is a usage error naming
+    ``option`` and the key."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise UsageError(f"{option} {path!r} must hold a JSON object")
+    try:
+        return loader(doc)
+    except KeyError as err:
+        raise UsageError(f"{option} {path!r} lacks the key {err}")
+
+
 def _resolve_povm(args):
     if getattr(args, "povm_file", None):
-        with open(args.povm_file) as f:
-            return povm_from_document(json.load(f)), os.path.basename(args.povm_file)
+        path = args.povm_file
+        return _load_document(path, "--povm-file", povm_from_document), os.path.basename(path)
     name = args.povm
     if name is None:
         raise UsageError("a POVM fixture name is required (--povm)")
@@ -147,10 +161,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_usd(args) -> int:
     if args.symmetric:
-        d, epsilon = int(args.symmetric[0]), float(args.symmetric[1])
+        d, epsilon = args.symmetric
+        if not (d.is_integer() and d >= 2):
+            raise UsageError(f"--symmetric D must be an integer of at least 2, got {d:g}")
+        d = int(d)
         if not 0 < epsilon < 1:
-            raise UsageError("epsilon must be in (0, 1) so the symmetric states "
-                             "stay pairwise non-orthogonal")
+            raise UsageError("--symmetric epsilon must be in (0, 1) so the symmetric "
+                             "states stay pairwise non-orthogonal")
         ensemble = symmetric_ensemble_from_gap(d, epsilon)
         bound = usd_advantage_bound(ensemble)
         rows = [{"d": d, "epsilon": epsilon,
@@ -164,7 +181,10 @@ def cmd_usd(args) -> int:
         _emit({"rows": rows, "seed": args.seed}, config, args)
         return 0
     if args.random:
-        d, space_dim = int(args.random[0]), int(args.random[1])
+        d, space_dim = args.random
+        if d > space_dim:
+            raise UsageError(f"--random needs D <= DIM for linearly independent "
+                             f"states, got D={d}, DIM={space_dim}")
         experiment = random_ensemble_experiment(d, space_dim, args.trials, args.seed)
         config = {"command": "usd", "random": [d, space_dim],
                   "trials": args.trials, "seed": args.seed}
@@ -175,8 +195,7 @@ def cmd_usd(args) -> int:
                "seed": args.seed}, config, args)
         return 0
     if args.ensemble:
-        with open(args.ensemble) as f:
-            ensemble = ensemble_from_document(json.load(f))
+        ensemble = _load_document(args.ensemble, "--ensemble", ensemble_from_document)
         bound = usd_advantage_bound(ensemble)
         rows = [{"n_states": ensemble.n_states, "dim": ensemble.space_dim,
                  "p_povm_lower": bound.p_povm_lower, "p_sp": bound.p_sp,
@@ -304,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("usd", help="state-discrimination bound experiments")
-    p.add_argument("--symmetric", nargs=2, metavar=("D", "EPSILON"))
-    p.add_argument("--random", nargs=2, metavar=("D", "DIM"))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--symmetric", nargs=2, type=float, metavar=("D", "EPSILON"))
+    p.add_argument("--random", nargs=2, type=positive_int, metavar=("D", "DIM"))
+    p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--ensemble", help="ensemble JSON document")
     common(p)
     p.set_defaults(func=cmd_usd)

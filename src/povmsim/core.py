@@ -58,10 +58,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def as_operator(matrix, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+def as_operator(matrix, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex matrix (with ``stack``, an (..., d, d)
+    stack of them) with finite entries."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-2] != m.shape[-1] or m.shape[-1] < 1:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvariantViolation("finite entries", np.inf, f"{name} has non-finite entries")
@@ -80,11 +81,13 @@ def require_hermitian(m: np.ndarray, atol: float, name: str = "matrix") -> np.nd
 
 
 def operator_norm(matrix) -> float:
-    """Largest absolute eigenvalue for Hermitian input, else largest singular value."""
-    m = as_operator(matrix)
-    if hermiticity_defect(m) <= default_atol(m.shape[0]):
-        return float(np.max(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))
-    return float(np.linalg.norm(m, ord=2))
+    """Largest absolute eigenvalue for Hermitian input, else largest singular
+    value; for an (..., d, d) stack, the largest over all its matrices."""
+    m = as_operator(matrix, stack=True)
+    hermitian = (m + m.conj().swapaxes(-1, -2)) / 2
+    if 2 * np.max(np.abs(m - hermitian)) <= default_atol(m.shape[-1]):
+        return float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))
+    return float(np.max(np.linalg.svd(m, compute_uv=False)))
 
 
 def min_eigenvalue(matrix, atol: float | None = None) -> float:

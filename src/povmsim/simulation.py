@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    NORM_ATOL,
     InvariantViolation,
     Povm,
-    ProjectiveMeasurement,
     QuantumState,
     RankOneParts,
     _freeze,
@@ -131,8 +131,12 @@ def build_mq(povm: Povm, q: float) -> Povm:
     """The (n+1)-outcome POVM (q M_1, ..., q M_n, (1-q) 1)."""
     if not 0 < q <= 1:
         raise ValueError(f"q must be in (0, 1], got {q}")
-    effects = np.concatenate([q * povm.stack, [(1 - q) * np.eye(povm.dim)]])
-    return Povm(effects, labels=list(povm.labels) + [FAIL_LABEL], atol=povm.atol)
+    return Povm(_mq_stack(povm.stack, q), labels=list(povm.labels) + [FAIL_LABEL],
+                atol=povm.atol)
+
+
+def _mq_stack(effects: np.ndarray, q: float) -> np.ndarray:
+    return np.concatenate([q * effects, [(1 - q) * np.eye(effects.shape[1])]])
 
 
 def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
@@ -163,29 +167,47 @@ def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
     return refined, merge
 
 
-class ProjectiveSimulation:
-    """A convex mixture of projective measurements plus a post-processing
-    map, declared to reproduce a target POVM."""
+def _check_mixture(weights: np.ndarray, directions: np.ndarray) -> None:
+    """Weights form a distribution and directions are unit vectors: the mixture is a POVM."""
+    defect = abs(weights.sum() - 1.0)
+    if not defect <= default_atol(len(weights)):
+        raise InvariantViolation("weight normalization", defect)
+    if np.min(weights) < 0:
+        raise InvariantViolation("weight positivity", -float(np.min(weights)),
+                                 "weights must be non-negative")
+    norm_defect = float(np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)))
+    if not norm_defect <= NORM_ATOL:
+        raise InvariantViolation("unit norm", norm_defect, "directions must be unit vectors")
 
-    def __init__(self, components, postprocessing: PostProcessingMap, target: Povm):
-        self.components = tuple((float(w), pm) for w, pm in components)
-        weights = np.array([w for w, _ in self.components])
-        defect = abs(weights.sum() - 1.0)
-        if defect > default_atol(len(self.components)):
-            raise InvariantViolation("weight normalization", defect)
-        if any(not isinstance(pm, ProjectiveMeasurement) for _, pm in self.components):
-            raise ValueError("components must be projective measurements")
+
+def _binary_mixture(weights: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """(w_1 P_1, ..., w_m P_m, sum_k w_k (1 - P_k)) for P_k = |v_k><v_k|: the
+    measurements (P_k, 1 - P_k) mixed with weights w_k as one stack."""
+    projs = directions[:, :, None] * directions.conj()[:, None, :]
+    w = weights[:, None, None]
+    complements = (w * (np.eye(directions.shape[1]) - projs)).sum(axis=0)
+    return np.concatenate([w * projs, [complements]])
+
+
+class ProjectiveSimulation:
+    """Binary measurements (|v_k><v_k|, 1 - |v_k><v_k|) drawn with probability
+    ``weights[k]``, plus a post-processing map over the m+1 outcomes of
+    :meth:`mixture`, declared to reproduce a target POVM."""
+
+    def __init__(self, weights, directions, postprocessing: PostProcessingMap, target: Povm):
+        self.weights = _freeze(np.asarray(weights, dtype=float))
+        self.directions = _freeze(np.asarray(directions, dtype=complex))
+        _check_mixture(self.weights, self.directions)
         self.postprocessing = postprocessing
         self.target = target
         simulated = self.simulated_povm()
         if not simulated.allclose(target, atol=max(target.atol, simulated.atol)):
-            dev = max(np.max(np.abs(a - b))
-                      for a, b in zip(simulated.effects, target.effects))
+            dev = max(np.max(np.abs(a - b)) for a, b in zip(simulated, target))
             raise InvariantViolation("simulation fidelity", dev,
                                      "mixture + post-processing does not reproduce the target")
 
     def mixture(self) -> Povm:
-        return convex_combination(self.components)
+        return Povm(_binary_mixture(self.weights, self.directions))
 
     def simulated_povm(self) -> Povm:
         return apply_postprocessing(self.mixture(), self.postprocessing)
@@ -197,7 +219,8 @@ class PostselectionScheme:
 
     ``states[k]`` is the projector direction of component k, drawn with
     probability ``weights[k]``; outcome "+" is relabelled to
-    ``parents[k]`` and "-" to the failure outcome (index n).
+    ``parents[k]`` and "-" to the failure outcome (index n).  Checked inputs
+    make the effects valid by construction; they are compared with M_{1/d}.
     """
 
     def __init__(self, target: Povm, states, weights, parents):
@@ -207,12 +230,12 @@ class PostselectionScheme:
         self.parents = _freeze(np.asarray(parents, dtype=int))
         if not (len(self.states) == len(self.weights) == len(self.parents)):
             raise ValueError("states, weights and parents must have equal length")
-        defect = abs(self.weights.sum() - 1.0)
-        if defect > default_atol(len(self.weights)):
-            raise InvariantViolation("weight normalization", defect)
+        if np.any((self.parents < 0) | (self.parents >= target.n_outcomes)):
+            raise ValueError(f"parents must lie in 0..{target.n_outcomes - 1}")
+        _check_mixture(self.weights, self.states)
         self.success_probability = 1.0 / target.dim
-        expected = build_mq(target, self.success_probability)
-        dev = float(np.max(np.abs(self.simulated_povm().stack - expected.stack)))
+        expected = _mq_stack(target.stack, self.success_probability)
+        dev = float(np.max(np.abs(self._realized_stack() - expected)))
         if not dev <= target.atol:
             raise InvariantViolation("postselection construction", dev)
 
@@ -224,36 +247,24 @@ class PostselectionScheme:
     def fail_index(self) -> int:
         return self.target.n_outcomes
 
-    def component(self, k: int) -> ProjectiveMeasurement:
-        return ProjectiveMeasurement.binary(self.states[k])
-
     def as_projective_simulation(self) -> ProjectiveSimulation:
-        """Single-map view: each component embedded as an (m+1)-outcome PM
-        with its projector in slot k, so one merge map covers the mixture."""
-        d = self.target.dim
-        m = self.n_components
-        components = []
-        for k in range(m):
-            proj = np.outer(self.states[k], self.states[k].conj())
-            effects = [np.zeros((d, d), dtype=complex) for _ in range(m + 1)]
-            effects[k] = proj
-            effects[m] = np.eye(d) - proj
-            components.append((self.weights[k], ProjectiveMeasurement(effects)))
-        assignment = list(self.parents) + [self.fail_index]
-        merge = PostProcessingMap.deterministic(assignment, n_out=self.fail_index + 1)
-        return ProjectiveSimulation(components, merge,
+        """Single-map view: component k's projector in slot k of the
+        mixture, every complement in slot m, one merge map over both."""
+        merge = PostProcessingMap.deterministic([*self.parents, self.fail_index])
+        return ProjectiveSimulation(self.weights, self.states, merge,
                                     build_mq(self.target, self.success_probability))
+
+    def _realized_stack(self) -> np.ndarray:
+        """The mixture with "+" of component k added into slot ``parents[k]``."""
+        mixture = _binary_mixture(self.weights, self.states)
+        effects = np.zeros((self.fail_index + 1, *mixture.shape[1:]), dtype=complex)
+        np.add.at(effects, self.parents, mixture[:-1])
+        effects[-1] = mixture[-1]
+        return effects
 
     def simulated_povm(self) -> Povm:
         """Assemble the mixture and relabelling into the realized POVM."""
-        d = self.target.dim
-        n = self.target.n_outcomes
-        projs = self.states[:, :, None] * self.states.conj()[:, None, :]
-        weights = self.weights[:, None, None]
-        effects = np.zeros((n + 1, d, d), dtype=complex)
-        np.add.at(effects, self.parents, weights * projs)
-        effects[n] = (weights * (np.eye(d) - projs)).sum(axis=0)
-        return Povm(effects, labels=list(self.target.labels) + [FAIL_LABEL],
+        return Povm(self._realized_stack(), labels=list(self.target.labels) + [FAIL_LABEL],
                     atol=self.target.atol)
 
     def to_document(self) -> dict:

@@ -23,6 +23,8 @@ from .core import (
     QuantumState,
     _freeze,
     as_operator,
+    operator_norm,
+    pauli_eigenstates,
 )
 
 PROBE_LABELS = ("z0", "z1", "x+", "y+")
@@ -31,11 +33,9 @@ SUBSET_BLOCK_ELEMENTS = 2 ** 14  # matrix entries per batch of subset sums: 2**1
 
 
 def probe_states() -> tuple[QuantumState, ...]:
-    s = 1 / np.sqrt(2)
-    return (QuantumState.pure([1, 0]),
-            QuantumState.pure([0, 1]),
-            QuantumState.pure([s, s]),
-            QuantumState.pure([s, 1j * s]))
+    """|0>, |1>, |x+>, |y+>: the Pauli eigenstates named by PROBE_LABELS."""
+    states = pauli_eigenstates()
+    return tuple(states[i] for i in (0, 1, 2, 4))
 
 
 class TomographyRecord:
@@ -192,14 +192,9 @@ def reconstruct_povm(record: TomographyRecord) -> Reconstruction:
         effects.append(b.to_matrix())
         if not b.physical:
             warned.append(i)
-    defect = operator_norm_hermitian(sum(effects) - np.eye(2))
+    defect = operator_norm(sum(effects) - np.eye(2))
     return Reconstruction(tuple(_freeze(e) for e in effects), tuple(bloch),
                           float(defect), tuple(warned))
-
-
-def operator_norm_hermitian(m: np.ndarray) -> float:
-    """Largest operator norm of the Hermitian part of a matrix or a stack."""
-    return float(np.max(np.abs(np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2))))
 
 
 def _effect_list(povm):
@@ -235,7 +230,7 @@ def operational_distance(m, n) -> float:
     complete_pair = float(np.max(np.abs(diffs.sum(axis=0)))) <= 1e-12
     base, free = (diffs[0], diffs[1:]) if complete_pair else (zero, diffs)
     bits = max(1, (SUBSET_BLOCK_ELEMENTS // dim ** 2).bit_length() - 1)
-    return max(operator_norm_hermitian(block) for block in _subset_sum_blocks(free, base, bits))
+    return max(operator_norm(block) for block in _subset_sum_blocks(free, base, bits))
 
 
 def _subset_sum_blocks(parts, base, bits):

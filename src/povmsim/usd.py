@@ -17,6 +17,7 @@ from .core import (
     Povm,
     QuantumState,
     _freeze,
+    _rng,
     default_atol,
     haar_random_pure_state,
     min_eigenvalue,
@@ -306,7 +307,7 @@ class RandomEnsembleExperiment:
 
     d: int
     space_dim: int
-    seed: int
+    seed: int | None
     rows: list[dict] = field(default_factory=list)
 
     @property
@@ -346,7 +347,7 @@ class RandomEnsembleExperiment:
         return buf.getvalue()
 
 
-def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed: int,
+def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
                                ) -> RandomEnsembleExperiment:
     """Sample uniform ensembles of d Haar states in dimension D >= d.
 
@@ -364,10 +365,8 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed: int,
         raise ValueError("need d <= D for linearly independent Haar states")
     if trials < 1:
         raise ValueError("need at least one trial")
-    experiment = RandomEnsembleExperiment(d, space_dim, seed)
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for t, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    experiment = RandomEnsembleExperiment(d, space_dim, seed if isinstance(seed, int) else None)
+    for t, rng in enumerate(_rng(seed).spawn(trials)):
         states = np.array([haar_random_pure_state(space_dim, rng).vector
                            for _ in range(d)])
         ensemble = Ensemble(states)

@@ -229,15 +229,15 @@ def test_criterion_9_metric_and_invariant_suite(all_fixture_povms, trine):
                                               + operational_distance(b, c) + 1e-12)
 
     # subset/complement symmetry for complete pairs
-    from povmsim.tomography import operator_norm_hermitian
+    from povmsim.core import operator_norm
     rng = np.random.default_rng(55)
     m = random_povm(2, 4, rng)
     n = random_povm(2, 4, rng)
     diffs = [x - y for x, y in zip(m.effects, n.effects)]
     for subset in ((0,), (1, 2), (0, 3)):
         comp = tuple(i for i in range(4) if i not in subset)
-        assert operator_norm_hermitian(sum(diffs[i] for i in subset)) == pytest.approx(
-            operator_norm_hermitian(sum(diffs[i] for i in comp)), abs=1e-12)
+        assert operator_norm(sum(diffs[i] for i in subset)) == pytest.approx(
+            operator_norm(sum(diffs[i] for i in comp)), abs=1e-12)
 
     # bias mitigation is neutral on unbiased data
     record = TomographyRecord.from_born(trine)

@@ -16,6 +16,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_exit(capsys, *argv):
+    """Exit code and stderr, whether argparse or the command rejects argv."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 class TestTable1:
     def test_values(self):
         rows = {r["povm"]: r for r in table1_rows()}
@@ -95,6 +104,38 @@ class TestUsd:
         code, _, err = run_cli(capsys, "usd")
         assert code == 2
         assert "choose" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (("--random", "3", "4", "--trials", "0"), "--trials"),
+        (("--random", "3", "4", "--trials", "-2"), "--trials"),
+        (("--random", "0", "4"), "--random"),
+        (("--random", "x", "4"), "--random"),
+        (("--random", "5", "3"), "--random"),
+        (("--symmetric", "x", "0.05"), "--symmetric"),
+        (("--symmetric", "1", "0.05"), "--symmetric"),
+    ])
+    def test_bad_numbers_are_usage_errors_naming_the_option(self, capsys, argv, option):
+        code, err = usage_exit(capsys, "usd", *argv)
+        assert code == 2
+        assert option in err
+
+
+class TestDocuments:
+    @pytest.mark.parametrize("command, option, document, key", [
+        ("simulate", "--povm-file", [1, 2], "JSON object"),
+        ("simulate", "--povm-file", {"effects": [[[[1, 0]]]]}, "'dim'"),
+        ("simulate", "--povm-file", {"dim": 2}, "'effects'"),
+        ("usd", "--ensemble", "text", "JSON object"),
+        ("usd", "--ensemble", {"probs": [1.0]}, "'states'"),
+        ("usd", "--ensemble", {"states": [{"vector": [[1, 0], [0, 0]]}]}, "'dim'"),
+    ])
+    def test_malformed_document_names_the_key(self, capsys, tmp_path, command, option,
+                                              document, key):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        code, err = usage_exit(capsys, command, option, str(path))
+        assert code == 2
+        assert option in err and key in err
 
 
 class TestCompare:

@@ -65,6 +65,9 @@ class TestOperatorNorm:
 
     def test_diagonal(self):
         assert operator_norm(np.diag([0.3, -0.7])) == pytest.approx(0.7)
+        # a stack: the largest norm over its matrices, Hermitian or not
+        assert operator_norm(np.stack([np.diag([0.3, -0.7]), np.diag([0.9, 0.1])])) == 0.9
+        assert operator_norm(np.stack([np.diag([0.3, -0.7]), [[0, 2], [0, 0]]])) == 2.0
 
     def test_sign_symmetry(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmsim.core import (
     InvariantViolation,
@@ -14,6 +16,7 @@ from povmsim.core import (
 from povmsim.simulation import (
     PostProcessingMap,
     PostselectionScheme,
+    ProjectiveSimulation,
     apply_postprocessing,
     build_mq,
     convex_combination,
@@ -109,8 +112,9 @@ class TestEigensolveCount:
         povm = random_povm(d, n, 3, rank=rank)
         counts = _count_eigensolves(monkeypatch)
         postselection_scheme(povm)
-        # refinement eigh (+ rebalance), refined, simulated and M_q validation
-        assert counts["calls"] <= 5
+        # refinement eigh (+ rebalance) and the refined POVM's validation; the
+        # realized effects are compared with M_{1/d} as stacks, not solved
+        assert counts["calls"] <= 3
 
 
 class TestPostProcessing:
@@ -227,6 +231,62 @@ class TestPostselectionScheme:
             w, v = np.linalg.eigh(piece)
             assert abs(scheme.weights[k] * d - w[-1]) < 1e-12
             assert abs(abs(np.vdot(v[:, -1], scheme.states[k])) - 1) < 1e-12
+
+    def test_cancelling_negative_weights_rejected(self):
+        # the weights sum to 1 and the effects match M_{1/2}, but component
+        # 1 cannot be drawn with probability -0.25
+        zero, one = np.eye(2, dtype=complex)
+        with pytest.raises(InvariantViolation) as err:
+            PostselectionScheme(ProjectiveMeasurement.computational_basis(2),
+                                [zero, zero, one], [0.75, -0.25, 0.5], [0, 0, 1])
+        assert err.value.invariant == "weight positivity"
+
+    def test_non_unit_states_rejected(self):
+        # w_k |v_k|^2 matches M_{1/2}, but the success rate would be 1/4
+        zero, one = np.eye(2, dtype=complex)
+        with pytest.raises(InvariantViolation) as err:
+            PostselectionScheme(ProjectiveMeasurement.computational_basis(2),
+                                [np.sqrt(2) * zero, np.sqrt(2 / 3) * one], [0.25, 0.75], [0, 1])
+        assert err.value.invariant == "unit norm"
+
+    @pytest.mark.parametrize("parents", [[0, 2], [-1, 1]])
+    def test_out_of_range_parent_rejected(self, parents):
+        zero, one = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="parents"):
+            PostselectionScheme(ProjectiveMeasurement.computational_basis(2),
+                                [zero, one], [0.5, 0.5], parents)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(2, 5), st.integers(0, 4), st.integers(1, 2), st.integers(0, 2**31))
+    def test_view_reproduces_mq_and_document_round_trips(self, d, extra, rank, seed):
+        povm = random_povm(d, d + extra, seed, rank=rank)
+        scheme = postselection_scheme(povm)
+        simulated = scheme.as_projective_simulation().simulated_povm()
+        assert np.max(np.abs(simulated.stack - build_mq(povm, 1 / d).stack)) <= 1e-9
+        back = PostselectionScheme.from_document(scheme.to_document())
+        assert np.array_equal(back.weights, scheme.weights)
+        assert np.array_equal(back.parents, scheme.parents)
+        assert np.array_equal(back.states, scheme.states)
+        assert np.array_equal(back.target.stack, povm.stack)
+
+    def test_view_builds_no_projective_measurement(self, monkeypatch):
+        scheme = postselection_scheme(random_povm(4, 6, 9, rank=2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ProjectiveMeasurement built")
+        monkeypatch.setattr(ProjectiveMeasurement, "__init__", refuse)
+        sim = scheme.as_projective_simulation()
+        assert sim.mixture().n_outcomes == scheme.n_components + 1
+        assert np.array_equal(sim.weights, scheme.weights)
+
+    def test_projective_simulation_checks_its_parts(self, trine):
+        scheme = postselection_scheme(trine)
+        sim = scheme.as_projective_simulation()
+        with pytest.raises(InvariantViolation, match="unit norm"):
+            ProjectiveSimulation(sim.weights, 2 * sim.directions, sim.postprocessing, sim.target)
+        with pytest.raises(InvariantViolation, match="simulation fidelity"):
+            ProjectiveSimulation(sim.weights, sim.directions, sim.postprocessing,
+                                 build_mq(trine, 0.25))
 
     def test_serialization_round_trip(self, trine):
         scheme = postselection_scheme(trine)

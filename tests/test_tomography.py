@@ -10,6 +10,7 @@ from povmsim import fixtures
 from povmsim.core import (
     QuantumState,
     born_probabilities,
+    operator_norm,
     random_povm,
     random_rank_one_povm,
 )
@@ -19,7 +20,6 @@ from povmsim.tomography import (
     TomographyRecord,
     bias_mitigated_statistics,
     operational_distance,
-    operator_norm_hermitian,
     probe_states,
     reconstruct_effect,
     reconstruct_povm,
@@ -36,7 +36,7 @@ def _reference_distance(ms, ns) -> float:
         subsets = ((0, *tail) for r in range(k) for tail in combinations(range(1, k), r))
     else:
         subsets = (sub for r in range(1, k + 1) for sub in combinations(range(k), r))
-    return max(operator_norm_hermitian(sum((diffs[i] for i in sub), zero)) for sub in subsets)
+    return max(operator_norm(sum((diffs[i] for i in sub), zero)) for sub in subsets)
 
 
 def _qubit_closed_form(ms, ns) -> float:
@@ -187,8 +187,8 @@ class TestOperationalDistance:
         diffs = [a - b for a, b in zip(m.effects, n.effects)]
         for subset in ((0,), (0, 1), (1, 3), (2,)):
             comp = tuple(i for i in range(4) if i not in subset)
-            a = operator_norm_hermitian(sum(diffs[i] for i in subset))
-            b = operator_norm_hermitian(sum(diffs[i] for i in comp))
+            a = operator_norm(sum(diffs[i] for i in subset))
+            b = operator_norm(sum(diffs[i] for i in comp))
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_padding_against_fewer_outcomes(self, trine):

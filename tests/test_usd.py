@@ -232,6 +232,11 @@ class TestRandomEnsembleExperiment:
         with pytest.raises(ValueError):
             random_ensemble_experiment(6, 5, trials=1, seed=0)
 
+    def test_generator_seed_matches_int_seed(self):
+        a = random_ensemble_experiment(4, 8, trials=6, seed=11)
+        b = random_ensemble_experiment(4, 8, trials=6, seed=np.random.default_rng(11))
+        assert a.rows == b.rows
+
     def test_determinism_and_csv(self):
         a = random_ensemble_experiment(4, 8, trials=6, seed=11)
         b = random_ensemble_experiment(4, 8, trials=6, seed=11)

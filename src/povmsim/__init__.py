@@ -10,6 +10,7 @@ from .core import (
     QuantumState,
     born_probabilities,
     haar_random_pure_state,
+    haar_random_vectors,
     haar_random_unitary,
     min_eigenvalue,
     operator_norm,

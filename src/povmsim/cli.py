@@ -21,6 +21,7 @@ import numpy as np
 
 from . import fixtures
 from .core import (
+    DocumentError,
     InvariantViolation,
     QuantumState,
     born_probabilities,
@@ -57,8 +58,8 @@ def _state_by_name(name: str, dim: int) -> QuantumState:
 
 def _load_document(path: str, option: str, loader):
     """``loader`` applied to the JSON object in ``path``.  A document that is
-    not an object, or lacks a key the loader reads, is a usage error naming
-    ``option`` and the key."""
+    not an object, lacks a key the loader reads, or holds a value of the
+    wrong type, shape or size is a usage error naming ``option`` and the key."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -67,6 +68,8 @@ def _load_document(path: str, option: str, loader):
         return loader(doc)
     except KeyError as err:
         raise UsageError(f"{option} {path!r} lacks the key {err}")
+    except DocumentError as err:
+        raise UsageError(f"{option} {path!r}: {err}")
 
 
 def _resolve_povm(args):

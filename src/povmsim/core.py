@@ -58,6 +58,18 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def require_unit_rows(vectors: np.ndarray, name: str = "state vector") -> np.ndarray:
+    """Check that the rows of ``vectors`` (or the one vector) are finite
+    with unit norm to within NORM_ATOL."""
+    if not np.all(np.isfinite(vectors)):
+        raise InvariantViolation("finite entries", np.inf, f"{name} has non-finite entries")
+    defect = float(np.max(np.abs(np.linalg.norm(vectors, axis=-1) - 1.0)))
+    if not defect <= NORM_ATOL:
+        raise InvariantViolation("unit norm", defect, f"{name} must have unit norm "
+                                 f"(defect {defect:.3e})")
+    return vectors
+
+
 def as_operator(matrix, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Coerce to a square complex matrix (with ``stack``, an (..., d, d)
     stack of them) with finite entries."""
@@ -173,12 +185,9 @@ class QuantumState:
             raise ValueError("provide exactly one of matrix or vector")
         if vector is not None:
             v = np.asarray(vector, dtype=complex).reshape(-1)
-            if v.size < 1 or not np.all(np.isfinite(v)):
-                raise ValueError("state vector must be a finite complex vector")
-            norm = float(np.linalg.norm(v))
-            if abs(norm - 1.0) > NORM_ATOL:
-                raise InvariantViolation("unit norm", abs(norm - 1.0))
-            self._vector = _freeze(v)
+            if v.size < 1:
+                raise ValueError("state vector must not be empty")
+            self._vector = _freeze(require_unit_rows(v))
             self._rho = _freeze(np.outer(v, v.conj()))
         else:
             m = as_operator(matrix, "density matrix")
@@ -444,13 +453,23 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def haar_random_vectors(count: int, dim: int, seed) -> np.ndarray:
+    """``count`` independent Haar-random unit vectors as the rows of a
+    (count, dim) array.  Row k takes the real then the imaginary parts of
+    one complex Gaussian vector, so the stream is used exactly as ``count``
+    calls to :func:`haar_random_pure_state` use it."""
+    if count < 1 or dim < 1:
+        raise ValueError("count and dimension must be at least 1")
+    g = _rng(seed).standard_normal((count, 2, dim))
+    v = g[:, 0] + 1j * g[:, 1]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def haar_random_pure_state(dim: int, seed) -> QuantumState:
     """Unit vector distributed as the first column of a Haar unitary."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    rng = _rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return QuantumState.pure(v / np.linalg.norm(v))
+    return QuantumState.pure(haar_random_vectors(1, dim, seed)[0])
 
 
 def random_rank_one_povm(dim: int, n_outcomes: int, seed) -> Povm:
@@ -486,22 +505,50 @@ def pauli_eigenstates() -> tuple[QuantumState, ...]:
 # JSON measurement-exchange format.  Complex numbers are two-element
 # [re, im] arrays; matrices are row-major nested lists.
 
+class DocumentError(ValueError):
+    """A document value of the wrong type, shape or size; names its key."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(f"key {key!r} {message}")
+
+
 def _encode_complex(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _decode_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def array_from_lists(value, key: str, shape: tuple) -> np.ndarray:
+    """Nested lists of JSON numbers, read from ``key``, as a finite float
+    array of ``shape`` (``None`` for an axis of any non-zero length)."""
+    a = np.array(value, dtype=object)
+    if (a.ndim != len(shape)
+            or any(n == 0 or want not in (None, n) for n, want in zip(a.shape, shape))
+            or not set(map(type, a.flat)) <= {int, float}):
+        dims = ", ".join("n" if want is None else str(want) for want in shape)
+        raise DocumentError(key, f"must be nested lists of numbers of shape [{dims}]")
+    try:
+        a = a.astype(float)
+        finite = bool(np.all(np.isfinite(a)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DocumentError(key, "has non-finite entries")
+    return a
+
+
+def complex_from_lists(value, key: str, shape: tuple) -> np.ndarray:
+    """[re, im] pairs nested to ``shape`` under ``key``, as a complex array."""
+    return array_from_lists(value, key, (*shape, 2)).view(complex)[..., 0]
+
+
+def _positive_int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DocumentError(key, f"must be a positive integer, got {value!r}")
+    return value
 
 
 def matrix_to_lists(m: np.ndarray) -> list:
     return [[_encode_complex(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def matrix_from_lists(rows) -> np.ndarray:
-    return np.array([[_decode_complex(z) for z in row] for row in rows], dtype=complex)
 
 
 def povm_to_document(povm: Povm) -> dict:
@@ -513,10 +560,13 @@ def povm_to_document(povm: Povm) -> dict:
 
 
 def povm_from_document(doc: dict, atol: float | None = None) -> Povm:
-    effects = [matrix_from_lists(e) for e in doc["effects"]]
-    if any(m.shape[0] != doc["dim"] for m in effects):
-        raise ValueError("effect dimension does not match declared dim")
-    return Povm(effects, labels=doc.get("labels"), atol=atol)
+    dim = _positive_int(doc["dim"], "dim")
+    effects = complex_from_lists(doc["effects"], "effects", (None, dim, dim))
+    labels = doc.get("labels")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == len(effects)
+                                   and all(isinstance(label, str) for label in labels)):
+        raise DocumentError("labels", f"must be a list of {len(effects)} strings")
+    return Povm(effects, labels=labels, atol=atol)
 
 
 def state_to_document(state: QuantumState) -> dict:
@@ -525,10 +575,15 @@ def state_to_document(state: QuantumState) -> dict:
     return {"dim": state.dim, "matrix": matrix_to_lists(state.rho)}
 
 
+def vector_from_document(doc: dict, prefix: str = "") -> np.ndarray:
+    """The ``vector`` of a pure-state document, of length ``dim`` (its norm
+    unchecked); ``prefix`` is put before the keys named in errors."""
+    dim = _positive_int(doc["dim"], prefix + "dim")
+    return complex_from_lists(doc["vector"], prefix + "vector", (dim,))
+
+
 def state_from_document(doc: dict) -> QuantumState:
     if "vector" in doc:
-        v = np.array([_decode_complex(z) for z in doc["vector"]], dtype=complex)
-        if v.size != doc["dim"]:
-            raise ValueError("vector length does not match declared dim")
-        return QuantumState.pure(v)
-    return QuantumState.density(matrix_from_lists(doc["matrix"]))
+        return QuantumState.pure(vector_from_document(doc))
+    dim = _positive_int(doc["dim"], "dim")
+    return QuantumState.density(complex_from_lists(doc["matrix"], "matrix", (dim, dim)))

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import Povm, inverse_sqrt, matrix_from_lists, povm_from_document, rank_one_parts
+from .core import Povm, complex_from_lists, inverse_sqrt, povm_from_document, rank_one_parts
 
 IDEAL_NAMES = ("tetrahedral", "trine", "random4", "trivial")
 RECONSTRUCTION_METHODS = ("postselection", "naimark")
@@ -53,8 +53,7 @@ def ideal_povm(name: str) -> Povm:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(IDEAL_NAMES)}")
     doc = _load_document(name)
     if name == "random4":
-        effects = [matrix_from_lists(e) for e in doc["effects"]]
-        return repair_rank_one_povm(effects)
+        return repair_rank_one_povm(complex_from_lists(doc["effects"], "effects", (None, 2, 2)))
     return povm_from_document(doc)
 
 
@@ -70,7 +69,7 @@ def reconstruction(name: str, method: str) -> tuple[np.ndarray, ...]:
     if key not in _RECONSTRUCTION_FILES:
         raise KeyError(f"no reconstruction fixture for {name!r}")
     doc = _load_document(_RECONSTRUCTION_FILES[key])
-    return tuple(matrix_from_lists(e) for e in doc["effects"])
+    return tuple(complex_from_lists(doc["effects"], "effects", (None, 2, 2)))
 
 
 def fixture_names() -> tuple[str, ...]:

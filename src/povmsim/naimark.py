@@ -15,7 +15,7 @@ from .core import (
     QuantumState,
     _freeze,
     born_probabilities,
-    matrix_from_lists,
+    complex_from_lists,
     matrix_to_lists,
     povm_from_document,
     povm_to_document,
@@ -95,7 +95,7 @@ class NaimarkDilation:
     @classmethod
     def from_document(cls, doc: dict) -> "NaimarkDilation":
         return cls(povm_from_document(doc["source"]),
-                   matrix_from_lists(doc["unitary"]),
+                   complex_from_lists(doc["unitary"], "unitary", (None, None)),
                    doc["permutation"], doc["mode"])
 
     def __repr__(self) -> str:

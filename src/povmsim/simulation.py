@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NORM_ATOL,
     InvariantViolation,
     Povm,
     QuantumState,
@@ -23,11 +22,13 @@ from .core import (
     _freeze,
     _rng,
     born_probabilities,
+    complex_from_lists,
     default_atol,
     inverse_sqrt,
     povm_from_document,
     povm_to_document,
     rank_one_parts,
+    require_unit_rows,
 )
 
 ORTHOGONALITY_ATOL = 1e-9
@@ -175,9 +176,7 @@ def _check_mixture(weights: np.ndarray, directions: np.ndarray) -> None:
     if np.min(weights) < 0:
         raise InvariantViolation("weight positivity", -float(np.min(weights)),
                                  "weights must be non-negative")
-    norm_defect = float(np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)))
-    if not norm_defect <= NORM_ATOL:
-        raise InvariantViolation("unit norm", norm_defect, "directions must be unit vectors")
+    require_unit_rows(directions, "direction")
 
 
 def _binary_mixture(weights: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -232,6 +231,9 @@ class PostselectionScheme:
             raise ValueError("states, weights and parents must have equal length")
         if np.any((self.parents < 0) | (self.parents >= target.n_outcomes)):
             raise ValueError(f"parents must lie in 0..{target.n_outcomes - 1}")
+        if self.states.ndim != 2 or self.states.shape[1] != target.dim:
+            raise ValueError(f"states must be an (m, {target.dim}) array for the target's "
+                             f"dimension, got shape {self.states.shape}")
         _check_mixture(self.weights, self.states)
         self.success_probability = 1.0 / target.dim
         expected = _mq_stack(target.stack, self.success_probability)
@@ -279,7 +281,7 @@ class PostselectionScheme:
     @classmethod
     def from_document(cls, doc: dict) -> "PostselectionScheme":
         target = povm_from_document(doc["target"])
-        states = np.array([[complex(re, im) for re, im in s] for s in doc["states"]])
+        states = complex_from_lists(doc["states"], "states", (None, None))
         return cls(target, states, doc["weights"], doc["parents"])
 
     def __repr__(self) -> str:

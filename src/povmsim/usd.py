@@ -13,16 +13,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DocumentError,
     InvariantViolation,
     Povm,
     QuantumState,
     _freeze,
     _rng,
+    array_from_lists,
     default_atol,
-    haar_random_pure_state,
+    haar_random_vectors,
     min_eigenvalue,
-    state_from_document,
+    require_unit_rows,
     state_to_document,
+    vector_from_document,
 )
 from .simulation import ORTHOGONALITY_ATOL
 
@@ -103,8 +106,16 @@ def ensemble_to_document(ensemble: Ensemble) -> dict:
 
 
 def ensemble_from_document(doc: dict) -> Ensemble:
-    states = [state_from_document(d).vector for d in doc["states"]]
-    return Ensemble(np.array(states), doc.get("probs"))
+    entries = doc["states"]
+    if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
+        raise DocumentError("states", "must be a non-empty list of state objects")
+    vectors = [vector_from_document(e, f"states[{i}].") for i, e in enumerate(entries)]
+    if len({v.size for v in vectors}) > 1:
+        raise DocumentError("states", "must all have the same dim")
+    probs = doc.get("probs")
+    if probs is not None:
+        probs = array_from_lists(probs, "probs", (len(vectors),))
+    return Ensemble(require_unit_rows(np.array(vectors), "ensemble state"), probs)
 
 
 @dataclass(frozen=True)
@@ -360,6 +371,9 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     Marchenko-Pastur lower edge (1 - sqrt(gamma))^2, with an O(D^(-2/3))
     upward shift at finite D from the Tracy-Widom fluctuations of the
     smallest eigenvalue; single trials may fall below the edge.
+
+    Each trial draws its states as one (d, D) block of Haar rows.  Trials
+    are drawn one at a time, so memory holds one block, not all of them.
     """
     if d > space_dim:
         raise ValueError("need d <= D for linearly independent Haar states")
@@ -367,10 +381,8 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
         raise ValueError("need at least one trial")
     experiment = RandomEnsembleExperiment(d, space_dim, seed if isinstance(seed, int) else None)
     for t, rng in enumerate(_rng(seed).spawn(trials)):
-        states = np.array([haar_random_pure_state(space_dim, rng).vector
-                           for _ in range(d)])
-        ensemble = Ensemble(states)
-        lam = min_eigenvalue(ensemble.gram())
+        states = require_unit_rows(haar_random_vectors(d, space_dim, rng), "Haar state")
+        lam = min_eigenvalue(states.conj() @ states.T)
         p_sp_upper = 1.0 / d
         experiment.rows.append({
             "trial": t,

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,18 @@ class TestDocuments:
         ("usd", "--ensemble", "text", "JSON object"),
         ("usd", "--ensemble", {"probs": [1.0]}, "'states'"),
         ("usd", "--ensemble", {"states": [{"vector": [[1, 0], [0, 0]]}]}, "'dim'"),
+        ("simulate", "--povm-file", {"dim": 2, "effects": 3}, "'effects'"),
+        ("usd", "--ensemble", {"states": [[1, 0]]}, "'states'"),
+        ("usd", "--ensemble", {"states": [{"dim": 2, "vector": [[1, 0], [0, 0]]}], "probs": "x"},
+         "'probs'"),
+        ("usd", "--ensemble", {"states": [{"dim": 2, "vector": [[float("nan"), 0], [0, 0]]}]},
+         "'states[0].vector'"),
+        ("simulate", "--povm-file", {"dim": "2", "effects": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+         "'dim'"),
+        ("simulate", "--povm-file", {"dim": 2, "effects": [[[1, 0], [0, 1]]]}, "'effects'"),
+        ("simulate", "--povm-file", {"dim": 1, "effects": [[[[1, 0]]]], "labels": 3}, "'labels'"),
+        ("usd", "--ensemble", {"states": [{"dim": 1, "vector": [[1, 0]]},
+                                          {"dim": 2, "vector": [[1, 0], [0, 0]]}]}, "'states'"),
     ])
     def test_malformed_document_names_the_key(self, capsys, tmp_path, command, option,
                                               document, key):
@@ -302,3 +315,20 @@ class TestOutputPlumbing:
     def test_seed_recorded_in_payload(self, capsys):
         _, out, _ = run_cli(capsys, "usd", "--symmetric", "4", "0.1", "--seed", "17")
         assert json.loads(out)["seed"] == 17
+
+
+class TestReadme:
+    def test_cli_block_commands_run(self, capsys, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line.split("#", 1)[0])[1:]
+                    for line in block.splitlines() if line.startswith("povmsim ")]
+        assert len(commands) >= 7
+        monkeypatch.setenv("POVMSIM_OUTPUT_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plan.json").write_text(json.dumps(
+            {"povm_fixture": "trine", "scheme": "both", "shots": 4096, "seed": 2,
+             "noise.cnot": 0.05, "noise.su2": 0.002, "noise.readout_bias": 0.03}))
+        for argv in commands:
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)

@@ -15,6 +15,7 @@ from povmsim.core import (
     born_probabilities,
     default_atol,
     haar_random_pure_state,
+    haar_random_vectors,
     min_eigenvalue,
     operator_norm,
     pauli_eigenstates,
@@ -101,6 +102,18 @@ class TestHaarStates:
     def test_dim_one_is_a_phase(self):
         psi = haar_random_pure_state(1, 5)
         assert abs(abs(psi.vector[0]) - 1.0) < 1e-12
+
+    def test_vectors_use_the_stream_like_successive_states(self):
+        block = haar_random_vectors(5, 7, np.random.default_rng(31))
+        twin = np.random.default_rng(31)
+        singles = np.array([haar_random_pure_state(7, twin).vector for _ in range(5)])
+        assert block.shape == (5, 7)
+        assert np.max(np.abs(block - singles)) <= 1e-15
+
+    @pytest.mark.parametrize("count, dim", [(0, 3), (2, 0)])
+    def test_vectors_need_positive_sizes(self, count, dim):
+        with pytest.raises(ValueError):
+            haar_random_vectors(count, dim, 0)
 
     def test_seeded_reproducibility(self):
         a = haar_random_pure_state(4, 42).vector

@@ -256,6 +256,10 @@ class TestPostselectionScheme:
             PostselectionScheme(ProjectiveMeasurement.computational_basis(2),
                                 [zero, one], [0.5, 0.5], parents)
 
+    def test_state_dimension_checked(self, trine):
+        with pytest.raises(ValueError, match=r"states must be an \(m, 2\) array"):
+            PostselectionScheme(trine, np.eye(3), [1 / 3] * 3, [0, 1, 2])
+
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(2, 5), st.integers(0, 4), st.integers(1, 2), st.integers(0, 2**31))
     def test_view_reproduces_mq_and_document_round_trips(self, d, extra, rank, seed):

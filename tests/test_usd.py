@@ -237,6 +237,20 @@ class TestRandomEnsembleExperiment:
         b = random_ensemble_experiment(4, 8, trials=6, seed=np.random.default_rng(11))
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("d, space_dim, trials, seed", [(50, 100, 20, 7), (6, 9, 15, 123)])
+    def test_matches_independent_build(self, d, space_dim, trials, seed):
+        # each trial's states drawn directly from its spawned generator, and
+        # lambda_min(C) taken as sigma_min(S)^2 from an SVD, not an eigensolve
+        expected = []
+        for rng in np.random.default_rng(seed).spawn(trials):
+            rows = [rng.standard_normal(space_dim) + 1j * rng.standard_normal(space_dim)
+                    for _ in range(d)]
+            states = np.array([v / np.linalg.norm(v) for v in rows])
+            expected.append(np.linalg.svd(states, compute_uv=False)[-1] ** 2)
+        exp = random_ensemble_experiment(d, space_dim, trials, seed)
+        assert [r["trial"] for r in exp.rows] == list(range(trials))
+        assert np.max(np.abs(exp.lambda_values - np.array(expected))) <= 1e-12
+
     def test_determinism_and_csv(self):
         a = random_ensemble_experiment(4, 8, trials=6, seed=11)
         b = random_ensemble_experiment(4, 8, trials=6, seed=11)

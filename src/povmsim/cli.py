@@ -311,6 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized-measurement simulation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def povm_source(p):
+        # not required: a --config file may give the source after parsing
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--povm", help="fixture name")
+        source.add_argument("--povm-file", help="POVM JSON document")
+
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output file (relative paths use POVMSIM_OUTPUT_DIR)")
@@ -318,24 +324,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; overrides flags")
 
     p = sub.add_parser("simulate", help="sample the postselection protocol")
-    p.add_argument("--povm", help="fixture name")
-    p.add_argument("--povm-file", help="POVM JSON document")
+    povm_source(p)
     p.add_argument("--state", default="zero", choices=STATE_NAMES)
     p.add_argument("--shots", type=positive_int, default=100_000)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("usd", help="state-discrimination bound experiments")
-    p.add_argument("--symmetric", nargs=2, type=float, metavar=("D", "EPSILON"))
-    p.add_argument("--random", nargs=2, type=positive_int, metavar=("D", "DIM"))
+    mode = p.add_mutually_exclusive_group()  # not required, as in povm_source
+    mode.add_argument("--symmetric", nargs=2, type=float, metavar=("D", "EPSILON"))
+    mode.add_argument("--random", nargs=2, type=positive_int, metavar=("D", "DIM"))
+    mode.add_argument("--ensemble", help="ensemble JSON document")
     p.add_argument("--trials", type=positive_int, default=100)
-    p.add_argument("--ensemble", help="ensemble JSON document")
     common(p)
     p.set_defaults(func=cmd_usd)
 
     p = sub.add_parser("compare", help="noisy postselection-vs-Naimark comparison")
-    p.add_argument("--povm", help="fixture name")
-    p.add_argument("--povm-file", help="POVM JSON document")
+    povm_source(p)
     p.add_argument("--noise", default="ibmx4-like")
     p.add_argument("--shots", type=positive_int, default=8192)
     p.add_argument("--plan", help="experiment plan JSON (noise.* keys override everything)")

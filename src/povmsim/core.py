@@ -18,7 +18,6 @@ import numpy as np
 # eigensolves at d <= 64 stay well inside this.
 TOLERANCE_SCALE = 1e-9
 NORM_ATOL = 1e-12
-IO_ATOL = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -102,12 +101,10 @@ def operator_norm(matrix) -> float:
     return float(np.max(np.linalg.svd(m, compute_uv=False)))
 
 
-def min_eigenvalue(matrix, atol: float | None = None) -> float:
+def min_eigenvalue(matrix) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     m = as_operator(matrix)
-    if atol is None:
-        atol = default_atol(m.shape[0])
-    m = require_hermitian(m, atol)
+    m = require_hermitian(m, default_atol(m.shape[0]))
     return float(np.linalg.eigvalsh(m)[0])
 
 
@@ -180,7 +177,7 @@ class QuantumState:
     available; ``vector`` is ``None`` for genuinely mixed states.
     """
 
-    def __init__(self, matrix=None, vector=None, atol: float | None = None):
+    def __init__(self, matrix=None, vector=None):
         if (matrix is None) == (vector is None):
             raise ValueError("provide exactly one of matrix or vector")
         if vector is not None:
@@ -191,9 +188,7 @@ class QuantumState:
             self._rho = _freeze(np.outer(v, v.conj()))
         else:
             m = as_operator(matrix, "density matrix")
-            dim = m.shape[0]
-            if atol is None:
-                atol = default_atol(dim)
+            atol = default_atol(m.shape[0])
             m = require_hermitian(m, atol, "density matrix")
             tr = float(np.trace(m).real)
             if abs(tr - 1.0) > atol:
@@ -209,8 +204,8 @@ class QuantumState:
         return cls(vector=vector)
 
     @classmethod
-    def density(cls, matrix, atol: float | None = None) -> "QuantumState":
-        return cls(matrix=matrix, atol=atol)
+    def density(cls, matrix) -> "QuantumState":
+        return cls(matrix=matrix)
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "QuantumState":
@@ -247,23 +242,19 @@ class Povm:
     """An ordered list of effects summing to the identity.
 
     Each effect is validated (Hermitian, spectrum in [0, 1]) and the
-    completeness defect is checked against ``atol``.
+    completeness defect is checked against :attr:`atol`.
     """
 
-    def __init__(self, effects: Iterable, labels: Sequence[str] | None = None,
-                 atol: float | None = None):
+    def __init__(self, effects: Iterable, labels: Sequence[str] | None = None):
         mats = [as_operator(e, f"effect {i}") for i, e in enumerate(effects)]
         if not mats:
             raise ValueError("a POVM needs at least one effect")
         n, dim = len(mats), mats[0].shape[0]
         if any(m.shape[0] != dim for m in mats):
             raise ValueError("all effects must share one dimension")
-        if atol is None:
-            atol = default_atol(dim)
-        self._atol = float(atol)
-        self._stack = _freeze(validate_effects(np.stack(mats), self._atol))
+        self._stack = _freeze(validate_effects(np.stack(mats), default_atol(dim)))
         defect = self.completeness_defect
-        if defect > self._atol:
+        if defect > self.atol:
             raise InvariantViolation("completeness", defect,
                                      f"effects sum to identity only within {defect:.3e}")
         if labels is None:
@@ -276,9 +267,9 @@ class Povm:
         self._rank_one = None
 
     @classmethod
-    def from_rank_one(cls, parts: RankOneParts, atol: float | None = None) -> "Povm":
+    def from_rank_one(cls, parts: RankOneParts) -> "Povm":
         """The POVM of the pieces; it keeps them as :attr:`rank_one`."""
-        povm = cls(parts.effects(), atol=atol)
+        povm = cls(parts.effects())
         povm._rank_one = RankOneParts(*map(_freeze, (parts.weights, parts.vectors, parts.parents)))
         return povm
 
@@ -310,7 +301,8 @@ class Povm:
 
     @property
     def atol(self) -> float:
-        return self._atol
+        """The validation tolerance, ``default_atol(dim)``."""
+        return default_atol(self.dim)
 
     @property
     def completeness_defect(self) -> float:
@@ -327,7 +319,7 @@ class Povm:
 
     def allclose(self, other: "Povm", atol: float | None = None) -> bool:
         if atol is None:
-            atol = max(self.atol, other.atol)
+            atol = self.atol
         if self.dim != other.dim or self.n_outcomes != other.n_outcomes:
             return False
         return np.allclose(self._stack, other._stack, atol=atol, rtol=0.0)
@@ -343,9 +335,8 @@ class ProjectiveMeasurement(Povm):
     enforced within the POVM tolerance.
     """
 
-    def __init__(self, effects: Iterable, labels: Sequence[str] | None = None,
-                 atol: float | None = None):
-        super().__init__(effects, labels=labels, atol=atol)
+    def __init__(self, effects: Iterable, labels: Sequence[str] | None = None):
+        super().__init__(effects, labels=labels)
         for i, p in enumerate(self):
             defect = float(np.max(np.abs(p @ p - p)))
             if defect > self.atol:
@@ -357,14 +348,6 @@ class ProjectiveMeasurement(Povm):
                 if defect > self.atol:
                     raise InvariantViolation("orthogonality", defect,
                                              f"effects {i},{j} are not orthogonal")
-
-    @classmethod
-    def binary(cls, projector_direction) -> "ProjectiveMeasurement":
-        """The two-outcome measurement (|psi><psi|, 1 - |psi><psi|)."""
-        v = np.asarray(projector_direction, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        p = np.outer(v, v.conj())
-        return cls([p, np.eye(v.size) - p], labels=("+", "-"))
 
     @classmethod
     def computational_basis(cls, dim: int) -> "ProjectiveMeasurement":
@@ -513,10 +496,6 @@ class DocumentError(ValueError):
         super().__init__(f"key {key!r} {message}")
 
 
-def _encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def array_from_lists(value, key: str, shape: tuple) -> np.ndarray:
     """Nested lists of JSON numbers, read from ``key``, as a finite float
     array of ``shape`` (``None`` for an axis of any non-zero length)."""
@@ -541,38 +520,41 @@ def complex_from_lists(value, key: str, shape: tuple) -> np.ndarray:
     return array_from_lists(value, key, (*shape, 2)).view(complex)[..., 0]
 
 
+def complex_to_lists(a) -> list:
+    """A complex array as nested lists with [re, im] pairs innermost: the
+    inverse of :func:`complex_from_lists`."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
 def _positive_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise DocumentError(key, f"must be a positive integer, got {value!r}")
     return value
 
 
-def matrix_to_lists(m: np.ndarray) -> list:
-    return [[_encode_complex(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
 def povm_to_document(povm: Povm) -> dict:
     return {
         "dim": povm.dim,
-        "effects": [matrix_to_lists(m) for m in povm.effects],
+        "effects": complex_to_lists(povm.stack),
         "labels": list(povm.labels),
     }
 
 
-def povm_from_document(doc: dict, atol: float | None = None) -> Povm:
+def povm_from_document(doc: dict) -> Povm:
     dim = _positive_int(doc["dim"], "dim")
     effects = complex_from_lists(doc["effects"], "effects", (None, dim, dim))
     labels = doc.get("labels")
     if labels is not None and not (isinstance(labels, list) and len(labels) == len(effects)
                                    and all(isinstance(label, str) for label in labels)):
         raise DocumentError("labels", f"must be a list of {len(effects)} strings")
-    return Povm(effects, labels=labels, atol=atol)
+    return Povm(effects, labels=labels)
 
 
 def state_to_document(state: QuantumState) -> dict:
     if state.is_pure:
-        return {"dim": state.dim, "vector": [_encode_complex(z) for z in state.vector]}
-    return {"dim": state.dim, "matrix": matrix_to_lists(state.rho)}
+        return {"dim": state.dim, "vector": complex_to_lists(state.vector)}
+    return {"dim": state.dim, "matrix": complex_to_lists(state.rho)}
 
 
 def vector_from_document(doc: dict, prefix: str = "") -> np.ndarray:

@@ -16,7 +16,7 @@ from .core import (
     _freeze,
     born_probabilities,
     complex_from_lists,
-    matrix_to_lists,
+    complex_to_lists,
     povm_from_document,
     povm_to_document,
     rank_one_parts,
@@ -88,7 +88,7 @@ class NaimarkDilation:
             "dim": self.dim,
             "ext_dim": self.ext_dim,
             "permutation": list(self.permutation),
-            "unitary": matrix_to_lists(self.unitary),
+            "unitary": complex_to_lists(self.unitary),
             "source": povm_to_document(self.source),
         }
 

@@ -21,8 +21,8 @@ from .core import (
     RankOneParts,
     _freeze,
     _rng,
-    born_probabilities,
     complex_from_lists,
+    complex_to_lists,
     default_atol,
     inverse_sqrt,
     povm_from_document,
@@ -104,8 +104,7 @@ def apply_postprocessing(povm: Povm, pmap: PostProcessingMap) -> Povm:
     """N_j = sum_k q(j|k) M_k."""
     if pmap.n_in != povm.n_outcomes:
         raise ValueError(f"map expects {pmap.n_in} outcomes, POVM has {povm.n_outcomes}")
-    out = np.einsum("jk,kab->jab", pmap.matrix, povm.stack)
-    return Povm(out, atol=povm.atol)
+    return Povm(np.einsum("jk,kab->jab", pmap.matrix, povm.stack))
 
 
 def convex_combination(terms) -> Povm:
@@ -123,17 +122,14 @@ def convex_combination(terms) -> Povm:
     defect = abs(weights.sum() - 1.0)
     if defect > default_atol(n):
         raise InvariantViolation("weight normalization", defect)
-    atol = max(p.atol for _, p in terms)
-    effects = [sum(w * p[i] for w, p in terms) for i in range(n)]
-    return Povm(effects, atol=atol)
+    return Povm([sum(w * p[i] for w, p in terms) for i in range(n)])
 
 
 def build_mq(povm: Povm, q: float) -> Povm:
     """The (n+1)-outcome POVM (q M_1, ..., q M_n, (1-q) 1)."""
     if not 0 < q <= 1:
         raise ValueError(f"q must be in (0, 1], got {q}")
-    return Povm(_mq_stack(povm.stack, q), labels=list(povm.labels) + [FAIL_LABEL],
-                atol=povm.atol)
+    return Povm(_mq_stack(povm.stack, q), labels=list(povm.labels) + [FAIL_LABEL])
 
 
 def _mq_stack(effects: np.ndarray, q: float) -> np.ndarray:
@@ -156,14 +152,14 @@ def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
         raise InvariantViolation("positivity", 0.0, "POVM has no non-null effects")
     total = parts.effects().sum(axis=0)
     defect = float(np.max(np.abs(total - np.eye(povm.dim))))
-    if defect > max(povm.atol, default_atol(povm.dim)):
+    if defect > povm.atol:
         raise InvariantViolation("completeness", defect,
                                  f"refinement leaves completeness defect {defect:.3e}")
     if defect > 1e-14:
         u = parts.vectors @ inverse_sqrt(total).T
         norms = np.linalg.norm(u, axis=1)
         parts = RankOneParts(parts.weights * norms ** 2, u / norms[:, None], parts.parents)
-    refined = Povm.from_rank_one(parts, atol=povm.atol)
+    refined = Povm.from_rank_one(parts)
     merge = PostProcessingMap.deterministic(parts.parents, n_out=povm.n_outcomes)
     return refined, merge
 
@@ -200,7 +196,7 @@ class ProjectiveSimulation:
         self.postprocessing = postprocessing
         self.target = target
         simulated = self.simulated_povm()
-        if not simulated.allclose(target, atol=max(target.atol, simulated.atol)):
+        if not simulated.allclose(target):
             dev = max(np.max(np.abs(a - b)) for a, b in zip(simulated, target))
             raise InvariantViolation("simulation fidelity", dev,
                                      "mixture + post-processing does not reproduce the target")
@@ -266,15 +262,14 @@ class PostselectionScheme:
 
     def simulated_povm(self) -> Povm:
         """Assemble the mixture and relabelling into the realized POVM."""
-        return Povm(self._realized_stack(), labels=list(self.target.labels) + [FAIL_LABEL],
-                    atol=self.target.atol)
+        return Povm(self._realized_stack(), labels=list(self.target.labels) + [FAIL_LABEL])
 
     def to_document(self) -> dict:
         return {
             "success_probability": self.success_probability,
             "weights": [float(w) for w in self.weights],
             "parents": [int(p) for p in self.parents],
-            "states": [[[float(z.real), float(z.imag)] for z in s] for s in self.states],
+            "states": complex_to_lists(self.states),
             "target": povm_to_document(self.target),
         }
 
@@ -305,7 +300,6 @@ class ShotRecord:
 
     shots: int
     outcomes: np.ndarray
-    seed: int | None
     fail_index: int
     n_outcomes: int
 
@@ -329,27 +323,11 @@ class ShotRecord:
             raise ValueError("no successful shots to condition on")
         return c / total
 
-    def merged_with(self, other: "ShotRecord") -> "ShotRecord":
-        if (self.fail_index, self.n_outcomes) != (other.fail_index, other.n_outcomes):
-            raise ValueError("incompatible shot records")
-        return ShotRecord(self.shots + other.shots,
-                          np.concatenate([self.outcomes, other.outcomes]),
-                          None, self.fail_index, self.n_outcomes)
-
-    def to_csv(self) -> str:
-        """Raw outcome stream, one row per shot."""
-        lines = ["shot,outcome"]
-        lines += [f"{s},{o}" for s, o in enumerate(self.outcomes)]
-        return "\n".join(lines) + "\n"
-
 
 def sample_postselection(scheme: PostselectionScheme, state: QuantumState,
-                         shots: int, seed, method: str = "two_stage") -> ShotRecord:
-    """Sample the postselection protocol on a state.
-
-    ``two_stage`` draws a component and then its binary outcome, mirroring
-    the operational protocol; ``composite`` samples the (n+1)-outcome
-    distribution of the realized POVM directly (fast path, identical law).
+                         shots: int, seed) -> ShotRecord:
+    """Sample the postselection protocol on a state: each shot draws a
+    component and then its binary outcome, as the operational protocol does.
     """
     if state.dim != scheme.target.dim:
         raise ValueError("state dimension does not match the scheme")
@@ -357,21 +335,14 @@ def sample_postselection(scheme: PostselectionScheme, state: QuantumState,
         raise ValueError("shots must be at least 1")
     rng = _rng(seed)
     n = scheme.target.n_outcomes
-    if method == "composite":
-        probs = born_probabilities(state, scheme.simulated_povm())
-        outcomes = rng.choice(n + 1, size=shots, p=probs)
-    elif method == "two_stage":
-        comp = rng.choice(scheme.n_components, size=shots, p=scheme.weights)
-        # success probability of component k on this state: <e_k|rho|e_k>
-        succ = np.einsum("ki,ij,kj->k", scheme.states.conj(), state.rho,
-                         scheme.states).real
-        succ = np.clip(succ, 0.0, 1.0)
-        plus = rng.random(shots) < succ[comp]
-        outcomes = np.where(plus, np.asarray(scheme.parents)[comp], n)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    return ShotRecord(shots, outcomes.astype(np.int64),
-                      seed if isinstance(seed, int) else None, n, n)
+    comp = rng.choice(scheme.n_components, size=shots, p=scheme.weights)
+    # success probability of component k on this state: <e_k|rho|e_k>
+    succ = np.einsum("ki,ij,kj->k", scheme.states.conj(), state.rho,
+                     scheme.states).real
+    succ = np.clip(succ, 0.0, 1.0)
+    plus = rng.random(shots) < succ[comp]
+    outcomes = np.where(plus, np.asarray(scheme.parents)[comp], n)
+    return ShotRecord(shots, outcomes.astype(np.int64), n, n)
 
 
 def clock_and_shift(d: int) -> tuple[np.ndarray, np.ndarray]:

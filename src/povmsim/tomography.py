@@ -9,8 +9,6 @@ are reported, never projected away.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +43,7 @@ class TomographyRecord:
     every row sums to one.
     """
 
-    def __init__(self, frequencies, shots_per_probe=None,
-                 outcome_labels=None, probe_labels=PROBE_LABELS,
+    def __init__(self, frequencies, outcome_labels=None, probe_labels=PROBE_LABELS,
                  row_atol: float = 1e-9):
         f = np.asarray(frequencies, dtype=float)
         if f.ndim != 2:
@@ -65,10 +62,6 @@ class TomographyRecord:
         if outcome_labels is None:
             outcome_labels = tuple(str(i + 1) for i in range(f.shape[1]))
         self.outcome_labels = tuple(outcome_labels)
-        if shots_per_probe is None:
-            self.shots_per_probe = None
-        else:
-            self.shots_per_probe = _freeze(np.asarray(shots_per_probe, dtype=int))
 
     @property
     def n_probes(self) -> int:
@@ -96,23 +89,7 @@ class TomographyRecord:
         if np.min(totals) <= 0:
             raise ValueError("a probe has no surviving outcomes after postselection")
         labels = tuple(self.outcome_labels[i] for i in keep)
-        return TomographyRecord(table / totals, self.shots_per_probe, labels,
-                                self.probe_labels)
-
-    def to_csv(self) -> str:
-        """Rows (probe, outcome, count, shots); for records without shot
-        totals the counts are the relative frequencies and shots is empty."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["probe", "outcome", "count", "shots"])
-        for p, plabel in enumerate(self.probe_labels):
-            shots = None if self.shots_per_probe is None else int(self.shots_per_probe[p])
-            for i, olabel in enumerate(self.outcome_labels):
-                if shots is None:
-                    writer.writerow([plabel, olabel, repr(self.frequencies[p, i]), ""])
-                else:
-                    writer.writerow([plabel, olabel, int(round(self.frequencies[p, i] * shots)), shots])
-        return buf.getvalue()
+        return TomographyRecord(table / totals, labels, self.probe_labels)
 
     def __repr__(self) -> str:
         return f"TomographyRecord(probes={self.n_probes}, outcomes={self.n_outcomes})"
@@ -278,14 +255,4 @@ def bias_mitigated_statistics(records) -> TomographyRecord:
         relabel = np.array([i ^ int(mask) for i in range(n_outcomes)])
         table[:, relabel] += rec.frequencies
     table /= len(items)
-    return TomographyRecord(table, None, base.outcome_labels, base.probe_labels)
-
-
-def distance_table_csv(rows) -> str:
-    """Serialize (povm, method, distance) triples in the published shape."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["povm", "method", "distance"])
-    for povm_name, method, distance in rows:
-        writer.writerow([povm_name, method, f"{distance:.6f}"])
-    return buf.getvalue()
+    return TomographyRecord(table, base.outcome_labels, base.probe_labels)

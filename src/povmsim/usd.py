@@ -6,8 +6,6 @@ the two families on symmetric and Haar-random ensembles.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,15 +14,14 @@ from .core import (
     DocumentError,
     InvariantViolation,
     Povm,
-    QuantumState,
     _freeze,
     _rng,
     array_from_lists,
+    complex_to_lists,
     default_atol,
     haar_random_vectors,
     min_eigenvalue,
     require_unit_rows,
-    state_to_document,
     vector_from_document,
 )
 from .simulation import ORTHOGONALITY_ATOL
@@ -41,13 +38,11 @@ class Ensemble:
         mat = np.asarray(states, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] < 1:
             raise ValueError("states must be a (n_states, dim) array")
-        norms = np.linalg.norm(mat, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise InvariantViolation("unit norm", float(np.max(np.abs(norms - 1.0))),
-                                     "ensemble states must be normalized")
+        require_unit_rows(mat, "ensemble state")
         n = mat.shape[0]
         if probs is None:
             probs = np.full(n, 1.0 / n)
+            probs = probs / probs.sum()
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (n,) or np.min(probs) < 0:
             raise ValueError("probs must be a non-negative vector matching the states")
@@ -55,7 +50,9 @@ class Ensemble:
         if defect > default_atol(n):
             raise InvariantViolation("probability normalization", defect)
         self.states = _freeze(mat)
-        self.probs = _freeze(probs / probs.sum())
+        # not divided by their sum: that is not idempotent in floating point,
+        # so a saved ensemble would load back with other probs
+        self.probs = _freeze(probs)
         sv = np.linalg.svd(mat, compute_uv=False)
         self.smallest_singular_value = float(sv[-1])
         self.linearly_independent = bool(sv[-1] > LINEAR_INDEPENDENCE_RTOL * sv[0])
@@ -100,7 +97,8 @@ class SymmetricEnsemble(Ensemble):
 
 def ensemble_to_document(ensemble: Ensemble) -> dict:
     return {
-        "states": [state_to_document(QuantumState.pure(s)) for s in ensemble.states],
+        "states": [{"dim": ensemble.space_dim, "vector": v}
+                   for v in complex_to_lists(ensemble.states)],
         "probs": [float(p) for p in ensemble.probs],
     }
 
@@ -115,7 +113,7 @@ def ensemble_from_document(doc: dict) -> Ensemble:
     probs = doc.get("probs")
     if probs is not None:
         probs = array_from_lists(probs, "probs", (len(vectors),))
-    return Ensemble(require_unit_rows(np.array(vectors), "ensemble state"), probs)
+    return Ensemble(np.array(vectors), probs)
 
 
 @dataclass(frozen=True)
@@ -318,12 +316,7 @@ class RandomEnsembleExperiment:
 
     d: int
     space_dim: int
-    seed: int | None
     rows: list[dict] = field(default_factory=list)
-
-    @property
-    def gamma(self) -> float:
-        return self.d / self.space_dim
 
     @property
     def lambda_values(self) -> np.ndarray:
@@ -342,20 +335,6 @@ class RandomEnsembleExperiment:
         """Trial-wise check that ratio_lower never exceeds ratio_upper."""
         return all(r["ratio_lower"] <= r["ratio_upper"] + default_atol(self.d)
                    for r in self.rows)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        fields = ["d", "D", "gamma", "trial", "lambda_min", "p_sp_upper",
-                  "ratio_lower", "ratio_upper", "seed"]
-        writer = csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        for r in self.rows:
-            writer.writerow({"d": self.d, "D": self.space_dim, "gamma": self.gamma,
-                             "trial": r["trial"], "lambda_min": r["lambda_min"],
-                             "p_sp_upper": r["p_sp_upper"],
-                             "ratio_lower": r["ratio_lower"],
-                             "ratio_upper": r["ratio_upper"], "seed": self.seed})
-        return buf.getvalue()
 
 
 def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
@@ -379,7 +358,7 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
         raise ValueError("need d <= D for linearly independent Haar states")
     if trials < 1:
         raise ValueError("need at least one trial")
-    experiment = RandomEnsembleExperiment(d, space_dim, seed if isinstance(seed, int) else None)
+    experiment = RandomEnsembleExperiment(d, space_dim)
     for t, rng in enumerate(_rng(seed).spawn(trials)):
         states = require_unit_rows(haar_random_vectors(d, space_dim, rng), "Haar state")
         lam = min_eigenvalue(states.conj() @ states.T)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shlex
@@ -119,6 +120,30 @@ class TestUsd:
         code, err = usage_exit(capsys, "usd", *argv)
         assert code == 2
         assert option in err
+
+
+class TestAlternativeInputs:
+    @pytest.mark.parametrize("argv, first, second", [
+        (("usd", "--symmetric", "8", "0.05", "--random", "3", "4"), "--symmetric", "--random"),
+        (("usd", "--random", "3", "4", "--ensemble", "e.json"), "--random", "--ensemble"),
+        (("simulate", "--povm", "trine", "--povm-file", "p.json"), "--povm", "--povm-file"),
+        (("compare", "--povm-file", "p.json", "--povm", "trine"), "--povm-file", "--povm"),
+    ])
+    def test_two_alternatives_are_a_usage_error_naming_both(self, capsys, argv, first, second):
+        code, err = usage_exit(capsys, *argv)
+        assert code == 2
+        assert f"argument {second}: not allowed with argument {first}" in err
+
+    @pytest.mark.parametrize("argv, config", [
+        (("usd",), {"symmetric": [8, 0.05]}),
+        (("simulate", "--shots", "100"), {"povm": "trine"}),
+    ])
+    def test_alternative_given_only_by_config(self, capsys, tmp_path, argv, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["rows"]
 
 
 class TestDocuments:
@@ -332,3 +357,15 @@ class TestReadme:
         for argv in commands:
             code, _, err = run_cli(capsys, *argv)
             assert code == 0, (argv, err)
+
+    def test_names_traced_by_the_benchmark_exist(self):
+        # perfbench wraps these names by lookup, so a renamed or deleted one
+        # breaks traced runs, as the README warns
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for table in (tracing.FUNCTIONS, tracing.CLASSES):
+            for layer, names in table.items():
+                module = importlib.import_module(f"povmsim.{layer}")
+                assert [n for n in names if not hasattr(module, n)] == [], layer

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmsim.core import (
     Povm,
     ProjectiveMeasurement,
     QuantumState,
     born_probabilities,
+    haar_random_pure_state,
     pauli_eigenstates,
     random_rank_one_povm,
 )
@@ -149,6 +152,16 @@ class TestStatistics:
                 probs = dilated_statistics(dilation, state)
                 oracle = born_probabilities(state, povm)
                 assert np.max(np.abs(probs[:n] - oracle)) < 1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(2, 5), st.integers(0, 4), st.integers(1, 2), st.integers(0, 2**31))
+    def test_refined_random_povms_match_born(self, d, extra, rank, seed):
+        povm = random_povm(d, d + extra, seed, rank=rank)
+        refined, merge = rank_one_refinement(povm)
+        dilation = naimark_dilation(refined, mode="abstract")
+        for state in (haar_random_pure_state(d, seed + k) for k in range(3)):
+            merged = merge.matrix @ dilated_statistics(dilation, state)
+            assert np.max(np.abs(merged - born_probabilities(state, povm))) <= 1e-9
 
     def test_mixed_state_input(self, trine):
         dilation = naimark_dilation(trine, mode="qubit_register")

@@ -12,6 +12,7 @@ from povmsim.core import (
 )
 from povmsim.naimark import dilated_statistics, naimark_dilation
 from povmsim.noisy_device import (
+    DECOMPOSITION_ATOL,
     Circuit,
     NoiseModel,
     _evolve,
@@ -218,6 +219,25 @@ class TestTwoQubitDecomposition:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             two_qubit_gate_sequence(np.ones((4, 4)))
+
+    @pytest.mark.parametrize("cnots", [0, 1, 2, 3], ids=["local", "one_cnot", "two_cnots", "haar"])
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_minimal_cnot_count_up_to_phase(self, cnots, seed):
+        # local unitaries around `cnots` CNOTs; a Haar unitary needs three
+        rng = np.random.default_rng(seed)
+        if cnots == 3:
+            u = haar_random_unitary(4, rng)
+        else:
+            circuit = Circuit(2)
+            for k in range(cnots + 1):
+                if k:
+                    circuit.cnot(0, 1)
+                circuit.su2(0, haar_random_unitary(2, rng)).su2(1, haar_random_unitary(2, rng))
+            u = circuit.unitary()
+        gates = two_qubit_gate_sequence(u)
+        assert sum(1 for g in gates if g.kind == "cnot") == cnots
+        assert _phase_distance(_sequence_unitary(gates), u) <= DECOMPOSITION_ATOL
 
 
 class TestNaimarkCircuit:

@@ -311,24 +311,3 @@ class TestRecords:
         oracle = TomographyRecord.from_born(tetrahedral)
         assert np.max(np.abs(kept.frequencies - oracle.frequencies)) < 1e-12
 
-    def test_csv_export(self, trine):
-        text = TomographyRecord.from_born(trine).to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "probe,outcome,count,shots"
-        assert len(lines) == 1 + 4 * 3
-
-    def test_csv_export_with_shots(self, trine):
-        record = TomographyRecord.from_born(trine)
-        counted = TomographyRecord(record.frequencies, shots_per_probe=[300] * 4)
-        rows = counted.to_csv().strip().splitlines()[1:]
-        counts = [int(r.split(",")[2]) for r in rows]
-        assert counts[0] == 200  # probe z0, outcome 1: frequency 2/3 of 300
-
-    def test_distance_table_csv(self, tetrahedral):
-        from povmsim.tomography import distance_table_csv
-        d = operational_distance(tetrahedral,
-                                 fixtures.reconstruction("tetrahedral", "naimark"))
-        text = distance_table_csv([("tetrahedral", "naimark", d)])
-        lines = text.strip().splitlines()
-        assert lines[0] == "povm,method,distance"
-        assert lines[1].startswith("tetrahedral,naimark,0.118")

@@ -58,10 +58,14 @@ def _state_by_name(name: str, dim: int) -> QuantumState:
 
 def _load_document(path: str, option: str, loader):
     """``loader`` applied to the JSON object in ``path``.  A document that is
-    not an object, lacks a key the loader reads, or holds a value of the
-    wrong type, shape or size is a usage error naming ``option`` and the key."""
+    not valid JSON or not an object, lacks a key the loader reads, or holds a
+    value of the wrong type, shape or size is a usage error naming ``option``
+    and the key."""
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as err:
+            raise UsageError(f"{option} {path!r} is not valid JSON: {err}")
     if not isinstance(doc, dict):
         raise UsageError(f"{option} {path!r} must hold a JSON object")
     try:
@@ -290,7 +294,10 @@ def _apply_config_file(args, argv, parser):
     if not path:
         return args
     with open(path) as f:
-        overrides = json.load(f)
+        try:
+            overrides = json.load(f)
+        except json.JSONDecodeError as err:
+            parser.error(f"--config {path!r} is not valid JSON: {err}")
     if not isinstance(overrides, dict):
         parser.error(f"config file {path!r} must hold a JSON object")
     extra = []

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import PAULI_X, HADAMARD, Povm, QuantumState, _freeze, _rng
+from .core import PAULI_X, Povm, QuantumState, _freeze, _rng
 from .naimark import NaimarkDilation, naimark_dilation
 from .simulation import (
     PostselectionScheme,
@@ -49,10 +49,6 @@ class NoiseModel:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-    @classmethod
-    def noiseless(cls) -> "NoiseModel":
-        return cls()
 
     @classmethod
     def preset(cls, name: str) -> "NoiseModel":
@@ -112,27 +108,22 @@ def load_experiment_plan(doc) -> ExperimentPlan:
 
 @dataclass(frozen=True)
 class Gate:
-    kind: str  # "su2" | "h" | "cnot"
+    kind: str  # "su2" | "cnot"
     qubits: tuple[int, ...]
     matrix: np.ndarray | None = None
 
 
 @dataclass
 class Circuit:
-    """A 1- or 2-qubit gate list followed by computational-basis readout."""
+    """A 1- or 2-qubit gate list followed by computational-basis readout
+    of every qubit."""
 
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
-    measured: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.n_qubits not in (1, 2):
             raise ValueError("only 1- and 2-qubit circuits are supported")
-        if not self.measured:
-            self.measured = tuple(range(self.n_qubits))
-        measured = set(self.measured)
-        if len(measured) != len(self.measured) or not measured <= set(range(self.n_qubits)):
-            raise ValueError(f"measured qubits {self.measured} must be distinct register qubits")
 
     def _check_qubit(self, q: int):
         if not 0 <= q < self.n_qubits:
@@ -144,11 +135,6 @@ class Circuit:
         if m.shape != (2, 2) or np.max(np.abs(m.conj().T @ m - np.eye(2))) > 1e-9:
             raise ValueError("su2 payload must be a 2x2 unitary")
         self.gates.append(Gate("su2", (qubit,), m))
-        return self
-
-    def h(self, qubit: int) -> "Circuit":
-        self._check_qubit(qubit)
-        self.gates.append(Gate("h", (qubit,)))
         return self
 
     def x(self, qubit: int) -> "Circuit":
@@ -166,9 +152,6 @@ class Circuit:
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "cnot")
 
-    def copy(self) -> "Circuit":
-        return Circuit(self.n_qubits, list(self.gates), self.measured)
-
     def unitary(self) -> np.ndarray:
         u = np.eye(2 ** self.n_qubits, dtype=complex)
         for gate in self.gates:
@@ -184,10 +167,11 @@ def _gate_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
     """Full-register matrix of one gate (qubit 0 is the leading factor)."""
     if gate.kind == "cnot":
         return _CNOTS[gate.qubits]  # a CNOT needs both qubits of a 2-qubit register
-    single = HADAMARD if gate.kind == "h" else gate.matrix
     if n_qubits == 1:
-        return single
-    return np.kron(single, np.eye(2)) if gate.qubits[0] == 0 else np.kron(np.eye(2), single)
+        return gate.matrix
+    if gate.qubits[0] == 0:
+        return np.kron(gate.matrix, np.eye(2))
+    return np.kron(np.eye(2), gate.matrix)
 
 
 def depolarize(rho: np.ndarray, p: float, qubits, n_qubits: int) -> np.ndarray:
@@ -225,18 +209,13 @@ def _evolve(gates, n_qubits: int, rhos: np.ndarray, noise: NoiseModel) -> np.nda
     return rhos
 
 
-def _readout(rhos: np.ndarray, n_qubits: int, measured, bias: float) -> np.ndarray:
-    """(P, 2**len(measured)) readout distributions of a (P, dim, dim) stack:
-    clip the diagonal, marginalize onto the measured bits (packed in
-    ``measured`` order), normalize, then apply the readout confusion."""
+def _readout(rhos: np.ndarray, n_qubits: int, bias: float) -> np.ndarray:
+    """(P, 2**n_qubits) readout distributions of a (P, dim, dim) stack:
+    clip the diagonal, normalize, then apply the readout confusion."""
     diag = np.clip(np.diagonal(rhos, axis1=-2, axis2=-1).real, 0.0, None)
-    bits = diag.reshape(-1, *[2] * n_qubits)
-    kept = sorted(measured)
-    marginal = bits.sum(axis=tuple(1 + q for q in range(n_qubits) if q not in measured))
-    probs = marginal.transpose(0, *(1 + kept.index(q) for q in measured)).reshape(len(diag), -1)
-    probs = probs / probs.sum(axis=1, keepdims=True)
+    probs = diag / diag.sum(axis=1, keepdims=True)
     flip = np.array([[1.0, bias], [0.0, 1.0 - bias]])  # a true '1' reads '0' with probability bias
-    return probs @ reduce(np.kron, [flip] * len(measured)).T
+    return probs @ reduce(np.kron, [flip] * n_qubits).T
 
 
 def exact_output_distribution(circuit: Circuit, state: QuantumState,
@@ -248,12 +227,12 @@ def exact_output_distribution(circuit: Circuit, state: QuantumState,
                          f"{circuit.n_qubits}-qubit register")
     rho = _evolve(circuit.gates, circuit.n_qubits,
                   np.asarray(state.rho, dtype=complex)[None], noise)
-    return _readout(rho, circuit.n_qubits, circuit.measured, noise.readout_bias)[0]
+    return _readout(rho, circuit.n_qubits, noise.readout_bias)[0]
 
 
 def run_shots(circuit: Circuit, state: QuantumState, noise: NoiseModel,
               shots: int, seed) -> ShotRecord:
-    """Sample readout results; outcomes are measured-bit register indices."""
+    """Sample readout results; outcomes are register indices."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
     probs = exact_output_distribution(circuit, state, noise)
@@ -553,13 +532,12 @@ def _mitigated_record(circuit: Circuit, rhos: np.ndarray, noise: NoiseModel,
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    n, measured = circuit.n_qubits, circuit.measured
+    n = circuit.n_qubits
     evolved = _evolve(circuit.gates, n, rhos, noise)
     variants = {}
-    for mask in range(2 ** len(measured)):
-        flips = [Gate("su2", (q,), PAULI_X) for i, q in enumerate(measured)
-                 if mask >> (len(measured) - 1 - i) & 1]
-        probs = _readout(_evolve(flips, n, evolved, noise), n, measured, noise.readout_bias)
+    for mask in range(2 ** n):
+        flips = [Gate("su2", (q,), PAULI_X) for q in range(n) if mask >> (n - 1 - q) & 1]
+        probs = _readout(_evolve(flips, n, evolved, noise), n, noise.readout_bias)
         defect = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
         if not defect <= 1e-9:  # also catches NaN
             raise ValueError(f"readout rows are not distributions (defect {defect:.2e})")
@@ -568,28 +546,19 @@ def _mitigated_record(circuit: Circuit, rhos: np.ndarray, noise: NoiseModel,
 
 
 def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
-                             cap: int, seed, randomization: str = "block",
-                             ) -> PipelineResult:
+                             cap: int, seed) -> PipelineResult:
     """Run every component circuit over the probe set with x-gate bias
     mitigation, aggregate into target-outcome statistics, postselect, and
     reconstruct.
 
-    ``block`` allocates shots proportional to the component weights
-    (job-level randomization); ``per_shot`` draws the component count for
-    each run from the weights instead.
+    Shots are allocated to the components in proportion to their weights
+    (job-level randomization), with at least one run each, so a small cap
+    leaves no component unmeasured.
     """
     n = scheme.target.n_outcomes
     m = scheme.n_components
-    alphas = scheme.weights * scheme.target.dim
+    alloc = np.maximum(proportional_shot_allocation(scheme.weights * scheme.target.dim, cap), 1)
     rng = _rng(seed)
-    if randomization == "block":
-        # at least one run each, so a small cap leaves no component unmeasured
-        alloc = np.maximum(proportional_shot_allocation(alphas, cap), 1)
-    elif randomization == "per_shot":
-        total = int(np.sum(proportional_shot_allocation(alphas, cap)))
-        alloc = np.maximum(rng.multinomial(total, scheme.weights), 1)
-    else:
-        raise ValueError(f"unknown randomization mode {randomization!r}")
 
     rhos = np.stack([probe.rho for probe in probe_states()])
     table = np.zeros((len(rhos), n + 1))
@@ -603,8 +572,7 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
         table[:, n] += shots_k * mitigated.frequencies[:, 1]
         shots_total += 2 * shots_k * len(rhos)
     table /= table.sum(axis=1, keepdims=True)
-    labels = list(scheme.target.labels) + ["fail"]
-    record = TomographyRecord(table, outcome_labels=labels)
+    record = TomographyRecord(table)
     fraction = float(np.mean(table[:, n]))
     kept = record.postselected(n)
     return PipelineResult(kept, reconstruct_povm(kept),
@@ -612,12 +580,10 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
                           shots_total=shots_total)
 
 
-def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed,
-                       dilation: NaimarkDilation | None = None) -> PipelineResult:
+def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed) -> PipelineResult:
     """Run the two-qubit dilation circuit over the probe set with the four
     x-gate configurations, average, and reconstruct all register outcomes."""
-    if dilation is None:
-        dilation = naimark_dilation(povm, mode="qubit_register")
+    dilation = naimark_dilation(povm, mode="qubit_register")
     circuit = compile_naimark_circuit(dilation)
     # each system probe joined with the |0> ancilla, in register ordering
     system = np.stack([p.vector for p in probe_states()])
@@ -626,13 +592,10 @@ def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed,
     rhos = np.einsum("pi,pj->pij", vectors, vectors.conj())
     mitigated = _mitigated_record(circuit, rhos, noise, cap, _rng(seed))
     # reorder register outcomes into logical outcome order
-    perm = dilation.permutation
-    table = mitigated.frequencies[:, list(perm)]
-    n = povm.n_outcomes
-    labels = list(povm.labels) + ["residual"] * (4 - n)
-    record = TomographyRecord(table, outcome_labels=labels)
+    record = TomographyRecord(mitigated.frequencies[:, list(dilation.permutation)])
     reconstruction = reconstruct_povm(record)
-    residual = float(sum(b.alpha for b in reconstruction.bloch[n:] if b is not None))
+    residual = float(sum(b.alpha for b in reconstruction.bloch[povm.n_outcomes:]
+                         if b is not None))
     return PipelineResult(record, reconstruction, residual_mass=residual,
                           shots_total=4 * cap * len(rhos))
 

@@ -25,13 +25,12 @@ from .core import (
     pauli_eigenstates,
 )
 
-PROBE_LABELS = ("z0", "z1", "x+", "y+")
 MAX_SUBSET_OUTCOMES = 20
 SUBSET_BLOCK_ELEMENTS = 2 ** 14  # matrix entries per batch of subset sums: 2**12 at d = 2
 
 
 def probe_states() -> tuple[QuantumState, ...]:
-    """|0>, |1>, |x+>, |y+>: the Pauli eigenstates named by PROBE_LABELS."""
+    """|0>, |1>, |x+>, |y+>: the four probes, in the row order of a record."""
     states = pauli_eigenstates()
     return tuple(states[i] for i in (0, 1, 2, 4))
 
@@ -39,46 +38,31 @@ def probe_states() -> tuple[QuantumState, ...]:
 class TomographyRecord:
     """Per-probe outcome frequencies, the raw material of reconstruction.
 
-    ``frequencies[p, i]`` is the relative frequency of outcome i on probe p;
-    every row sums to one.
+    ``frequencies[p, i]`` is the relative frequency of outcome i on probe p,
+    one row for each of the four probes of :func:`probe_states`; every row
+    sums to one.
     """
 
-    def __init__(self, frequencies, outcome_labels=None, probe_labels=PROBE_LABELS,
-                 row_atol: float = 1e-9):
+    def __init__(self, frequencies):
         f = np.asarray(frequencies, dtype=float)
-        if f.ndim != 2:
-            raise ValueError("frequencies must be a (n_probes, n_outcomes) table")
+        if f.ndim != 2 or f.shape[0] != 4:
+            raise ValueError("frequencies must be a (4 probes, n_outcomes) table")
         if np.min(f) < -1e-12:
             raise ValueError("frequencies must be non-negative")
-        # row_atol is loosened only for tables derived from rounded or
-        # not-exactly-complete effects; counted data always sums exactly
         row_defect = float(np.max(np.abs(f.sum(axis=1) - 1.0)))
-        if row_defect > row_atol:
+        if not row_defect <= 1e-9:  # also catches NaN
             raise ValueError(f"each probe's frequencies must sum to 1 (defect {row_defect:.3e})")
-        if len(probe_labels) != f.shape[0]:
-            raise ValueError("probe labels do not match the table")
         self.frequencies = _freeze(np.clip(f, 0.0, None))
-        self.probe_labels = tuple(probe_labels)
-        if outcome_labels is None:
-            outcome_labels = tuple(str(i + 1) for i in range(f.shape[1]))
-        self.outcome_labels = tuple(outcome_labels)
-
-    @property
-    def n_probes(self) -> int:
-        return self.frequencies.shape[0]
 
     @property
     def n_outcomes(self) -> int:
         return self.frequencies.shape[1]
 
     @classmethod
-    def from_born(cls, povm: Povm, probes=None) -> "TomographyRecord":
+    def from_born(cls, povm: Povm) -> "TomographyRecord":
         """Exact statistics: the infinite-shot record of a known POVM."""
         from .core import born_probabilities
-        if probes is None:
-            probes = probe_states()
-        table = np.array([born_probabilities(state, povm) for state in probes])
-        return cls(table, outcome_labels=povm.labels)
+        return cls([born_probabilities(state, povm) for state in probe_states()])
 
     def postselected(self, fail_index: int) -> "TomographyRecord":
         """Drop one outcome column and renormalize each probe row,
@@ -88,11 +72,10 @@ class TomographyRecord:
         totals = table.sum(axis=1, keepdims=True)
         if np.min(totals) <= 0:
             raise ValueError("a probe has no surviving outcomes after postselection")
-        labels = tuple(self.outcome_labels[i] for i in keep)
-        return TomographyRecord(table / totals, labels, self.probe_labels)
+        return TomographyRecord(table / totals)
 
     def __repr__(self) -> str:
-        return f"TomographyRecord(probes={self.n_probes}, outcomes={self.n_outcomes})"
+        return f"TomographyRecord(outcomes={self.n_outcomes})"
 
 
 def reconstruct_effect(freqs) -> BlochVector:
@@ -146,8 +129,6 @@ def reconstruct_povm(record: TomographyRecord) -> Reconstruction:
     unphysical but kept as-is; the completeness defect ||sum M_i - 1|| is
     reported rather than corrected.
     """
-    if record.n_probes != 4 or record.probe_labels != PROBE_LABELS:
-        raise ValueError("reconstruction needs the standard four-probe record")
     bloch = []
     effects = []
     warned = []
@@ -231,7 +212,7 @@ def _subset_sums(parts):
     return sums
 
 
-def bias_mitigated_statistics(records) -> TomographyRecord:
+def bias_mitigated_statistics(records: dict) -> TomographyRecord:
     """Average bit-flip relabelled records from x-gate circuit variants.
 
     ``records`` maps flip masks to TomographyRecords whose outcome axis is
@@ -239,20 +220,17 @@ def bias_mitigated_statistics(records) -> TomographyRecord:
     masked qubits is relabelled by XOR-ing its outcome index with the mask.
     The full mask set is required: 2 variants for one qubit, 4 for two.
     """
-    items = list(records.items()) if isinstance(records, dict) else list(records)
-    masks = sorted(int(m) for m, _ in items)
-    n_outcomes = items[0][1].n_outcomes
+    masks = sorted(int(m) for m in records)
+    n_outcomes = next(iter(records.values())).n_outcomes
     n_qubits = max(1, (n_outcomes - 1).bit_length())
     if n_outcomes != 2 ** n_qubits:
         raise ValueError("outcome count must be a power of two (register outcomes)")
     if masks != list(range(2 ** n_qubits)):
         raise ValueError(f"need one record per flip mask 0..{2 ** n_qubits - 1}, got {masks}")
-    base = items[0][1]
-    table = np.zeros((base.n_probes, n_outcomes))
-    for mask, rec in items:
-        if rec.n_outcomes != n_outcomes or rec.probe_labels != base.probe_labels:
+    table = np.zeros((4, n_outcomes))
+    for mask, rec in records.items():
+        if rec.n_outcomes != n_outcomes:
             raise ValueError("variant records do not match")
-        relabel = np.array([i ^ int(mask) for i in range(n_outcomes)])
-        table[:, relabel] += rec.frequencies
-    table /= len(items)
-    return TomographyRecord(table, base.outcome_labels, base.probe_labels)
+        table[:, np.arange(n_outcomes) ^ int(mask)] += rec.frequencies
+    table /= len(records)
+    return TomographyRecord(table)

@@ -360,7 +360,7 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
         raise ValueError("need at least one trial")
     experiment = RandomEnsembleExperiment(d, space_dim)
     for t, rng in enumerate(_rng(seed).spawn(trials)):
-        states = require_unit_rows(haar_random_vectors(d, space_dim, rng), "Haar state")
+        states = haar_random_vectors(d, space_dim, rng)
         lam = min_eigenvalue(states.conj() @ states.T)
         p_sp_upper = 1.0 / d
         experiment.rows.append({

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmsim.core import (
+    NORM_ATOL,
     BlochVector,
     InvariantViolation,
     Povm,
@@ -109,6 +110,14 @@ class TestHaarStates:
         singles = np.array([haar_random_pure_state(7, twin).vector for _ in range(5)])
         assert block.shape == (5, 7)
         assert np.max(np.abs(block - singles)) <= 1e-15
+
+    @pytest.mark.parametrize("count, dim", [(50, 100), (90, 100), (10, 100)])
+    def test_vector_rows_are_finite_unit_vectors(self, count, dim):
+        # usd.random_ensemble_experiment uses these blocks without a re-check
+        for rng in np.random.default_rng(count).spawn(20):
+            block = haar_random_vectors(count, dim, rng)
+            assert np.all(np.isfinite(block))
+            assert np.max(np.abs(np.linalg.norm(block, axis=1) - 1.0)) <= NORM_ATOL
 
     @pytest.mark.parametrize("count, dim", [(0, 3), (2, 0)])
     def test_vectors_need_positive_sizes(self, count, dim):

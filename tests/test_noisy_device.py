@@ -53,46 +53,38 @@ def _reference_depolarize(rho, p, qubits, n_qubits):
 
 def _reference_distribution(circuit, rho, noise):
     """The former simulator: one probe, one full-register gate at a time,
-    and a loop over basis states packing the measured bits."""
+    and the readout confusion built one qubit at a time."""
     n = circuit.n_qubits
     for gate in circuit.gates:
         if gate.kind == "cnot":
             u, p = _CNOTS[gate.qubits], noise.cnot_depolarizing
         else:
-            single = _HADAMARD if gate.kind == "h" else gate.matrix
             ops = [np.eye(2)] * n
-            ops[gate.qubits[0]] = single
+            ops[gate.qubits[0]] = gate.matrix
             u, p = (ops[0] if n == 1 else np.kron(*ops)), noise.su2_depolarizing
         rho = _reference_depolarize(u @ rho @ u.conj().T, p, gate.qubits, n)
     diag = np.clip(np.diag(rho).real, 0.0, None)
-    probs = np.zeros(2 ** len(circuit.measured))
-    for m in range(2 ** n):
-        bits = [(m >> (n - 1 - q)) & 1 for q in range(n)]
-        out = 0
-        for q in circuit.measured:
-            out = (out << 1) | bits[q]
-        probs[out] += diag[m]
-    probs = probs / probs.sum()
+    probs = diag / diag.sum()
     b = noise.readout_bias
     confusion = np.array([[1.0]])
-    for _ in circuit.measured:
+    for _ in range(n):
         confusion = np.kron(confusion, [[1.0, b], [0.0, 1.0 - b]])
     return confusion @ probs
 
 
 def _flipped(circuit, mask):
-    """The variant with x gates on the measured qubits whose outcome bit is set in mask."""
-    flipped = circuit.copy()
-    k = len(circuit.measured)
-    for i, q in enumerate(circuit.measured):
-        if mask >> (k - 1 - i) & 1:
+    """The variant with x gates on the qubits whose outcome bit is set in mask."""
+    n = circuit.n_qubits
+    flipped = Circuit(n, list(circuit.gates))
+    for q in range(n):
+        if mask >> (n - 1 - q) & 1:
             flipped.x(q)
     return flipped
 
 
 def _exact_mitigated(circuit, rhos, noise):
     """Average over flip masks of the relabelled exact distributions."""
-    k = 2 ** len(circuit.measured)
+    k = 2 ** circuit.n_qubits
     table = np.zeros((len(rhos), k))
     for mask in range(k):
         flipped = _flipped(circuit, mask)
@@ -104,15 +96,14 @@ def _exact_mitigated(circuit, rhos, noise):
 @st.composite
 def _noisy_circuits(draw):
     n = draw(st.sampled_from((1, 2)))
-    measured = draw(st.sampled_from(((0,),) if n == 1 else ((0,), (1,), (0, 1), (1, 0))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    circuit = Circuit(n, measured=measured)
+    circuit = Circuit(n)
     for kind in draw(st.lists(st.sampled_from(("su2", "h", "cnot")), max_size=8)):
         q = int(rng.integers(n))
         if kind == "su2":
             circuit.su2(q, haar_random_unitary(2, rng))
         elif kind == "h":
-            circuit.h(q)
+            circuit.su2(q, _HADAMARD)
         elif n == 2:
             circuit.cnot(q, 1 - q)
     probability = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
@@ -171,7 +162,7 @@ class TestPostselectionCircuit:
         s = 1 / np.sqrt(2)
         circuit = compile_postselection_circuit([s, s])
         probs = exact_output_distribution(circuit, QuantumState.pure([s, s]),
-                                          NoiseModel.noiseless())
+                                          NoiseModel())
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_component_statistics_match_born(self, tetrahedral):
@@ -179,7 +170,7 @@ class TestPostselectionCircuit:
         probe = pauli_eigenstates()[4]  # |y+>
         for k in range(scheme.n_components):
             circuit = compile_postselection_circuit(scheme.states[k])
-            probs = exact_output_distribution(circuit, probe, NoiseModel.noiseless())
+            probs = exact_output_distribution(circuit, probe, NoiseModel())
             proj = np.outer(scheme.states[k], scheme.states[k].conj())
             want = np.vdot(probe.vector, proj @ probe.vector).real
             assert probs[0] == pytest.approx(want, abs=1e-12)
@@ -249,14 +240,14 @@ class TestNaimarkCircuit:
             vec = np.zeros(4, dtype=complex)
             vec[[0, 2]] = probe.vector
             got_register = exact_output_distribution(circuit, QuantumState.pure(vec),
-                                                     NoiseModel.noiseless())
+                                                     NoiseModel())
             got = got_register[list(dilation.permutation)]
             assert np.max(np.abs(got - want)) < 1e-9
 
     def test_identity_dilation_keeps_ancilla(self):
         circuit = Circuit(2)  # empty gate list
         probs = exact_output_distribution(circuit, QuantumState.pure([0, 0, 1, 0]),
-                                          NoiseModel.noiseless())
+                                          NoiseModel())
         assert probs[2] == pytest.approx(1.0)
 
     def test_rejects_small_dilations(self):
@@ -276,8 +267,8 @@ class TestRunShots:
         vec[0] = 1.0
         state = QuantumState.pure(vec)
         shots = 1_000_000
-        record = run_shots(circuit, state, NoiseModel.noiseless(), shots, seed=3)
-        p = exact_output_distribution(circuit, state, NoiseModel.noiseless())
+        record = run_shots(circuit, state, NoiseModel(), shots, seed=3)
+        p = exact_output_distribution(circuit, state, NoiseModel())
         freqs = record.counts()[:4] / shots
         sigma = np.sqrt(p * (1 - p) / shots)
         assert np.all(np.abs(freqs - p) <= 5 * np.maximum(sigma, 1e-9))
@@ -339,21 +330,20 @@ class TestShotAllocation:
             proportional_shot_allocation([], 10)
 
     def test_small_weight_may_round_to_zero(self):
-        # the floor of one run is applied by the block route, not here, so
-        # the per-shot route draws the same total as before
+        # the floor of one run is applied by postselection_tomography, not here
         assert np.array_equal(proportional_shot_allocation([1.0, 0.01], 10), [10, 0])
 
 
 class TestPipelines:
     def test_noiseless_tomography_recovers_povm(self, tetrahedral):
         scheme = postselection_scheme(tetrahedral)
-        result = postselection_tomography(scheme, NoiseModel.noiseless(),
+        result = postselection_tomography(scheme, NoiseModel(),
                                           cap=200_000, seed=2)
         assert operational_distance(tetrahedral, result.reconstruction) < 0.01
         assert abs(result.postselection_fraction - 0.5) < 0.01
 
     def test_noiseless_naimark_recovers_povm(self, trine):
-        result = naimark_tomography(trine, NoiseModel.noiseless(), cap=200_000, seed=2)
+        result = naimark_tomography(trine, NoiseModel(), cap=200_000, seed=2)
         assert operational_distance(trine, result.reconstruction) < 0.01
         assert result.residual_mass < 1e-6  # padding outcome silent without noise
 
@@ -369,29 +359,14 @@ class TestPipelines:
                                           cap=100_000, seed=4)
         assert result.reconstruction.n_outcomes == 3
 
-    def test_block_and_per_shot_randomization_agree(self, tetrahedral):
-        scheme = postselection_scheme(tetrahedral)
-        noise = NoiseModel.preset("ibmx4-like")
-        block = postselection_tomography(scheme, noise, cap=300_000, seed=8,
-                                         randomization="block")
-        per_shot = postselection_tomography(scheme, noise, cap=300_000, seed=9,
-                                            randomization="per_shot")
-        gap = operational_distance(block.reconstruction, per_shot.reconstruction)
-        assert gap < 0.02  # sampling scale; no systematic difference
-
     def test_low_cap_run_counts(self, random4):
-        # at cap 1 the random4 weights round to [0, 0, 1, 1]: the block route
-        # still runs every component once, the per-shot route draws its
-        # counts for a total of 2, not of the floored 4
+        # at cap 1 the random4 weights round to [0, 0, 1, 1]: every
+        # component still runs once
         scheme = postselection_scheme(random4)
         noise = NoiseModel.preset("noiseless")
         per_run = 2 * len(probe_states())
         block = postselection_tomography(scheme, noise, cap=1, seed=5)
         assert block.shots_total == per_run * 4
-        per_shot = postselection_tomography(scheme, noise, cap=1, seed=np.random.default_rng(2),
-                                            randomization="per_shot")
-        drawn = np.maximum(np.random.default_rng(2).multinomial(2, scheme.weights), 1)
-        assert per_shot.shots_total == per_run * drawn.sum()
 
     def test_bias_mitigation_restores_half_postselection(self, tetrahedral):
         scheme = postselection_scheme(tetrahedral)
@@ -402,7 +377,7 @@ class TestPipelines:
 
 class TestCompareSchemes:
     def test_noiseless_distances_shrink_with_shots(self, tetrahedral):
-        noise = NoiseModel.noiseless()
+        noise = NoiseModel()
         small = compare_schemes(tetrahedral, noise, shots=4_000, seed=1)
         large = compare_schemes(tetrahedral, noise, shots=400_000, seed=1)
         expected = np.sqrt(4_000 / 400_000)
@@ -425,22 +400,17 @@ class TestCompareSchemes:
 
 
 class TestBatchedEvolution:
-    @pytest.mark.parametrize("measured", ((0, 0), (2,), (1, -1)))
-    def test_measured_qubits_validated(self, measured):
-        with pytest.raises(ValueError, match="distinct register qubits"):
-            Circuit(2, measured=measured)
-
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(case=_noisy_circuits())
     def test_matches_per_probe_reference(self, case):
         circuit, noise, rhos = case
-        n, measured = circuit.n_qubits, circuit.measured
+        n = circuit.n_qubits
         evolved = _evolve(circuit.gates, n, rhos, noise)
-        for mask in range(2 ** len(measured)):
+        for mask in range(2 ** n):
             flipped = _flipped(circuit, mask)
             flips = flipped.gates[len(circuit.gates):]
-            got = _readout(_evolve(flips, n, evolved, noise), n, measured, noise.readout_bias)
-            assert got.shape == (len(rhos), 2 ** len(measured))
+            got = _readout(_evolve(flips, n, evolved, noise), n, noise.readout_bias)
+            assert got.shape == (len(rhos), 2 ** n)
             for p, rho in enumerate(rhos):
                 want = _reference_distribution(flipped, rho, noise)
                 assert np.max(np.abs(got[p] - want)) <= 1e-12
@@ -450,7 +420,7 @@ class TestBatchedEvolution:
         noise = NoiseModel.preset("ibmx4-like")
         states = [QuantumState.pure(np.kron(p.vector, [1, 0])) for p in pauli_eigenstates()]
         rhos = np.stack([s.rho for s in states])
-        batched = _readout(_evolve(circuit.gates, 2, rhos, noise), 2, (0, 1), noise.readout_bias)
+        batched = _readout(_evolve(circuit.gates, 2, rhos, noise), 2, noise.readout_bias)
         # a stack of one and a stack of six may take different matmul kernels
         for state, row in zip(states, batched):
             assert np.max(np.abs(exact_output_distribution(circuit, state, noise) - row)) <= 1e-15
@@ -477,7 +447,7 @@ class TestBatchedEvolution:
         dilation = naimark_dilation(trine, mode="qubit_register")
         circuit = compile_naimark_circuit(dilation)
         shots = 100_000
-        result = naimark_tomography(trine, noise, cap=shots, seed=5, dilation=dilation)
+        result = naimark_tomography(trine, noise, cap=shots, seed=5)
         assert list(dilation.embedding) == [0, 2]  # the ancilla is qubit 1, in |0>
         rhos = np.stack([np.kron(p.rho, np.diag([1, 0])) for p in probe_states()])
         want = _exact_mitigated(circuit, rhos, noise)[:, list(dilation.permutation)]

@@ -99,12 +99,9 @@ class TestReconstructPovm:
         # feeding the bundled reconstruction's own statistics back through
         # the inversion must return those matrices exactly
         raw = fixtures.reconstruction("tetrahedral", "postselection")
-        probes = probe_states()
-        table = np.array([[np.vdot(p.vector, m @ p.vector).real for m in raw]
-                          for p in probes])
-        record = TomographyRecord(table, row_atol=5e-3)
-        recon = reconstruct_povm(record)
-        for got, want in zip(recon.effects, raw):
+        for want in raw:
+            freqs = [np.vdot(p.vector, want @ p.vector).real for p in probe_states()]
+            got = reconstruct_effect(freqs).to_matrix()
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_unphysical_is_warned_not_raised(self):
@@ -302,6 +299,15 @@ class TestRecords:
     def test_row_sums_enforced(self):
         with pytest.raises(ValueError, match="sum to 1"):
             TomographyRecord(np.full((4, 3), 0.2))
+
+    def test_nan_rejected(self):
+        table = [[np.nan, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]
+        with pytest.raises(ValueError, match="sum to 1"):
+            TomographyRecord(table)
+
+    def test_four_probes_required(self):
+        with pytest.raises(ValueError, match="4 probes"):
+            TomographyRecord(np.full((3, 2), 0.5))
 
     def test_postselection_renormalizes(self, tetrahedral):
         from povmsim.simulation import build_mq

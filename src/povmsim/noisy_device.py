@@ -24,11 +24,12 @@ from .simulation import (
     postselection_scheme,
 )
 from .tomography import (
+    PROBE_RHOS,
+    PROBE_VECTORS,
     Reconstruction,
     TomographyRecord,
     bias_mitigated_statistics,
     operational_distance,
-    probe_states,
     reconstruct_povm,
 )
 
@@ -232,14 +233,12 @@ def exact_output_distribution(circuit: Circuit, state: QuantumState,
 
 def run_shots(circuit: Circuit, state: QuantumState, noise: NoiseModel,
               shots: int, seed) -> ShotRecord:
-    """Sample readout results; outcomes are register indices."""
+    """Sample readout counts over the register indices, from one multinomial
+    draw; the record's fail count is always 0."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
     probs = exact_output_distribution(circuit, state, noise)
-    rng = _rng(seed)
-    outcomes = rng.choice(probs.size, size=shots, p=probs)
-    return ShotRecord(shots, outcomes.astype(np.int64),
-                      fail_index=probs.size, n_outcomes=probs.size)
+    return ShotRecord(np.append(_rng(seed).multinomial(shots, probs), 0))
 
 
 def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
@@ -560,17 +559,16 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     alloc = np.maximum(proportional_shot_allocation(scheme.weights * scheme.target.dim, cap), 1)
     rng = _rng(seed)
 
-    rhos = np.stack([probe.rho for probe in probe_states()])
-    table = np.zeros((len(rhos), n + 1))
+    table = np.zeros((len(PROBE_RHOS), n + 1))
     shots_total = 0
     for k in range(m):
         shots_k = int(alloc[k])
         mitigated = _mitigated_record(compile_postselection_circuit(scheme.states[k]),
-                                      rhos, noise, shots_k, rng)
+                                      PROBE_RHOS, noise, shots_k, rng)
         # register outcome 0 is "+" -> parent outcome; 1 is the failure slot
         table[:, scheme.parents[k]] += shots_k * mitigated.frequencies[:, 0]
         table[:, n] += shots_k * mitigated.frequencies[:, 1]
-        shots_total += 2 * shots_k * len(rhos)
+        shots_total += 2 * shots_k * len(PROBE_RHOS)
     table /= table.sum(axis=1, keepdims=True)
     record = TomographyRecord(table)
     fraction = float(np.mean(table[:, n]))
@@ -586,9 +584,8 @@ def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed) -> Pipelin
     dilation = naimark_dilation(povm, mode="qubit_register")
     circuit = compile_naimark_circuit(dilation)
     # each system probe joined with the |0> ancilla, in register ordering
-    system = np.stack([p.vector for p in probe_states()])
-    vectors = np.zeros((len(system), dilation.ext_dim), dtype=complex)
-    vectors[:, list(dilation.embedding)] = system
+    vectors = np.zeros((len(PROBE_VECTORS), dilation.ext_dim), dtype=complex)
+    vectors[:, list(dilation.embedding)] = PROBE_VECTORS
     rhos = np.einsum("pi,pj->pij", vectors, vectors.conj())
     mitigated = _mitigated_record(circuit, rhos, noise, cap, _rng(seed))
     # reorder register outcomes into logical outcome order

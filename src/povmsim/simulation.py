@@ -292,24 +292,22 @@ def postselection_scheme(povm: Povm) -> PostselectionScheme:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Raw outcome stream of a sampler run.
+    """Outcome counts of a sampler run: ``outcome_counts[i]`` shots gave
+    target outcome i, and the last entry counts the postselected-away shots."""
 
-    ``outcomes[s]`` is the target-outcome index of shot s, or ``fail_index``
-    for a postselected-away shot.
-    """
+    outcome_counts: np.ndarray
 
-    shots: int
-    outcomes: np.ndarray
-    fail_index: int
-    n_outcomes: int
+    @property
+    def shots(self) -> int:
+        return int(self.outcome_counts.sum())
 
     def counts(self) -> np.ndarray:
-        """Counts over outcomes 0..n_outcomes-1 followed by the fail count."""
-        return np.bincount(self.outcomes, minlength=self.n_outcomes + 1)
+        """Counts over the target outcomes followed by the fail count."""
+        return np.array(self.outcome_counts)
 
     @property
     def success_count(self) -> int:
-        return int(np.sum(self.outcomes != self.fail_index))
+        return self.shots - int(self.outcome_counts[-1])
 
     @property
     def success_rate(self) -> float:
@@ -317,7 +315,7 @@ class ShotRecord:
 
     def conditional_frequencies(self) -> np.ndarray:
         """Frequencies over target outcomes, conditioned on non-failure."""
-        c = self.counts()[: self.n_outcomes]
+        c = self.outcome_counts[:-1]
         total = c.sum()
         if total == 0:
             raise ValueError("no successful shots to condition on")
@@ -326,33 +324,25 @@ class ShotRecord:
 
 def sample_postselection(scheme: PostselectionScheme, state: QuantumState,
                          shots: int, seed) -> ShotRecord:
-    """Sample the postselection protocol on a state: each shot draws a
-    component and then its binary outcome, as the operational protocol does.
-    """
+    """Sample the protocol on a state: each shot draws a component and then
+    its binary outcome.  The same law is drawn as counts, the runs of each
+    component from one multinomial and its "+" count from one binomial, so
+    time and memory grow with the components, not with ``shots``."""
     if state.dim != scheme.target.dim:
         raise ValueError("state dimension does not match the scheme")
     if shots < 1:
         raise ValueError("shots must be at least 1")
     rng = _rng(seed)
     n = scheme.target.n_outcomes
-    comp = rng.choice(scheme.n_components, size=shots, p=scheme.weights)
+    runs = rng.multinomial(shots, scheme.weights / scheme.weights.sum())
     # success probability of component k on this state: <e_k|rho|e_k>
     succ = np.einsum("ki,ij,kj->k", scheme.states.conj(), state.rho,
                      scheme.states).real
-    succ = np.clip(succ, 0.0, 1.0)
-    plus = rng.random(shots) < succ[comp]
-    outcomes = np.where(plus, np.asarray(scheme.parents)[comp], n)
-    return ShotRecord(shots, outcomes.astype(np.int64), n, n)
-
-
-def clock_and_shift(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized X (cyclic shift) and Z (phase clock) on dimension d."""
-    shift = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        shift[(k + 1) % d, k] = 1.0
-    omega = np.exp(2j * np.pi / d)
-    clock = np.diag(omega ** np.arange(d))
-    return shift, clock
+    plus = rng.binomial(runs, np.clip(succ, 0.0, 1.0))
+    counts = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(counts, scheme.parents, plus)
+    counts[n] = shots - counts.sum()
+    return ShotRecord(counts)
 
 
 def hw_covariant_povm(d: int, fiducial: QuantumState) -> tuple[Povm, bool]:
@@ -367,24 +357,20 @@ def hw_covariant_povm(d: int, fiducial: QuantumState) -> tuple[Povm, bool]:
         raise ValueError("fiducial state must be pure")
     if fiducial.dim != d:
         raise ValueError(f"fiducial dimension {fiducial.dim} does not match d={d}")
-    shift, clock = clock_and_shift(d)
-    vectors = []
-    for a in range(d):
-        for b in range(d):
-            vectors.append(np.linalg.matrix_power(shift, a)
-                           @ np.linalg.matrix_power(clock, b) @ fiducial.vector)
-    effects = [np.outer(v, v.conj()) / d for v in vectors]
-    povm = Povm(effects)
+    clock = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    # row a*d + b is X^a Z^b |fiducial>: the cyclic shift X^a is a roll
+    phased = np.stack([np.linalg.matrix_power(clock, b) @ fiducial.vector for b in range(d)])
+    vectors = np.stack([np.roll(phased, a, axis=1) for a in range(d)]).reshape(d * d, d)
+    effects = vectors[:, :, None] * vectors.conj()[:, None, :] / d
+    # one row of pairs (i, j > i) at a time: O(d^4) memory, first commuting pair ends it
     noncommuting = True
-    for i in range(len(effects)):
-        for j in range(i + 1, len(effects)):
-            comm = effects[i] @ effects[j] - effects[j] @ effects[i]
-            if np.max(np.abs(comm)) <= default_atol(d):
-                noncommuting = False
-                break
-        if not noncommuting:
+    for i in range(len(effects) - 1):
+        rest = effects[i + 1:]
+        comm = np.abs(effects[i] @ rest - rest @ effects[i]).max(axis=(1, 2))
+        if np.any(comm <= default_atol(d)):
+            noncommuting = False
             break
-    return povm, noncommuting
+    return Povm(effects), noncommuting
 
 
 def max_success_bound_rank_one(povm: Povm) -> float:

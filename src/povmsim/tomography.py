@@ -35,6 +35,11 @@ def probe_states() -> tuple[QuantumState, ...]:
     return tuple(states[i] for i in (0, 1, 2, 4))
 
 
+# the probes as read-only (4, 2) vector and (4, 2, 2) density stacks, built once
+PROBE_VECTORS = _freeze(np.stack([p.vector for p in probe_states()]))
+PROBE_RHOS = _freeze(np.stack([p.rho for p in probe_states()]))
+
+
 class TomographyRecord:
     """Per-probe outcome frequencies, the raw material of reconstruction.
 

@@ -252,7 +252,7 @@ def test_criterion_9_metric_and_invariant_suite(all_fixture_povms, trine):
     scheme = postselection_scheme(trine)
     r1 = sample_postselection(scheme, state, 20_000, seed=77)
     r2 = sample_postselection(scheme, state, 20_000, seed=77)
-    assert np.array_equal(r1.outcomes, r2.outcomes)
+    assert np.array_equal(r1.counts(), r2.counts())
     c1 = compare_schemes(trine, NoiseModel.preset("ibmx4-like"), shots=5_000, seed=4)
     c2 = compare_schemes(trine, NoiseModel.preset("ibmx4-like"), shots=5_000, seed=4)
     assert c1.d_op_naimark == c2.d_op_naimark

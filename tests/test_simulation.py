@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from povmsim.core import (
     InvariantViolation,
@@ -313,15 +314,17 @@ class TestSampler:
         scheme = postselection_scheme(Povm([np.eye(2)]))
         record = sample_postselection(scheme, QuantumState.maximally_mixed(2),
                                       10_000, seed=1)
-        kept = record.outcomes[record.outcomes != record.fail_index]
-        assert np.all(kept == 0)
+        counts = record.counts()
+        assert counts.shape == (2,)  # outcome 0 and the fail count, nothing else
+        assert counts[0] + counts[-1] == 10_000
+        assert counts[0] == record.success_count > 0
 
     def test_determinism(self, trine):
         scheme = postselection_scheme(trine)
         state = QuantumState.maximally_mixed(2)
         a = sample_postselection(scheme, state, 5000, seed=99)
         b = sample_postselection(scheme, state, 5000, seed=99)
-        assert np.array_equal(a.outcomes, b.outcomes)
+        assert np.array_equal(a.counts(), b.counts())
 
     def test_fast_path_distribution_matches(self, tetrahedral):
         scheme = postselection_scheme(tetrahedral)
@@ -345,6 +348,44 @@ class TestSampler:
                 rates.append(p[:n].sum())
             assert np.max(np.abs(np.array(rates) - 1 / povm.dim)) < 1e-9
 
+    @pytest.mark.parametrize("name", ["tetrahedral", "trine", "random4"])
+    def test_counts_follow_the_closed_form_law(self, name, all_fixture_povms):
+        # outcome i with probability tr(M_i rho)/d, failure with 1 - 1/d
+        povm = all_fixture_povms[name]
+        scheme = postselection_scheme(povm)
+        shots = 200_000
+        for seed, state in enumerate(pauli_eigenstates()):
+            counts = sample_postselection(scheme, state, shots, seed).counts()
+            law = np.append(born_probabilities(state, povm) / povm.dim, 1 - 1 / povm.dim)
+            assert counts.sum() == shots
+            possible = law > 1e-12
+            assert np.all(counts[~possible] == 0)
+            result = chisquare(counts[possible], shots * law[possible] / law[possible].sum())
+            assert result.pvalue > 1e-6, (name, seed, counts, law)
+
+    def test_huge_shot_count_allocates_nothing_per_shot(self, trine):
+        shots = 10 ** 12
+        record = sample_postselection(postselection_scheme(trine),
+                                      QuantumState.basis_state(2, 0), shots, seed=4)
+        assert record.shots == shots and int(record.counts().sum()) == shots
+        q = 1 / 2
+        assert abs(record.success_count - shots * q) <= 5 * np.sqrt(shots * q * (1 - q))
+
+    def test_one_shot(self, tetrahedral):
+        record = sample_postselection(postselection_scheme(tetrahedral),
+                                      QuantumState.basis_state(2, 1), 1, seed=0)
+        assert record.counts().shape == (5,)
+        assert record.shots == record.counts().sum() == 1
+
+    def test_orthogonal_state_never_yields_that_component(self, trine):
+        scheme = postselection_scheme(trine)
+        e = scheme.states[0]
+        state = QuantumState.pure([-np.conj(e[1]), np.conj(e[0])])  # <e|state> = 0
+        assert list(scheme.parents).count(scheme.parents[0]) == 1
+        counts = sample_postselection(scheme, state, 1_000_000, seed=8).counts()
+        assert counts[scheme.parents[0]] == 0
+        assert np.all(np.delete(counts, scheme.parents[0]) > 0)
+
 
 class TestHwCovariant:
     def test_completeness_many_fiducials(self):
@@ -366,6 +407,12 @@ class TestHwCovariant:
         povm, noncommuting = hw_covariant_povm(3, haar_random_pure_state(3, 123))
         assert povm.n_outcomes == 9
         assert noncommuting
+
+    def test_d16_smoke(self):
+        # every pair is checked for a generic fiducial; a basis fiducial stops early
+        povm, noncommuting = hw_covariant_povm(16, haar_random_pure_state(16, 5))
+        assert povm.n_outcomes == 256 and noncommuting
+        assert not hw_covariant_povm(16, QuantumState.basis_state(16, 0))[1]
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):

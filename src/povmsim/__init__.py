@@ -6,7 +6,6 @@ from .core import (
     BlochVector,
     InvariantViolation,
     Povm,
-    ProjectiveMeasurement,
     QuantumState,
     born_probabilities,
     haar_random_pure_state,

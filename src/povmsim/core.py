@@ -327,37 +327,6 @@ class Povm:
         return f"{type(self).__name__}(dim={self.dim}, outcomes={self.n_outcomes})"
 
 
-class ProjectiveMeasurement(Povm):
-    """A POVM whose effects are mutually orthogonal projectors.
-
-    Null effects are allowed; idempotence and pairwise orthogonality are
-    enforced within the POVM tolerance.
-    """
-
-    def __init__(self, effects: Iterable, labels: Sequence[str] | None = None):
-        super().__init__(effects, labels=labels)
-        for i, p in enumerate(self):
-            defect = float(np.max(np.abs(p @ p - p)))
-            if defect > self.atol:
-                raise InvariantViolation("idempotence", defect,
-                                         f"effect {i} is not a projector (P^2 != P by {defect:.3e})")
-        for i in range(self.n_outcomes):
-            for j in range(i + 1, self.n_outcomes):
-                defect = float(np.max(np.abs(self[i] @ self[j])))
-                if defect > self.atol:
-                    raise InvariantViolation("orthogonality", defect,
-                                             f"effects {i},{j} are not orthogonal")
-
-    @classmethod
-    def computational_basis(cls, dim: int) -> "ProjectiveMeasurement":
-        effects = []
-        for k in range(dim):
-            p = np.zeros((dim, dim), dtype=complex)
-            p[k, k] = 1.0
-            effects.append(p)
-        return cls(effects)
-
-
 class BlochVector:
     """A qubit matrix in the form (alpha/2)(1 + n.sigma), alpha > 0.
 

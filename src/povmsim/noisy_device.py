@@ -25,7 +25,6 @@ from .simulation import (
 )
 from .tomography import (
     PROBE_RHOS,
-    PROBE_VECTORS,
     Reconstruction,
     TomographyRecord,
     bias_mitigated_statistics,
@@ -497,8 +496,8 @@ def compile_postselection_circuit(projector_direction) -> Circuit:
 
 
 def compile_naimark_circuit(dilation: NaimarkDilation) -> Circuit:
-    """Two-qubit circuit for a 4x4 dilation unitary (system = qubit 0,
-    ancilla = qubit 1 prepared in |0>); :func:`two_qubit_gate_sequence`
+    """Two-qubit circuit for a 4x4 dilation unitary (ancilla = qubit 0
+    prepared in |0>, system = qubit 1); :func:`two_qubit_gate_sequence`
     has checked the gates against the unitary."""
     if dilation.ext_dim != 4:
         raise ValueError("circuit compilation needs a 4x4 (two-qubit) dilation")
@@ -583,13 +582,10 @@ def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed) -> Pipelin
     x-gate configurations, average, and reconstruct all register outcomes."""
     dilation = naimark_dilation(povm, mode="qubit_register")
     circuit = compile_naimark_circuit(dilation)
-    # each system probe joined with the |0> ancilla, in register ordering
-    vectors = np.zeros((len(PROBE_VECTORS), dilation.ext_dim), dtype=complex)
-    vectors[:, list(dilation.embedding)] = PROBE_VECTORS
-    rhos = np.einsum("pi,pj->pij", vectors, vectors.conj())
-    mitigated = _mitigated_record(circuit, rhos, noise, cap, _rng(seed))
-    # reorder register outcomes into logical outcome order
-    record = TomographyRecord(mitigated.frequencies[:, list(dilation.permutation)])
+    # each system probe on qubit 1, joined with the |0> ancilla on qubit 0
+    rhos = np.zeros((len(PROBE_RHOS), dilation.ext_dim, dilation.ext_dim), dtype=complex)
+    rhos[:, :2, :2] = PROBE_RHOS
+    record = _mitigated_record(circuit, rhos, noise, cap, _rng(seed))
     reconstruction = reconstruct_povm(record)
     residual = float(sum(b.alpha for b in reconstruction.bloch[povm.n_outcomes:]
                          if b is not None))

@@ -290,7 +290,7 @@ def postselection_scheme(povm: Povm) -> PostselectionScheme:
     return PostselectionScheme(povm, parts.vectors, parts.weights / povm.dim, parts.parents)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotRecord:
     """Outcome counts of a sampler run: ``outcome_counts[i]`` shots gave
     target outcome i, and the last entry counts the postselected-away shots."""

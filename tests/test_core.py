@@ -10,7 +10,6 @@ from povmsim.core import (
     BlochVector,
     InvariantViolation,
     Povm,
-    ProjectiveMeasurement,
     QuantumState,
     as_operator,
     born_probabilities,
@@ -172,21 +171,6 @@ class TestPovmValidation:
         m = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(InvariantViolation, match="herm"):
             Povm([m, np.eye(2) - m])
-
-    def test_projective_rejects_non_idempotent(self, tetrahedral):
-        with pytest.raises(InvariantViolation, match="idempotence"):
-            ProjectiveMeasurement(tetrahedral.effects)
-
-    def test_projective_rejects_non_orthogonal(self):
-        p = np.diag([1.0, 0.0])
-        q = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(InvariantViolation):
-            ProjectiveMeasurement([p, q, np.eye(2) - p - q])
-
-    def test_projective_allows_null_effects(self):
-        p = np.diag([1.0, 0.0])
-        pm = ProjectiveMeasurement([p, np.zeros((2, 2)), np.eye(2) - p])
-        assert pm.n_outcomes == 3
 
     def test_effects_readonly(self, tetrahedral):
         with pytest.raises(ValueError):

@@ -237,12 +237,15 @@ class TestNaimarkCircuit:
         circuit = compile_naimark_circuit(dilation)
         for probe in pauli_eigenstates():
             want = dilated_statistics(dilation, probe)
-            vec = np.zeros(4, dtype=complex)
-            vec[[0, 2]] = probe.vector
-            got_register = exact_output_distribution(circuit, QuantumState.pure(vec),
-                                                     NoiseModel())
-            got = got_register[list(dilation.permutation)]
+            # ancilla = qubit 0 in |0>, system = qubit 1
+            state = QuantumState.pure(np.kron([1, 0], probe.vector))
+            got = exact_output_distribution(circuit, state, NoiseModel())
             assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_fixture_circuits_keep_their_cnot_counts(self, all_fixture_povms):
+        counts = {name: compile_naimark_circuit(naimark_dilation(povm, mode="qubit_register"))
+                  .cnot_count for name, povm in all_fixture_povms.items()}
+        assert counts == {"tetrahedral": 3, "trine": 2, "random4": 3}
 
     def test_identity_dilation_keeps_ancilla(self):
         circuit = Circuit(2)  # empty gate list
@@ -418,7 +421,7 @@ class TestBatchedEvolution:
     def test_exact_distribution_is_a_row_of_the_batched_pass(self, trine):
         circuit = compile_naimark_circuit(naimark_dilation(trine, mode="qubit_register"))
         noise = NoiseModel.preset("ibmx4-like")
-        states = [QuantumState.pure(np.kron(p.vector, [1, 0])) for p in pauli_eigenstates()]
+        states = [QuantumState.pure(np.kron([1, 0], p.vector)) for p in pauli_eigenstates()]
         rhos = np.stack([s.rho for s in states])
         batched = _readout(_evolve(circuit.gates, 2, rhos, noise), 2, noise.readout_bias)
         # a stack of one and a stack of six may take different matmul kernels
@@ -430,7 +433,7 @@ class TestBatchedEvolution:
         noise = NoiseModel(cnot_depolarizing=0.05, su2_depolarizing=0.01, readout_bias=0.1)
         if two_qubit:
             circuit = compile_naimark_circuit(naimark_dilation(trine, mode="qubit_register"))
-            rhos = np.stack([np.kron(p.rho, np.diag([1, 0])) for p in probe_states()])
+            rhos = np.stack([np.kron(np.diag([1, 0]), p.rho) for p in probe_states()])
         else:
             circuit = compile_postselection_circuit([np.cos(0.4), np.exp(0.3j) * np.sin(0.4)])
             rhos = np.stack([p.rho for p in probe_states()])
@@ -448,9 +451,9 @@ class TestBatchedEvolution:
         circuit = compile_naimark_circuit(dilation)
         shots = 100_000
         result = naimark_tomography(trine, noise, cap=shots, seed=5)
-        assert list(dilation.embedding) == [0, 2]  # the ancilla is qubit 1, in |0>
-        rhos = np.stack([np.kron(p.rho, np.diag([1, 0])) for p in probe_states()])
-        want = _exact_mitigated(circuit, rhos, noise)[:, list(dilation.permutation)]
+        # the ancilla is qubit 0, in |0>; register outcome i is logical outcome i
+        rhos = np.stack([np.kron(np.diag([1, 0]), p.rho) for p in probe_states()])
+        want = _exact_mitigated(circuit, rhos, noise)
         sigma = np.sqrt(want * (1 - want) / (4 * shots))  # as above, four variants
         got = result.record.frequencies
         assert np.all(np.abs(got - want) <= 5 * np.maximum(sigma, 1e-9))

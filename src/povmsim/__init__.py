@@ -3,7 +3,6 @@ measurements, classical randomness, and postselection, plus the Naimark
 baseline, state-discrimination bounds, and noisy-device tomography."""
 
 from .core import (
-    BlochVector,
     InvariantViolation,
     Povm,
     QuantumState,
@@ -52,7 +51,6 @@ from .tomography import (
     bias_mitigated_statistics,
     operational_distance,
     probe_states,
-    reconstruct_effect,
     reconstruct_povm,
 )
 from .usd import (

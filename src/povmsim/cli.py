@@ -104,13 +104,10 @@ def _emit(payload: dict, config: dict, args) -> None:
                "config": config,
                "config_hash": _config_hash(config),
                **payload}
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, default=_jsonable)
-    elif fmt == "csv":
+    if args.format == "csv":
         text = _payload_csv(payload)
     else:
-        raise UsageError(f"unknown format {fmt!r}")
+        text = json.dumps(payload, indent=2, default=_jsonable)
     out = getattr(args, "out", None)
     if out:
         out_dir = os.environ.get("POVMSIM_OUTPUT_DIR", "")

@@ -20,8 +20,6 @@ TOLERANCE_SCALE = 1e-9
 NORM_ATOL = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def default_atol(dim: int) -> float:
@@ -90,14 +88,21 @@ def require_hermitian(m: np.ndarray, atol: float, name: str = "matrix") -> np.nd
     return (m + m.conj().T) / 2
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray | None:
+    """(m + m^dagger) / 2 of an (..., d, d) stack when m is Hermitian within
+    default_atol(d), else None."""
+    hermitian = (m + m.conj().swapaxes(-1, -2)) / 2
+    return hermitian if 2 * np.max(np.abs(m - hermitian)) <= default_atol(m.shape[-1]) else None
+
+
 def operator_norm(matrix) -> float:
     """Largest absolute eigenvalue for Hermitian input, else largest singular
     value; for an (..., d, d) stack, the largest over all its matrices."""
     m = as_operator(matrix, stack=True)
-    hermitian = (m + m.conj().swapaxes(-1, -2)) / 2
-    if 2 * np.max(np.abs(m - hermitian)) <= default_atol(m.shape[-1]):
-        return float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))
-    return float(np.max(np.linalg.svd(m, compute_uv=False)))
+    hermitian = hermitian_part(m)
+    if hermitian is None:
+        return float(np.max(np.linalg.svd(m, compute_uv=False)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))
 
 
 def min_eigenvalue(matrix) -> float:
@@ -327,51 +332,6 @@ class Povm:
         return f"{type(self).__name__}(dim={self.dim}, outcomes={self.n_outcomes})"
 
 
-class BlochVector:
-    """A qubit matrix in the form (alpha/2)(1 + n.sigma), alpha > 0.
-
-    It is a valid effect when its eigenvalues alpha(1 -+ |n|)/2 lie in
-    [0, 1] (see :attr:`physical`); a reconstruction may give one that is not.
-    """
-
-    def __init__(self, alpha: float, n: Sequence[float]):
-        self.alpha = float(alpha)
-        self.n = _freeze(np.asarray(n, dtype=float).reshape(3))
-        if not self.alpha > 0:
-            raise InvariantViolation("effect weight", abs(self.alpha),
-                                     f"alpha must be positive, got {self.alpha}")
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.n))
-
-    @property
-    def physical(self) -> bool:
-        """True when the matrix is a valid effect: |n| <= 1 and its largest
-        eigenvalue alpha(1 + |n|)/2 <= 1 (implied by |n| <= 1 when alpha <= 1)."""
-        return self.length <= 1 + 1e-9 and self.alpha * (1 + self.length) / 2 <= 1 + 1e-9
-
-    def to_matrix(self) -> np.ndarray:
-        nx, ny, nz = self.n
-        return (self.alpha / 2) * (np.eye(2) + nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z)
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "BlochVector":
-        m = require_hermitian(as_operator(matrix, "qubit effect"), default_atol(2))
-        if m.shape[0] != 2:
-            raise ValueError("Bloch parametrization needs a 2x2 matrix")
-        alpha = float(np.trace(m).real)
-        if alpha <= 0:
-            raise InvariantViolation("effect weight", abs(alpha), "effect has non-positive trace")
-        n = np.array([np.trace(m @ PAULI_X).real,
-                      np.trace(m @ PAULI_Y).real,
-                      np.trace(m @ PAULI_Z).real]) / alpha
-        return cls(alpha, n)
-
-    def __repr__(self) -> str:
-        return f"BlochVector(alpha={self.alpha:.6f}, n={tuple(np.round(self.n, 6))})"
-
-
 def born_probabilities(state: QuantumState, povm: Povm) -> np.ndarray:
     """Outcome distribution tr(M_i rho) with round-off clamping.
 
@@ -431,10 +391,8 @@ def random_rank_one_povm(dim: int, n_outcomes: int, seed) -> Povm:
     """
     if n_outcomes < dim:
         raise ValueError("need at least dim outcomes for a rank-one POVM")
-    u = haar_random_unitary(n_outcomes, seed)
-    rows = u[:dim, :]
-    effects = [np.outer(rows[:, i], rows[:, i].conj()) for i in range(n_outcomes)]
-    return Povm(effects)
+    columns = haar_random_unitary(n_outcomes, seed)[:dim, :].T
+    return Povm(columns[:, :, None] * columns.conj()[:, None, :])
 
 
 def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
@@ -442,6 +400,8 @@ def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
     if rank < 1:
         raise ValueError("rank must be positive")
     fine = random_rank_one_povm(dim, n_outcomes * rank, seed)
+    if rank == 1:
+        return fine
     return Povm(fine.stack.reshape(n_outcomes, rank, dim, dim).sum(axis=1))
 
 

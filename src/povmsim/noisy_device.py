@@ -587,8 +587,8 @@ def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed) -> Pipelin
     rhos[:, :2, :2] = PROBE_RHOS
     record = _mitigated_record(circuit, rhos, noise, cap, _rng(seed))
     reconstruction = reconstruct_povm(record)
-    residual = float(sum(b.alpha for b in reconstruction.bloch[povm.n_outcomes:]
-                         if b is not None))
+    padding = np.stack(reconstruction.effects)[povm.n_outcomes:]
+    residual = float(np.trace(padding, axis1=1, axis2=2).real.sum())
     return PipelineResult(record, reconstruction, residual_mass=residual,
                           shots_total=4 * cap * len(rhos))
 

@@ -2,9 +2,10 @@
 distance used to score implementations against their targets.
 
 The probe set is the four Pauli eigenstates |0>, |1>, |x+>, |y+>:
-informationally complete for the weight/Bloch-vector parametrization of a
-qubit effect.  Inversion is deliberately unconstrained; unphysical results
-are reported, never projected away.
+informationally complete for qubit effects, so the four probe frequencies
+of each outcome fix its 2x2 effect by one linear map, applied to all
+outcomes at once.  Inversion is deliberately unconstrained; effects with an
+eigenvalue outside [0, 1] are reported, never projected away.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PAULI_X,
-    PAULI_Y,
-    BlochVector,
     Povm,
     QuantumState,
     _freeze,
     as_operator,
+    hermitian_part,
     operator_norm,
     pauli_eigenstates,
 )
@@ -82,37 +81,11 @@ class TomographyRecord:
         return f"TomographyRecord(outcomes={self.n_outcomes})"
 
 
-def reconstruct_effect(freqs) -> BlochVector:
-    """Invert one outcome's probe frequencies to (alpha, n).
-
-    alpha = p(z0) + p(z1); n_z = (p(z0) - p(z1)) / alpha;
-    n_x = 2 p(x+) / alpha - 1; n_y = 2 p(y+) / alpha - 1.
-    """
-    p = np.asarray(freqs, dtype=float).reshape(-1)
-    if p.size != 4:
-        raise ValueError("need frequencies for the four probes z0, z1, x+, y+")
-    if np.min(p) < 0 or np.max(p) > 1 + 1e-12:
-        raise ValueError("frequencies must lie in [0, 1]")
-    alpha = p[0] + p[1]
-    if alpha <= 0:
-        raise ValueError("effect weight alpha = p(z0) + p(z1) must be positive")
-    n = np.array([2 * p[2] / alpha - 1,
-                  2 * p[3] / alpha - 1,
-                  (p[0] - p[1]) / alpha])
-    return BlochVector(alpha, n)
-
-
 @dataclass(frozen=True)
 class Reconstruction:
-    """Linear-inversion output: effects plus physicality diagnostics.
-
-    ``bloch[i]`` is ``None`` for an outcome that never fired (zero effect)
-    and for one that fired only on the x+ and y+ probes: its weight alpha is
-    0, so it has no Bloch form, and it is flagged unphysical.
-    """
+    """Linear-inversion output: effects plus physicality diagnostics."""
 
     effects: tuple[np.ndarray, ...]
-    bloch: tuple[BlochVector | None, ...]
     completeness_defect: float
     unphysical_outcomes: tuple[int, ...]
 
@@ -128,35 +101,25 @@ class Reconstruction:
 def reconstruct_povm(record: TomographyRecord) -> Reconstruction:
     """Reconstruct every effect of a qubit measurement from a record.
 
-    Outcomes that are not valid effects (see :attr:`BlochVector.physical`,
-    and the alpha = 0 case of :class:`Reconstruction`) are flagged as
-    unphysical but kept as-is; the completeness defect ||sum M_i - 1|| is
-    reported rather than corrected.
+    With t = (p(z0) + p(z1)) / 2, effect i has diagonal p(z0), p(z1) and
+    off-diagonal entry p(x+) - t - i (p(y+) - t); an outcome that never
+    fired (no frequency above 1e-12) is the zero effect.  The eigenvalues of
+    an effect are t -+ r with r = hypot(|M_01|, (p(z0) - p(z1)) / 2); an
+    outcome with one outside [0, 1] is flagged as unphysical but kept as-is.
+    The completeness defect ||sum M_i - 1|| is reported rather than corrected.
     """
-    bloch = []
-    effects = []
-    warned = []
-    for i in range(record.n_outcomes):
-        column = record.frequencies[:, i]
-        if np.max(column) <= 1e-12:
-            # outcome never fired on any probe: a null effect
-            bloch.append(None)
-            effects.append(np.zeros((2, 2), dtype=complex))
-            continue
-        if column[0] + column[1] <= 0:
-            # the traceless inversion p(x+) X + p(y+) Y has a negative eigenvalue
-            bloch.append(None)
-            effects.append(column[2] * PAULI_X + column[3] * PAULI_Y)
-            warned.append(i)
-            continue
-        b = reconstruct_effect(column)
-        bloch.append(b)
-        effects.append(b.to_matrix())
-        if not b.physical:
-            warned.append(i)
-    defect = operator_norm(sum(effects) - np.eye(2))
-    return Reconstruction(tuple(_freeze(e) for e in effects), tuple(bloch),
-                          float(defect), tuple(warned))
+    f = record.frequencies
+    z0, z1, x, y = np.where(f.max(axis=0) > 1e-12, f, 0.0)
+    t = (z0 + z1) / 2
+    off = x - t - 1j * (y - t)
+    effects = np.empty((record.n_outcomes, 2, 2), dtype=complex)
+    effects[:, 0, 0], effects[:, 1, 1] = z0, z1
+    effects[:, 0, 1], effects[:, 1, 0] = off, off.conj()
+    r = np.hypot(np.abs(off), (z0 - z1) / 2)
+    unphysical = (r > t * (1 + 1e-9)) | (t + r > 1 + 1e-9)
+    defect = operator_norm(effects.sum(axis=0) - np.eye(2))
+    return Reconstruction(tuple(_freeze(effects)), defect,
+                          tuple(np.flatnonzero(unphysical).tolist()))
 
 
 def _effect_list(povm):
@@ -188,11 +151,17 @@ def operational_distance(m, n) -> float:
     zero = np.zeros((dim, dim), dtype=complex)
     ms = ms + [zero] * (k - len(ms))
     ns = ns + [zero] * (k - len(ns))
-    diffs = np.stack([a - b for a, b in zip(ms, ns)])
+    diffs = as_operator(np.stack([a - b for a, b in zip(ms, ns)]), "effect differences",
+                        stack=True)
     complete_pair = float(np.max(np.abs(diffs.sum(axis=0)))) <= 1e-12
+    hermitian = hermitian_part(diffs)
+    if hermitian is None:  # each block takes operator_norm's singular-value path
+        norm = operator_norm
+    else:  # sums of the symmetrised differences are exactly Hermitian
+        diffs, norm = hermitian, lambda block: np.abs(np.linalg.eigvalsh(block)).max()
     base, free = (diffs[0], diffs[1:]) if complete_pair else (zero, diffs)
     bits = max(1, (SUBSET_BLOCK_ELEMENTS // dim ** 2).bit_length() - 1)
-    return max(operator_norm(block) for block in _subset_sum_blocks(free, base, bits))
+    return float(max(norm(block) for block in _subset_sum_blocks(free, base, bits)))
 
 
 def _subset_sum_blocks(parts, base, bits):

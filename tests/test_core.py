@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from povmsim import core
 from povmsim.core import (
     NORM_ATOL,
-    BlochVector,
     InvariantViolation,
     Povm,
     QuantumState,
@@ -15,6 +15,7 @@ from povmsim.core import (
     born_probabilities,
     default_atol,
     haar_random_pure_state,
+    haar_random_unitary,
     haar_random_vectors,
     min_eigenvalue,
     operator_norm,
@@ -26,7 +27,9 @@ from povmsim.core import (
     require_hermitian,
     state_from_document,
     state_to_document,
+    validate_effects,
 )
+from povmsim.tomography import TomographyRecord, probe_states, reconstruct_povm
 
 
 class TestBornProbabilities:
@@ -273,45 +276,61 @@ class TestBatchedValidation:
         assert Povm(m for m in tetrahedral.effects).allclose(tetrahedral, atol=0.0)
 
 
+def _bloch_effect(alpha, n) -> np.ndarray:
+    """The qubit matrix (alpha / 2)(1 + n.sigma) of weight alpha and Bloch vector n."""
+    nx, ny, nz = n
+    return alpha / 2 * np.array([[1 + nz, nx - 1j * ny], [nx + 1j * ny, 1 - nz]])
+
+
+def _inverted(m):
+    """Effect 0 and whether it is flagged unphysical, reconstructed from the
+    two-outcome record [p, 1 - p] of the probe frequencies p of ``m``."""
+    p = np.array([np.vdot(s.vector, m @ s.vector).real for s in probe_states()])
+    recon = reconstruct_povm(TomographyRecord(np.column_stack([p, 1 - p])))
+    return recon.effects[0], 0 in recon.unphysical_outcomes
+
+
 class TestBlochVector:
+    """Effects in weight / Bloch-vector form through the four-probe inversion."""
+
     def test_round_trip_fixture_effects(self, tetrahedral, trine):
         for povm in (tetrahedral, trine):
             for m in povm.effects:
-                back = BlochVector.from_matrix(m).to_matrix()
+                back, unphysical = _inverted(m)
                 assert np.max(np.abs(back - m)) < 1e-12
+                assert not unphysical
 
     def test_round_trip_random_effects(self):
-        # the (alpha, n) parametrization covers effects of trace in (0, 1]
+        # the linear inversion covers every effect, whatever its trace
         rng = np.random.default_rng(9)
         for _ in range(25):
             povm = random_povm(2, 3, rng, rank=2)
             for m in povm.effects:
-                alpha = np.trace(m).real
-                if not 1e-6 < alpha <= 1.0:
-                    continue
-                back = BlochVector.from_matrix(m).to_matrix()
+                back, unphysical = _inverted(m)
                 assert np.max(np.abs(back - m)) < 1e-12
+                assert not unphysical
 
     def test_unit_ball_flag(self):
-        assert BlochVector(0.5, [0, 0, 1]).physical
-        assert not BlochVector(0.5, [0, 0, 1.1]).physical
-
-    def test_weight_range(self):
-        with pytest.raises(InvariantViolation):
-            BlochVector(0.0, [0, 0, 0])
+        assert not _inverted(_bloch_effect(0.5, [0, 0, 1]))[1]
+        # |n| = 1.1; along z its probe frequency p(z1) would be negative
+        assert _inverted(_bloch_effect(0.5, [0.6, 0.6, 0.7]))[1]
 
     @pytest.mark.parametrize("alpha, n, physical", [
         (1.5, [0, 0, 0], True),       # 0.75 * 1
         (1.5, [0, 0, 1 / 3], True),   # eigenvalues 1 and 0.5
-        (1.5, [0, 0, 0.5], False),    # largest eigenvalue 1.125
+        # largest eigenvalue 1.125; |n| = 1/2 turned off the z axis, where
+        # p(z0) = 1.125 is no frequency
+        (1.5, [1 / 3, 1 / 3, -1 / 6], False),
         (2.0, [0, 0, 0], True),       # the identity
         (1.0, [0, 0.6, 0.8], True),   # a rank-one projector
         (1.0, [0, 0.6, 0.81], False),
     ])
     def test_physical_means_valid_effect(self, alpha, n, physical):
-        b = BlochVector(alpha, n)
-        assert b.physical == physical
-        evs = np.linalg.eigvalsh(b.to_matrix())
+        m = _bloch_effect(alpha, n)
+        back, unphysical = _inverted(m)
+        assert np.max(np.abs(back - m)) < 1e-12
+        assert unphysical != physical
+        evs = np.linalg.eigvalsh(back)
         assert (evs[0] >= -1e-12 and evs[-1] <= 1 + 1e-12) == physical
 
 
@@ -326,6 +345,16 @@ class TestRandomPovms:
     def test_needs_enough_outcomes(self):
         with pytest.raises(ValueError):
             random_rank_one_povm(3, 2, 0)
+
+    def test_stack_is_the_outer_products_validated_once(self, monkeypatch):
+        rows = haar_random_unitary(5, 4)[:3]
+        want = Povm([np.outer(rows[:, i], rows[:, i].conj()) for i in range(5)]).stack
+        calls = []
+        monkeypatch.setattr(core, "validate_effects",
+                            lambda *a: calls.append(1) or validate_effects(*a))
+        povm = random_povm(3, 5, 4)
+        assert np.array_equal(povm.stack, want)  # bit for bit
+        assert len(calls) == 1
 
 
 class TestSerialization:

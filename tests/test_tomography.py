@@ -21,7 +21,6 @@ from povmsim.tomography import (
     bias_mitigated_statistics,
     operational_distance,
     probe_states,
-    reconstruct_effect,
     reconstruct_povm,
 )
 
@@ -54,27 +53,80 @@ def _any_povm(dim, n_outcomes, seed):
     return random_povm(dim, n_outcomes, seed, rank=-(-dim // n_outcomes))
 
 
+def _probe_frequencies(m) -> np.ndarray:
+    """p(z0), p(z1), p(x+), p(y+): the Born values of ``m`` on the probes."""
+    return np.array([np.vdot(p.vector, m @ p.vector).real for p in probe_states()])
+
+
+def _reconstructed_effect(freqs) -> np.ndarray:
+    """Effect 0 reconstructed from the two-outcome record [p, 1 - p]."""
+    p = np.asarray(freqs, dtype=float)
+    return reconstruct_povm(TomographyRecord(np.column_stack([p, 1 - p]))).effects[0]
+
+
+def _reference_inversion(record: TomographyRecord):
+    """Effects and unphysical outcomes by the (alpha, n) parametrization,
+    one outcome at a time: alpha = p(z0) + p(z1), n_z = (p(z0) - p(z1)) /
+    alpha, n_x = 2 p(x+) / alpha - 1, n_y = 2 p(y+) / alpha - 1, and the
+    effect (alpha / 2)(1 + n.sigma) is valid when |n| <= 1 and its largest
+    eigenvalue alpha (1 + |n|) / 2 <= 1.  An outcome that never fired is the
+    zero effect; one with alpha = 0 is p(x+) X + p(y+) Y and unphysical."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    effects, unphysical = [], []
+    for i, p in enumerate(record.frequencies.T):
+        if np.max(p) <= 1e-12:
+            effects.append(np.zeros((2, 2), dtype=complex))
+            continue
+        alpha = p[0] + p[1]
+        if alpha <= 0:
+            effects.append(p[2] * x + p[3] * y)
+            unphysical.append(i)
+            continue
+        n = np.array([2 * p[2] / alpha - 1, 2 * p[3] / alpha - 1, (p[0] - p[1]) / alpha])
+        effects.append((alpha / 2) * (np.eye(2) + n[0] * x + n[1] * y + n[2] * z))
+        length = np.linalg.norm(n)
+        if not (length <= 1 + 1e-9 and alpha * (1 + length) / 2 <= 1 + 1e-9):
+            unphysical.append(i)
+    return np.array(effects), tuple(unphysical)
+
+
+def _reference_records(rng, count):
+    """``count`` records of 2-5 outcomes: Dirichlet rows, low-shot
+    multinomial rows and sparse rows in turn, and every tenth record the
+    exact statistics of a random POVM of rank 1 or 2."""
+    for i in range(count):
+        n = int(rng.integers(2, 6))
+        if i % 10 == 9:
+            yield TomographyRecord.from_born(random_povm(2, n, rng, rank=int(rng.integers(1, 3))))
+        elif i % 3 == 0:
+            yield TomographyRecord(rng.dirichlet(np.ones(n), size=4))
+        elif i % 3 == 1:
+            shots = int(rng.integers(1, 9))
+            yield TomographyRecord(rng.multinomial(shots, rng.dirichlet(np.ones(n), size=4))
+                                   / shots)
+        else:
+            rows = rng.dirichlet(np.ones(n), size=4) * (rng.random((4, n)) < 0.5)
+            rows[np.arange(4), rng.integers(0, n, 4)] += 0.1  # no row left empty
+            yield TomographyRecord(rows / rows.sum(axis=1, keepdims=True))
+
+
 class TestReconstructEffect:
     def test_tetrahedral_second_effect(self, tetrahedral):
-        m2 = tetrahedral.effects[1]
-        freqs = [np.vdot(p.vector, m2 @ p.vector).real for p in probe_states()]
-        bloch = reconstruct_effect(freqs)
-        assert bloch.alpha == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(bloch.n, [2 * np.sqrt(2) / 3, 0.0, -1 / 3], atol=1e-12)
+        got = _reconstructed_effect(_probe_frequencies(tetrahedral.effects[1]))
+        # weight 1/2 and Bloch vector (2 sqrt 2 / 3, 0, -1/3)
+        want = np.array([[1 / 3, np.sqrt(2) / 3], [np.sqrt(2) / 3, 2 / 3]]) / 2
+        assert np.trace(got).real == pytest.approx(0.5, abs=1e-12)
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_isotropic_effect(self):
-        bloch = reconstruct_effect([0.5, 0.5, 0.5, 0.5])
-        assert bloch.alpha == pytest.approx(1.0)
-        assert np.max(np.abs(bloch.n)) < 1e-12
+        got = _reconstructed_effect([0.5, 0.5, 0.5, 0.5])
+        assert np.max(np.abs(got - np.eye(2) / 2)) < 1e-12
 
     def test_zero_projector(self):
-        bloch = reconstruct_effect([1.0, 0.0, 0.5, 0.5])
-        assert bloch.alpha == pytest.approx(1.0)
-        assert np.allclose(bloch.n, [0, 0, 1], atol=1e-12)
-
-    def test_no_counts_is_an_error(self):
-        with pytest.raises(ValueError, match="alpha"):
-            reconstruct_effect([0.0, 0.0, 0.5, 0.5])
+        got = _reconstructed_effect([1.0, 0.0, 0.5, 0.5])
+        assert np.max(np.abs(got - np.diag([1.0, 0.0]))) < 1e-12
 
 
 class TestReconstructPovm:
@@ -88,21 +140,36 @@ class TestReconstructPovm:
 
     def test_round_trip_random_povms(self):
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            povm = random_povm(2, int(rng.integers(2, 6)), rng, rank=1)
-            record = TomographyRecord.from_born(povm)
-            recon = reconstruct_povm(record)
-            for got, want in zip(recon.effects, povm.effects):
-                assert np.max(np.abs(got - want)) < 1e-10
+        for rank in (1, 2):
+            for _ in range(50):
+                povm = random_povm(2, int(rng.integers(2, 6)), rng, rank=rank)
+                record = TomographyRecord.from_born(povm)
+                recon = reconstruct_povm(record)
+                for got, want in zip(recon.effects, povm.effects):
+                    assert np.max(np.abs(got - want)) < 1e-10
 
     def test_fixture_reconstruction_identity(self):
         # feeding the bundled reconstruction's own statistics back through
         # the inversion must return those matrices exactly
         raw = fixtures.reconstruction("tetrahedral", "postselection")
         for want in raw:
-            freqs = [np.vdot(p.vector, want @ p.vector).real for p in probe_states()]
-            got = reconstruct_effect(freqs).to_matrix()
+            got = _reconstructed_effect(_probe_frequencies(want))
             assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_matches_the_bloch_vector_inversion(self):
+        rng = np.random.default_rng(12)
+        silent = weightless = flagged = 0
+        for record in _reference_records(rng, 10_000):
+            recon = reconstruct_povm(record)
+            effects, unphysical = _reference_inversion(record)
+            assert np.max(np.abs(np.stack(recon.effects) - effects)) <= 1e-15
+            assert recon.unphysical_outcomes == unphysical
+            f = record.frequencies
+            silent += int(np.any(f.max(axis=0) == 0))
+            weightless += int(np.any((f[0] + f[1] == 0) & (f.max(axis=0) > 0)))
+            flagged += bool(unphysical)
+        # both special cases of the reference and its flag ran many times
+        assert min(silent, weightless, flagged) > 100
 
     def test_unphysical_is_warned_not_raised(self):
         table = np.array([
@@ -126,12 +193,12 @@ class TestReconstructPovm:
             [0.60, 0.40],
         ])
         recon = reconstruct_povm(TomographyRecord(table))
-        assert recon.bloch[0].alpha == pytest.approx(1.2)
+        assert np.trace(recon.effects[0]).real == pytest.approx(1.2)
         assert np.linalg.eigvalsh(recon.effects[0])[-1] > 1
         assert 0 in recon.unphysical_outcomes
 
     def test_zero_weight_outcome_is_flagged_not_raised(self):
-        # outcome 1 fired only on the x+ probe: alpha = 0, no Bloch form
+        # outcome 1 fired only on the x+ probe: its trace alpha is 0
         table = np.array([
             [1.0, 0.0],
             [1.0, 0.0],
@@ -139,7 +206,7 @@ class TestReconstructPovm:
             [1.0, 0.0],
         ])
         recon = reconstruct_povm(TomographyRecord(table))
-        assert recon.bloch[1] is None
+        assert np.trace(recon.effects[1]).real == 0
         assert 1 in recon.unphysical_outcomes
         probes = probe_states()
         born = [np.vdot(p.vector, recon.effects[1] @ p.vector).real for p in probes]
@@ -251,6 +318,11 @@ class TestOperationalDistance:
             tracemalloc.stop()
         # blocks of 2**12 sums whatever d is peaked at 64 MiB here
         assert peak < 4 * 2**20
+
+    def test_non_hermitian_difference_takes_singular_values(self):
+        # the one subset's difference has eigenvalues 0, 0 and singular values 1, 0
+        a = np.array([[0, 1], [0, 0]], dtype=complex)
+        assert operational_distance([a], [np.zeros((2, 2))]) == pytest.approx(1.0, abs=1e-15)
 
     def test_outcome_limit(self):
         effects = [np.eye(2) / (MAX_SUBSET_OUTCOMES + 1)] * (MAX_SUBSET_OUTCOMES + 1)

@@ -56,16 +56,23 @@ def _state_by_name(name: str, dim: int) -> QuantumState:
     return table[name]
 
 
+def _read_json(path: str, option: str):
+    """The JSON value in ``path``.  A file that cannot be read, is not UTF-8
+    or is not valid JSON is a usage error naming ``option`` and the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, UnicodeDecodeError) as err:
+        raise UsageError(f"{option} {path!r} cannot be read: {err}")
+    except json.JSONDecodeError as err:
+        raise UsageError(f"{option} {path!r} is not valid JSON: {err}")
+
+
 def _load_document(path: str, option: str, loader):
     """``loader`` applied to the JSON object in ``path``.  A document that is
-    not valid JSON or not an object, lacks a key the loader reads, or holds a
-    value of the wrong type, shape or size is a usage error naming ``option``
-    and the key."""
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as err:
-            raise UsageError(f"{option} {path!r} is not valid JSON: {err}")
+    not an object, lacks a key the loader reads, or holds a value of the
+    wrong type, shape or size is a usage error naming ``option`` and the key."""
+    doc = _read_json(path, option)
     if not isinstance(doc, dict):
         raise UsageError(f"{option} {path!r} must hold a JSON object")
     try:
@@ -77,7 +84,7 @@ def _load_document(path: str, option: str, loader):
 
 
 def _resolve_povm(args):
-    if getattr(args, "povm_file", None):
+    if args.povm_file:
         path = args.povm_file
         return _load_document(path, "--povm-file", povm_from_document), os.path.basename(path)
     name = args.povm
@@ -108,10 +115,8 @@ def _emit(payload: dict, config: dict, args) -> None:
         text = _payload_csv(payload)
     else:
         text = json.dumps(payload, indent=2, default=_jsonable)
-    out = getattr(args, "out", None)
-    if out:
-        out_dir = os.environ.get("POVMSIM_OUTPUT_DIR", "")
-        path = out if os.path.isabs(out) or not out_dir else os.path.join(out_dir, out)
+    if args.out:  # an absolute --out ignores POVMSIM_OUTPUT_DIR, as os.path.join does
+        path = os.path.join(os.environ.get("POVMSIM_OUTPUT_DIR", ""), args.out)
         with open(path, "w") as f:
             f.write(text + "\n")
         print(f"wrote {path}")
@@ -212,11 +217,10 @@ def cmd_usd(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.plan:
-        with open(args.plan) as f:
-            try:
-                plan = load_experiment_plan(json.load(f))
-            except ValueError as err:
-                raise UsageError(f"plan {args.plan!r}: {err}")
+        try:
+            plan = load_experiment_plan(_read_json(args.plan, "--plan"))
+        except ValueError as err:
+            raise UsageError(f"plan {args.plan!r}: {err}")
         try:
             povm = fixtures.ideal_povm(plan.povm_fixture)
         except KeyError:
@@ -287,14 +291,13 @@ def _apply_config_file(args, argv, parser):
     """Values from --config override the command-line flags.  They are
     parsed as if written after the flags, so each meets the type, choices
     and arity of the option it overrides."""
-    path = getattr(args, "config", None)
+    path = args.config
     if not path:
         return args
-    with open(path) as f:
-        try:
-            overrides = json.load(f)
-        except json.JSONDecodeError as err:
-            parser.error(f"--config {path!r} is not valid JSON: {err}")
+    try:
+        overrides = _read_json(path, "--config")
+    except UsageError as err:
+        parser.error(str(err))
     if not isinstance(overrides, dict):
         parser.error(f"config file {path!r} must hold a JSON object")
     extra = []
@@ -376,10 +379,7 @@ def main(argv=None) -> int:
         # so the flush at interpreter exit cannot raise again, and stop quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (InvariantViolation, AssertionError) as err:

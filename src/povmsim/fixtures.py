@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import Povm, complex_from_lists, inverse_sqrt, povm_from_document, rank_one_parts
+from .core import Povm, complex_from_lists, povm_from_document, rank_one_parts, rebalance
 
 IDEAL_NAMES = ("tetrahedral", "trine", "random4", "trivial")
 RECONSTRUCTION_METHODS = ("postselection", "naimark")
@@ -38,13 +38,13 @@ def repair_rank_one_povm(effects, atol: float = 2e-3) -> Povm:
 
     Each effect is replaced by its dominant rank-one part a|v><v| (the
     discarded eigenvalue must be below ``atol``), and the collection is then
-    rebalanced as B^{-1/2} M_i B^{-1/2} with B the sum of the parts, which
-    restores exact completeness while keeping every effect rank one.
+    rebalanced as B^{-1/2} M_i B^{-1/2} with B the sum of the parts
+    (:func:`core.rebalance`), which restores exact completeness while
+    keeping every effect rank one; the POVM keeps the rebalanced pieces.
     """
     stack = np.asarray(effects, dtype=complex)
-    parts = rank_one_parts((stack + stack.conj().swapaxes(1, 2)) / 2, atol, dominant=True).effects()
-    inv_sqrt = inverse_sqrt(parts.sum(axis=0))
-    return Povm([inv_sqrt @ p @ inv_sqrt for p in parts])
+    parts = rank_one_parts((stack + stack.conj().swapaxes(1, 2)) / 2, atol, dominant=True)
+    return Povm.from_rank_one(rebalance(parts, parts.effects().sum(axis=0)))
 
 
 def ideal_povm(name: str) -> Povm:

@@ -17,6 +17,7 @@ from .core import (
     QuantumState,
     _freeze,
     born_probabilities,
+    probability_rows,
     rank_one_parts,
 )
 
@@ -108,12 +109,12 @@ def naimark_dilation(povm: Povm, mode: str = "abstract") -> NaimarkDilation:
 
 def dilated_statistics(dilation: NaimarkDilation, state: QuantumState) -> np.ndarray:
     """Exact outcome distribution of the dilated measurement, the diagonal
-    of V rho V^dagger (entries beyond n_outcomes are padding outcomes)."""
+    of V rho V^dagger through :func:`core.probability_rows` at the POVM
+    tolerance (entries beyond n_outcomes are padding outcomes)."""
     if state.dim != dilation.dim:
         raise ValueError("state dimension does not match the dilation")
     v = dilation.isometry
-    probs = np.clip(((v @ state.rho) * v.conj()).sum(axis=1).real, 0.0, None)
-    return probs / probs.sum()
+    return probability_rows(((v @ state.rho) * v.conj()).sum(axis=1).real, dilation.source.atol)
 
 
 def check_against_born(dilation: NaimarkDilation, state: QuantumState) -> float:

@@ -18,20 +18,19 @@ from .core import (
     InvariantViolation,
     Povm,
     QuantumState,
-    RankOneParts,
     _freeze,
     _rng,
     complex_from_lists,
     complex_to_lists,
     default_atol,
-    inverse_sqrt,
+    orthogonal_pairs,
     povm_from_document,
     povm_to_document,
     rank_one_parts,
+    rebalance,
     require_unit_rows,
 )
 
-ORTHOGONALITY_ATOL = 1e-9
 FAIL_LABEL = "fail"
 
 
@@ -156,9 +155,7 @@ def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
         raise InvariantViolation("completeness", defect,
                                  f"refinement leaves completeness defect {defect:.3e}")
     if defect > 1e-14:
-        u = parts.vectors @ inverse_sqrt(total).T
-        norms = np.linalg.norm(u, axis=1)
-        parts = RankOneParts(parts.weights * norms ** 2, u / norms[:, None], parts.parents)
+        parts = rebalance(parts, total)
     refined = Povm.from_rank_one(parts)
     merge = PostProcessingMap.deterministic(parts.parents, n_out=povm.n_outcomes)
     return refined, merge
@@ -380,10 +377,8 @@ def max_success_bound_rank_one(povm: Povm) -> float:
     projective-simulable realization of M_q then decomposes over only n+1
     distinct projective measurements, forcing q <= 1/d.
     """
-    directions = rank_one_parts(povm.stack, povm.atol, dominant=True).vectors
-    overlaps = np.abs(directions.conj() @ directions.T)
-    orthogonal = np.argwhere(np.triu(overlaps <= ORTHOGONALITY_ATOL, k=1))
-    if orthogonal.size:
+    orthogonal = orthogonal_pairs(rank_one_parts(povm.stack, povm.atol, dominant=True).vectors)
+    if orthogonal:
         i, j = orthogonal[0]
         raise ValueError(
             f"effects {i} and {j} have orthogonal states; the bound does not apply")

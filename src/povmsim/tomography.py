@@ -19,6 +19,7 @@ from .core import (
     QuantumState,
     _freeze,
     as_operator,
+    born_probabilities,
     hermitian_part,
     operator_norm,
     pauli_eigenstates,
@@ -64,8 +65,7 @@ class TomographyRecord:
     @classmethod
     def from_born(cls, povm: Povm) -> "TomographyRecord":
         """Exact statistics: the infinite-shot record of a known POVM."""
-        from .core import born_probabilities
-        return cls([born_probabilities(state, povm) for state in probe_states()])
+        return cls(born_probabilities(PROBE_RHOS, povm))
 
     def postselected(self, fail_index: int) -> "TomographyRecord":
         """Drop one outcome column and renormalize each probe row,

@@ -17,14 +17,15 @@ from .core import (
     _freeze,
     _rng,
     array_from_lists,
+    born_probabilities,
     complex_to_lists,
     default_atol,
     haar_random_vectors,
     min_eigenvalue,
+    orthogonal_pairs,
     require_unit_rows,
     vector_from_document,
 )
-from .simulation import ORTHOGONALITY_ATOL
 
 UNAMBIGUITY_ATOL = 1e-9
 #: relative threshold on singular values for declaring linear independence
@@ -72,15 +73,6 @@ class Ensemble:
     def gram(self) -> np.ndarray:
         """Correlation matrix C_ij = <psi_i|psi_j>."""
         return self.states.conj() @ self.states.T
-
-    def orthogonal_pairs(self) -> list[tuple[int, int]]:
-        c = self.gram()
-        out = []
-        for i in range(self.n_states):
-            for j in range(i + 1, self.n_states):
-                if abs(c[i, j]) <= ORTHOGONALITY_ATOL:
-                    out.append((i, j))
-        return out
 
     def __repr__(self) -> str:
         return f"Ensemble(n_states={self.n_states}, dim={self.space_dim})"
@@ -136,7 +128,8 @@ def usd_success(ensemble: Ensemble, povm: Povm) -> UsdResult:
     """sum_i p_i tr(rho_i M_i) with M_{n+1} the inconclusive effect.
 
     Reports every cross term tr(rho_i M_j), i != j, above the unambiguity
-    tolerance; a genuinely unambiguous measurement has none.
+    tolerance, in row-major order; a genuinely unambiguous measurement has
+    none.  Both are read off one (n, n+1) Born table.
     """
     n = ensemble.n_states
     if povm.n_outcomes != n + 1:
@@ -144,17 +137,12 @@ def usd_success(ensemble: Ensemble, povm: Povm) -> UsdResult:
                          f"got {povm.n_outcomes}")
     if povm.dim != ensemble.space_dim:
         raise ValueError("POVM dimension does not match the ensemble space")
-    success = 0.0
-    violations = []
-    for i in range(n):
-        psi = ensemble.states[i]
-        for j in range(n):
-            value = float(np.vdot(psi, povm[j] @ psi).real)
-            if i == j:
-                success += ensemble.probs[i] * value
-            elif value > UNAMBIGUITY_ATOL:
-                violations.append((i, j, value))
-    return UsdResult(success, tuple(violations))
+    table = born_probabilities(ensemble.states[:, :, None] * ensemble.states.conj()[:, None, :],
+                               povm)
+    cross = table[:, :n] > UNAMBIGUITY_ATOL
+    np.fill_diagonal(cross, False)
+    violations = tuple((i, j, float(table[i, j])) for i, j in np.argwhere(cross).tolist())
+    return UsdResult(float(ensemble.probs @ np.diagonal(table)), violations)
 
 
 def dual_states(ensemble: Ensemble) -> tuple[np.ndarray, float]:
@@ -199,7 +187,7 @@ def projective_simulable_optimum(ensemble: Ensemble) -> float:
     best single one, so the optimum is max_i p_i |<psi_i|phi_i>|^2 =
     max_i p_i / (C^{-1})_{ii}.
     """
-    pairs = ensemble.orthogonal_pairs()
+    pairs = orthogonal_pairs(ensemble.states)
     if pairs:
         raise ValueError(f"states {pairs[0]} are orthogonal; "
                          "the structural optimum requires pairwise non-orthogonality")
@@ -217,7 +205,7 @@ def projective_simulable_optimum_by_search(ensemble: Ensemble) -> float:
     unambiguous direction within the span is found as the null space of the
     other states' overlap constraints (QR + SVD, no Gram inversion).
     """
-    pairs = ensemble.orthogonal_pairs()
+    pairs = orthogonal_pairs(ensemble.states)
     if pairs:
         raise ValueError(f"states {pairs[0]} are orthogonal")
     span, _ = np.linalg.qr(ensemble.states.T)  # (D, n) orthonormal basis
@@ -257,7 +245,7 @@ def usd_advantage_bound(ensemble: Ensemble) -> AdvantageBound:
         raise InvariantViolation("linear independence", ensemble.smallest_singular_value)
     d = ensemble.n_states
     lam = min_eigenvalue(ensemble.gram())
-    pairs = ensemble.orthogonal_pairs()
+    pairs = orthogonal_pairs(ensemble.states)
     if not pairs:
         p_sp = projective_simulable_optimum(ensemble)
     elif len(pairs) == d * (d - 1) // 2:

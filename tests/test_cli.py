@@ -199,6 +199,23 @@ class TestDocuments:
         assert code == 2
         assert f"{option} {str(path)!r} is not valid JSON" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (("simulate", "--povm-file", "{dir}"), "--povm-file '{dir}'"),
+        (("usd", "--ensemble", "{dir}"), "--ensemble '{dir}'"),
+        (("compare", "--plan", "{dir}"), "--plan '{dir}'"),
+        (("table1", "--config", "{dir}"), "--config '{dir}'"),
+        (("table1", "--out", "{dir}"), "'{dir}'"),
+        (("simulate", "--povm-file", "{latin1}"), "--povm-file '{latin1}'"),
+    ], ids=["povm-file-dir", "ensemble-dir", "plan-dir", "config-dir", "out-dir",
+            "povm-file-latin1"])
+    def test_unreadable_file_is_a_usage_error(self, capsys, tmp_path, argv, named):
+        latin1 = tmp_path / "doc.json"
+        latin1.write_bytes('{"dim": 2, "labels": ["\u00e9"]}'.encode("latin-1"))
+        paths = {"dir": tmp_path, "latin1": latin1}
+        code, err = usage_exit(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert named.format(**paths) in err
+
 
 class TestCompare:
     def test_small_run(self, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from povmsim import core
 from povmsim.core import (
     NORM_ATOL,
+    ORTHOGONALITY_ATOL,
     InvariantViolation,
     Povm,
     QuantumState,
@@ -19,11 +20,15 @@ from povmsim.core import (
     haar_random_vectors,
     min_eigenvalue,
     operator_norm,
+    orthogonal_pairs,
     pauli_eigenstates,
     povm_from_document,
     povm_to_document,
+    probability_rows,
     random_povm,
     random_rank_one_povm,
+    rank_one_parts,
+    rebalance,
     require_hermitian,
     state_from_document,
     state_to_document,
@@ -58,6 +63,66 @@ class TestBornProbabilities:
             p = born_probabilities(state, povm)
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.min(p) >= 0 and np.max(p) <= 1 + 1e-12
+
+    def test_density_stack_matches_single_states(self):
+        rng = np.random.default_rng(5)
+        povm = random_povm(3, 5, rng, rank=2)
+        states = [haar_random_pure_state(3, rng) for _ in range(4)]
+        states.append(QuantumState.density(np.diag([0.5, 0.3, 0.2])))
+        table = born_probabilities(np.stack([s.rho for s in states]), povm)
+        assert table.shape == (5, 5)
+        for state, row in zip(states, table):
+            assert np.max(np.abs(born_probabilities(state, povm) - row)) <= 1e-15
+
+    def test_stack_dimension_mismatch(self, tetrahedral):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            born_probabilities(np.stack([np.eye(3) / 3] * 2), tetrahedral)
+
+
+class TestProbabilityRows:
+    def test_round_off_clipped_and_renormalized(self):
+        rows = probability_rows([[-1e-12, 0.5, 0.5 + 2e-12], [0.25, 0.25, 0.5]], 1e-9)
+        assert np.min(rows) == 0.0
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-15
+        assert np.array_equal(rows[1], [0.25, 0.25, 0.5])
+
+    @pytest.mark.parametrize("row, invariant", [([-1e-3, 1.0 + 1e-3], "probability positivity"),
+                                                ([np.nan, 1.0], "probability positivity"),
+                                                ([0.5, 0.6], "probability normalization"),
+                                                ([0.5, np.inf], "probability normalization")])
+    def test_violation_raises(self, row, invariant):
+        with pytest.raises(InvariantViolation, match=invariant):
+            probability_rows([[0.5, 0.5], row], 1e-9)
+
+
+class TestRankOneHelpers:
+    def test_rebalance_matches_conjugating_each_effect(self, random4):
+        parts = rank_one_parts(random4.stack * 1.01, 1e-9, dominant=True)
+        total = parts.effects().sum(axis=0)
+        w, v = np.linalg.eigh(total)
+        inv_sqrt = (v * w ** -0.5) @ v.conj().T
+        want = np.stack([inv_sqrt @ p @ inv_sqrt for p in parts.effects()])
+        balanced = rebalance(parts, total)
+        assert np.max(np.abs(balanced.effects() - want)) <= 1e-15
+        assert np.max(np.abs(balanced.effects().sum(axis=0) - np.eye(2))) <= 1e-15
+        assert np.array_equal(balanced.parents, parts.parents)
+
+    def test_rebalance_needs_a_spanning_sum(self):
+        parts = rank_one_parts(np.array([np.diag([1.0, 0.0])]), 1e-9)
+        with pytest.raises(ValueError, match="do not span"):
+            rebalance(parts, parts.effects().sum(axis=0))
+
+    def test_orthogonal_pairs_in_row_major_order(self):
+        rng = np.random.default_rng(2)
+        vectors = haar_random_vectors(6, 4, rng)
+        vectors[3] = [1, 0, 0, 0]
+        vectors[[0, 5]] = [0, 1, 0, 0]
+        vectors[1] = [0, 0, 1j, 0]
+        overlaps = np.abs(vectors.conj() @ vectors.T)
+        want = [(i, j) for i in range(6) for j in range(i + 1, 6)
+                if overlaps[i, j] <= ORTHOGONALITY_ATOL]
+        assert want == [(0, 1), (0, 3), (1, 3), (1, 5), (3, 5)]
+        assert orthogonal_pairs(vectors) == want
 
 
 class TestOperatorNorm:

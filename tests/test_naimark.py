@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmsim.core import (
+    InvariantViolation,
     Povm,
     QuantumState,
     born_probabilities,
@@ -13,6 +14,7 @@ from povmsim.core import (
 )
 from povmsim.core import random_povm
 from povmsim.naimark import (
+    NaimarkDilation,
     check_against_born,
     dilated_statistics,
     naimark_dilation,
@@ -131,6 +133,12 @@ class TestStatistics:
         for state in (haar_random_pure_state(d, seed + k) for k in range(3)):
             merged = merge.matrix @ dilated_statistics(dilation, state)
             assert np.max(np.abs(merged - born_probabilities(state, povm))) <= 1e-9
+
+    def test_unnormalized_statistics_raise(self, trine):
+        dilation = naimark_dilation(trine, mode="qubit_register")
+        scaled = NaimarkDilation(trine, 2 * dilation.unitary, dilation.mode)
+        with pytest.raises(InvariantViolation, match="probability normalization"):
+            dilated_statistics(scaled, QuantumState.basis_state(2, 0))
 
     def test_mixed_state_input(self, trine):
         dilation = naimark_dilation(trine, mode="qubit_register")

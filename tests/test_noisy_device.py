@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from povmsim.core import (
     PAULI_X,
+    InvariantViolation,
     QuantumState,
     born_probabilities,
     haar_random_unitary,
@@ -427,6 +428,12 @@ class TestBatchedEvolution:
         # a stack of one and a stack of six may take different matmul kernels
         for state, row in zip(states, batched):
             assert np.max(np.abs(exact_output_distribution(circuit, state, noise) - row)) <= 1e-15
+
+    @pytest.mark.parametrize("diagonal", ([1 + 1e-3, -1e-3], [np.nan, 1.0]))
+    def test_readout_rejects_a_diagonal_that_is_no_distribution(self, diagonal):
+        rhos = np.stack([np.eye(2) / 2, np.diag(diagonal)]).astype(complex)
+        with pytest.raises(InvariantViolation, match="probability positivity"):
+            _readout(rhos, 1, 0.02)
 
     @pytest.mark.parametrize("two_qubit", (False, True))
     def test_mitigated_counts_five_sigma(self, trine, two_qubit):

@@ -381,6 +381,13 @@ class TestRecords:
         with pytest.raises(ValueError, match="4 probes"):
             TomographyRecord(np.full((3, 2), 0.5))
 
+    def test_from_born_rows_are_the_probe_born_rows(self, all_fixture_povms):
+        povms = [*all_fixture_povms.values(), random_povm(2, 5, 8, rank=2)]
+        for povm in povms:
+            record = TomographyRecord.from_born(povm)
+            for probe, row in zip(probe_states(), record.frequencies):
+                assert np.max(np.abs(born_probabilities(probe, povm) - row)) <= 1e-15
+
     def test_postselection_renormalizes(self, tetrahedral):
         from povmsim.simulation import build_mq
         mq = build_mq(tetrahedral, 0.5)

@@ -8,10 +8,14 @@ from povmsim.core import (
     Povm,
     QuantumState,
     haar_random_pure_state,
+    haar_random_unitary,
+    haar_random_vectors,
     min_eigenvalue,
+    random_povm,
 )
 from povmsim.simulation import PostProcessingMap, apply_postprocessing, build_mq
 from povmsim.usd import (
+    UNAMBIGUITY_ATOL,
     Ensemble,
     dual_states,
     ensemble_from_document,
@@ -56,6 +60,35 @@ class TestUsdSuccess:
         result = usd_success(ensemble, Povm(effects))
         assert not result.unambiguous
         assert result.max_violation == pytest.approx(1.0)
+
+    def test_matches_a_double_loop(self):
+        rng = np.random.default_rng(17)
+        cases = []
+        for n, dim in ((3, 3), (4, 6)):
+            states = haar_random_vectors(n, dim, rng)
+            cases.append((Ensemble(states, rng.dirichlet(np.ones(n))),
+                          random_povm(dim, n + 1, rng, rank=2)))
+        # rotated diagonal effects with zeros: some cross terms vanish, some do not
+        n = 4
+        table = rng.dirichlet(np.ones(n + 1), size=n) * (rng.random((n, n + 1)) < 0.6)
+        table[:, n] += 1 - table.sum(axis=1)
+        u = haar_random_unitary(n, rng)
+        cases.append((Ensemble(u.T), Povm([u @ np.diag(col) @ u.conj().T for col in table.T])))
+        for ensemble, povm in cases:
+            success, violations = 0.0, []
+            for i, psi in enumerate(ensemble.states):
+                for j in range(ensemble.n_states):
+                    value = np.vdot(psi, povm[j] @ psi).real
+                    if i == j:
+                        success += ensemble.probs[i] * value
+                    elif value > UNAMBIGUITY_ATOL:
+                        violations.append((i, j, value))
+            result = usd_success(ensemble, povm)
+            assert result.success == pytest.approx(success, abs=1e-12)
+            assert [v[:2] for v in result.violations] == [v[:2] for v in violations]
+            assert np.allclose([v[2] for v in result.violations], [v[2] for v in violations],
+                               rtol=0, atol=1e-12)
+        assert 0 < len(violations) < n * (n - 1)
 
     def test_outcome_count_mismatch(self):
         ensemble = Ensemble(np.eye(2, dtype=complex))

@@ -117,8 +117,11 @@ def _emit(payload: dict, config: dict, args) -> None:
         text = json.dumps(payload, indent=2, default=_jsonable)
     if args.out:  # an absolute --out ignores POVMSIM_OUTPUT_DIR, as os.path.join does
         path = os.path.join(os.environ.get("POVMSIM_OUTPUT_DIR", ""), args.out)
-        with open(path, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(path, "w") as f:
+                f.write(text + "\n")
+        except OSError as err:
+            raise UsageError(f"--out {path!r} cannot be written: {err}")
         print(f"wrote {path}")
     else:
         print(text)

@@ -78,12 +78,8 @@ def as_operator(matrix, name: str = "matrix", stack: bool = False) -> np.ndarray
     return m
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def require_hermitian(m: np.ndarray, atol: float, name: str = "matrix") -> np.ndarray:
-    defect = hermiticity_defect(m)
+    defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > atol:
         raise InvariantViolation("hermiticity", defect, f"{name} is not Hermitian (defect {defect:.3e})")
     return (m + m.conj().T) / 2
@@ -119,7 +115,9 @@ def validate_effects(stack: np.ndarray, atol: float) -> np.ndarray:
     effect and its first failing check, in that order."""
     adjoint = stack.conj().swapaxes(1, 2)
     herm = np.max(np.abs(stack - adjoint), axis=(1, 2))
-    sym = (stack + adjoint) / 2
+    # (stack + adjoint) / 2 bit for bit, in one fresh C-ordered buffer
+    sym = np.add(stack, adjoint, out=np.empty(stack.shape, dtype=complex))
+    sym *= 0.5
     evs = np.linalg.eigvalsh(sym)
     failing = np.flatnonzero((herm > atol) | (evs[:, 0] < -atol) | (evs[:, -1] > 1 + atol))
     if failing.size:
@@ -146,7 +144,9 @@ class RankOneParts:
     def effects(self) -> np.ndarray:
         """The pieces as an (m, d, d) stack, each entry formed as np.outer forms it."""
         v = self.vectors
-        return self.weights[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])
+        pieces = v[:, :, None] * v.conj()[:, None, :]
+        pieces *= self.weights[:, None, None]
+        return pieces
 
 
 def rank_one_parts(effects: np.ndarray, atol: float, dominant: bool = False) -> RankOneParts:
@@ -262,24 +262,28 @@ class Povm:
     """
 
     def __init__(self, effects: Iterable, labels: Sequence[str] | None = None):
-        mats = [as_operator(e, f"effect {i}") for i, e in enumerate(effects)]
-        if not mats:
-            raise ValueError("a POVM needs at least one effect")
-        n, dim = len(mats), mats[0].shape[0]
-        if any(m.shape[0] != dim for m in mats):
+        effects = effects if isinstance(effects, np.ndarray) else list(effects)
+        try:
+            stack = np.asarray(effects, dtype=complex)
+        except (TypeError, ValueError):  # ragged or non-numeric: the loop below names it
+            stack = np.empty(0)
+        if not (stack.ndim == 3 and min(stack.shape) >= 1 and stack.shape[1] == stack.shape[2]
+                and np.isfinite(stack).all()):
+            mats = [as_operator(e, f"effect {i}") for i, e in enumerate(effects)]
+            if not mats:
+                raise ValueError("a POVM needs at least one effect")
             raise ValueError("all effects must share one dimension")
-        self._stack = _freeze(validate_effects(np.stack(mats), default_atol(dim)))
+        n, dim = stack.shape[:2]
+        # validate_effects returns a fresh array, so the caller's is never aliased
+        self._stack = validate_effects(stack, default_atol(dim))
+        self._stack.setflags(write=False)
         defect = self.completeness_defect
         if defect > self.atol:
             raise InvariantViolation("completeness", defect,
                                      f"effects sum to identity only within {defect:.3e}")
-        if labels is None:
-            labels = tuple(str(i + 1) for i in range(n))
-        else:
-            labels = tuple(str(l) for l in labels)
-            if len(labels) != n:
-                raise ValueError("labels must match the number of effects")
-        self._labels = labels
+        self._labels = tuple(map(str, range(1, n + 1) if labels is None else labels))
+        if len(self._labels) != n:
+            raise ValueError("labels must match the number of effects")
         self._rank_one = None
 
     @classmethod

@@ -68,12 +68,11 @@ class PostProcessingMap:
     @classmethod
     def deterministic(cls, assignment, n_out: int | None = None) -> "PostProcessingMap":
         """Map outcome k to outcome assignment[k] with probability one."""
-        assignment = [int(a) for a in assignment]
+        assignment = np.asarray(assignment, dtype=int)
         if n_out is None:
-            n_out = max(assignment) + 1
+            n_out = int(assignment.max()) + 1
         q = np.zeros((n_out, len(assignment)))
-        for k, j in enumerate(assignment):
-            q[j, k] = 1.0
+        q[assignment, np.arange(len(assignment))] = 1.0
         return cls(q)
 
     @classmethod
@@ -83,17 +82,10 @@ class PostProcessingMap:
         The merged group takes the slot of its smallest member; remaining
         outcomes keep their relative order.
         """
-        merged_set = sorted(set(int(m) for m in merged))
-        target = {}
-        out = 0
-        for k in range(n_in):
-            if k in merged_set and k != merged_set[0]:
-                continue
-            target[k] = out
-            out += 1
-        assignment = [target[merged_set[0]] if k in merged_set else target[k]
-                      for k in range(n_in)]
-        return cls.deterministic(assignment, n_out=out)
+        merged = sorted({int(m) for m in merged})
+        kept = [k for k in range(n_in) if k not in merged[1:]]
+        return cls.deterministic([kept.index(merged[0] if k in merged else k) for k in range(n_in)],
+                                 n_out=len(kept))
 
     def __repr__(self) -> str:
         return f"PostProcessingMap({self.n_in} -> {self.n_out})"
@@ -108,31 +100,26 @@ def apply_postprocessing(povm: Povm, pmap: PostProcessingMap) -> Povm:
 
 def convex_combination(terms) -> Povm:
     """Effect-wise weighted sum of POVMs with matching shapes."""
-    terms = [(float(w), p) for w, p in terms]
+    terms = list(terms)
     if not terms:
         raise ValueError("need at least one term")
-    weights = np.array([w for w, _ in terms])
+    weights = np.array([float(w) for w, _ in terms])
     if np.min(weights) < 0:
         raise ValueError("weights must be non-negative")
-    n = terms[0][1].n_outcomes
-    dim = terms[0][1].dim
-    if any(p.n_outcomes != n or p.dim != dim for _, p in terms):
+    if len({p.stack.shape for _, p in terms}) > 1:
         raise ValueError("all POVMs must share outcome count and dimension")
     defect = abs(weights.sum() - 1.0)
-    if defect > default_atol(n):
+    if defect > default_atol(terms[0][1].n_outcomes):
         raise InvariantViolation("weight normalization", defect)
-    return Povm([sum(w * p[i] for w, p in terms) for i in range(n)])
+    return Povm(np.einsum("t,tkij->kij", weights, np.stack([p.stack for _, p in terms])))
 
 
 def build_mq(povm: Povm, q: float) -> Povm:
     """The (n+1)-outcome POVM (q M_1, ..., q M_n, (1-q) 1)."""
     if not 0 < q <= 1:
         raise ValueError(f"q must be in (0, 1], got {q}")
-    return Povm(_mq_stack(povm.stack, q), labels=list(povm.labels) + [FAIL_LABEL])
-
-
-def _mq_stack(effects: np.ndarray, q: float) -> np.ndarray:
-    return np.concatenate([q * effects, [(1 - q) * np.eye(effects.shape[1])]])
+    return Povm(np.concatenate([q * povm.stack, [(1 - q) * np.eye(povm.dim)]]),
+                labels=list(povm.labels) + [FAIL_LABEL])
 
 
 def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
@@ -149,7 +136,7 @@ def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
     parts = rank_one_parts(povm.stack, povm.atol)
     if not parts.parents.size:
         raise InvariantViolation("positivity", 0.0, "POVM has no non-null effects")
-    total = parts.effects().sum(axis=0)
+    total = (parts.vectors.T * parts.weights) @ parts.vectors.conj()  # sum_k a_k v_k v_k^dagger
     defect = float(np.max(np.abs(total - np.eye(povm.dim))))
     if defect > povm.atol:
         raise InvariantViolation("completeness", defect,
@@ -172,13 +159,13 @@ def _check_mixture(weights: np.ndarray, directions: np.ndarray) -> None:
     require_unit_rows(directions, "direction")
 
 
-def _binary_mixture(weights: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """(w_1 P_1, ..., w_m P_m, sum_k w_k (1 - P_k)) for P_k = |v_k><v_k|: the
-    measurements (P_k, 1 - P_k) mixed with weights w_k as one stack."""
-    projs = directions[:, :, None] * directions.conj()[:, None, :]
-    w = weights[:, None, None]
-    complements = (w * (np.eye(directions.shape[1]) - projs)).sum(axis=0)
-    return np.concatenate([w * projs, [complements]])
+def _binary_mixture(weights: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The measurements (P_k, 1 - P_k), P_k = |v_k><v_k|, mixed with weights
+    w_k: the (m, d, d) stack of "+" effects w_k P_k and the one "-" effect
+    sum_k w_k (1 - P_k), taken as (sum_k w_k) 1 - sum_k w_k P_k."""
+    plus = directions[:, :, None] * directions.conj()[:, None, :]
+    plus *= weights[:, None, None]
+    return plus, weights.sum() * np.eye(directions.shape[1]) - plus.sum(axis=0)
 
 
 class ProjectiveSimulation:
@@ -199,7 +186,8 @@ class ProjectiveSimulation:
                                      "mixture + post-processing does not reproduce the target")
 
     def mixture(self) -> Povm:
-        return Povm(_binary_mixture(self.weights, self.directions))
+        plus, minus = _binary_mixture(self.weights, self.directions)
+        return Povm(np.concatenate([plus, minus[None]]))
 
     def simulated_povm(self) -> Povm:
         return apply_postprocessing(self.mixture(), self.postprocessing)
@@ -212,7 +200,8 @@ class PostselectionScheme:
     ``states[k]`` is the projector direction of component k, drawn with
     probability ``weights[k]``; outcome "+" is relabelled to
     ``parents[k]`` and "-" to the failure outcome (index n).  Checked inputs
-    make the effects valid by construction; they are compared with M_{1/d}.
+    make the effects valid by construction; they are compared with M_{1/d}
+    block by block: each target slot with q M_i, the fail slot with (1 - q) 1.
     """
 
     def __init__(self, target: Povm, states, weights, parents):
@@ -228,9 +217,11 @@ class PostselectionScheme:
             raise ValueError(f"states must be an (m, {target.dim}) array for the target's "
                              f"dimension, got shape {self.states.shape}")
         _check_mixture(self.weights, self.states)
-        self.success_probability = 1.0 / target.dim
-        expected = _mq_stack(target.stack, self.success_probability)
-        dev = float(np.max(np.abs(self._realized_stack() - expected)))
+        q = self.success_probability = 1.0 / target.dim
+        effects, fail = self._realized_blocks()
+        effects -= q * target.stack
+        fail -= (1 - q) * np.eye(target.dim)
+        dev = max(float(np.max(np.abs(effects))), float(np.max(np.abs(fail))))
         if not dev <= target.atol:
             raise InvariantViolation("postselection construction", dev)
 
@@ -249,17 +240,19 @@ class PostselectionScheme:
         return ProjectiveSimulation(self.weights, self.states, merge,
                                     build_mq(self.target, self.success_probability))
 
-    def _realized_stack(self) -> np.ndarray:
-        """The mixture with "+" of component k added into slot ``parents[k]``."""
-        mixture = _binary_mixture(self.weights, self.states)
-        effects = np.zeros((self.fail_index + 1, *mixture.shape[1:]), dtype=complex)
-        np.add.at(effects, self.parents, mixture[:-1])
-        effects[-1] = mixture[-1]
-        return effects
+    def _realized_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mixture's "+" of component k added into target slot
+        ``parents[k]``, and its "-" as the fail slot."""
+        plus, fail = _binary_mixture(self.weights, self.states)
+        effects = np.zeros((self.fail_index, *fail.shape), dtype=complex)
+        np.add.at(effects, self.parents, plus)
+        return effects, fail
 
     def simulated_povm(self) -> Povm:
         """Assemble the mixture and relabelling into the realized POVM."""
-        return Povm(self._realized_stack(), labels=list(self.target.labels) + [FAIL_LABEL])
+        effects, fail = self._realized_blocks()
+        return Povm(np.concatenate([effects, fail[None]]),
+                    labels=list(self.target.labels) + [FAIL_LABEL])
 
     def to_document(self) -> dict:
         return {

@@ -216,6 +216,14 @@ class TestDocuments:
         assert code == 2
         assert named.format(**paths) in err
 
+    @pytest.mark.parametrize("out", [".", "missing/table.json"], ids=["directory", "no-parent"])
+    def test_unwritable_out_names_the_option(self, capsys, tmp_path, monkeypatch, out):
+        # a relative --out is joined to POVMSIM_OUTPUT_DIR; the error names the joined path
+        monkeypatch.setenv("POVMSIM_OUTPUT_DIR", str(tmp_path))
+        code, err = usage_exit(capsys, "table1", "--out", out)
+        assert code == 2
+        assert f"--out {os.path.join(str(tmp_path), out)!r} cannot be written" in err
+
 
 class TestCompare:
     def test_small_run(self, capsys):

@@ -341,6 +341,29 @@ class TestBatchedValidation:
         assert Povm(m for m in tetrahedral.effects).allclose(tetrahedral, atol=0.0)
 
 
+class TestStackStorage:
+    """Povm coerces its input once and keeps one symmetrized copy of it:
+    C-ordered, read-only and never a view of the caller's array."""
+
+    def test_every_input_form_stores_the_same_stack(self):
+        povm = random_povm(4, 7, 11, rank=2)
+        parts = rank_one_parts(povm.stack, povm.atol)
+        effects = parts.effects()
+        built = [Povm(effects), Povm(list(effects)), Povm.from_rank_one(parts),
+                 Povm(effects.conj().swapaxes(1, 2))]  # a strided view of the adjoints
+        want = built[0].stack.tobytes()
+        for p in built:
+            assert p.stack.tobytes() == want  # bit for bit
+            assert p.stack.flags.c_contiguous
+            assert not p.stack.flags.writeable
+            with pytest.raises(ValueError):
+                p.stack[0, 0, 0] = 0.0
+        assert not np.shares_memory(built[0].stack, effects)
+        effects[:] = 0.0
+        parts.vectors[:] = 0.0
+        assert all(p.stack.tobytes() == want for p in built)
+
+
 def _bloch_effect(alpha, n) -> np.ndarray:
     """The qubit matrix (alpha / 2)(1 + n.sigma) of weight alpha and Bloch vector n."""
     nx, ny, nz = n

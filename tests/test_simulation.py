@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from povmsim.core import (
     Povm,
     QuantumState,
     born_probabilities,
+    complex_to_lists,
     haar_random_pure_state,
     pauli_eigenstates,
     random_povm,
@@ -17,6 +20,7 @@ from povmsim.simulation import (
     PostProcessingMap,
     PostselectionScheme,
     ProjectiveSimulation,
+    _check_mixture,
     apply_postprocessing,
     build_mq,
     convex_combination,
@@ -119,6 +123,24 @@ class TestEigensolveCount:
         # refinement eigh (+ rebalance) and the refined POVM's validation; the
         # realized effects are compared with M_{1/d} as stacks, not solved
         assert counts["calls"] <= 3
+
+    def test_d32_scheme_build_is_at_most_three_solves(self, monkeypatch):
+        povm = random_povm(32, 64, 5)
+        counts = _count_eigensolves(monkeypatch)
+        postselection_scheme(povm)
+        assert counts["calls"] <= 3
+
+    def test_d32_scheme_build_traced_peak(self):
+        # a (64, 32, 32) complex stack is 1 MiB; the build peaked at 4.56 MiB
+        # while it still concatenated the mixture and M_{1/d} to compare them
+        povm = random_povm(32, 64, 5)
+        tracemalloc.start()
+        try:
+            postselection_scheme(povm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * 2**20
 
 
 class TestPostProcessing:
@@ -276,6 +298,39 @@ class TestPostselectionScheme:
         assert np.array_equal(back.states, scheme.states)
         assert np.array_equal(back.target.stack, povm.stack)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(2, 6), st.integers(0, 3), st.integers(1, 2), st.integers(0, 2**31),
+           st.booleans(), st.sampled_from(["none", "weight", "state"]), st.integers(0, 99),
+           st.sampled_from([1e-13, 1e-10, 1e-7, 1e-3, 0.2]))
+    def test_blockwise_check_matches_the_stacked_construction(self, d, extra, rank, seed,
+                                                              split, kind, k, size):
+        povm = random_povm(d, d + extra, seed, rank=rank)
+        scheme = postselection_scheme(povm)
+        states, weights, parents = map(np.array, (scheme.states, scheme.weights, scheme.parents))
+        if split:  # component 0 drawn as two halves: a repeated parent
+            states, parents = np.vstack([states, states[:1]]), np.append(parents, parents[0])
+            weights = np.append(weights, weights[0] / 2)
+            weights[0] /= 2
+        order = np.random.default_rng(seed).permutation(len(weights))
+        states, weights, parents = states[order], weights[order], parents[order]
+        i, j = k % len(weights), (k + 1) % len(weights)
+        if kind == "weight":  # moves mass from one component to another
+            weights[i] += size
+            weights[j] -= size
+        elif kind == "state":
+            states[i] += size * np.exp(1j * np.arange(d))
+            states[i] /= np.linalg.norm(states[i])
+        doc = {**scheme.to_document(), "states": complex_to_lists(states),
+               "weights": weights.tolist(), "parents": parents.tolist()}
+        want, stacked = _stacked_outcome(povm, states, weights, parents)
+        try:
+            got = PostselectionScheme.from_document(doc)
+        except InvariantViolation as err:
+            assert err.invariant == want
+        else:
+            assert want == "ok"
+            assert np.max(np.abs(got.simulated_povm().stack - stacked)) <= 1e-15
+
     def test_projective_simulation_checks_its_parts(self, trine):
         scheme = postselection_scheme(trine)
         sim = scheme.as_projective_simulation()
@@ -291,6 +346,28 @@ class TestPostselectionScheme:
         assert np.allclose(back.weights, scheme.weights)
         assert list(back.parents) == list(scheme.parents)
         assert povm_equal(back.simulated_povm(), scheme.simulated_povm(), atol=1e-12)
+
+
+def _stacked_outcome(target, states, weights, parents):
+    """The construction check as it stood before the blockwise one: the
+    binary mixture as one stack, its "+" pieces added into their parents'
+    slots, against M_{1/d} concatenated into one stack.  The invariant it
+    raised ("ok" if none) and the realized stack."""
+    try:
+        _check_mixture(weights, states)
+    except InvariantViolation as err:
+        return err.invariant, None
+    q = 1.0 / target.dim
+    projs = states[:, :, None] * states.conj()[:, None, :]
+    w = weights[:, None, None]
+    complements = (w * (np.eye(target.dim) - projs)).sum(axis=0)
+    mixture = np.concatenate([w * projs, [complements]])
+    realized = np.zeros((target.n_outcomes + 1, target.dim, target.dim), dtype=complex)
+    np.add.at(realized, parents, mixture[:-1])
+    realized[-1] = mixture[-1]
+    expected = np.concatenate([q * target.stack, [(1 - q) * np.eye(target.dim)]])
+    dev = float(np.max(np.abs(realized - expected)))
+    return ("ok" if dev <= target.atol else "postselection construction"), realized
 
 
 class TestSampler:

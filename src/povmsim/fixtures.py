@@ -19,13 +19,8 @@ from .core import Povm, complex_from_lists, povm_from_document, rank_one_parts, 
 
 IDEAL_NAMES = ("tetrahedral", "trine", "random4", "trivial")
 RECONSTRUCTION_METHODS = ("postselection", "naimark")
-
-#: (fixture name, method) -> file stem of the reconstruction document
-_RECONSTRUCTION_FILES = {
-    (name, method): f"{name}_{method}"
-    for name in ("tetrahedral", "trine", "random4")
-    for method in RECONSTRUCTION_METHODS
-}
+RECONSTRUCTED_NAMES = ("tetrahedral", "trine", "random4")
+REPAIR_ATOL = 2e-3  # largest discarded eigenvalue of a three-digit rank-one effect
 
 
 def _load_document(stem: str) -> dict:
@@ -33,17 +28,17 @@ def _load_document(stem: str) -> dict:
     return json.loads(path.read_text())
 
 
-def repair_rank_one_povm(effects, atol: float = 2e-3) -> Povm:
+def repair_rank_one_povm(effects) -> Povm:
     """Nearest exact rank-one POVM to a list of rounded rank-one effects.
 
     Each effect is replaced by its dominant rank-one part a|v><v| (the
-    discarded eigenvalue must be below ``atol``), and the collection is then
+    discarded eigenvalue must be below REPAIR_ATOL), and the collection is then
     rebalanced as B^{-1/2} M_i B^{-1/2} with B the sum of the parts
     (:func:`core.rebalance`), which restores exact completeness while
     keeping every effect rank one; the POVM keeps the rebalanced pieces.
     """
     stack = np.asarray(effects, dtype=complex)
-    parts = rank_one_parts((stack + stack.conj().swapaxes(1, 2)) / 2, atol, dominant=True)
+    parts = rank_one_parts((stack + stack.conj().swapaxes(1, 2)) / 2, REPAIR_ATOL, dominant=True)
     return Povm.from_rank_one(rebalance(parts, parts.effects().sum(axis=0)))
 
 
@@ -65,10 +60,9 @@ def reconstruction(name: str, method: str) -> tuple[np.ndarray, ...]:
     """
     if method not in RECONSTRUCTION_METHODS:
         raise KeyError(f"unknown method {method!r}; available: {', '.join(RECONSTRUCTION_METHODS)}")
-    key = (name, method)
-    if key not in _RECONSTRUCTION_FILES:
+    if name not in RECONSTRUCTED_NAMES:
         raise KeyError(f"no reconstruction fixture for {name!r}")
-    doc = _load_document(_RECONSTRUCTION_FILES[key])
+    doc = _load_document(f"{name}_{method}")
     return tuple(complex_from_lists(doc["effects"], "effects", (None, 2, 2)))
 
 

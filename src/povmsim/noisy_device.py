@@ -260,9 +260,11 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Two-qubit unitary -> (SU(2) layers, <= 3 CNOTs), following the magic-basis
-# double-coset method of Shende, Markov & Bullock.  All branch outputs are
-# verified against the input; the generic branch retries the simultaneous
-# diagonalization with different real/imaginary mixings before giving up.
+# double-coset method of Shende, Markov & Bullock: one interior of CNOTs and
+# fixed SU(2) gates per CNOT count, read off the spectrum of gamma, between two
+# SU(2) layers from one prefactor extraction.  Every form is verified against
+# the input; the extraction retries the simultaneous diagonalization with
+# different real/imaginary mixings before giving up.
 
 _MAGIC = np.array([[1, 1j, 0, 0],
                    [0, 0, 1j, 1],
@@ -302,10 +304,11 @@ def _gamma(u: np.ndarray) -> np.ndarray:
 
 
 def _num_cnots(u: np.ndarray) -> int:
-    trace = np.trace(_gamma(u))
+    gamma = _gamma(u)
+    trace = np.trace(gamma)
     if abs(trace - 4) < 1e-7 or abs(trace + 4) < 1e-7:
         return 0
-    evs = np.sort(np.linalg.eigvals(_gamma(u)).imag)
+    evs = np.sort(np.linalg.eigvals(gamma).imag)
     if abs(trace) < 1e-7 and np.allclose(evs, [-1, -1, 1, 1], atol=1e-7):
         return 1
     if abs(trace.imag) < 1e-7:
@@ -386,9 +389,8 @@ def _phase_distance(u: np.ndarray, v: np.ndarray) -> float:
 def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
     """Decompose a 4x4 unitary into SU(2) gates and at most 3 CNOTs.
 
-    Branches on the canonical CNOT count; each branch's output is verified
-    to DECOMPOSITION_ATOL, falling back to the generic 3-CNOT form when a
-    special-case branch fails numerically.
+    Tries the canonical CNOT count first and the generic 3-CNOT form after
+    it; the first form that verifies to DECOMPOSITION_ATOL is returned.
     """
     u_in = np.asarray(unitary, dtype=complex)
     if u_in.shape != (4, 4):
@@ -396,13 +398,10 @@ def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
     if np.max(np.abs(u_in.conj().T @ u_in - np.eye(4))) > 1e-9:
         raise ValueError("matrix is not unitary")
     u = _to_su4(u_in)
-    branches = {0: _gates_0_cnots, 1: _gates_1_cnot, 2: _gates_2_cnots,
-                3: _gates_3_cnots}
-    order = [_num_cnots(u), 3]
     last = None
-    for branch in order:
+    for count in (_num_cnots(u), 3):
         try:
-            gates = branches[branch](u)
+            gates = _gates(u, count)
         except RuntimeError as err:
             last = err
             continue
@@ -413,68 +412,53 @@ def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
 
 
 def _sequence_unitary(gates: list[Gate]) -> np.ndarray:
-    circ = Circuit(2)
-    circ.gates = list(gates)
-    return circ.unitary()
+    return Circuit(2, gates).unitary()
 
 
-def _gates_0_cnots(u: np.ndarray) -> list[Gate]:
-    a, b = _kron_factor(u)
-    return [Gate("su2", (0,), a), Gate("su2", (1,), b)]
+def _gates(u: np.ndarray, count: int) -> list[Gate]:
+    """An SU(2) layer, the interior for ``count`` CNOTs, an SU(2) layer.
+
+    For 1 and 3 CNOTs the interior is matched against SWAP u (scaled back
+    into SU(4)); moving that SWAP through the output layer exchanges its
+    two factors, and the SWAPs cancel."""
+    if count == 0:
+        a, b = _kron_factor(u)
+        return [Gate("su2", (0,), a), Gate("su2", (1,), b)]
+    swapped = count != 2
+    target = np.exp(1j * np.pi / 4) * _SWAP @ u if swapped else u
+    interior = _interior(target, count)
+    v_inner = _sequence_unitary(interior)
+    a, b, c, d = _extract_prefactors(target, _SWAP @ v_inner if swapped else v_inner)
+    if swapped:
+        a, b = b, a
+    return [Gate("su2", (0,), c), Gate("su2", (1,), d), *interior,
+            Gate("su2", (0,), a), Gate("su2", (1,), b)]
 
 
-def _gates_1_cnot(u: np.ndarray) -> list[Gate]:
-    swap_u = np.exp(1j * np.pi / 4) * _SWAP @ u
-    v_inner = _to_su4(_SWAP @ _CNOTS[0, 1])
-    a, b, c, d = _extract_prefactors(swap_u, v_inner)
-    # swap_u = (a x b) SWAP CNOT (c x d); commuting the SWAP to the left
-    # exchanges the output-side factors, and the SWAPs cancel
-    return [Gate("su2", (0,), c), Gate("su2", (1,), d),
-            Gate("cnot", (0, 1)),
-            Gate("su2", (0,), b), Gate("su2", (1,), a)]
-
-
-def _gates_2_cnots(u: np.ndarray) -> list[Gate]:
-    evs = np.linalg.eigvals(_gamma(u))
+def _interior(target: np.ndarray, count: int) -> list[Gate]:
+    """The CNOTs and fixed SU(2) gates between the two prefactor layers,
+    read off the spectrum of gamma(target)."""
+    if count == 1:
+        return [Gate("cnot", (0, 1))]
+    evs = np.linalg.eigvals(_gamma(target))
+    if count == 3:
+        x, y, z = np.sort(np.angle(evs))[:3]
+        return [Gate("cnot", (1, 0)),
+                Gate("su2", (0,), _rz((z + y) / 2)), Gate("su2", (1,), _ry((x + z) / 2)),
+                Gate("cnot", (0, 1)),
+                Gate("su2", (1,), _ry((x + y) / 2)),
+                Gate("cnot", (1, 0))]
     if np.allclose(np.sort(evs.real), [-1, -1, 1, 1], atol=1e-7) and \
             np.max(np.abs(evs.imag)) < 1e-7:
-        # adjacent-CNOT special case: interior is S (x) sqrt(X)
-        middle = [Gate("su2", (0,), _S_GATE), Gate("su2", (1,), _SX_GATE)]
-        inner = np.kron(_S_GATE, _SX_GATE)
+        middle = (_S_GATE, _SX_GATE)  # adjacent-CNOT special case: S (x) sqrt(X)
     else:
         x = np.angle(evs[0])
         y = np.angle(evs[1])
         if abs(x + y) < 1e-9:
             y = np.angle(evs[2])
-        delta = (x + y) / 2
-        phi = (x - y) / 2
-        middle = [Gate("su2", (0,), _rz(delta)), Gate("su2", (1,), _rx(phi))]
-        inner = np.kron(_rz(delta), _rx(phi))
-    v_inner = _CNOTS[1, 0] @ inner @ _CNOTS[1, 0]
-    a, b, c, d = _extract_prefactors(u, v_inner)
-    return [Gate("su2", (0,), c), Gate("su2", (1,), d),
-            Gate("cnot", (1, 0)), *middle, Gate("cnot", (1, 0)),
-            Gate("su2", (0,), a), Gate("su2", (1,), b)]
-
-
-def _gates_3_cnots(u: np.ndarray) -> list[Gate]:
-    swap_u = np.exp(1j * np.pi / 4) * _SWAP @ u
-    evs = np.linalg.eigvals(_gamma(swap_u))
-    angles = np.sort(np.angle(evs))
-    x, y, z = angles[0], angles[1], angles[2]
-    alpha = (x + y) / 2
-    beta = (x + z) / 2
-    delta = (z + y) / 2
-    inner_gates = [Gate("cnot", (1, 0)),
-                   Gate("su2", (0,), _rz(delta)), Gate("su2", (1,), _ry(beta)),
-                   Gate("cnot", (0, 1)),
-                   Gate("su2", (1,), _ry(alpha)),
-                   Gate("cnot", (1, 0))]
-    v_inner = _SWAP @ _sequence_unitary(inner_gates)
-    a, b, c, d = _extract_prefactors(swap_u, v_inner)
-    return [Gate("su2", (0,), c), Gate("su2", (1,), d),
-            *inner_gates,
-            Gate("su2", (0,), b), Gate("su2", (1,), a)]
+        middle = (_rz((x + y) / 2), _rx((x - y) / 2))
+    return [Gate("cnot", (1, 0)), Gate("su2", (0,), middle[0]), Gate("su2", (1,), middle[1]),
+            Gate("cnot", (1, 0))]
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +486,7 @@ def compile_naimark_circuit(dilation: NaimarkDilation) -> Circuit:
     has checked the gates against the unitary."""
     if dilation.ext_dim != 4:
         raise ValueError("circuit compilation needs a 4x4 (two-qubit) dilation")
-    circuit = Circuit(2)
-    circuit.gates = two_qubit_gate_sequence(np.array(dilation.unitary))
-    return circuit
+    return Circuit(2, two_qubit_gate_sequence(np.array(dilation.unitary)))
 
 
 # ---------------------------------------------------------------------------

@@ -242,10 +242,11 @@ class PostselectionScheme:
 
     def _realized_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The mixture's "+" of component k added into target slot
-        ``parents[k]``, and its "-" as the fail slot."""
+        ``parents[k]``, in component order, and its "-" as the fail slot."""
         plus, fail = _binary_mixture(self.weights, self.states)
         effects = np.zeros((self.fail_index, *fail.shape), dtype=complex)
-        np.add.at(effects, self.parents, plus)
+        for parent, piece in zip(self.parents, plus):
+            effects[parent] += piece
         return effects, fail
 
     def simulated_povm(self) -> Povm:

@@ -136,9 +136,10 @@ def operational_distance(m, n) -> float:
     probability.  Outcome lists of unequal length are padded with zero
     effects.  When both measurements are complete the subset and its
     complement give the same norm, so only subsets containing outcome 0 are
-    scanned; otherwise all subsets are.  The subset sums are stacked and
-    solved by one batched eigvalsh per block of at most
-    SUBSET_BLOCK_ELEMENTS matrix entries, so memory does not grow with d.
+    scanned; otherwise all subsets are.  The subset sums over the first
+    parts form one block of at most SUBSET_BLOCK_ELEMENTS matrix entries,
+    and each subset of the remaining parts adds its sum to the block as one
+    offset, so every batched eigvalsh, and memory, stays bounded in d.
     """
     ms = _effect_list(m)
     ns = _effect_list(n)
@@ -161,20 +162,10 @@ def operational_distance(m, n) -> float:
         diffs, norm = hermitian, lambda block: np.abs(np.linalg.eigvalsh(block)).max()
     base, free = (diffs[0], diffs[1:]) if complete_pair else (zero, diffs)
     bits = max(1, (SUBSET_BLOCK_ELEMENTS // dim ** 2).bit_length() - 1)
-    return float(max(norm(block) for block in _subset_sum_blocks(free, base, bits)))
-
-
-def _subset_sum_blocks(parts, base, bits):
-    """``base`` plus every subset sum of ``parts``, 2**bits sums at a time:
-    the sums over the first ``bits`` parts form one stack, and the sums over
-    the rest, built the same way, are added to it as offsets."""
-    if len(parts) <= bits:
-        yield _subset_sums(parts) + base
-        return
-    block = _subset_sums(parts[:bits])
-    for offsets in _subset_sum_blocks(parts[bits:], base, bits):
-        for offset in offsets:
-            yield block + offset
+    block, rest = _subset_sums(free[:bits]), free[bits:]
+    offsets = (base + sum(part for i, part in enumerate(rest) if mask >> i & 1)
+               for mask in range(2 ** len(rest)))
+    return float(max(norm(block + offset) for offset in offsets))
 
 
 def _subset_sums(parts):

@@ -38,6 +38,16 @@ from povmsim.tomography import operational_distance, probe_states
 _CNOTS = {(0, 1): np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
           (1, 0): np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])}
 _HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+# (kind, qubits) of each decomposition's gates by CNOT count: SU(2) layers on
+# both qubits open and close every form, and the noise model charges each gate
+_SU2_LAYER = [("su2", (0,)), ("su2", (1,))]
+_GATE_LAYOUTS = {
+    0: _SU2_LAYER,
+    1: [*_SU2_LAYER, ("cnot", (0, 1)), *_SU2_LAYER],
+    2: [*_SU2_LAYER, ("cnot", (1, 0)), *_SU2_LAYER, ("cnot", (1, 0)), *_SU2_LAYER],
+    3: [*_SU2_LAYER, ("cnot", (1, 0)), *_SU2_LAYER, ("cnot", (0, 1)), ("su2", (1,)),
+        ("cnot", (1, 0)), *_SU2_LAYER],
+}
 
 
 def _reference_depolarize(rho, p, qubits, n_qubits):
@@ -228,7 +238,7 @@ class TestTwoQubitDecomposition:
                 circuit.su2(0, haar_random_unitary(2, rng)).su2(1, haar_random_unitary(2, rng))
             u = circuit.unitary()
         gates = two_qubit_gate_sequence(u)
-        assert sum(1 for g in gates if g.kind == "cnot") == cnots
+        assert [(g.kind, g.qubits) for g in gates] == _GATE_LAYOUTS[cnots]
         assert _phase_distance(_sequence_unitary(gates), u) <= DECOMPOSITION_ATOL
 
 
@@ -244,9 +254,12 @@ class TestNaimarkCircuit:
             assert np.max(np.abs(got - want)) < 1e-9
 
     def test_fixture_circuits_keep_their_cnot_counts(self, all_fixture_povms):
-        counts = {name: compile_naimark_circuit(naimark_dilation(povm, mode="qubit_register"))
-                  .cnot_count for name, povm in all_fixture_povms.items()}
+        circuits = {name: compile_naimark_circuit(naimark_dilation(povm, mode="qubit_register"))
+                    for name, povm in all_fixture_povms.items()}
+        counts = {name: circuit.cnot_count for name, circuit in circuits.items()}
         assert counts == {"tetrahedral": 3, "trine": 2, "random4": 3}
+        for name, circuit in circuits.items():
+            assert [(g.kind, g.qubits) for g in circuit.gates] == _GATE_LAYOUTS[counts[name]]
 
     def test_identity_dilation_keeps_ancilla(self):
         circuit = Circuit(2)  # empty gate list

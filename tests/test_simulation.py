@@ -329,6 +329,7 @@ class TestPostselectionScheme:
             assert err.invariant == want
         else:
             assert want == "ok"
+            assert np.array_equal(got._realized_blocks()[0], stacked[:-1])
             assert np.max(np.abs(got.simulated_povm().stack - stacked)) <= 1e-15
 
     def test_projective_simulation_checks_its_parts(self, trine):

@@ -28,7 +28,7 @@ from .core import (
     pauli_eigenstates,
     povm_from_document,
 )
-from .noisy_device import NoiseModel, compare_schemes, load_experiment_plan
+from .noisy_device import MAX_SHOTS, NoiseModel, compare_schemes, load_experiment_plan
 from .simulation import postselection_scheme, sample_postselection
 from .tomography import operational_distance
 from .usd import (
@@ -290,6 +290,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+def shot_count(text: str) -> int:
+    value = positive_int(text)
+    if value > MAX_SHOTS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SHOTS}, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _apply_config_file(args, argv, parser):
     """Values from --config override the command-line flags.  They are
     parsed as if written after the flags, so each meets the type, choices
@@ -328,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--povm-file", help="POVM JSON document")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--out", help="output file (relative paths use POVMSIM_OUTPUT_DIR)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--config", help="JSON config file; overrides flags")
@@ -336,15 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample the postselection protocol")
     povm_source(p)
     p.add_argument("--state", default="zero", choices=STATE_NAMES)
-    p.add_argument("--shots", type=positive_int, default=100_000)
+    p.add_argument("--shots", type=shot_count, default=100_000)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("usd", help="state-discrimination bound experiments")
-    mode = p.add_mutually_exclusive_group()  # not required, as in povm_source
-    mode.add_argument("--symmetric", nargs=2, type=float, metavar=("D", "EPSILON"))
-    mode.add_argument("--random", nargs=2, type=positive_int, metavar=("D", "DIM"))
-    mode.add_argument("--ensemble", help="ensemble JSON document")
+    experiment = p.add_mutually_exclusive_group()  # not required, as in povm_source
+    experiment.add_argument("--symmetric", nargs=2, type=float, metavar=("D", "EPSILON"))
+    experiment.add_argument("--random", nargs=2, type=positive_int, metavar=("D", "DIM"))
+    experiment.add_argument("--ensemble", help="ensemble JSON document")
     p.add_argument("--trials", type=positive_int, default=100)
     common(p)
     p.set_defaults(func=cmd_usd)
@@ -352,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="noisy postselection-vs-Naimark comparison")
     povm_source(p)
     p.add_argument("--noise", default="ibmx4-like")
-    p.add_argument("--shots", type=positive_int, default=8192)
+    p.add_argument("--shots", type=shot_count, default=8192)
     p.add_argument("--plan", help="experiment plan JSON (noise.* keys override everything)")
     common(p)
     p.set_defaults(func=cmd_compare)

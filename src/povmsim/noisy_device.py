@@ -34,6 +34,8 @@ from .tomography import (
 
 DECOMPOSITION_ATOL = 1e-8
 SCHEMES = ("postselection", "naimark", "both")
+#: the largest shot count numpy's int64 samplers (multinomial, binomial) take
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ def load_experiment_plan(doc) -> ExperimentPlan:
 
     Recognized keys: noise.cnot, noise.su2, noise.readout_bias, shots, seed,
     scheme, povm_fixture.  A value of the wrong type or range raises
-    ValueError naming its key.
+    ValueError naming its key; shots must be in [1, MAX_SHOTS].
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan must be a JSON object, got {type(doc).__name__}")
@@ -89,9 +91,10 @@ def load_experiment_plan(doc) -> ExperimentPlan:
     if unknown:
         raise ValueError(f"unknown plan keys: {sorted(unknown)}")
 
-    def typed(key, default, kinds, what, low=None):
+    def typed(key, default, kinds, what, low=None, high=None):
         v = doc.get(key, default)
-        if isinstance(v, bool) or not isinstance(v, kinds) or not (low is None or v >= low):
+        if (isinstance(v, bool) or not isinstance(v, kinds) or not (low is None or v >= low)
+                or not (high is None or v <= high)):
             raise ValueError(f"plan key {key!r} must be {what}, got {v!r}")
         return v
 
@@ -102,7 +105,8 @@ def load_experiment_plan(doc) -> ExperimentPlan:
         raise ValueError(f"unknown scheme {scheme!r}")
     return ExperimentPlan(povm_fixture=typed("povm_fixture", "tetrahedral", str, "a string"),
                           scheme=scheme, noise=noise,
-                          shots=typed("shots", 8192, int, "an integer of at least 1", 1),
+                          shots=typed("shots", 8192, int,
+                                      f"an integer in [1, {MAX_SHOTS}]", 1, MAX_SHOTS),
                           seed=typed("seed", 0, int, "a non-negative integer", 0))
 
 
@@ -246,7 +250,8 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
 
     Block-allocation stand-in for per-run randomization: downstream
     frequency normalization divides by sum N_j, which reproduces the
-    weights exactly in expectation.
+    weights exactly in expectation.  Counts round through float, so they
+    stop at the largest float below 2**63: a cap of MAX_SHOTS stays in int64.
     """
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
@@ -255,7 +260,7 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
         raise ValueError("weights must be positive")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    return np.rint(cap * w / np.max(w)).astype(int)
+    return np.minimum(np.rint(cap * w / np.max(w)), np.nextafter(2.0 ** 63, 0)).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +486,19 @@ def compile_postselection_circuit(projector_direction) -> Circuit:
 
 
 def compile_naimark_circuit(dilation: NaimarkDilation) -> Circuit:
-    """Two-qubit circuit for a 4x4 dilation unitary (ancilla = qubit 0
-    prepared in |0>, system = qubit 1); :func:`two_qubit_gate_sequence`
-    has checked the gates against the unitary."""
-    if dilation.ext_dim != 4:
-        raise ValueError("circuit compilation needs a 4x4 (two-qubit) dilation")
-    return Circuit(2, two_qubit_gate_sequence(np.array(dilation.unitary)))
+    """Two-qubit circuit for the dilation of a qubit POVM with at most 4
+    outcomes, the one owner of the register layout: the dilation unitary
+    fills the top-left block of a 4x4 identity (ancilla = qubit 0 in |0>,
+    system = qubit 1; outcomes from n_outcomes on are padding), whose gates
+    :func:`two_qubit_gate_sequence` has checked."""
+    if dilation.dim != 2:
+        raise ValueError("circuit compilation needs the dilation of a qubit POVM")
+    n = dilation.n_outcomes
+    if n > 4:
+        raise ValueError(f"a two-qubit register holds at most 4 outcomes, got {n}")
+    register = np.eye(4, dtype=complex)
+    register[:n, :n] = dilation.unitary
+    return Circuit(2, two_qubit_gate_sequence(register))
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +554,12 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     shots_total = 0
     for k in range(m):
         shots_k = int(alloc[k])
-        mitigated = _mitigated_record(compile_postselection_circuit(scheme.states[k]),
-                                      PROBE_RHOS, noise, shots_k, rng)
+        circuit = compile_postselection_circuit(scheme.states[k])
+        mitigated = _mitigated_record(circuit, PROBE_RHOS, noise, shots_k, rng)
         # register outcome 0 is "+" -> parent outcome; 1 is the failure slot
         table[:, scheme.parents[k]] += shots_k * mitigated.frequencies[:, 0]
         table[:, n] += shots_k * mitigated.frequencies[:, 1]
-        shots_total += 2 * shots_k * len(PROBE_RHOS)
+        shots_total += 2 ** circuit.n_qubits * shots_k * len(PROBE_RHOS)
     table /= table.sum(axis=1, keepdims=True)
     record = TomographyRecord(table)
     fraction = float(np.mean(table[:, n]))
@@ -558,19 +570,19 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
 
 
 def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed) -> PipelineResult:
-    """Run the two-qubit dilation circuit over the probe set with the four
-    x-gate configurations, average, and reconstruct all register outcomes."""
-    dilation = naimark_dilation(povm, mode="qubit_register")
-    circuit = compile_naimark_circuit(dilation)
-    # each system probe on qubit 1, joined with the |0> ancilla on qubit 0
-    rhos = np.zeros((len(PROBE_RHOS), dilation.ext_dim, dilation.ext_dim), dtype=complex)
+    """Run the compiled dilation circuit over the probe set with every x-gate
+    configuration, average, and reconstruct all register outcomes."""
+    circuit = compile_naimark_circuit(naimark_dilation(povm))
+    dim = 2 ** circuit.n_qubits
+    # each system probe on the last qubit, joined with the |0> ancilla
+    rhos = np.zeros((len(PROBE_RHOS), dim, dim), dtype=complex)
     rhos[:, :2, :2] = PROBE_RHOS
     record = _mitigated_record(circuit, rhos, noise, cap, _rng(seed))
     reconstruction = reconstruct_povm(record)
     padding = np.stack(reconstruction.effects)[povm.n_outcomes:]
     residual = float(np.trace(padding, axis1=1, axis2=2).real.sum())
     return PipelineResult(record, reconstruction, residual_mass=residual,
-                          shots_total=4 * cap * len(rhos))
+                          shots_total=2 ** circuit.n_qubits * cap * len(rhos))
 
 
 @dataclass

@@ -17,7 +17,12 @@ from povmsim.core import (
     random_povm,
 )
 from povmsim.naimark import dilated_statistics, naimark_dilation
-from povmsim.noisy_device import NoiseModel, compare_schemes
+from povmsim.noisy_device import (
+    NoiseModel,
+    compare_schemes,
+    compile_naimark_circuit,
+    exact_output_distribution,
+)
 from povmsim.simulation import build_mq, postselection_scheme, sample_postselection
 from povmsim.tomography import (
     TomographyRecord,
@@ -102,16 +107,20 @@ def test_criterion_3_exact_decomposition(all_fixture_povms):
 def test_criterion_4_naimark_correctness(all_fixture_povms):
     probes = pauli_eigenstates()
     for name, povm in all_fixture_povms.items():
-        for mode in ("abstract", "qubit_register"):
-            dilation = naimark_dilation(povm, mode=mode)
-            assert dilation.isometry_defect < 1e-9, (name, mode)
-            assert dilation.unitarity_defect < 1e-9, (name, mode)
-            for state in probes:
-                stats = dilated_statistics(dilation, state)
-                oracle = born_probabilities(state, povm)
-                n = povm.n_outcomes
-                assert np.max(np.abs(stats[:n] - oracle)) < 1e-9, (name, mode)
-                assert np.max(stats[n:], initial=0.0) < 1e-9, (name, mode)
+        dilation = naimark_dilation(povm)
+        assert dilation.isometry_defect < 1e-9, name
+        assert dilation.unitarity_defect < 1e-9, name
+        # the two-qubit register: ancilla = qubit 0 in |0>, system = qubit 1
+        circuit = compile_naimark_circuit(dilation)
+        n = povm.n_outcomes
+        for state in probes:
+            oracle = born_probabilities(state, povm)
+            stats = dilated_statistics(dilation, state)
+            assert np.max(np.abs(stats - oracle)) < 1e-9, name
+            register = exact_output_distribution(
+                circuit, QuantumState.pure(np.kron([1, 0], state.vector)), NoiseModel())
+            assert np.max(np.abs(register[:n] - oracle)) < 1e-9, (name, "register")
+            assert np.max(register[n:], initial=0.0) < 1e-9, (name, "register")
     _report(4, "Naimark dilation correctness")
 
 

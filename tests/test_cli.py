@@ -7,13 +7,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import povmsim
 from povmsim import fixtures
 from povmsim.cli import main, table1_rows
-from povmsim.core import QuantumState
-from povmsim.noisy_device import Circuit, NoiseModel, compare_schemes
+from povmsim.core import Povm, QuantumState, povm_to_document
+from povmsim.noisy_device import MAX_SHOTS, Circuit, NoiseModel, compare_schemes
 from povmsim.simulation import postselection_scheme
 from povmsim.tomography import TomographyRecord
 
@@ -272,6 +273,39 @@ class TestCompare:
         assert "argument --shots: must be at least 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["compare", "simulate"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_shots_beyond_int64_is_usage_error_naming_flag(self, capsys, tmp_path, command,
+                                                           via_config):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"shots": 2 ** 63}))
+        extra = ["--config", str(config)] if via_config else ["--shots", str(2 ** 63)]
+        code, err = usage_exit(capsys, command, "--povm", "trine", *extra)
+        assert code == 2
+        assert f"argument --shots: must be at most {MAX_SHOTS}" in err
+
+    @pytest.mark.parametrize("command", ["compare", "simulate"])
+    def test_largest_shot_count_runs(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--povm", "tetrahedral",
+                                 "--shots", str(MAX_SHOTS), "--seed", "2")
+        assert code == 0, err
+        assert json.loads(out)["config"]["shots"] == MAX_SHOTS
+
+    @pytest.mark.parametrize("effects", [
+        [np.diag([1, 0]), np.diag([0, 1])],
+        [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])],
+    ], ids=["z-basis", "x-basis"])
+    def test_two_outcome_povm_file(self, capsys, tmp_path, effects):
+        # the two-qubit register holds a 2x2 dilation as well as a 3x3 or 4x4 one
+        path = tmp_path / "pm.json"
+        path.write_text(json.dumps(povm_to_document(Povm(effects))))
+        code, out, err = run_cli(capsys, "compare", "--povm-file", str(path),
+                                 "--noise", "noiseless", "--shots", "4096", "--seed", "1")
+        assert code == 0, err
+        row = json.loads(out)["rows"][0]
+        assert row["naimark"] < 0.1 and row["our_scheme"] < 0.1
+        assert abs(row["naimark_residual_mass"]) < 0.1
+
     def test_one_shot_measures_every_component(self, capsys):
         code, out, err = run_cli(capsys, "compare", "--povm", "random4",
                                  "--shots", "1", "--seed", "1")
@@ -301,6 +335,8 @@ class TestCompare:
         ({"povm_fixture": "nope"}, "unknown povm_fixture 'nope'"),
         ({"shots": 1.7}, "plan key 'shots' must be an integer"),
         ([1, 2], "a plan must be a JSON object"),
+        ({"shots": 2 ** 63}, f"plan key 'shots' must be an integer in [1, {MAX_SHOTS}]"),
+        ({"seed": -1}, "plan key 'seed' must be a non-negative integer"),
     ])
     def test_malformed_plan_rejected(self, capsys, tmp_path, plan, message):
         path = tmp_path / "plan.json"
@@ -386,6 +422,18 @@ class TestOutputPlumbing:
             os.close(write_end)
         assert result.stderr == b""
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("argv", [("simulate", "--povm", "trine"),
+                                      ("compare", "--povm", "trine"),
+                                      ("usd", "--symmetric", "4", "0.1")])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_negative_seed_is_usage_error_naming_flag(self, capsys, tmp_path, argv, via_config):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": -1}))
+        extra = ["--config", str(config)] if via_config else ["--seed", "-1"]
+        code, err = usage_exit(capsys, *argv, *extra)
+        assert code == 2
+        assert "argument --seed: must be a non-negative integer, got -1" in err
 
     def test_seed_recorded_in_payload(self, capsys):
         _, out, _ = run_cli(capsys, "usd", "--symmetric", "4", "0.1", "--seed", "17")

@@ -10,10 +10,12 @@ from povmsim.core import (
     born_probabilities,
     haar_random_unitary,
     pauli_eigenstates,
+    random_rank_one_povm,
 )
 from povmsim.naimark import dilated_statistics, naimark_dilation
 from povmsim.noisy_device import (
     DECOMPOSITION_ATOL,
+    MAX_SHOTS,
     Circuit,
     NoiseModel,
     _evolve,
@@ -244,17 +246,18 @@ class TestTwoQubitDecomposition:
 
 class TestNaimarkCircuit:
     def test_trine_circuit_matches_dilated_statistics(self, trine):
-        dilation = naimark_dilation(trine, mode="qubit_register")
+        dilation = naimark_dilation(trine)
         circuit = compile_naimark_circuit(dilation)
         for probe in pauli_eigenstates():
             want = dilated_statistics(dilation, probe)
             # ancilla = qubit 0 in |0>, system = qubit 1
             state = QuantumState.pure(np.kron([1, 0], probe.vector))
             got = exact_output_distribution(circuit, state, NoiseModel())
-            assert np.max(np.abs(got - want)) < 1e-9
+            assert np.max(np.abs(got[:3] - want)) < 1e-9
+            assert got[3] < 1e-9  # the padding outcome
 
     def test_fixture_circuits_keep_their_cnot_counts(self, all_fixture_povms):
-        circuits = {name: compile_naimark_circuit(naimark_dilation(povm, mode="qubit_register"))
+        circuits = {name: compile_naimark_circuit(naimark_dilation(povm))
                     for name, povm in all_fixture_povms.items()}
         counts = {name: circuit.cnot_count for name, circuit in circuits.items()}
         assert counts == {"tetrahedral": 3, "trine": 2, "random4": 3}
@@ -267,19 +270,35 @@ class TestNaimarkCircuit:
                                           NoiseModel())
         assert probs[2] == pytest.approx(1.0)
 
-    def test_rejects_small_dilations(self):
-        from povmsim.core import random_rank_one_povm
+    def test_two_outcome_povm_compiles_and_matches_born(self):
         povm = random_rank_one_povm(2, 2, 0)
-        dilation = naimark_dilation(povm, mode="qubit_register")
-        assert dilation.ext_dim == 2
-        with pytest.raises(ValueError, match="4x4"):
-            compile_naimark_circuit(dilation)
+        dilation = naimark_dilation(povm)
+        assert dilation.unitary.shape == (2, 2)
+        circuit = compile_naimark_circuit(dilation)  # pads the 2x2 into the 4x4 register
+        assert circuit.n_qubits == 2
+        for probe in pauli_eigenstates():
+            state = QuantumState.pure(np.kron([1, 0], probe.vector))
+            got = exact_output_distribution(circuit, state, NoiseModel())
+            assert np.max(np.abs(got[:2] - born_probabilities(probe, povm))) < 1e-9
+            assert np.max(got[2:]) < 1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_compiled_register_matches_born(self, n, seed):
+        # the register layout in one place: ancilla = qubit 0 in |0>, system
+        # = qubit 1, register outcome i = logical outcome i, the rest padding
+        povm = random_rank_one_povm(2, n, seed)
+        circuit = compile_naimark_circuit(naimark_dilation(povm))
+        for probe in probe_states():
+            state = QuantumState.pure(np.kron([1, 0], probe.vector))
+            got = exact_output_distribution(circuit, state, NoiseModel())
+            assert np.max(np.abs(got[:n] - born_probabilities(probe, povm))) <= 1e-9
+            assert np.max(got[n:], initial=0.0) <= 1e-9
 
 
 class TestRunShots:
     def test_noiseless_five_sigma(self, trine):
-        dilation = naimark_dilation(trine, mode="qubit_register")
-        circuit = compile_naimark_circuit(dilation)
+        circuit = compile_naimark_circuit(naimark_dilation(trine))
         vec = np.zeros(4, dtype=complex)
         vec[0] = 1.0
         state = QuantumState.pure(vec)
@@ -328,6 +347,12 @@ class TestExperimentPlan:
         with pytest.raises(ValueError, match="unknown plan keys"):
             load_experiment_plan({"noise.cx": 0.1})
 
+    def test_shots_bounded_by_the_int64_samplers(self):
+        from povmsim.noisy_device import load_experiment_plan
+        assert load_experiment_plan({"shots": MAX_SHOTS}).shots == MAX_SHOTS
+        with pytest.raises(ValueError, match="plan key 'shots'"):
+            load_experiment_plan({"shots": MAX_SHOTS + 1})
+
 
 class TestShotAllocation:
     def test_uniform_weights_hit_cap(self):
@@ -349,6 +374,16 @@ class TestShotAllocation:
     def test_small_weight_may_round_to_zero(self):
         # the floor of one run is applied by postselection_tomography, not here
         assert np.array_equal(proportional_shot_allocation([1.0, 0.01], 10), [10, 0])
+
+    @pytest.mark.parametrize("cap", [MAX_SHOTS, MAX_SHOTS - 511])
+    def test_rounding_stays_inside_int64(self, cap):
+        # float(cap) is 2**63: without a stop the largest weight's count
+        # would wrap around to -2**63
+        got = proportional_shot_allocation([1.0, 1.0 - 1e-16, 0.5, 1e-300], cap)
+        assert got.dtype == np.int64
+        assert np.all(got >= 0) and np.all(got <= MAX_SHOTS)
+        assert got[0] == MAX_SHOTS - 1023  # the largest float below 2**63
+        assert got[2] == 2 ** 62 and got[3] == 0
 
 
 class TestPipelines:
@@ -433,7 +468,7 @@ class TestBatchedEvolution:
                 assert np.max(np.abs(got[p] - want)) <= 1e-12
 
     def test_exact_distribution_is_a_row_of_the_batched_pass(self, trine):
-        circuit = compile_naimark_circuit(naimark_dilation(trine, mode="qubit_register"))
+        circuit = compile_naimark_circuit(naimark_dilation(trine))
         noise = NoiseModel.preset("ibmx4-like")
         states = [QuantumState.pure(np.kron([1, 0], p.vector)) for p in pauli_eigenstates()]
         rhos = np.stack([s.rho for s in states])
@@ -452,7 +487,7 @@ class TestBatchedEvolution:
     def test_mitigated_counts_five_sigma(self, trine, two_qubit):
         noise = NoiseModel(cnot_depolarizing=0.05, su2_depolarizing=0.01, readout_bias=0.1)
         if two_qubit:
-            circuit = compile_naimark_circuit(naimark_dilation(trine, mode="qubit_register"))
+            circuit = compile_naimark_circuit(naimark_dilation(trine))
             rhos = np.stack([np.kron(np.diag([1, 0]), p.rho) for p in probe_states()])
         else:
             circuit = compile_postselection_circuit([np.cos(0.4), np.exp(0.3j) * np.sin(0.4)])
@@ -467,8 +502,7 @@ class TestBatchedEvolution:
 
     def test_naimark_pipeline_five_sigma(self, trine):
         noise = NoiseModel.preset("ibmx4-like")
-        dilation = naimark_dilation(trine, mode="qubit_register")
-        circuit = compile_naimark_circuit(dilation)
+        circuit = compile_naimark_circuit(naimark_dilation(trine))
         shots = 100_000
         result = naimark_tomography(trine, noise, cap=shots, seed=5)
         # the ancilla is qubit 0, in |0>; register outcome i is logical outcome i

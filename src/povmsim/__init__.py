@@ -34,7 +34,6 @@ from .noisy_device import (
 from .simulation import (
     PostProcessingMap,
     PostselectionScheme,
-    ProjectiveSimulation,
     ShotRecord,
     apply_postprocessing,
     build_mq,

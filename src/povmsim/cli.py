@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -39,6 +40,10 @@ from .usd import (
 )
 
 SCHEMA_VERSION = 1
+
+#: ``--trials`` cap: the experiment spawns one generator (about 1 KiB) per
+#: trial before drawing, and prints one row per trial
+MAX_TRIALS = 100_000
 
 STATE_NAMES = ("zero", "one", "x+", "x-", "y+", "y-", "mixed")
 
@@ -297,6 +302,13 @@ def shot_count(text: str) -> int:
     return value
 
 
+def trial_count(text: str) -> int:
+    value = positive_int(text)
+    if value > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_TRIALS}, got {value}")
+    return value
+
+
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -329,6 +341,7 @@ def _apply_config_file(args, argv, parser):
     return parser.parse_args([*argv, *extra])
 
 
+@functools.cache  # built on first use; parsing never mutates it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="povmsim",
@@ -359,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--symmetric", nargs=2, type=float, metavar=("D", "EPSILON"))
     experiment.add_argument("--random", nargs=2, type=positive_int, metavar=("D", "DIM"))
     experiment.add_argument("--ensemble", help="ensemble JSON document")
-    p.add_argument("--trials", type=positive_int, default=100)
+    p.add_argument("--trials", type=trial_count, default=100)
     common(p)
     p.set_defaults(func=cmd_usd)
 

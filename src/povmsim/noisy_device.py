@@ -395,7 +395,8 @@ def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
     """Decompose a 4x4 unitary into SU(2) gates and at most 3 CNOTs.
 
     Tries the canonical CNOT count first and the generic 3-CNOT form after
-    it; the first form that verifies to DECOMPOSITION_ATOL is returned.
+    it, each once; the first form that verifies to DECOMPOSITION_ATOL is
+    returned.
     """
     u_in = np.asarray(unitary, dtype=complex)
     if u_in.shape != (4, 4):
@@ -404,7 +405,7 @@ def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
         raise ValueError("matrix is not unitary")
     u = _to_su4(u_in)
     last = None
-    for count in (_num_cnots(u), 3):
+    for count in dict.fromkeys((_num_cnots(u), 3)):
         try:
             gates = _gates(u, count)
         except RuntimeError as err:

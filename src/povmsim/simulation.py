@@ -168,31 +168,6 @@ def _binary_mixture(weights: np.ndarray, directions: np.ndarray) -> tuple[np.nda
     return plus, weights.sum() * np.eye(directions.shape[1]) - plus.sum(axis=0)
 
 
-class ProjectiveSimulation:
-    """Binary measurements (|v_k><v_k|, 1 - |v_k><v_k|) drawn with probability
-    ``weights[k]``, plus a post-processing map over the m+1 outcomes of
-    :meth:`mixture`, declared to reproduce a target POVM."""
-
-    def __init__(self, weights, directions, postprocessing: PostProcessingMap, target: Povm):
-        self.weights = _freeze(np.asarray(weights, dtype=float))
-        self.directions = _freeze(np.asarray(directions, dtype=complex))
-        _check_mixture(self.weights, self.directions)
-        self.postprocessing = postprocessing
-        self.target = target
-        simulated = self.simulated_povm()
-        if not simulated.allclose(target):
-            dev = max(np.max(np.abs(a - b)) for a, b in zip(simulated, target))
-            raise InvariantViolation("simulation fidelity", dev,
-                                     "mixture + post-processing does not reproduce the target")
-
-    def mixture(self) -> Povm:
-        plus, minus = _binary_mixture(self.weights, self.directions)
-        return Povm(np.concatenate([plus, minus[None]]))
-
-    def simulated_povm(self) -> Povm:
-        return apply_postprocessing(self.mixture(), self.postprocessing)
-
-
 class PostselectionScheme:
     """The protocol realizing a POVM with binary projective measurements
     and postselection at success probability 1/d.
@@ -233,12 +208,11 @@ class PostselectionScheme:
     def fail_index(self) -> int:
         return self.target.n_outcomes
 
-    def as_projective_simulation(self) -> ProjectiveSimulation:
-        """Single-map view: component k's projector in slot k of the
-        mixture, every complement in slot m, one merge map over both."""
-        merge = PostProcessingMap.deterministic([*self.parents, self.fail_index])
-        return ProjectiveSimulation(self.weights, self.states, merge,
-                                    build_mq(self.target, self.success_probability))
+    def mixture(self) -> Povm:
+        """The mixture before relabelling: component k's "+" in slot k and
+        every "-" in slot m; ``deterministic([*parents, fail_index])`` merges it."""
+        plus, minus = _binary_mixture(self.weights, self.states)
+        return Povm(np.concatenate([plus, minus[None]]))
 
     def _realized_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The mixture's "+" of component k added into target slot

@@ -23,7 +23,13 @@ from povmsim.noisy_device import (
     compile_naimark_circuit,
     exact_output_distribution,
 )
-from povmsim.simulation import build_mq, postselection_scheme, sample_postselection
+from povmsim.simulation import (
+    PostProcessingMap,
+    apply_postprocessing,
+    build_mq,
+    postselection_scheme,
+    sample_postselection,
+)
 from povmsim.tomography import (
     TomographyRecord,
     bias_mitigated_statistics,
@@ -88,7 +94,9 @@ def test_criterion_2_postselection_sampler_fidelity(all_fixture_povms):
 def test_criterion_3_exact_decomposition(all_fixture_povms):
     def check(povm):
         scheme = postselection_scheme(povm)
-        simulated = scheme.as_projective_simulation().simulated_povm()
+        # the single-map view: one mixture, one deterministic relabelling
+        merge = PostProcessingMap.deterministic([*scheme.parents, scheme.fail_index])
+        simulated = apply_postprocessing(scheme.mixture(), merge)
         target = build_mq(povm, 1 / povm.dim)
         for got, want in zip(simulated.effects, target.effects):
             assert np.max(np.abs(got - want)) < 1e-9

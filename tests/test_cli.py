@@ -12,7 +12,7 @@ import pytest
 
 import povmsim
 from povmsim import fixtures
-from povmsim.cli import main, table1_rows
+from povmsim.cli import MAX_TRIALS, build_parser, main, table1_rows
 from povmsim.core import Povm, QuantumState, povm_to_document
 from povmsim.noisy_device import MAX_SHOTS, Circuit, NoiseModel, compare_schemes
 from povmsim.simulation import postselection_scheme
@@ -126,6 +126,8 @@ class TestUsd:
     @pytest.mark.parametrize("argv, option", [
         (("--random", "3", "4", "--trials", "0"), "--trials"),
         (("--random", "3", "4", "--trials", "-2"), "--trials"),
+        (("--random", "3", "4", "--trials", str(MAX_TRIALS + 1)), "--trials"),
+        (("--random", "3", "4", "--trials", str(2**63)), "--trials"),
         (("--random", "0", "4"), "--random"),
         (("--random", "x", "4"), "--random"),
         (("--random", "5", "3"), "--random"),
@@ -377,10 +379,22 @@ class TestOutputPlumbing:
         assert payload["config"]["seed"] == 9
         assert payload["config"]["shots"] == 4000
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_config_values_do_not_leak_into_the_next_call(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"shots": 4000}))
+        _, out, _ = run_cli(capsys, "simulate", "--povm", "trine", "--config", str(config))
+        assert json.loads(out)["config"]["shots"] == 4000
+        _, out, _ = run_cli(capsys, "simulate", "--povm", "trine")
+        assert json.loads(out)["config"]["shots"] == 100_000
+
     @pytest.mark.parametrize("argv, override, option", [
         (("simulate", "--povm", "trine"), {"shots": "abc"}, "--shots"),
         (("simulate", "--povm", "trine"), {"state": "bogus"}, "--state"),
         (("usd", "--random", "3", "4"), {"trials": "x"}, "--trials"),
+        (("usd", "--random", "3", "4"), {"trials": 2**63}, "--trials"),
         (("compare", "--povm", "trine"), {"shots": 8192.5}, "--shots"),
         (("table1",), {"format": "xml"}, "--format"),
         (("fixtures",), {"seed": "one"}, "--seed"),
@@ -455,6 +469,14 @@ class TestReadme:
         for argv in commands:
             code, _, err = run_cli(capsys, *argv)
             assert code == 0, (argv, err)
+
+    def test_library_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library example", 1)[1].split("```python", 1)[1]
+        exec(block.split("```", 1)[0], {})
+        success_rate, conditional, born = capsys.readouterr().out.splitlines()
+        assert float(success_rate) == pytest.approx(0.5, abs=5 * np.sqrt(0.25 / 1_000_000))
+        assert born == str(np.array([0.5, 1 / 6, 1 / 6, 1 / 6]))
 
     def test_names_traced_by_the_benchmark_exist(self):
         # perfbench wraps these names by lookup, and its hooks read attributes

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from povmsim import noisy_device
 from povmsim.core import (
     PAULI_X,
     InvariantViolation,
@@ -223,6 +224,19 @@ class TestTwoQubitDecomposition:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             two_qubit_gate_sequence(np.ones((4, 4)))
+
+    def test_each_cnot_count_is_tried_once(self, monkeypatch):
+        attempts = []
+
+        def failing(u, count):
+            attempts.append(count)
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(noisy_device, "_gates", failing)
+        u = haar_random_unitary(4, np.random.default_rng(3))  # canonical count 3
+        with pytest.raises(RuntimeError, match="two-qubit decomposition failed: forced"):
+            two_qubit_gate_sequence(u)
+        assert attempts == [3]
 
     @pytest.mark.parametrize("cnots", [0, 1, 2, 3], ids=["local", "one_cnot", "two_cnots", "haar"])
     @settings(derandomize=True, deadline=None, max_examples=150)

@@ -19,7 +19,6 @@ from povmsim.core import (
 from povmsim.simulation import (
     PostProcessingMap,
     PostselectionScheme,
-    ProjectiveSimulation,
     _check_mixture,
     apply_postprocessing,
     build_mq,
@@ -34,6 +33,12 @@ from povmsim.simulation import (
 
 def computational_basis(dim: int = 2) -> Povm:
     return Povm([np.diag(e) for e in np.eye(dim)])
+
+
+def single_map_view(scheme: PostselectionScheme) -> Povm:
+    """The scheme as one mixture and one deterministic relabelling."""
+    merge = PostProcessingMap.deterministic([*scheme.parents, scheme.fail_index])
+    return apply_postprocessing(scheme.mixture(), merge)
 
 
 def povm_equal(a: Povm, b: Povm, atol=1e-9) -> bool:
@@ -240,12 +245,11 @@ class TestPostselectionScheme:
     def test_exact_decomposition_all_fixtures(self, all_fixture_povms):
         for povm in all_fixture_povms.values():
             scheme = postselection_scheme(povm)
-            sim = scheme.as_projective_simulation()
             target = build_mq(povm, 1 / povm.dim)
-            assert povm_equal(sim.simulated_povm(), target, atol=1e-9)
+            assert povm_equal(single_map_view(scheme), target, atol=1e-9)
             # example 1 mixture shape: the raw mixture already equals M_q for
             # rank-one targets because each component owns one slot
-            assert povm_equal(sim.mixture(), Povm(list(target.effects)), atol=1e-9)
+            assert povm_equal(scheme.mixture(), Povm(list(target.effects)), atol=1e-9)
 
     @pytest.mark.parametrize("d, n, rank", [(2, 4, 1), (3, 5, 2), (8, 16, 2), (16, 64, 1)])
     def test_states_and_weights_match_per_piece_eigh(self, d, n, rank):
@@ -290,7 +294,7 @@ class TestPostselectionScheme:
     def test_view_reproduces_mq_and_document_round_trips(self, d, extra, rank, seed):
         povm = random_povm(d, d + extra, seed, rank=rank)
         scheme = postselection_scheme(povm)
-        simulated = scheme.as_projective_simulation().simulated_povm()
+        simulated = single_map_view(scheme)
         assert np.max(np.abs(simulated.stack - build_mq(povm, 1 / d).stack)) <= 1e-9
         back = PostselectionScheme.from_document(scheme.to_document())
         assert np.array_equal(back.weights, scheme.weights)
@@ -332,14 +336,12 @@ class TestPostselectionScheme:
             assert np.array_equal(got._realized_blocks()[0], stacked[:-1])
             assert np.max(np.abs(got.simulated_povm().stack - stacked)) <= 1e-15
 
-    def test_projective_simulation_checks_its_parts(self, trine):
+    def test_parts_of_another_target_rejected(self, trine, tetrahedral):
+        # the trine's valid mixture, declared to realize the tetrahedral POVM
         scheme = postselection_scheme(trine)
-        sim = scheme.as_projective_simulation()
-        with pytest.raises(InvariantViolation, match="unit norm"):
-            ProjectiveSimulation(sim.weights, 2 * sim.directions, sim.postprocessing, sim.target)
-        with pytest.raises(InvariantViolation, match="simulation fidelity"):
-            ProjectiveSimulation(sim.weights, sim.directions, sim.postprocessing,
-                                 build_mq(trine, 0.25))
+        with pytest.raises(InvariantViolation) as err:
+            PostselectionScheme(tetrahedral, scheme.states, scheme.weights, scheme.parents)
+        assert err.value.invariant == "postselection construction"
 
     def test_serialization_round_trip(self, trine):
         scheme = postselection_scheme(trine)

@@ -41,8 +41,7 @@ from .usd import (
 
 SCHEMA_VERSION = 1
 
-#: ``--trials`` cap: the experiment spawns one generator (about 1 KiB) per
-#: trial before drawing, and prints one row per trial
+#: ``--trials`` cap: the experiment prints one row per trial
 MAX_TRIALS = 100_000
 
 STATE_NAMES = ("zero", "one", "x+", "x-", "y+", "y-", "mixed")

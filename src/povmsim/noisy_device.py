@@ -12,7 +12,6 @@ averaging the relabelled statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .tomography import (
     PROBE_RHOS,
     Reconstruction,
     TomographyRecord,
-    bias_mitigated_statistics,
+    flip_average,
     operational_distance,
     reconstruct_povm,
 )
@@ -167,6 +166,12 @@ _CNOTS = {(0, 1): _freeze(np.eye(4, dtype=complex)[[0, 1, 3, 2]]),
           (1, 0): _freeze(np.eye(4, dtype=complex)[[0, 3, 2, 1]])}
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 factors by broadcasting: the same products, so the
+    same bits, at a tenth of the cost."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def _gate_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
     """Full-register matrix of one gate (qubit 0 is the leading factor)."""
     if gate.kind == "cnot":
@@ -174,8 +179,8 @@ def _gate_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
     if n_qubits == 1:
         return gate.matrix
     if gate.qubits[0] == 0:
-        return np.kron(gate.matrix, np.eye(2))
-    return np.kron(np.eye(2), gate.matrix)
+        return _kron(gate.matrix, np.eye(2))
+    return _kron(np.eye(2), gate.matrix)
 
 
 def depolarize(rho: np.ndarray, p: float, qubits, n_qubits: int) -> np.ndarray:
@@ -203,24 +208,25 @@ def depolarize(rho: np.ndarray, p: float, qubits, n_qubits: int) -> np.ndarray:
 
 
 def _evolve(gates, n_qubits: int, rhos: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Push a (P, dim, dim) stack of density matrices through ``gates``,
-    each gate followed by its depolarizing channel."""
+    """Push a (..., dim, dim) stack of density matrices through ``gates``,
+    each gate followed by its depolarizing channel.  A gate's matrix may
+    itself be a stack that broadcasts against ``rhos``."""
     for gate in gates:
         u = _gate_matrix(gate, n_qubits)
-        rhos = u @ rhos @ u.conj().T
+        rhos = u @ rhos @ u.conj().swapaxes(-1, -2)
         p = noise.cnot_depolarizing if gate.kind == "cnot" else noise.su2_depolarizing
         rhos = depolarize(rhos, p, gate.qubits, n_qubits)
     return rhos
 
 
 def _readout(rhos: np.ndarray, n_qubits: int, bias: float) -> np.ndarray:
-    """(P, 2**n_qubits) readout distributions of a (P, dim, dim) stack: the
-    diagonals through :func:`core.probability_rows`, then the readout
+    """(..., 2**n_qubits) readout distributions of a (..., dim, dim) stack:
+    the diagonals through :func:`core.probability_rows`, then the readout
     confusion."""
     probs = probability_rows(np.diagonal(rhos, axis1=-2, axis2=-1).real,
                              default_atol(rhos.shape[-1]))
     flip = np.array([[1.0, bias], [0.0, 1.0 - bias]])  # a true '1' reads '0' with probability bias
-    return probs @ reduce(np.kron, [flip] * n_qubits).T
+    return probs @ (flip if n_qubits == 1 else _kron(flip, flip)).T
 
 
 def exact_output_distribution(circuit: Circuit, state: QuantumState,
@@ -374,7 +380,7 @@ def _extract_prefactors(u_target: np.ndarray, v_inner: np.ndarray):
         cd = _MAGIC @ h @ _MAGIC_DAG
         a, b = _kron_factor(ab)
         c, d = _kron_factor(cd)
-        check = np.kron(a, b) @ v_inner @ np.kron(c, d)
+        check = _kron(a, b) @ v_inner @ _kron(c, d)
         if _phase_distance(check, u_target) < DECOMPOSITION_ATOL:
             return a, b, c, d
         last_error = "residual too large"
@@ -516,24 +522,32 @@ class PipelineResult:
     shots_total: int = 0
 
 
+def _flip_variants(evolved: np.ndarray, n_qubits: int, noise: NoiseModel) -> np.ndarray:
+    """Readout distributions of every x-gate flip variant of an evolved
+    (..., dim, dim) stack, as one (2**n_qubits, ..., dim) array: the stack
+    doubles once per qubit q, by the X on q and then its depolarizing
+    channel, so variant ``mask`` has an X on each q whose bit n_qubits-1-q is set."""
+    variants = evolved
+    for q in range(n_qubits):
+        flipped = _evolve([Gate("su2", (q,), PAULI_X)], n_qubits, variants, noise)
+        variants = np.stack([variants, flipped], axis=q)
+    return _readout(variants.reshape(-1, *evolved.shape), n_qubits, noise.readout_bias)
+
+
 def _mitigated_record(circuit: Circuit, rhos: np.ndarray, noise: NoiseModel,
                       shots: int, rng: np.random.Generator) -> TomographyRecord:
     """Bias-mitigated frequencies of ``circuit`` on a (P, dim, dim) probe stack.
 
-    The circuit's gates run once on the whole stack; only the trailing x
-    gates of each flip variant are applied per variant, and each variant's
-    counts for every probe come from one multinomial draw.
+    The circuit's gates run once on the whole stack and every flip variant
+    is read out in one pass; each variant's counts for every probe come from
+    one multinomial draw, in mask order.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     n = circuit.n_qubits
-    evolved = _evolve(circuit.gates, n, rhos, noise)
-    variants = {}
-    for mask in range(2 ** n):
-        flips = [Gate("su2", (q,), PAULI_X) for q in range(n) if mask >> (n - 1 - q) & 1]
-        probs = _readout(_evolve(flips, n, evolved, noise), n, noise.readout_bias)
-        variants[mask] = TomographyRecord(rng.multinomial(shots, probs) / shots)
-    return bias_mitigated_statistics(variants)
+    probs = _flip_variants(_evolve(circuit.gates, n, rhos, noise), n, noise)
+    counts = np.stack([rng.multinomial(shots, p) for p in probs])
+    return TomographyRecord(flip_average(counts / shots))
 
 
 def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
@@ -544,30 +558,37 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
 
     Shots are allocated to the components in proportion to their weights
     (job-level randomization), with at least one run each, so a small cap
-    leaves no component unmeasured.
+    leaves no component unmeasured.  All component rotations evolve as one
+    (m, P, 2, 2) stack; the counts are drawn one multinomial per component
+    and flip mask, component outer, mask inner.
     """
     n = scheme.target.n_outcomes
-    m = scheme.n_components
     alloc = np.maximum(proportional_shot_allocation(scheme.weights * scheme.target.dim, cap), 1)
+    shots = [int(s) for s in alloc]
     rng = _rng(seed)
 
+    rotations = np.stack([compile_postselection_circuit(state).gates[0].matrix
+                          for state in scheme.states])
+    evolved = _evolve([Gate("su2", (0,), rotations[:, None])], 1, PROBE_RHOS, noise)
+    probs = _flip_variants(evolved, 1, noise)  # (mask, component, probe, outcome)
+    freqs = np.empty(probs.shape)
+    for k, shots_k in enumerate(shots):
+        for mask, variant in enumerate(probs):
+            freqs[mask, k] = rng.multinomial(shots_k, variant[k]) / shots_k
+    mitigated = flip_average(freqs)
+
     table = np.zeros((len(PROBE_RHOS), n + 1))
-    shots_total = 0
-    for k in range(m):
-        shots_k = int(alloc[k])
-        circuit = compile_postselection_circuit(scheme.states[k])
-        mitigated = _mitigated_record(circuit, PROBE_RHOS, noise, shots_k, rng)
+    for k, shots_k in enumerate(shots):
         # register outcome 0 is "+" -> parent outcome; 1 is the failure slot
-        table[:, scheme.parents[k]] += shots_k * mitigated.frequencies[:, 0]
-        table[:, n] += shots_k * mitigated.frequencies[:, 1]
-        shots_total += 2 ** circuit.n_qubits * shots_k * len(PROBE_RHOS)
+        table[:, scheme.parents[k]] += shots_k * mitigated[k, :, 0]
+        table[:, n] += shots_k * mitigated[k, :, 1]
     table /= table.sum(axis=1, keepdims=True)
     record = TomographyRecord(table)
     fraction = float(np.mean(table[:, n]))
     kept = record.postselected(n)
     return PipelineResult(kept, reconstruct_povm(kept),
                           postselection_fraction=fraction,
-                          shots_total=shots_total)
+                          shots_total=2 * len(PROBE_RHOS) * sum(shots))
 
 
 def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed) -> PipelineResult:

@@ -176,25 +176,35 @@ def _subset_sums(parts):
     return sums
 
 
+def flip_average(variants) -> np.ndarray:
+    """The bias-mitigated table of x-gate flip variants: ``variants[mask]``
+    is a (..., n_outcomes) table indexed by register bitstrings, measured
+    with x gates on the masked qubits.  Each is relabelled by XOR-ing its
+    outcome index with its mask, added in mask order and divided once."""
+    outcomes = np.arange(variants.shape[-1])
+    table = np.zeros(variants.shape[1:])
+    for mask, variant in enumerate(variants):
+        table[..., outcomes ^ mask] += variant
+    return table / len(variants)
+
+
 def bias_mitigated_statistics(records: dict) -> TomographyRecord:
     """Average bit-flip relabelled records from x-gate circuit variants.
 
     ``records`` maps flip masks to TomographyRecords whose outcome axis is
     indexed by register bitstrings; a variant measured with x gates on the
-    masked qubits is relabelled by XOR-ing its outcome index with the mask.
-    The full mask set is required: 2 variants for one qubit, 4 for two.
+    masked qubits is relabelled by XOR-ing its outcome index with the mask
+    (:func:`flip_average`).  The full mask set is required: 2 variants for
+    one qubit, 4 for two.
     """
-    masks = sorted(int(m) for m in records)
-    n_outcomes = next(iter(records.values())).n_outcomes
+    variants = sorted(records.items(), key=lambda item: int(item[0]))
+    masks = [int(m) for m, _ in variants]
+    n_outcomes = variants[0][1].n_outcomes
     n_qubits = max(1, (n_outcomes - 1).bit_length())
     if n_outcomes != 2 ** n_qubits:
         raise ValueError("outcome count must be a power of two (register outcomes)")
     if masks != list(range(2 ** n_qubits)):
         raise ValueError(f"need one record per flip mask 0..{2 ** n_qubits - 1}, got {masks}")
-    table = np.zeros((4, n_outcomes))
-    for mask, rec in records.items():
-        if rec.n_outcomes != n_outcomes:
-            raise ValueError("variant records do not match")
-        table[:, np.arange(n_outcomes) ^ int(mask)] += rec.frequencies
-    table /= len(records)
-    return TomographyRecord(table)
+    if any(rec.n_outcomes != n_outcomes for _, rec in variants):
+        raise ValueError("variant records do not match")
+    return TomographyRecord(flip_average(np.stack([rec.frequencies for _, rec in variants])))

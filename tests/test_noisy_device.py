@@ -20,6 +20,8 @@ from povmsim.noisy_device import (
     Circuit,
     NoiseModel,
     _evolve,
+    _flip_variants,
+    _kron,
     _mitigated_record,
     _phase_distance,
     _readout,
@@ -36,7 +38,14 @@ from povmsim.noisy_device import (
     two_qubit_gate_sequence,
 )
 from povmsim.simulation import postselection_scheme
-from povmsim.tomography import operational_distance, probe_states
+from povmsim.tomography import (
+    PROBE_RHOS,
+    TomographyRecord,
+    bias_mitigated_statistics,
+    operational_distance,
+    probe_states,
+    reconstruct_povm,
+)
 
 _CNOTS = {(0, 1): np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
           (1, 0): np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])}
@@ -107,6 +116,39 @@ def _exact_mitigated(circuit, rhos, noise):
     return table / k
 
 
+def _per_mask_record(circuit, rhos, noise, shots, rng):
+    """The former mitigated record: each flip variant evolved, read out and
+    drawn on its own, in mask order, then relabelled and averaged."""
+    n = circuit.n_qubits
+    evolved = _evolve(circuit.gates, n, rhos, noise)
+    variants = {}
+    for mask in range(2 ** n):
+        flips = _flipped(circuit, mask).gates[len(circuit.gates):]
+        probs = _readout(_evolve(flips, n, evolved, noise), n, noise.readout_bias)
+        variants[mask] = TomographyRecord(rng.multinomial(shots, probs) / shots)
+    return bias_mitigated_statistics(variants)
+
+
+def _per_component_postselection(scheme, noise, cap, seed):
+    """The former postselection route: one circuit and one mitigated record
+    per component, in component order.  Returns the (probe, n + 1) table
+    before postselection and the shot total."""
+    n = scheme.target.n_outcomes
+    alloc = np.maximum(proportional_shot_allocation(scheme.weights * scheme.target.dim, cap), 1)
+    rng = np.random.default_rng(seed)
+    table = np.zeros((len(PROBE_RHOS), n + 1))
+    shots_total = 0
+    for k, state in enumerate(scheme.states):
+        shots_k = int(alloc[k])
+        circuit = compile_postselection_circuit(state)
+        mitigated = _per_mask_record(circuit, PROBE_RHOS, noise, shots_k, rng)
+        table[:, scheme.parents[k]] += shots_k * mitigated.frequencies[:, 0]
+        table[:, n] += shots_k * mitigated.frequencies[:, 1]
+        shots_total += 2 * shots_k * len(PROBE_RHOS)
+    table /= table.sum(axis=1, keepdims=True)
+    return table, shots_total
+
+
 @st.composite
 def _noisy_circuits(draw):
     n = draw(st.sampled_from((1, 2)))
@@ -125,6 +167,19 @@ def _noisy_circuits(draw):
     a = rng.standard_normal((3, 2 ** n, 2 ** n)) + 1j * rng.standard_normal((3, 2 ** n, 2 ** n))
     rhos = a @ a.conj().swapaxes(1, 2)
     return circuit, noise, rhos / np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+
+
+_NOISE_MODELS = st.one_of(
+    st.sampled_from((NoiseModel(), NoiseModel(readout_bias=0.1), NoiseModel(readout_bias=0.5),
+                     NoiseModel.preset("ibmx4-like"))),
+    st.builds(NoiseModel, st.floats(0.0, 0.3), st.floats(0.0, 0.3), st.floats(0.0, 0.3)),
+)
+_CAPS = st.one_of(st.just(1), st.integers(1, 50), st.integers(1, 10 ** 6))
+_ENTRIES = st.sampled_from((0.0, -0.0, 1.0, -1.0)) | st.floats(-1e100, 1e100)
+# real and complex 2x2 factors, signed zeros included
+_FACTORS = (st.lists(_ENTRIES, min_size=4, max_size=4)
+            | st.lists(st.builds(complex, _ENTRIES, _ENTRIES), min_size=4, max_size=4)
+            ).map(lambda v: np.array(v).reshape(2, 2))
 
 
 class TestNoiseModel:
@@ -481,6 +536,29 @@ class TestBatchedEvolution:
                 want = _reference_distribution(flipped, rho, noise)
                 assert np.max(np.abs(got[p] - want)) <= 1e-12
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=_noisy_circuits())
+    def test_flip_variants_equal_the_per_mask_pass(self, case):
+        # variant `mask` of the doubled stack is bit for bit the variant
+        # evolved and read out on its own
+        circuit, noise, rhos = case
+        n = circuit.n_qubits
+        evolved = _evolve(circuit.gates, n, rhos, noise)
+        variants = _flip_variants(evolved, n, noise)
+        assert variants.shape == (2 ** n, len(rhos), 2 ** n)
+        for mask in range(2 ** n):
+            flips = _flipped(circuit, mask).gates[len(circuit.gates):]
+            want = _readout(_evolve(flips, n, evolved, noise), n, noise.readout_bias)
+            assert variants[mask].tobytes() == want.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(a=_FACTORS, b=_FACTORS)
+    def test_kron_is_np_kron_bit_for_bit(self, a, b):
+        got, want = _kron(a, b), np.kron(a, b)
+        assert got.dtype == want.dtype and got.shape == (4, 4)
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
     def test_exact_distribution_is_a_row_of_the_batched_pass(self, trine):
         circuit = compile_naimark_circuit(naimark_dilation(trine))
         noise = NoiseModel.preset("ibmx4-like")
@@ -525,3 +603,40 @@ class TestBatchedEvolution:
         sigma = np.sqrt(want * (1 - want) / (4 * shots))  # as above, four variants
         got = result.record.frequencies
         assert np.all(np.abs(got - want) <= 5 * np.maximum(sigma, 1e-9))
+
+
+class TestBatchedPipelines:
+    """The batched routes draw every count in the order of the per-component,
+    per-mask loops they replaced, so a fixed seed gives equal numbers."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(n=st.integers(2, 4), povm_seed=st.integers(0, 2**32 - 1), noise=_NOISE_MODELS,
+           cap=_CAPS, seed=st.integers(0, 2**32 - 1))
+    def test_postselection_route_equals_the_per_component_loop(self, n, povm_seed, noise,
+                                                               cap, seed):
+        scheme = postselection_scheme(random_rank_one_povm(2, n, povm_seed))
+        table, shots_total = _per_component_postselection(scheme, noise, cap, seed)
+        if np.min(np.delete(table, n, axis=1).sum(axis=1)) <= 0:
+            # at a small cap every run of a probe can fail: both raise
+            with pytest.raises(ValueError, match="no surviving outcomes"):
+                postselection_tomography(scheme, noise, cap, seed)
+            return
+        result = postselection_tomography(scheme, noise, cap, seed)
+        kept = TomographyRecord(table).postselected(n)
+        assert np.array_equal(result.record.frequencies, kept.frequencies)
+        assert result.postselection_fraction == float(np.mean(table[:, n]))
+        assert result.shots_total == shots_total
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(n=st.integers(2, 4), povm_seed=st.integers(0, 2**32 - 1), noise=_NOISE_MODELS,
+           cap=_CAPS, seed=st.integers(0, 2**32 - 1))
+    def test_naimark_route_equals_the_per_mask_loop(self, n, povm_seed, noise, cap, seed):
+        povm = random_rank_one_povm(2, n, povm_seed)
+        result = naimark_tomography(povm, noise, cap, seed)
+        circuit = compile_naimark_circuit(naimark_dilation(povm))
+        rhos = np.stack([np.kron(np.diag([1, 0]), rho) for rho in PROBE_RHOS])
+        record = _per_mask_record(circuit, rhos, noise, cap, np.random.default_rng(seed))
+        assert np.array_equal(result.record.frequencies, record.frequencies)
+        padding = np.stack(reconstruct_povm(record).effects)[n:]
+        assert result.residual_mass == float(np.trace(padding, axis1=1, axis2=2).real.sum())
+        assert result.shots_total == 4 * cap * len(rhos)

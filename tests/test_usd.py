@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from povmsim.core import (
 )
 from povmsim.simulation import PostProcessingMap, apply_postprocessing, build_mq
 from povmsim.usd import (
+    SPAWN_CHUNK,
     UNAMBIGUITY_ATOL,
     Ensemble,
     dual_states,
@@ -270,7 +272,8 @@ class TestRandomEnsembleExperiment:
         b = random_ensemble_experiment(4, 8, trials=6, seed=np.random.default_rng(11))
         assert a.rows == b.rows
 
-    @pytest.mark.parametrize("d, space_dim, trials, seed", [(50, 100, 20, 7), (6, 9, 15, 123)])
+    @pytest.mark.parametrize("d, space_dim, trials, seed",
+                             [(50, 100, 20, 7), (6, 9, 15, 123), (3, 4, 2 * SPAWN_CHUNK + 5, 2)])
     def test_matches_independent_build(self, d, space_dim, trials, seed):
         # each trial's states drawn directly from its spawned generator, and
         # lambda_min(C) taken as sigma_min(S)^2 from an SVD, not an eigensolve
@@ -283,6 +286,17 @@ class TestRandomEnsembleExperiment:
         exp = random_ensemble_experiment(d, space_dim, trials, seed)
         assert [r["trial"] for r in exp.rows] == list(range(trials))
         assert np.max(np.abs(exp.lambda_values - np.array(expected))) <= 1e-12
+
+    def test_trial_generators_are_not_held_at_once(self):
+        # a child generator is about 1 KiB: spawning all 2000 up front
+        # peaked at 3.0 MiB, chunks of SPAWN_CHUNK peak at about 1.4 MiB
+        tracemalloc.start()
+        try:
+            random_ensemble_experiment(2, 3, trials=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 2**20
 
     def test_determinism_and_csv(self):
         a = random_ensemble_experiment(4, 8, trials=6, seed=11)

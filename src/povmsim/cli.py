@@ -43,6 +43,9 @@ SCHEMA_VERSION = 1
 
 #: ``--trials`` cap: the experiment prints one row per trial
 MAX_TRIALS = 100_000
+#: ``--random`` and ``--symmetric`` dimension cap: one trial's state block
+#: and Gram matrix stay within a 4096 x 4096 complex square (256 MiB)
+MAX_DIM = 4096
 
 STATE_NAMES = ("zero", "one", "x+", "x-", "y+", "y-", "mixed")
 
@@ -180,6 +183,8 @@ def cmd_usd(args) -> int:
         d, epsilon = args.symmetric
         if not (d.is_integer() and d >= 2):
             raise UsageError(f"--symmetric D must be an integer of at least 2, got {d:g}")
+        if d > MAX_DIM:
+            raise UsageError(f"--symmetric D must be at most {MAX_DIM}, got {d:g}")
         d = int(d)
         if not 0 < epsilon < 1:
             raise UsageError("--symmetric epsilon must be in (0, 1) so the symmetric "
@@ -294,18 +299,23 @@ def positive_int(text: str) -> int:
     return value
 
 
-def shot_count(text: str) -> int:
+def _at_most(limit: int, text: str) -> int:
     value = positive_int(text)
-    if value > MAX_SHOTS:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_SHOTS}, got {value}")
+    if value > limit:
+        raise argparse.ArgumentTypeError(f"must be at most {limit}, got {value}")
     return value
+
+
+def shot_count(text: str) -> int:
+    return _at_most(MAX_SHOTS, text)
 
 
 def trial_count(text: str) -> int:
-    value = positive_int(text)
-    if value > MAX_TRIALS:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_TRIALS}, got {value}")
-    return value
+    return _at_most(MAX_TRIALS, text)
+
+
+def dimension(text: str) -> int:
+    return _at_most(MAX_DIM, text)
 
 
 def non_negative_int(text: str) -> int:
@@ -369,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("usd", help="state-discrimination bound experiments")
     experiment = p.add_mutually_exclusive_group()  # not required, as in povm_source
     experiment.add_argument("--symmetric", nargs=2, type=float, metavar=("D", "EPSILON"))
-    experiment.add_argument("--random", nargs=2, type=positive_int, metavar=("D", "DIM"))
+    experiment.add_argument("--random", nargs=2, type=dimension, metavar=("D", "DIM"))
     experiment.add_argument("--ensemble", help="ensemble JSON document")
     p.add_argument("--trials", type=trial_count, default=100)
     common(p)

@@ -135,7 +135,7 @@ class Circuit:
     def su2(self, qubit: int, matrix) -> "Circuit":
         self._check_qubit(qubit)
         m = np.asarray(matrix, dtype=complex)
-        if m.shape != (2, 2) or np.max(np.abs(m.conj().T @ m - np.eye(2))) > 1e-9:
+        if m.shape != (2, 2) or np.max(np.abs(m.conj().T @ m - _EYES[2])) > 1e-9:
             raise ValueError("su2 payload must be a 2x2 unitary")
         self.gates.append(Gate("su2", (qubit,), m))
         return self
@@ -164,6 +164,8 @@ class Circuit:
 
 _CNOTS = {(0, 1): _freeze(np.eye(4, dtype=complex)[[0, 1, 3, 2]]),
           (1, 0): _freeze(np.eye(4, dtype=complex)[[0, 3, 2, 1]])}
+_EYES = {dim: _freeze(np.eye(dim)) for dim in (2, 4)}
+_HALF_EYE = _freeze(np.eye(2) / 2)  # the maximally mixed qubit
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,8 +181,8 @@ def _gate_matrix(gate: Gate, n_qubits: int) -> np.ndarray:
     if n_qubits == 1:
         return gate.matrix
     if gate.qubits[0] == 0:
-        return _kron(gate.matrix, np.eye(2))
-    return _kron(np.eye(2), gate.matrix)
+        return _kron(gate.matrix, _EYES[2])
+    return _kron(_EYES[2], gate.matrix)
 
 
 def depolarize(rho: np.ndarray, p: float, qubits, n_qubits: int) -> np.ndarray:
@@ -194,16 +196,16 @@ def depolarize(rho: np.ndarray, p: float, qubits, n_qubits: int) -> np.ndarray:
     if len(qubits) == n_qubits:
         dim = 2 ** n_qubits
         trace = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
-        return (1 - p) * rho + p * trace * np.eye(dim) / dim
+        return (1 - p) * rho + p * trace * _EYES[dim] / dim
     # single qubit of a two-qubit register: trace it out and re-tensor
     (q,) = qubits
     t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
     if q == 0:
         reduced = np.trace(t, axis1=-4, axis2=-2)  # keeps qubit 1
-        mixed = np.einsum("ac,...bd->...abcd", np.eye(2) / 2, reduced)
+        mixed = np.einsum("ac,...bd->...abcd", _HALF_EYE, reduced)
     else:
         reduced = np.trace(t, axis1=-3, axis2=-1)  # keeps qubit 0
-        mixed = np.einsum("...ac,bd->...abcd", reduced, np.eye(2) / 2)
+        mixed = np.einsum("...ac,bd->...abcd", reduced, _HALF_EYE)
     return (1 - p) * rho + p * mixed.reshape(rho.shape)
 
 
@@ -222,11 +224,11 @@ def _evolve(gates, n_qubits: int, rhos: np.ndarray, noise: NoiseModel) -> np.nda
 def _readout(rhos: np.ndarray, n_qubits: int, bias: float) -> np.ndarray:
     """(..., 2**n_qubits) readout distributions of a (..., dim, dim) stack:
     the diagonals through :func:`core.probability_rows`, then the readout
-    confusion."""
+    confusion, clipped at 1 where a bias near 1 rounds a sum above it."""
     probs = probability_rows(np.diagonal(rhos, axis1=-2, axis2=-1).real,
                              default_atol(rhos.shape[-1]))
     flip = np.array([[1.0, bias], [0.0, 1.0 - bias]])  # a true '1' reads '0' with probability bias
-    return probs @ (flip if n_qubits == 1 else _kron(flip, flip)).T
+    return np.minimum(probs @ (flip if n_qubits == 1 else _kron(flip, flip)).T, 1.0)
 
 
 def exact_output_distribution(circuit: Circuit, state: QuantumState,
@@ -407,7 +409,7 @@ def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
     u_in = np.asarray(unitary, dtype=complex)
     if u_in.shape != (4, 4):
         raise ValueError("expected a 4x4 unitary")
-    if np.max(np.abs(u_in.conj().T @ u_in - np.eye(4))) > 1e-9:
+    if np.max(np.abs(u_in.conj().T @ u_in - _EYES[4])) > 1e-9:
         raise ValueError("matrix is not unitary")
     u = _to_su4(u_in)
     last = None
@@ -534,20 +536,18 @@ def _flip_variants(evolved: np.ndarray, n_qubits: int, noise: NoiseModel) -> np.
     return _readout(variants.reshape(-1, *evolved.shape), n_qubits, noise.readout_bias)
 
 
-def _mitigated_record(circuit: Circuit, rhos: np.ndarray, noise: NoiseModel,
-                      shots: int, rng: np.random.Generator) -> TomographyRecord:
-    """Bias-mitigated frequencies of ``circuit`` on a (P, dim, dim) probe stack.
-
-    The circuit's gates run once on the whole stack and every flip variant
-    is read out in one pass; each variant's counts for every probe come from
-    one multinomial draw, in mask order.
-    """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    n = circuit.n_qubits
-    probs = _flip_variants(_evolve(circuit.gates, n, rhos, noise), n, noise)
-    counts = np.stack([rng.multinomial(shots, p) for p in probs])
-    return TomographyRecord(flip_average(counts / shots))
+def _mitigated(evolved: np.ndarray, n_qubits: int, noise: NoiseModel, shots,
+               rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Bias-mitigated (m, P, dim) frequencies of an evolved (m, P, dim, dim)
+    stack whose component k runs ``shots[k]`` times per flip variant and
+    probe, and the total run count.  All counts come from one broadcast
+    multinomial, drawn component, then mask, then probe in C order: the
+    order, and so the draws, of a per-component, per-mask loop."""
+    probs = _flip_variants(evolved, n_qubits, noise).swapaxes(0, 1)  # (m, mask, P, dim)
+    runs = np.asarray(shots)[:, None, None]
+    freqs = rng.multinomial(runs, probs) / runs[..., None]
+    total = probs.shape[1] * probs.shape[2] * sum(int(s) for s in shots)
+    return flip_average(freqs.swapaxes(0, 1)), total
 
 
 def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
@@ -559,26 +559,18 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     Shots are allocated to the components in proportion to their weights
     (job-level randomization), with at least one run each, so a small cap
     leaves no component unmeasured.  All component rotations evolve as one
-    (m, P, 2, 2) stack; the counts are drawn one multinomial per component
-    and flip mask, component outer, mask inner.
+    (m, P, 2, 2) stack, and :func:`_mitigated` draws all their counts at once.
     """
     n = scheme.target.n_outcomes
-    alloc = np.maximum(proportional_shot_allocation(scheme.weights * scheme.target.dim, cap), 1)
-    shots = [int(s) for s in alloc]
-    rng = _rng(seed)
+    shots = np.maximum(proportional_shot_allocation(scheme.weights * scheme.target.dim, cap), 1)
 
     rotations = np.stack([compile_postselection_circuit(state).gates[0].matrix
                           for state in scheme.states])
     evolved = _evolve([Gate("su2", (0,), rotations[:, None])], 1, PROBE_RHOS, noise)
-    probs = _flip_variants(evolved, 1, noise)  # (mask, component, probe, outcome)
-    freqs = np.empty(probs.shape)
-    for k, shots_k in enumerate(shots):
-        for mask, variant in enumerate(probs):
-            freqs[mask, k] = rng.multinomial(shots_k, variant[k]) / shots_k
-    mitigated = flip_average(freqs)
+    mitigated, shots_total = _mitigated(evolved, 1, noise, shots, _rng(seed))
 
     table = np.zeros((len(PROBE_RHOS), n + 1))
-    for k, shots_k in enumerate(shots):
+    for k, shots_k in enumerate(shots.tolist()):
         # register outcome 0 is "+" -> parent outcome; 1 is the failure slot
         table[:, scheme.parents[k]] += shots_k * mitigated[k, :, 0]
         table[:, n] += shots_k * mitigated[k, :, 1]
@@ -587,24 +579,26 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     fraction = float(np.mean(table[:, n]))
     kept = record.postselected(n)
     return PipelineResult(kept, reconstruct_povm(kept),
-                          postselection_fraction=fraction,
-                          shots_total=2 * len(PROBE_RHOS) * sum(shots))
+                          postselection_fraction=fraction, shots_total=shots_total)
 
 
 def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed) -> PipelineResult:
     """Run the compiled dilation circuit over the probe set with every x-gate
     configuration, average, and reconstruct all register outcomes."""
+    if cap < 1:
+        raise ValueError("shots must be at least 1")
     circuit = compile_naimark_circuit(naimark_dilation(povm))
-    dim = 2 ** circuit.n_qubits
+    n, dim = circuit.n_qubits, 2 ** circuit.n_qubits
     # each system probe on the last qubit, joined with the |0> ancilla
     rhos = np.zeros((len(PROBE_RHOS), dim, dim), dtype=complex)
     rhos[:, :2, :2] = PROBE_RHOS
-    record = _mitigated_record(circuit, rhos, noise, cap, _rng(seed))
+    evolved = _evolve(circuit.gates, n, rhos, noise)
+    mitigated, shots_total = _mitigated(evolved[None], n, noise, [cap], _rng(seed))
+    record = TomographyRecord(mitigated[0])
     reconstruction = reconstruct_povm(record)
     padding = np.stack(reconstruction.effects)[povm.n_outcomes:]
     residual = float(np.trace(padding, axis1=1, axis2=2).real.sum())
-    return PipelineResult(record, reconstruction, residual_mass=residual,
-                          shots_total=2 ** circuit.n_qubits * cap * len(rhos))
+    return PipelineResult(record, reconstruction, residual_mass=residual, shots_total=shots_total)
 
 
 @dataclass

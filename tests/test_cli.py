@@ -12,7 +12,7 @@ import pytest
 
 import povmsim
 from povmsim import fixtures
-from povmsim.cli import MAX_TRIALS, build_parser, main, table1_rows
+from povmsim.cli import MAX_DIM, MAX_TRIALS, build_parser, main, table1_rows
 from povmsim.core import Povm, QuantumState, povm_to_document
 from povmsim.noisy_device import MAX_SHOTS, Circuit, NoiseModel, compare_schemes
 from povmsim.simulation import postselection_scheme
@@ -133,11 +133,22 @@ class TestUsd:
         (("--symmetric", "1", "0.05"), "--symmetric"),
         (("--random", "3", "4", "--trials", str(MAX_TRIALS + 1)), "--trials"),
         (("--random", "3", "4", "--trials", str(2**63)), "--trials"),
+        (("--random", "2", str(MAX_DIM + 1)), "--random"),
+        (("--random", "2", "1000000000000"), "--random"),
+        (("--symmetric", str(MAX_DIM + 1), "0.05"), "--symmetric"),
+        (("--symmetric", "10000000000", "0.05"), "--symmetric"),
     ])
     def test_bad_numbers_are_usage_errors_naming_the_option(self, capsys, argv, option):
         code, err = usage_exit(capsys, "usd", *argv)
         assert code == 2
         assert option in err
+
+    def test_oversize_symmetric_from_config_is_a_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"symmetric": [MAX_DIM + 1, 0.05]}))
+        code, err = usage_exit(capsys, "usd", "--config", str(config))
+        assert code == 2
+        assert f"--symmetric D must be at most {MAX_DIM}" in err
 
 
 class TestAlternativeInputs:
@@ -398,6 +409,8 @@ class TestOutputPlumbing:
         (("table1",), {"format": "xml"}, "--format"),
         (("fixtures",), {"seed": "one"}, "--seed"),
         (("usd", "--random", "3", "4"), {"trials": 2**63}, "--trials"),
+        (("usd",), {"random": [2, MAX_DIM + 1]}, "--random"),
+        (("usd",), {"random": [10**10, 10**12]}, "--random"),
     ])
     def test_config_value_checked_like_its_flag(self, capsys, tmp_path, argv, override, option):
         config = tmp_path / "cfg.json"

@@ -22,7 +22,7 @@ from povmsim.noisy_device import (
     _evolve,
     _flip_variants,
     _kron,
-    _mitigated_record,
+    _mitigated,
     _phase_distance,
     _readout,
     _sequence_unitary,
@@ -495,6 +495,30 @@ class TestPipelines:
         result = postselection_tomography(scheme, noise, cap=200_000, seed=3)
         assert abs(result.postselection_fraction - 0.5) < 0.01
 
+    def test_shot_total_is_the_exact_sum_at_max_shots(self, tetrahedral):
+        # each of the four run counts is near 2**63, so an int64 sum would wrap
+        scheme = postselection_scheme(tetrahedral)
+        alloc = proportional_shot_allocation(scheme.weights * scheme.target.dim, MAX_SHOTS)
+        result = postselection_tomography(scheme, NoiseModel(), cap=MAX_SHOTS, seed=4)
+        assert result.shots_total == 2 * len(probe_states()) * sum(int(a) for a in alloc)
+        assert result.shots_total > 2 * MAX_SHOTS
+
+    @pytest.mark.parametrize("cap", (0, -3))
+    def test_naimark_cap_below_one_rejected(self, trine, cap):
+        with pytest.raises(ValueError, match="shots must be at least 1"):
+            naimark_tomography(trine, NoiseModel(), cap, seed=1)
+
+    @pytest.mark.parametrize("cap", (1, 1000))
+    def test_full_readout_bias_reads_every_variant_as_zero(self, cap):
+        # each variant reads all-0, so the relabelled average is uniform;
+        # unclipped, the two-qubit confusion rounded this POVM's rows above 1
+        povm = random_rank_one_povm(2, 4, 1)
+        noise = NoiseModel(readout_bias=1.0)
+        naimark = naimark_tomography(povm, noise, cap, seed=0)
+        assert np.all(naimark.record.frequencies == 0.25)
+        post = postselection_tomography(postselection_scheme(povm), noise, cap, seed=0)
+        assert post.postselection_fraction == 0.5
+
 
 class TestCompareSchemes:
     def test_noiseless_distances_shrink_with_shots(self, tetrahedral):
@@ -584,13 +608,15 @@ class TestBatchedEvolution:
         else:
             circuit = compile_postselection_circuit([np.cos(0.4), np.exp(0.3j) * np.sin(0.4)])
             rhos = np.stack([p.rho for p in probe_states()])
-        shots = 200_000
-        got = _mitigated_record(circuit, rhos, noise, shots, np.random.default_rng(12))
+        shots, n = 200_000, circuit.n_qubits
+        evolved = _evolve(circuit.gates, n, rhos, noise)
+        got, total = _mitigated(evolved[None], n, noise, [shots], np.random.default_rng(12))
         want = _exact_mitigated(circuit, rhos, noise)
         # an average of one multinomial frequency per flip variant: by
         # concavity its variance is at most p(1-p) / (variants * shots)
         sigma = np.sqrt(want * (1 - want) / (want.shape[1] * shots))
-        assert np.all(np.abs(got.frequencies - want) <= 5 * np.maximum(sigma, 1e-9))
+        assert np.all(np.abs(got[0] - want) <= 5 * np.maximum(sigma, 1e-9))
+        assert total == 2 ** n * len(rhos) * shots
 
     def test_naimark_pipeline_five_sigma(self, trine):
         noise = NoiseModel.preset("ibmx4-like")
@@ -640,3 +666,25 @@ class TestBatchedPipelines:
         padding = np.stack(reconstruct_povm(record).effects)[n:]
         assert result.residual_mass == float(np.trace(padding, axis1=1, axis2=2).real.sum())
         assert result.shots_total == 4 * cap * len(rhos)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(m=st.integers(1, 5), masks=st.sampled_from((2, 4)), outcomes=st.sampled_from((2, 4)),
+           shots=st.lists(st.integers(1, 50) | st.integers(1, 2**62), min_size=5, max_size=5),
+           zeros=st.floats(0.0, 0.9), data=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_broadcast_multinomial_is_the_loop_draw_for_draw(self, m, masks, outcomes,
+                                                                 shots, zeros, data, seed):
+        # what _mitigated relies on: numpy draws a broadcast multinomial in
+        # C order, one (component, mask) probe block after another, and
+        # leaves the generator where the loop leaves it
+        rng = np.random.default_rng(data)
+        probs = rng.random((m, masks, len(PROBE_RHOS), outcomes))
+        probs[(rng.random(probs.shape) < zeros) & (probs < probs.max(axis=-1, keepdims=True))] = 0
+        probs /= probs.sum(axis=-1, keepdims=True)
+        runs = np.array(shots[:m])
+        loop, broadcast = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [[loop.multinomial(int(runs[k]), probs[k, mask]) for mask in range(masks)]
+                for k in range(m)]
+        got = broadcast.multinomial(runs[:, None, None], probs)
+        assert np.array_equal(got, want)
+        assert broadcast.random() == loop.random()

@@ -78,26 +78,37 @@ def as_operator(matrix, name: str = "matrix", stack: bool = False) -> np.ndarray
     return m
 
 
+def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m + m^dagger) / 2 of an (..., d, d) stack as a fresh C-ordered array, and
+    each matrix's defect max|m - m^dagger|: NaN for a NaN entry, so test ``not defect <= atol``."""
+    adjoint = m.conj().swapaxes(-1, -2)
+    sym = np.subtract(m, adjoint, out=np.empty(m.shape, dtype=complex))
+    defect = np.abs(sym).max(axis=(-2, -1))
+    np.add(m, adjoint, out=sym)
+    sym *= 0.5  # (m + adjoint) / 2 bit for bit, but a zero keeps its sign
+    return sym, defect
+
+
 def require_hermitian(m: np.ndarray, atol: float, name: str = "matrix") -> np.ndarray:
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > atol:
+    hermitian, defect = hermitian_part(m)
+    if not defect <= atol:
         raise InvariantViolation("hermiticity", defect, f"{name} is not Hermitian (defect {defect:.3e})")
-    return (m + m.conj().T) / 2
+    return hermitian
 
 
-def hermitian_part(m: np.ndarray) -> np.ndarray | None:
-    """(m + m^dagger) / 2 of an (..., d, d) stack when m is Hermitian within
-    default_atol(d), else None."""
-    hermitian = (m + m.conj().swapaxes(-1, -2)) / 2
-    return hermitian if 2 * np.max(np.abs(m - hermitian)) <= default_atol(m.shape[-1]) else None
+def isometry_defect(v: np.ndarray) -> float:
+    """max|v^dagger v - 1| for orthonormal columns v; NaN for a NaN entry, like hermitian_part's."""
+    gram = v.conj().T @ v
+    gram.reshape(-1)[::gram.shape[0] + 1] -= 1.0  # the diagonal of the fresh product
+    return float(np.abs(gram).max())
 
 
 def operator_norm(matrix) -> float:
     """Largest absolute eigenvalue for Hermitian input, else largest singular
     value; for an (..., d, d) stack, the largest over all its matrices."""
     m = as_operator(matrix, stack=True)
-    hermitian = hermitian_part(m)
-    if hermitian is None:
+    hermitian, defect = hermitian_part(m)
+    if not np.max(defect) <= default_atol(m.shape[-1]):
         return float(np.max(np.linalg.svd(m, compute_uv=False)))
     return float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))
 
@@ -113,19 +124,13 @@ def validate_effects(stack: np.ndarray, atol: float) -> np.ndarray:
     """Check all effects at once (Hermitian, spectrum in [-atol, 1 + atol])
     and return the symmetrized stack.  The error names the first failing
     effect and its first failing check, in that order."""
-    adjoint = stack.conj().swapaxes(1, 2)
-    herm = np.max(np.abs(stack - adjoint), axis=(1, 2))
-    # (stack + adjoint) / 2 bit for bit, in one fresh C-ordered buffer
-    sym = np.add(stack, adjoint, out=np.empty(stack.shape, dtype=complex))
-    sym *= 0.5
+    sym, herm = hermitian_part(stack)
     evs = np.linalg.eigvalsh(sym)
-    failing = np.flatnonzero((herm > atol) | (evs[:, 0] < -atol) | (evs[:, -1] > 1 + atol))
+    failing = np.flatnonzero(~(herm <= atol) | (evs[:, 0] < -atol) | (evs[:, -1] > 1 + atol))
     if failing.size:
         i = failing[0]
+        require_hermitian(stack[i], atol, f"effect {i}")  # raises if that check fails first
         low, high = evs[i, 0], evs[i, -1]
-        if herm[i] > atol:
-            raise InvariantViolation("hermiticity", herm[i],
-                                     f"effect {i} is not Hermitian (defect {herm[i]:.3e})")
         if low < -atol:
             raise InvariantViolation("positivity", -low, f"effect {i} has eigenvalue {low:.3e} < 0")
         raise InvariantViolation("effect bound", high - 1,
@@ -403,26 +408,27 @@ def haar_random_pure_state(dim: int, seed) -> QuantumState:
     return QuantumState.pure(haar_random_vectors(1, dim, seed)[0])
 
 
-def random_rank_one_povm(dim: int, n_outcomes: int, seed) -> Povm:
-    """Random rank-one POVM from truncated columns of a Haar unitary.
-
-    The first ``dim`` entries of each column of an n x n Haar unitary give
-    sub-normalized vectors whose projectors sum to the identity.
-    """
+def _haar_outer_products(dim: int, n_outcomes: int, seed) -> np.ndarray:
+    """|c_k><c_k|, c_k the first ``dim`` entries of column k of an n x n Haar unitary."""
     if n_outcomes < dim:
         raise ValueError("need at least dim outcomes for a rank-one POVM")
     columns = haar_random_unitary(n_outcomes, seed)[:dim, :].T
-    return Povm(columns[:, :, None] * columns.conj()[:, None, :])
+    return columns[:, :, None] * columns.conj()[:, None, :]
+
+
+def random_rank_one_povm(dim: int, n_outcomes: int, seed) -> Povm:
+    """Random rank-one POVM from truncated columns of a Haar unitary."""
+    return Povm(_haar_outer_products(dim, n_outcomes, seed))
 
 
 def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
     """Random POVM with effects of rank up to ``rank`` (rank-one pieces glued)."""
     if rank < 1:
         raise ValueError("rank must be positive")
-    fine = random_rank_one_povm(dim, n_outcomes * rank, seed)
     if rank == 1:
-        return fine
-    return Povm(fine.stack.reshape(n_outcomes, rank, dim, dim).sum(axis=1))
+        return random_rank_one_povm(dim, n_outcomes, seed)
+    pieces = hermitian_part(_haar_outer_products(dim, n_outcomes * rank, seed))[0]
+    return Povm(pieces.reshape(n_outcomes, rank, dim, dim).sum(axis=1))
 
 
 def pauli_eigenstates() -> tuple[QuantumState, ...]:

@@ -15,7 +15,8 @@ from importlib import resources
 
 import numpy as np
 
-from .core import Povm, complex_from_lists, povm_from_document, rank_one_parts, rebalance
+from .core import (Povm, complex_from_lists, hermitian_part, povm_from_document, rank_one_parts,
+                   rebalance)
 
 IDEAL_NAMES = ("tetrahedral", "trine", "random4", "trivial")
 RECONSTRUCTION_METHODS = ("postselection", "naimark")
@@ -31,14 +32,14 @@ def _load_document(stem: str) -> dict:
 def repair_rank_one_povm(effects) -> Povm:
     """Nearest exact rank-one POVM to a list of rounded rank-one effects.
 
-    Each effect is replaced by its dominant rank-one part a|v><v| (the
+    Each effect's Hermitian part is replaced by its dominant rank-one part a|v><v| (the
     discarded eigenvalue must be below REPAIR_ATOL), and the collection is then
     rebalanced as B^{-1/2} M_i B^{-1/2} with B the sum of the parts
     (:func:`core.rebalance`), which restores exact completeness while
     keeping every effect rank one; the POVM keeps the rebalanced pieces.
     """
     stack = np.asarray(effects, dtype=complex)
-    parts = rank_one_parts((stack + stack.conj().swapaxes(1, 2)) / 2, REPAIR_ATOL, dominant=True)
+    parts = rank_one_parts(hermitian_part(stack)[0], REPAIR_ATOL, dominant=True)
     return Povm.from_rank_one(rebalance(parts, parts.effects().sum(axis=0)))
 
 

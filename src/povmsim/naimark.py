@@ -18,6 +18,7 @@ from .core import (
     QuantumState,
     _freeze,
     born_probabilities,
+    isometry_defect,
     probability_rows,
     rank_one_parts,
 )
@@ -50,13 +51,11 @@ class NaimarkDilation:
 
     @property
     def isometry_defect(self) -> float:
-        v = self.isometry
-        return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
+        return isometry_defect(self.isometry)
 
     @property
     def unitarity_defect(self) -> float:
-        u = self.unitary
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(self.n_outcomes))))
+        return isometry_defect(self.unitary)
 
     def __repr__(self) -> str:
         return f"NaimarkDilation(dim={self.dim}, outcomes={self.n_outcomes})"

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PAULI_X, Povm, QuantumState, _freeze, _rng, default_atol, probability_rows
+from .core import (PAULI_X, Povm, QuantumState, _freeze, _rng, as_operator, default_atol,
+                   hermitian_part, isometry_defect, probability_rows)
 from .naimark import NaimarkDilation, naimark_dilation
 from .simulation import (
     PostselectionScheme,
@@ -134,8 +135,8 @@ class Circuit:
 
     def su2(self, qubit: int, matrix) -> "Circuit":
         self._check_qubit(qubit)
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (2, 2) or np.max(np.abs(m.conj().T @ m - _EYES[2])) > 1e-9:
+        m = as_operator(matrix, "su2 payload")
+        if m.shape != (2, 2) or not isometry_defect(m) <= 1e-9:
             raise ValueError("su2 payload must be a 2x2 unitary")
         self.gates.append(Gate("su2", (qubit,), m))
         return self
@@ -222,13 +223,12 @@ def _evolve(gates, n_qubits: int, rhos: np.ndarray, noise: NoiseModel) -> np.nda
 
 
 def _readout(rhos: np.ndarray, n_qubits: int, bias: float) -> np.ndarray:
-    """(..., 2**n_qubits) readout distributions of a (..., dim, dim) stack:
-    the diagonals through :func:`core.probability_rows`, then the readout
-    confusion, clipped at 1 where a bias near 1 rounds a sum above it."""
-    probs = probability_rows(np.diagonal(rhos, axis1=-2, axis2=-1).real,
-                             default_atol(rhos.shape[-1]))
+    """(..., 2**n_qubits) readout distributions of a (..., dim, dim) stack: its diagonals,
+    and the rows after the readout confusion, each through :func:`core.probability_rows`."""
+    atol = default_atol(rhos.shape[-1])
+    probs = probability_rows(np.diagonal(rhos, axis1=-2, axis2=-1).real, atol)
     flip = np.array([[1.0, bias], [0.0, 1.0 - bias]])  # a true '1' reads '0' with probability bias
-    return np.minimum(probs @ (flip if n_qubits == 1 else _kron(flip, flip)).T, 1.0)
+    return probability_rows(probs @ (flip if n_qubits == 1 else _kron(flip, flip)).T, atol)
 
 
 def exact_output_distribution(circuit: Circuit, state: QuantumState,
@@ -264,7 +264,7 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
         raise ValueError("weights must be non-empty")
-    if np.min(w) <= 0:
+    if not (np.min(w) > 0 and np.isfinite(np.max(w))):  # NaN fails both
         raise ValueError("weights must be positive")
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -350,7 +350,7 @@ def _diagonalize_symmetric_unitary(s: np.ndarray, mixing: float):
     Real and imaginary parts of s are commuting real symmetric matrices, so
     a common eigenbasis exists; it is found from a generic real mixture."""
     sym = s.real + mixing * s.imag if mixing != 0.0 else s.real
-    _, p = np.linalg.eigh((sym + sym.T) / 2)
+    _, p = np.linalg.eigh(hermitian_part(sym)[0].real)
     if np.linalg.det(p) < 0:
         p[:, -1] = -p[:, -1]
     d = p.T @ s @ p
@@ -406,11 +406,9 @@ def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
     it, each once; the first form that verifies to DECOMPOSITION_ATOL is
     returned.
     """
-    u_in = np.asarray(unitary, dtype=complex)
-    if u_in.shape != (4, 4):
-        raise ValueError("expected a 4x4 unitary")
-    if np.max(np.abs(u_in.conj().T @ u_in - _EYES[4])) > 1e-9:
-        raise ValueError("matrix is not unitary")
+    u_in = as_operator(unitary, "two-qubit gate")
+    if u_in.shape != (4, 4) or not isometry_defect(u_in) <= 1e-9:
+        raise ValueError("two-qubit gate must be a 4x4 unitary")
     u = _to_su4(u_in)
     last = None
     for count in dict.fromkeys((_num_cnots(u), 3)):

@@ -26,6 +26,7 @@ from .core import (
     orthogonal_pairs,
     povm_from_document,
     povm_to_document,
+    probability_rows,
     rank_one_parts,
     rebalance,
     require_unit_rows,
@@ -37,21 +38,14 @@ FAIL_LABEL = "fail"
 class PostProcessingMap:
     """Conditional probabilities q(j|k) mapping measurement outcomes k to
     relabelled outcomes j.  Stored as a (n_out, n_in) matrix whose columns
-    are probability vectors."""
+    are probability vectors, each checked, clipped and renormalised by
+    :func:`core.probability_rows` at ``default_atol(n_in)``."""
 
     def __init__(self, matrix):
         q = np.asarray(matrix, dtype=float)
         if q.ndim != 2:
             raise ValueError("post-processing map must be a 2-d matrix")
-        if np.min(q) < -1e-12:
-            raise InvariantViolation("stochasticity", -float(np.min(q)),
-                                     "post-processing probabilities must be non-negative")
-        col_sums = q.sum(axis=0)
-        defect = float(np.max(np.abs(col_sums - 1.0)))
-        if defect > default_atol(q.shape[1]):
-            raise InvariantViolation("stochasticity", defect,
-                                     f"columns must sum to 1 (defect {defect:.3e})")
-        self.matrix = _freeze(np.clip(q, 0.0, None))
+        self.matrix = _freeze(probability_rows(q.T, default_atol(q.shape[1])).T)
 
     @property
     def n_in(self) -> int:
@@ -109,7 +103,7 @@ def convex_combination(terms) -> Povm:
     if len({p.stack.shape for _, p in terms}) > 1:
         raise ValueError("all POVMs must share outcome count and dimension")
     defect = abs(weights.sum() - 1.0)
-    if defect > default_atol(terms[0][1].n_outcomes):
+    if not defect <= default_atol(terms[0][1].n_outcomes):  # NaN fails
         raise InvariantViolation("weight normalization", defect)
     return Povm(np.einsum("t,tkij->kij", weights, np.stack([p.stack for _, p in terms])))
 

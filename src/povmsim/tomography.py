@@ -20,6 +20,7 @@ from .core import (
     _freeze,
     as_operator,
     born_probabilities,
+    default_atol,
     hermitian_part,
     operator_norm,
     pauli_eigenstates,
@@ -155,8 +156,8 @@ def operational_distance(m, n) -> float:
     diffs = as_operator(np.stack([a - b for a, b in zip(ms, ns)]), "effect differences",
                         stack=True)
     complete_pair = float(np.max(np.abs(diffs.sum(axis=0)))) <= 1e-12
-    hermitian = hermitian_part(diffs)
-    if hermitian is None:  # each block takes operator_norm's singular-value path
+    hermitian, defect = hermitian_part(diffs)
+    if not np.max(defect) <= default_atol(dim):  # each block takes operator_norm's SVD path
         norm = operator_norm
     else:  # sums of the symmetrised differences are exactly Hermitian
         diffs, norm = hermitian, lambda block: np.abs(np.linalg.eigvalsh(block)).max()

@@ -49,10 +49,10 @@ class Ensemble:
             probs = np.full(n, 1.0 / n)
             probs = probs / probs.sum()
         probs = np.asarray(probs, dtype=float)
-        if probs.shape != (n,) or np.min(probs) < 0:
+        if probs.shape != (n,) or not np.min(probs) >= 0:  # NaN fails
             raise ValueError("probs must be a non-negative vector matching the states")
         defect = abs(probs.sum() - 1.0)
-        if defect > default_atol(n):
+        if not defect <= default_atol(n):
             raise InvariantViolation("probability normalization", defect)
         self.states = _freeze(mat)
         # not divided by their sum: that is not idempotent in floating point,
@@ -274,7 +274,7 @@ def symmetric_ensemble(d: int, coefficients) -> SymmetricEnsemble:
     if c.size != d:
         raise ValueError(f"need {d} coefficients, got {c.size}")
     total = float(np.sum(np.abs(c) ** 2))
-    if abs(total - d) > 1e-9 * d:
+    if not abs(total - d) <= 1e-9 * d:  # NaN fails
         raise InvariantViolation("coefficient normalization", abs(total - d),
                                  f"sum |c_k|^2 must equal d={d}, got {total:.12f}")
     if np.min(np.abs(c)) == 0:

@@ -18,6 +18,8 @@ from povmsim.core import (
     haar_random_pure_state,
     haar_random_unitary,
     haar_random_vectors,
+    hermitian_part,
+    isometry_defect,
     min_eigenvalue,
     operator_norm,
     orthogonal_pairs,
@@ -123,6 +125,47 @@ class TestRankOneHelpers:
                 if overlaps[i, j] <= ORTHOGONALITY_ATOL]
         assert want == [(0, 1), (0, 3), (1, 3), (1, 5), (3, 5)]
         assert orthogonal_pairs(vectors) == want
+
+
+class TestInvariantDefects:
+    """The one Hermiticity and the one isometry checker, against the
+    expressions every module used to compute on its own."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 3), st.integers(1, 6), st.integers(0, 2**31),
+           st.sampled_from([0.0, 1e-12, 1e-6, 1.0]), st.booleans())
+    def test_hermitian_part_is_the_symmetrised_stack_and_the_defect(self, k, d, seed, skew,
+                                                                     transposed):
+        rng = np.random.default_rng(seed)
+        shape = (d, d) if k == 0 else (k, d, d)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = (a + a.conj().swapaxes(-1, -2)) / 2 + skew * a
+        if transposed:
+            m = m.swapaxes(-1, -2)  # a strided view, as the adjoint of a caller's stack
+        adjoint = m.conj().swapaxes(-1, -2)
+        sym, defect = hermitian_part(m)
+        # equal in value: only the sign of a zero may differ, as / 2 divides complex
+        assert np.array_equal(sym, (m + adjoint) / 2)
+        assert sym.flags.c_contiguous and not np.shares_memory(sym, m)
+        assert np.array_equal(defect, np.abs(m - adjoint).max(axis=(-2, -1)))
+        assert defect.shape == shape[:-2]
+
+    def test_hermitian_defect_of_a_nan_entry_is_nan(self):
+        m = np.zeros((2, 3, 3), dtype=complex)
+        m[1, 0, 2] = np.nan
+        defect = hermitian_part(m)[1]
+        assert defect[0] == 0 and np.isnan(defect[1])
+        with pytest.raises(InvariantViolation, match="hermiticity"):
+            require_hermitian(m[1], 1e-9)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (4, 2), (7, 3)])
+    def test_isometry_defect_is_the_gram_deviation(self, rows, cols):
+        rng = np.random.default_rng(rows * cols)
+        v = haar_random_unitary(rows, rng)[:, :cols] + 1e-7 * rng.standard_normal((rows, cols))
+        want = float(np.max(np.abs(v.conj().T @ v - np.eye(cols))))
+        assert isometry_defect(v) == want
+        v[0, 0] = np.nan
+        assert np.isnan(isometry_defect(v))
 
 
 class TestOperatorNorm:
@@ -437,12 +480,18 @@ class TestRandomPovms:
     def test_stack_is_the_outer_products_validated_once(self, monkeypatch):
         rows = haar_random_unitary(5, 4)[:3]
         want = Povm([np.outer(rows[:, i], rows[:, i].conj()) for i in range(5)]).stack
+        # rank 2 reference: ten validated rank-one pieces, glued in pairs, validated again
+        rows = haar_random_unitary(10, 4)[:3]
+        fine = Povm([np.outer(rows[:, i], rows[:, i].conj()) for i in range(10)]).stack
+        want_rank_two = Povm(fine.reshape(5, 2, 3, 3).sum(axis=1)).stack
         calls = []
         monkeypatch.setattr(core, "validate_effects",
                             lambda *a: calls.append(1) or validate_effects(*a))
         povm = random_povm(3, 5, 4)
         assert np.array_equal(povm.stack, want)  # bit for bit
         assert len(calls) == 1
+        assert np.array_equal(random_povm(3, 5, 4, rank=2).stack, want_rank_two)
+        assert len(calls) == 2
 
 
 class TestSerialization:

@@ -9,6 +9,7 @@ from povmsim.core import (
     InvariantViolation,
     QuantumState,
     born_probabilities,
+    default_atol,
     haar_random_unitary,
     pauli_eigenstates,
     random_rank_one_povm,
@@ -444,6 +445,13 @@ class TestShotAllocation:
         # the floor of one run is applied by postselection_tomography, not here
         assert np.array_equal(proportional_shot_allocation([1.0, 0.01], 10), [10, 0])
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.inf], [np.inf, np.inf],
+                                         [0.5, -np.inf]])
+    def test_non_finite_weights_rejected(self, weights):
+        # rint of a NaN or infinite ratio casts to the count -2**63
+        with pytest.raises(ValueError, match="weights must be positive"):
+            proportional_shot_allocation(weights, 10)
+
     @pytest.mark.parametrize("cap", [MAX_SHOTS, MAX_SHOTS - 511])
     def test_rounding_stays_inside_int64(self, cap):
         # float(cap) is 2**63: without a stop the largest weight's count
@@ -598,6 +606,20 @@ class TestBatchedEvolution:
         rhos = np.stack([np.eye(2) / 2, np.diag(diagonal)]).astype(complex)
         with pytest.raises(InvariantViolation, match="probability positivity"):
             _readout(rhos, 1, 0.02)
+
+    @pytest.mark.parametrize("n_qubits", (1, 2))
+    def test_full_readout_bias_rows_are_distributions(self, n_qubits):
+        # every register outcome reads all-0: the confused row is the row sum
+        # in slot 0, which core.probability_rows divides back to exactly 1
+        dim = 2 ** n_qubits
+        rng = np.random.default_rng(n_qubits)
+        a = rng.standard_normal((50, dim, dim)) + 1j * rng.standard_normal((50, dim, dim))
+        rhos = a @ a.conj().swapaxes(-1, -2)
+        rhos /= np.trace(rhos, axis1=-2, axis2=-1)[:, None, None]
+        rows = _readout(rhos, n_qubits, 1.0)
+        assert np.all((rows >= 0) & (rows <= 1))
+        assert np.max(np.abs(rows.sum(axis=1) - 1)) <= default_atol(dim)
+        assert np.array_equal(rows, np.eye(dim)[[0] * len(rhos)])
 
     @pytest.mark.parametrize("two_qubit", (False, True))
     def test_mitigated_counts_five_sigma(self, trine, two_qubit):

@@ -1,0 +1,40 @@
+"""NaN and infinite input at every public boundary: each raises a ValueError,
+an InvariantViolation where the input breaks a named invariant, and none
+returns or fails later inside numpy."""
+
+import numpy as np
+import pytest
+
+from povmsim.core import InvariantViolation, Povm, QuantumState, operator_norm, random_povm
+from povmsim.noisy_device import Circuit, proportional_shot_allocation, two_qubit_gate_sequence
+from povmsim.simulation import PostProcessingMap, convex_combination
+from povmsim.tomography import TomographyRecord
+from povmsim.usd import Ensemble
+
+#: boundary -> (the error it must raise, a call feeding it one bad value x)
+BOUNDARIES = {
+    "Povm": (InvariantViolation, lambda x: Povm([[[x, 0], [0, 1]], np.zeros((2, 2))])),
+    "QuantumState.density": (InvariantViolation,
+                             lambda x: QuantumState.density([[x, 0], [0, 0.5]])),
+    "PostProcessingMap": (InvariantViolation, lambda x: PostProcessingMap([[x, 0], [1, 1]])),
+    "TomographyRecord": (ValueError,
+                         lambda x: TomographyRecord([[x, 0.5]] + [[0.5, 0.5]] * 3)),
+    "Ensemble.probs": (ValueError, lambda x: Ensemble([[1, 0], [0.6, 0.8]], probs=[x, 0.5])),
+    "Circuit.su2": (InvariantViolation, lambda x: Circuit(1).su2(0, [[x, 0], [0, 1]])),
+    "two_qubit_gate_sequence": (InvariantViolation,
+                                lambda x: two_qubit_gate_sequence(np.diag([1, x, 1, 1]))),
+    "proportional_shot_allocation": (ValueError,
+                                     lambda x: proportional_shot_allocation([x, 1.0], 10)),
+    "convex_combination": (InvariantViolation,
+                           lambda x: convex_combination([(x, random_povm(2, 3, 1)),
+                                                         (0.5, random_povm(2, 3, 2))])),
+    "operator_norm": (InvariantViolation, lambda x: operator_norm([[x, 0], [0, 1]])),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("boundary", list(BOUNDARIES))
+def test_non_finite_input_is_rejected(boundary, value):
+    error, call = BOUNDARIES[boundary]
+    with pytest.raises(error):
+        call(value)

@@ -12,6 +12,7 @@ from povmsim.core import (
     QuantumState,
     born_probabilities,
     complex_to_lists,
+    default_atol,
     haar_random_pure_state,
     pauli_eigenstates,
     random_povm,
@@ -168,8 +169,26 @@ class TestPostProcessing:
         assert povm_equal(glued, mq, atol=1e-12)
 
     def test_rejects_non_stochastic(self):
-        with pytest.raises(InvariantViolation, match="stochastic"):
+        with pytest.raises(InvariantViolation, match="probability normalization"):
             PostProcessingMap([[0.5, 0.2], [0.4, 0.2]])
+
+    def test_rejects_a_negative_entry_beyond_the_born_tolerance(self):
+        atol = default_atol(2)
+        with pytest.raises(InvariantViolation) as err:
+            PostProcessingMap([[1 + 2 * atol, 0.0], [-2 * atol, 1.0]])
+        assert err.value.invariant == "probability positivity"
+
+    def test_clips_and_renormalises_a_column_within_tolerance(self):
+        # each column passes core.probability_rows, as every Born row does
+        atol = default_atol(3)
+        q = np.array([[1 + atol / 2, 0.5 + atol / 4, 0.0],
+                      [-atol / 2, 0.5, 0.25],
+                      [0.0, 0.0, 0.75]])
+        pmap = PostProcessingMap(q)
+        assert np.array_equal(pmap.matrix[:, 0], [1.0, 0.0, 0.0])  # clipped, then divided
+        assert np.array_equal(pmap.matrix[:, 1], q[:, 1] / q[:, 1].sum())
+        assert np.array_equal(pmap.matrix[:, 2], q[:, 2])  # a distribution already: same bits
+        assert pmap.matrix.flags.c_contiguous and not pmap.matrix.flags.writeable
 
     def test_linearity_with_convex_combination(self):
         rng = np.random.default_rng(23)

@@ -206,6 +206,12 @@ class TestSymmetricEnsembles:
         with pytest.raises(InvariantViolation, match="normalization"):
             symmetric_ensemble(3, np.ones(3) * 0.9)
 
+    def test_nan_coefficient_breaks_normalization(self):
+        # named as the coefficient invariant, not later as a non-finite state
+        with pytest.raises(InvariantViolation) as err:
+            symmetric_ensemble(2, [np.nan, 1.0])
+        assert err.value.invariant == "coefficient normalization"
+
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
             symmetric_ensemble(2, [np.sqrt(2), 0.0])
@@ -331,3 +337,13 @@ class TestEnsembleSerialization:
         with pytest.raises(InvariantViolation) as err:
             build()
         assert err.value.invariant == "unit norm"
+
+
+class TestEnsembleProbs:
+    STATES = [[1, 0], [0.6, 0.8]]
+
+    @pytest.mark.parametrize("probs", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
+    def test_nan_probs_rejected(self, probs):
+        # NaN compares false both ways, so a `< 0` check lets it through to p_sp = nan
+        with pytest.raises(ValueError, match="probs"):
+            Ensemble(self.STATES, probs=probs)

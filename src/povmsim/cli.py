@@ -233,12 +233,7 @@ def cmd_compare(args) -> int:
             plan = load_experiment_plan(_read_json(args.plan, "--plan"))
         except ValueError as err:
             raise UsageError(f"plan {args.plan!r}: {err}")
-        try:
-            povm = fixtures.ideal_povm(plan.povm_fixture)
-        except KeyError:
-            raise UsageError(f"plan {args.plan!r}: unknown povm_fixture "
-                             f"{plan.povm_fixture!r}; available: "
-                             f"{', '.join(fixtures.fixture_names())}")
+        povm = fixtures.ideal_povm(plan.povm_fixture)
         povm_name, noise = plan.povm_fixture, plan.noise
         shots, seed, scheme = plan.shots, plan.seed, plan.scheme
         noise_label = {"noise.cnot": noise.cnot_depolarizing,

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (PAULI_X, Povm, QuantumState, _freeze, _rng, as_operator, default_atol,
-                   hermitian_part, isometry_defect, probability_rows)
+from .core import (PAULI_X, InvariantViolation, Povm, QuantumState, _freeze, _rng, as_operator,
+                   default_atol, isometry_defect, probability_rows)
+from .fixtures import fixture_names
 from .naimark import NaimarkDilation, naimark_dilation
 from .simulation import (
     PostselectionScheme,
@@ -81,7 +82,8 @@ def load_experiment_plan(doc) -> ExperimentPlan:
 
     Recognized keys: noise.cnot, noise.su2, noise.readout_bias, shots, seed,
     scheme, povm_fixture.  A value of the wrong type or range raises
-    ValueError naming its key; shots must be in [1, MAX_SHOTS].
+    ValueError naming its key; shots must be in [1, MAX_SHOTS], and
+    povm_fixture must name a bundled fixture.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan must be a JSON object, got {type(doc).__name__}")
@@ -103,11 +105,15 @@ def load_experiment_plan(doc) -> ExperimentPlan:
     scheme = doc.get("scheme", "both")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return ExperimentPlan(povm_fixture=typed("povm_fixture", "tetrahedral", str, "a string"),
+    plan = ExperimentPlan(povm_fixture=typed("povm_fixture", "tetrahedral", str, "a string"),
                           scheme=scheme, noise=noise,
                           shots=typed("shots", 8192, int,
                                       f"an integer in [1, {MAX_SHOTS}]", 1, MAX_SHOTS),
                           seed=typed("seed", 0, int, "a non-negative integer", 0))
+    if plan.povm_fixture not in fixture_names():
+        raise ValueError(f"unknown povm_fixture {plan.povm_fixture!r}; "
+                         f"available: {', '.join(fixture_names())}")
+    return plan
 
 
 @dataclass(frozen=True)
@@ -275,9 +281,9 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
 # Two-qubit unitary -> (SU(2) layers, <= 3 CNOTs), following the magic-basis
 # double-coset method of Shende, Markov & Bullock: one interior of CNOTs and
 # fixed SU(2) gates per CNOT count, read off the spectrum of gamma, between two
-# SU(2) layers from one prefactor extraction.  Every form is verified against
-# the input; the extraction retries the simultaneous diagonalization with
-# different real/imaginary mixings before giving up.
+# SU(2) layers.  Each real/imaginary mixing of the simultaneous diagonalization
+# gives one candidate gate list, and each candidate is checked once, against
+# the input; the canonical CNOT count goes first, the 3-CNOT form last.
 
 _MAGIC = np.array([[1, 1j, 0, 0],
                    [0, 0, 1j, 1],
@@ -344,49 +350,16 @@ def _kron_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _diagonalize_symmetric_unitary(s: np.ndarray, mixing: float):
+def _diagonalize_symmetric_unitary(s: np.ndarray, mixing: float) -> np.ndarray:
     """Real orthogonal p with p^T s p diagonal, for unitary symmetric s.
 
     Real and imaginary parts of s are commuting real symmetric matrices, so
     a common eigenbasis exists; it is found from a generic real mixture."""
     sym = s.real + mixing * s.imag if mixing != 0.0 else s.real
-    _, p = np.linalg.eigh(hermitian_part(sym)[0].real)
+    _, p = np.linalg.eigh((sym + sym.T) / 2)
     if np.linalg.det(p) < 0:
         p[:, -1] = -p[:, -1]
-    d = p.T @ s @ p
-    return p, d
-
-
-def _extract_prefactors(u_target: np.ndarray, v_inner: np.ndarray):
-    """Find one-qubit a, b, c, d with (a (x) b) v_inner (c (x) d) = u_target.
-
-    Works in the magic basis, where the two double-coset representatives are
-    connected by real orthogonal G, H obtained from simultaneous
-    diagonalization of u u^T and v v^T."""
-    u = _MAGIC_DAG @ u_target @ _MAGIC
-    v = _MAGIC_DAG @ v_inner @ _MAGIC
-    uut = u @ u.T
-    vvt = v @ v.T
-    last_error = None
-    for mixing in _MIXINGS:
-        p, du = _diagonalize_symmetric_unitary(uut, mixing)
-        q, dv = _diagonalize_symmetric_unitary(vvt, mixing)
-        if (np.max(np.abs(du - np.diag(np.diag(du)))) > 1e-9
-                or np.max(np.abs(dv - np.diag(np.diag(dv)))) > 1e-9
-                or np.max(np.abs(np.diag(du) - np.diag(dv))) > 1e-7):
-            last_error = "diagonalization mismatch"
-            continue
-        g = p @ q.T
-        h = v.conj().T @ g.T @ u
-        ab = _MAGIC @ g @ _MAGIC_DAG
-        cd = _MAGIC @ h @ _MAGIC_DAG
-        a, b = _kron_factor(ab)
-        c, d = _kron_factor(cd)
-        check = _kron(a, b) @ v_inner @ _kron(c, d)
-        if _phase_distance(check, u_target) < DECOMPOSITION_ATOL:
-            return a, b, c, d
-        last_error = "residual too large"
-    raise RuntimeError(f"prefactor extraction failed: {last_error}")
+    return p
 
 
 def _phase_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -402,49 +375,51 @@ def _phase_distance(u: np.ndarray, v: np.ndarray) -> float:
 def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
     """Decompose a 4x4 unitary into SU(2) gates and at most 3 CNOTs.
 
-    Tries the canonical CNOT count first and the generic 3-CNOT form after
-    it, each once; the first form that verifies to DECOMPOSITION_ATOL is
-    returned.
+    Tries the candidates of the canonical CNOT count, then those of the
+    3-CNOT form, and returns the first whose gates give the input to within
+    DECOMPOSITION_ATOL up to a global phase.
     """
     u_in = as_operator(unitary, "two-qubit gate")
     if u_in.shape != (4, 4) or not isometry_defect(u_in) <= 1e-9:
         raise ValueError("two-qubit gate must be a 4x4 unitary")
     u = _to_su4(u_in)
-    last = None
     for count in dict.fromkeys((_num_cnots(u), 3)):
-        try:
-            gates = _gates(u, count)
-        except RuntimeError as err:
-            last = err
-            continue
-        if _phase_distance(_sequence_unitary(gates), u_in) < DECOMPOSITION_ATOL:
-            return gates
-        last = RuntimeError("branch residual too large")
-    raise RuntimeError(f"two-qubit decomposition failed: {last}")
+        for gates in _candidates(u, count):
+            if _phase_distance(_sequence_unitary(gates), u_in) < DECOMPOSITION_ATOL:
+                return gates
+    raise RuntimeError("two-qubit decomposition failed: no candidate verified to "
+                       f"{DECOMPOSITION_ATOL:g}")
 
 
 def _sequence_unitary(gates: list[Gate]) -> np.ndarray:
     return Circuit(2, gates).unitary()
 
 
-def _gates(u: np.ndarray, count: int) -> list[Gate]:
-    """An SU(2) layer, the interior for ``count`` CNOTs, an SU(2) layer.
-
-    For 1 and 3 CNOTs the interior is matched against SWAP u (scaled back
-    into SU(4)); moving that SWAP through the output layer exchanges its
-    two factors, and the SWAPs cancel."""
+def _candidates(u: np.ndarray, count: int):
+    """Gate lists for ``count`` CNOTs, one per mixing: SU(2) layers around the
+    interior v, read off the magic-basis forms t of the target and of v, which
+    real orthogonal G from the simultaneous diagonalizations of t t^T and
+    v v^T connect.  For 1 and 3 CNOTs the interior is matched against SWAP u
+    (scaled back into SU(4)); moving that SWAP through the output layer
+    exchanges its two factors, and the SWAPs cancel."""
     if count == 0:
-        a, b = _kron_factor(u)
-        return [Gate("su2", (0,), a), Gate("su2", (1,), b)]
+        yield [Gate("su2", (q,), f) for q, f in enumerate(_kron_factor(u))]
+        return
     swapped = count != 2
     target = np.exp(1j * np.pi / 4) * _SWAP @ u if swapped else u
     interior = _interior(target, count)
     v_inner = _sequence_unitary(interior)
-    a, b, c, d = _extract_prefactors(target, _SWAP @ v_inner if swapped else v_inner)
-    if swapped:
-        a, b = b, a
-    return [Gate("su2", (0,), c), Gate("su2", (1,), d), *interior,
-            Gate("su2", (0,), a), Gate("su2", (1,), b)]
+    t = _MAGIC_DAG @ target @ _MAGIC
+    v = _MAGIC_DAG @ (_SWAP @ v_inner if swapped else v_inner) @ _MAGIC
+    for mixing in _MIXINGS:
+        p, q = (_diagonalize_symmetric_unitary(m @ m.T, mixing) for m in (t, v))
+        g = p @ q.T
+        a, b = _kron_factor(_MAGIC @ g @ _MAGIC_DAG)
+        c, d = _kron_factor(_MAGIC @ (v.conj().T @ g.T @ t) @ _MAGIC_DAG)
+        if swapped:
+            a, b = b, a
+        yield [Gate("su2", (0,), c), Gate("su2", (1,), d), *interior,
+               Gate("su2", (0,), a), Gate("su2", (1,), b)]
 
 
 def _interior(target: np.ndarray, count: int) -> list[Gate]:
@@ -476,20 +451,31 @@ def _interior(target: np.ndarray, count: int) -> list[Gate]:
 # ---------------------------------------------------------------------------
 # Circuit compilation for the two implementation routes.
 
+def _rotations(states: np.ndarray) -> np.ndarray:
+    """(m, 2, 2) SU(2) rotations taking each row |psi> of an (m, 2) stack,
+    normalized, to |0>: their rows are <psi| and <psi_perp|."""
+    if states.shape[-1] != 2:
+        raise ValueError("postselection components are qubit projectors")
+    # each norm bit for bit as np.linalg.norm(row) takes it: two dot products per row
+    re, im = states.real[:, None], states.imag[:, None]
+    psi = states / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    return np.stack([psi.conj(), np.stack([-psi[:, 1], psi[:, 0]], axis=-1)], axis=1)
+
+
 def compile_postselection_circuit(projector_direction) -> Circuit:
-    """One SU(2) rotating the component state to |0>, then readout.
+    """One SU(2) rotating the normalized direction to |0>, then readout.
 
     Reading 0 is the "+" (kept) outcome, reading 1 the postselected one.
     """
-    psi = np.asarray(projector_direction, dtype=complex).reshape(-1)
-    if psi.size != 2:
-        raise ValueError("postselection components are qubit projectors")
-    psi = psi / np.linalg.norm(psi)
-    perp = np.array([-np.conj(psi[1]), np.conj(psi[0])])
-    u = np.array([psi.conj(), perp.conj()])
-    circuit = Circuit(1)
-    circuit.su2(0, u)
-    return circuit
+    psi = np.asarray(projector_direction, dtype=complex).reshape(1, -1)
+    if not np.all(np.isfinite(psi)):
+        raise InvariantViolation("finite entries", np.inf,
+                                 "postselection direction has non-finite entries")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(psi)
+    if not np.sqrt(np.finfo(float).tiny) <= norm < np.inf:  # its square must be a normal float
+        raise ValueError("postselection direction must have a non-zero norm in float range")
+    return Circuit(1).su2(0, _rotations(psi)[0])
 
 
 def compile_naimark_circuit(dilation: NaimarkDilation) -> Circuit:
@@ -562,9 +548,8 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     n = scheme.target.n_outcomes
     shots = np.maximum(proportional_shot_allocation(scheme.weights * scheme.target.dim, cap), 1)
 
-    rotations = np.stack([compile_postselection_circuit(state).gates[0].matrix
-                          for state in scheme.states])
-    evolved = _evolve([Gate("su2", (0,), rotations[:, None])], 1, PROBE_RHOS, noise)
+    rotations = _rotations(scheme.states)[:, None]
+    evolved = _evolve([Gate("su2", (0,), rotations)], 1, PROBE_RHOS, noise)
     mitigated, shots_total = _mitigated(evolved, 1, noise, shots, _rng(seed))
 
     table = np.zeros((len(PROBE_RHOS), n + 1))

@@ -85,9 +85,8 @@ class Ensemble:
 class SymmetricEnsemble(Ensemble):
     """Fourier-symmetric ensemble with a known discrimination optimum."""
 
-    def __init__(self, states, coefficients, exact_optimum: float):
+    def __init__(self, states, exact_optimum: float):
         super().__init__(states)
-        self.coefficients = _freeze(np.asarray(coefficients, dtype=complex))
         self.exact_optimum = float(exact_optimum)
 
 
@@ -185,16 +184,20 @@ def equal_probability_measurement(ensemble: Ensemble) -> Povm:
 def projective_simulable_optimum(ensemble: Ensemble) -> float:
     """Exact USD optimum over projective-simulable measurements.
 
-    For linearly independent, pairwise non-orthogonal states the only
+    It is 1 for orthonormal states: measure them directly.  For linearly
+    independent, pairwise non-orthogonal states the only
     unambiguous projective measurements are rank-one, pointing along the
     (unique) dual direction of a single outcome; mixing them cannot beat the
     best single one, so the optimum is max_i p_i |<psi_i|phi_i>|^2 =
     max_i p_i / (C^{-1})_{ii}.
     """
     pairs = orthogonal_pairs(ensemble.states)
+    d = ensemble.n_states
+    if len(pairs) == d * (d - 1) // 2:
+        return 1.0
     if pairs:
-        raise ValueError(f"states {pairs[0]} are orthogonal; "
-                         "the structural optimum requires pairwise non-orthogonality")
+        raise ValueError(f"states {pairs[0]} are orthogonal; the structural optimum "
+                         "requires orthonormal or pairwise non-orthogonal states")
     if not ensemble.linearly_independent:
         raise InvariantViolation("linear independence", ensemble.smallest_singular_value)
     c = ensemble.gram()
@@ -249,14 +252,7 @@ def usd_advantage_bound(ensemble: Ensemble) -> AdvantageBound:
         raise InvariantViolation("linear independence", ensemble.smallest_singular_value)
     d = ensemble.n_states
     lam = min_eigenvalue(ensemble.gram())
-    pairs = orthogonal_pairs(ensemble.states)
-    if not pairs:
-        p_sp = projective_simulable_optimum(ensemble)
-    elif len(pairs) == d * (d - 1) // 2:
-        p_sp = 1.0  # orthonormal states: measure them directly
-    else:
-        raise ValueError("mixed orthogonal/non-orthogonal ensemble; "
-                         "the structural optimum is not available")
+    p_sp = projective_simulable_optimum(ensemble)
     ratio = lam / p_sp
     bound_ok = lam <= d * p_sp + default_atol(d)
     return AdvantageBound(float(lam), float(p_sp), float(ratio), bool(bound_ok), d)
@@ -282,7 +278,7 @@ def symmetric_ensemble(d: int, coefficients) -> SymmetricEnsemble:
     omega = np.exp(2j * np.pi / d)
     k = np.arange(d)
     states = np.array([c * omega ** (i * k) for i in range(d)]) / np.sqrt(d)
-    return SymmetricEnsemble(states, c, float(np.min(np.abs(c) ** 2)))
+    return SymmetricEnsemble(states, float(np.min(np.abs(c) ** 2)))
 
 
 def symmetric_ensemble_from_gap(d: int, epsilon: float) -> SymmetricEnsemble:

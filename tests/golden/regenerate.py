@@ -1,0 +1,73 @@
+"""Golden CLI outputs: the cases, the in-process runner, and a writer.
+
+Each case runs ``povmsim.cli.main`` in this process, with the repository
+root as working directory, and records its exit code, stdout and stderr
+in ``expected/<case>.json``.  ``test_golden.py`` compares them byte for
+byte.  Regenerate only when a change to the printed output is intended:
+
+    python3 tests/golden/regenerate.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+EXPECTED = HERE / "expected"
+INPUTS = HERE.relative_to(ROOT) / "inputs"
+
+MAX_SHOTS = "9223372036854775807"
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for povm in ("tetrahedral", "trine", "random4"):
+        for noise in ("ibmx4-like", "noiseless"):
+            for shots in ("1", "8192", MAX_SHOTS):
+                name = f"compare_{povm}_{noise}_{'max' if shots == MAX_SHOTS else shots}"
+                cases[name] = ["compare", "--povm", povm, "--noise", noise, "--shots", shots]
+    for plan in ("plan_both", "plan_naimark", "plan_postselection", "plan_unknown_fixture"):
+        cases[f"compare_{plan}"] = ["compare", "--plan", str(INPUTS / f"{plan}.json")]
+    cases["compare_csv"] = ["compare", "--povm", "trine", "--seed", "3", "--format", "csv"]
+    cases["usd_symmetric"] = ["usd", "--symmetric", "8", "0.05"]
+    for ensemble in ("ensemble", "ensemble_orthonormal"):
+        cases[f"usd_{ensemble}"] = ["usd", "--ensemble", str(INPUTS / f"{ensemble}.json")]
+    return cases
+
+
+CASES = _cases()
+
+
+def run(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of ``main(argv)``; the caller sets the
+    working directory to the repository root."""
+    from povmsim.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects argv
+            code = exc.code
+    return {"argv": argv, "exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def main() -> None:
+    sys.path.insert(0, str(ROOT / "src"))
+    os.chdir(ROOT)
+    EXPECTED.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        with open(EXPECTED / f"{name}.json", "w", encoding="utf-8") as f:
+            json.dump(run(argv), f, indent=1)
+            f.write("\n")
+    print(f"wrote {len(CASES)} cases to {EXPECTED}")
+
+
+if __name__ == "__main__":
+    main()

@@ -249,6 +249,14 @@ class TestPostselectionCircuit:
         with pytest.raises(ValueError):
             compile_postselection_circuit([1, 0, 0])
 
+    @pytest.mark.parametrize("direction", [[0, 0], [1e-200, 0], [1e-160, 0], [1e200, 1e200]],
+                             ids=["zero", "underflow", "subnormal", "overflow"])
+    def test_norm_out_of_range_is_rejected_without_a_warning(self, direction):
+        # warnings are errors here, so a divide or overflow warning would fail first
+        with pytest.raises(ValueError, match="non-zero norm in float range") as info:
+            compile_postselection_circuit(direction)
+        assert not isinstance(info.value, InvariantViolation)
+
 
 class TestTwoQubitDecomposition:
     def test_identity_needs_no_cnots(self):
@@ -284,15 +292,43 @@ class TestTwoQubitDecomposition:
     def test_each_cnot_count_is_tried_once(self, monkeypatch):
         attempts = []
 
-        def failing(u, count):
+        def no_candidates(u, count):
             attempts.append(count)
-            raise RuntimeError("forced")
+            return iter(())
 
-        monkeypatch.setattr(noisy_device, "_gates", failing)
+        monkeypatch.setattr(noisy_device, "_candidates", no_candidates)
         u = haar_random_unitary(4, np.random.default_rng(3))  # canonical count 3
-        with pytest.raises(RuntimeError, match="two-qubit decomposition failed: forced"):
+        with pytest.raises(RuntimeError, match="two-qubit decomposition failed"):
             two_qubit_gate_sequence(u)
         assert attempts == [3]
+
+    def test_a_wrong_candidate_is_skipped_for_a_right_one(self, monkeypatch):
+        u = haar_random_unitary(4, np.random.default_rng(4))
+        right = two_qubit_gate_sequence(u)
+        candidates = noisy_device._candidates
+
+        def wrong_first(u, count):
+            yield [noisy_device.Gate("su2", (0,), PAULI_X), *right]
+            yield from candidates(u, count)
+
+        monkeypatch.setattr(noisy_device, "_candidates", wrong_first)
+        gates = two_qubit_gate_sequence(u)
+        assert [(g.kind, g.qubits) for g in gates] == [(g.kind, g.qubits) for g in right]
+        assert all(g.kind == "cnot" or np.array_equal(g.matrix, r.matrix)
+                   for g, r in zip(gates, right))
+
+    def test_only_wrong_candidates_fail(self, monkeypatch):
+        attempts = []
+
+        def wrong(u, count):
+            attempts.append(count)
+            yield [noisy_device.Gate("su2", (0,), PAULI_X)]
+            yield [noisy_device.Gate("su2", (1,), PAULI_X)]
+
+        monkeypatch.setattr(noisy_device, "_candidates", wrong)
+        with pytest.raises(RuntimeError, match="two-qubit decomposition failed"):
+            two_qubit_gate_sequence(np.eye(4))  # canonical count 0
+        assert attempts == [0, 3]
 
     @pytest.mark.parametrize("cnots", [0, 1, 2, 3], ids=["local", "one_cnot", "two_cnots", "haar"])
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -416,6 +452,11 @@ class TestExperimentPlan:
         from povmsim.noisy_device import load_experiment_plan
         with pytest.raises(ValueError, match="unknown plan keys"):
             load_experiment_plan({"noise.cx": 0.1})
+
+    def test_unknown_fixture_rejected(self):
+        from povmsim.noisy_device import load_experiment_plan
+        with pytest.raises(ValueError, match="unknown povm_fixture 'nope'; available: tetrahedral"):
+            load_experiment_plan({"povm_fixture": "nope"})
 
     def test_shots_bounded_by_the_int64_samplers(self):
         from povmsim.noisy_device import load_experiment_plan

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from povmsim.core import InvariantViolation, Povm, QuantumState, operator_norm, random_povm
-from povmsim.noisy_device import Circuit, proportional_shot_allocation, two_qubit_gate_sequence
+from povmsim.noisy_device import (Circuit, compile_postselection_circuit,
+                                  proportional_shot_allocation, two_qubit_gate_sequence)
 from povmsim.simulation import PostProcessingMap, convex_combination
 from povmsim.tomography import TomographyRecord
 from povmsim.usd import Ensemble
@@ -29,6 +30,8 @@ BOUNDARIES = {
                            lambda x: convex_combination([(x, random_povm(2, 3, 1)),
                                                          (0.5, random_povm(2, 3, 2))])),
     "operator_norm": (InvariantViolation, lambda x: operator_norm([[x, 0], [0, 1]])),
+    "compile_postselection_circuit": (InvariantViolation,
+                                      lambda x: compile_postselection_circuit([x, 1])),
 }
 
 

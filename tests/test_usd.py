@@ -169,6 +169,9 @@ class TestProjectiveSimulableOptimum:
         with pytest.raises(ValueError, match="orthogonal"):
             projective_simulable_optimum(Ensemble(states))
 
+    def test_orthonormal_states_are_measured_directly(self):
+        assert projective_simulable_optimum(Ensemble(np.eye(4))) == 1.0
+
     def test_agreement_with_structural_search(self):
         for seed in range(8):
             n = 2 + seed % 3
@@ -235,6 +238,11 @@ class TestAdvantageBound:
         assert bound.p_sp == pytest.approx(1.0)
         assert bound.ratio == pytest.approx(1.0)
         assert bound.bound_ok
+
+    def test_partly_orthogonal_ensemble_rejected(self):
+        s = np.sqrt(0.5)
+        with pytest.raises(ValueError, match=r"states \(0, 1\) are orthogonal"):
+            usd_advantage_bound(Ensemble([[1, 0, 0], [0, 1, 0], [s, 0, s]]))
 
     def test_haar_random_case(self):
         bound = usd_advantage_bound(haar_ensemble(10, 25, 3))

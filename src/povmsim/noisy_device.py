@@ -265,7 +265,8 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
     Block-allocation stand-in for per-run randomization: downstream
     frequency normalization divides by sum N_j, which reproduces the
     weights exactly in expectation.  Counts round through float, so they
-    stop at the largest float below 2**63: a cap of MAX_SHOTS stays in int64.
+    stop at the largest float below 2**63: a cap of MAX_SHOTS stays in int64;
+    weights up to the largest float do not overflow.
     """
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
@@ -274,6 +275,8 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
         raise ValueError("weights must be positive")
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    # an exact power-of-two rescale into [1/2, 1), so that cap * w cannot overflow
+    w = np.ldexp(w, -np.frexp(np.max(w))[1])
     return np.minimum(np.rint(cap * w / np.max(w)), np.nextafter(2.0 ** 63, 0)).astype(int)
 
 
@@ -322,17 +325,19 @@ def _gamma(u: np.ndarray) -> np.ndarray:
     return m @ m.T
 
 
-def _num_cnots(u: np.ndarray) -> int:
+def _num_cnots(u: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """The canonical CNOT count of u, and the spectrum of gamma(u); None
+    when the trace alone says 0."""
     gamma = _gamma(u)
     trace = np.trace(gamma)
     if abs(trace - 4) < 1e-7 or abs(trace + 4) < 1e-7:
-        return 0
-    evs = np.sort(np.linalg.eigvals(gamma).imag)
-    if abs(trace) < 1e-7 and np.allclose(evs, [-1, -1, 1, 1], atol=1e-7):
-        return 1
+        return 0, None
+    spectrum = np.linalg.eigvals(gamma)
+    if abs(trace) < 1e-7 and np.allclose(np.sort(spectrum.imag), [-1, -1, 1, 1], atol=1e-7):
+        return 1, spectrum
     if abs(trace.imag) < 1e-7:
-        return 2
-    return 3
+        return 2, spectrum
+    return 3, spectrum
 
 
 def _kron_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,8 +388,9 @@ def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
     if u_in.shape != (4, 4) or not isometry_defect(u_in) <= 1e-9:
         raise ValueError("two-qubit gate must be a 4x4 unitary")
     u = _to_su4(u_in)
-    for count in dict.fromkeys((_num_cnots(u), 3)):
-        for gates in _candidates(u, count):
+    canonical, spectrum = _num_cnots(u)
+    for count in dict.fromkeys((canonical, 3)):
+        for gates in _candidates(u, count, spectrum):
             if _phase_distance(_sequence_unitary(gates), u_in) < DECOMPOSITION_ATOL:
                 return gates
     raise RuntimeError("two-qubit decomposition failed: no candidate verified to "
@@ -395,19 +401,20 @@ def _sequence_unitary(gates: list[Gate]) -> np.ndarray:
     return Circuit(2, gates).unitary()
 
 
-def _candidates(u: np.ndarray, count: int):
+def _candidates(u: np.ndarray, count: int, spectrum: np.ndarray | None):
     """Gate lists for ``count`` CNOTs, one per mixing: SU(2) layers around the
     interior v, read off the magic-basis forms t of the target and of v, which
     real orthogonal G from the simultaneous diagonalizations of t t^T and
     v v^T connect.  For 1 and 3 CNOTs the interior is matched against SWAP u
     (scaled back into SU(4)); moving that SWAP through the output layer
-    exchanges its two factors, and the SWAPs cancel."""
+    exchanges its two factors, and the SWAPs cancel.  ``spectrum`` is that of
+    gamma(u), from :func:`_num_cnots`."""
     if count == 0:
         yield [Gate("su2", (q,), f) for q, f in enumerate(_kron_factor(u))]
         return
     swapped = count != 2
     target = np.exp(1j * np.pi / 4) * _SWAP @ u if swapped else u
-    interior = _interior(target, count)
+    interior = _interior(target, count, None if swapped else spectrum)
     v_inner = _sequence_unitary(interior)
     t = _MAGIC_DAG @ target @ _MAGIC
     v = _MAGIC_DAG @ (_SWAP @ v_inner if swapped else v_inner) @ _MAGIC
@@ -422,12 +429,13 @@ def _candidates(u: np.ndarray, count: int):
                Gate("su2", (0,), a), Gate("su2", (1,), b)]
 
 
-def _interior(target: np.ndarray, count: int) -> list[Gate]:
+def _interior(target: np.ndarray, count: int, evs: np.ndarray | None) -> list[Gate]:
     """The CNOTs and fixed SU(2) gates between the two prefactor layers,
-    read off the spectrum of gamma(target)."""
+    read off the spectrum ``evs`` of gamma(target), computed here if None."""
     if count == 1:
         return [Gate("cnot", (0, 1))]
-    evs = np.linalg.eigvals(_gamma(target))
+    if evs is None:
+        evs = np.linalg.eigvals(_gamma(target))
     if count == 3:
         x, y, z = np.sort(np.angle(evs))[:3]
         return [Gate("cnot", (1, 0)),

@@ -35,6 +35,8 @@ def _cases() -> dict[str, list[str]]:
     for plan in ("plan_both", "plan_naimark", "plan_postselection", "plan_unknown_fixture"):
         cases[f"compare_{plan}"] = ["compare", "--plan", str(INPUTS / f"{plan}.json")]
     cases["compare_csv"] = ["compare", "--povm", "trine", "--seed", "3", "--format", "csv"]
+    cases["table1"] = ["table1"]
+    cases["table1_csv"] = ["table1", "--format", "csv"]
     cases["usd_symmetric"] = ["usd", "--symmetric", "8", "0.05"]
     for ensemble in ("ensemble", "ensemble_orthonormal"):
         cases[f"usd_{ensemble}"] = ["usd", "--ensemble", str(INPUTS / f"{ensemble}.json")]

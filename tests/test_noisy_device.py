@@ -292,7 +292,7 @@ class TestTwoQubitDecomposition:
     def test_each_cnot_count_is_tried_once(self, monkeypatch):
         attempts = []
 
-        def no_candidates(u, count):
+        def no_candidates(u, count, spectrum):
             attempts.append(count)
             return iter(())
 
@@ -302,14 +302,31 @@ class TestTwoQubitDecomposition:
             two_qubit_gate_sequence(u)
         assert attempts == [3]
 
+    def test_two_cnot_spectrum_is_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        circuit = Circuit(2).su2(0, haar_random_unitary(2, rng)).su2(1, haar_random_unitary(2, rng))
+        for _ in range(2):
+            circuit.cnot(0, 1).su2(0, haar_random_unitary(2, rng))
+            circuit.su2(1, haar_random_unitary(2, rng))
+        calls, eigvals = [], np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        gates = two_qubit_gate_sequence(circuit.unitary())
+        assert sum(1 for g in gates if g.kind == "cnot") == 2
+        assert len(calls) == 1
+
     def test_a_wrong_candidate_is_skipped_for_a_right_one(self, monkeypatch):
         u = haar_random_unitary(4, np.random.default_rng(4))
         right = two_qubit_gate_sequence(u)
         candidates = noisy_device._candidates
 
-        def wrong_first(u, count):
+        def wrong_first(u, count, spectrum):
             yield [noisy_device.Gate("su2", (0,), PAULI_X), *right]
-            yield from candidates(u, count)
+            yield from candidates(u, count, spectrum)
 
         monkeypatch.setattr(noisy_device, "_candidates", wrong_first)
         gates = two_qubit_gate_sequence(u)
@@ -320,7 +337,7 @@ class TestTwoQubitDecomposition:
     def test_only_wrong_candidates_fail(self, monkeypatch):
         attempts = []
 
-        def wrong(u, count):
+        def wrong(u, count, spectrum):
             attempts.append(count)
             yield [noisy_device.Gate("su2", (0,), PAULI_X)]
             yield [noisy_device.Gate("su2", (1,), PAULI_X)]
@@ -492,6 +509,11 @@ class TestShotAllocation:
         # rint of a NaN or infinite ratio casts to the count -2**63
         with pytest.raises(ValueError, match="weights must be positive"):
             proportional_shot_allocation(weights, 10)
+
+    def test_largest_float_weights_do_not_overflow(self):
+        # cap * w overflowed to inf here, which rint and the int64 stop
+        # turned into 2**63 - 1024 per entry, with a RuntimeWarning
+        assert np.array_equal(proportional_shot_allocation([1e308, 1e308], 10), [10, 10])
 
     @pytest.mark.parametrize("cap", [MAX_SHOTS, MAX_SHOTS - 511])
     def test_rounding_stays_inside_int64(self, cap):

@@ -10,6 +10,8 @@ from povmsim import fixtures
 from povmsim.core import (
     QuantumState,
     born_probabilities,
+    haar_random_unitary,
+    hermitian_part,
     operator_norm,
     random_povm,
     random_rank_one_povm,
@@ -17,7 +19,9 @@ from povmsim.core import (
 from povmsim.simulation import PostProcessingMap, apply_postprocessing
 from povmsim.tomography import (
     MAX_SUBSET_OUTCOMES,
+    SUBSET_BLOCK_ELEMENTS,
     TomographyRecord,
+    _subset_sums,
     bias_mitigated_statistics,
     operational_distance,
     probe_states,
@@ -47,6 +51,36 @@ def _qubit_closed_form(ms, ns) -> float:
     subsets = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
     sums = subsets @ coeffs
     return float(np.max(np.abs(sums[:, 0]) + np.linalg.norm(sums[:, 1:], axis=1)))
+
+
+def _every_block_eigensolved(ms, ns) -> float:
+    """The Hermitian qubit scan with eigvalsh on every block: the block and
+    offset sums of operational_distance, added in its order."""
+    k = max(len(ms), len(ns))
+    zero = np.zeros((2, 2), dtype=complex)
+    padded = [[np.asarray(e, dtype=complex) for e in es] + [zero] * (k - len(es))
+              for es in (ms, ns)]
+    diffs = np.stack([a - b for a, b in zip(*padded)])
+    hermitian = hermitian_part(diffs)[0]
+    if float(np.max(np.abs(diffs.sum(axis=0)))) <= 1e-12:
+        base, free = hermitian[0], hermitian[1:]
+    else:
+        base, free = zero, hermitian
+    bits = (SUBSET_BLOCK_ELEMENTS // 4).bit_length() - 1
+    block, offsets = _subset_sums(free[:bits]), _subset_sums(free[bits:]) + base
+    return float(max(np.abs(np.linalg.eigvalsh(block + offset)).max() for offset in offsets))
+
+
+def _count_eigensolved(monkeypatch) -> list[int]:
+    """Patch eigvalsh to record how many matrices each call solves."""
+    counts, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return counts
 
 
 def _any_povm(dim, n_outcomes, seed):
@@ -288,6 +322,51 @@ class TestOperationalDistance:
                 n = [(1 - 1e-3) * e for e in n]
         for a, b in ((m, n), (n, m)):
             assert abs(operational_distance(a, b) - _reference_distance(a, b)) <= 1e-12
+
+    @settings(derandomize=True, deadline=None)
+    @given(k=st.integers(1, 14),
+           kind=st.sampled_from(("complete", "incomplete", "padded", "self", "duplicated",
+                                 "polygon")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_qubit_screen_returns_the_eigensolved_maximum_exactly(self, k, kind, seed):
+        # the closed-form screen only drops blocks; the value is eigvalsh's, bit for bit
+        rng = np.random.default_rng(seed)
+        m = _any_povm(2, k, rng).effects
+        if kind == "self":  # every sum is zero, so every block survives the screen
+            n = m
+        elif kind == "padded":
+            n = _any_povm(2, int(rng.integers(1, k + 1)), rng).effects
+        elif kind == "duplicated":  # each difference twice: subset sums tie exactly
+            half = -(-k // 2)
+            m = [e / 2 for e in _any_povm(2, half, rng).effects] * 2
+            n = [e / 2 for e in _any_povm(2, half, rng).effects] * 2
+        elif kind == "polygon":  # many subset sums tie in exact arithmetic, not in floats
+            u = haar_random_unitary(2, rng)
+            m = [u @ np.array([[0, p.conjugate()], [p, 0]]) @ u.conj().T / 2
+                 for p in np.exp(2j * np.pi * np.arange(k) / k)]
+            n = [np.zeros((2, 2))] * k
+        else:
+            n = _any_povm(2, k, rng).effects
+            if kind == "incomplete":
+                n = [(1 - 1e-3) * e for e in n]
+        for a, b in ((m, n), (n, m)):
+            assert operational_distance(a, b) == _every_block_eigensolved(a, b)
+
+    def test_qubit_scan_eigensolves_only_the_near_maximal_sums(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        m = random_povm(2, 13, rng).effects
+        n = [(1 - 1e-3) * e for e in random_povm(2, 13, rng).effects]
+        counts = _count_eigensolved(monkeypatch)
+        operational_distance(m, n)  # 2**13 subset sums
+        assert sum(counts) <= 4
+
+    def test_qutrit_scan_eigensolves_every_sum(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m = random_povm(3, 6, rng).effects
+        n = [(1 - 1e-3) * e for e in random_povm(3, 6, rng).effects]
+        counts = _count_eigensolved(monkeypatch)
+        operational_distance(m, n)
+        assert sum(counts) == 2**6
 
     @pytest.mark.parametrize("scale", (1.0, 1 - 1e-3))
     def test_sixteen_outcome_qubit_pair_matches_closed_form(self, scale):

@@ -58,8 +58,6 @@ def _state_by_name(name: str, dim: int) -> QuantumState:
             return QuantumState.basis_state(dim, 0)
         raise ValueError(f"named state {name!r} is qubit-only")
     table = dict(zip(("zero", "one", "x+", "x-", "y+", "y-"), pauli_eigenstates()))
-    if name not in table:
-        raise ValueError(f"unknown state {name!r}; available: {', '.join(STATE_NAMES)}")
     return table[name]
 
 
@@ -163,11 +161,12 @@ def cmd_simulate(args) -> int:
     scheme = postselection_scheme(povm)
     record = sample_postselection(scheme, state, args.shots, args.seed)
     oracle = born_probabilities(state, povm)
-    freqs = record.conditional_frequencies()
+    freqs = (record.conditional_frequencies().tolist() if record.success_count
+             else [None] * povm.n_outcomes)  # every shot postselected away: no frequency
     rows = [{"outcome": povm.labels[i],
-             "frequency": float(freqs[i]),
+             "frequency": freqs[i],
              "born_probability": float(oracle[i]),
-             "deviation": float(freqs[i] - oracle[i])}
+             "deviation": None if freqs[i] is None else freqs[i] - float(oracle[i])}
             for i in range(povm.n_outcomes)]
     config = {"command": "simulate", "povm": povm_name, "state": args.state,
               "shots": args.shots, "seed": args.seed}

@@ -560,11 +560,9 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     evolved = _evolve([Gate("su2", (0,), rotations)], 1, PROBE_RHOS, noise)
     mitigated, shots_total = _mitigated(evolved, 1, noise, shots, _rng(seed))
 
-    table = np.zeros((len(PROBE_RHOS), n + 1))
-    for k, shots_k in enumerate(shots.tolist()):
-        # register outcome 0 is "+" -> parent outcome; 1 is the failure slot
-        table[:, scheme.parents[k]] += shots_k * mitigated[k, :, 0]
-        table[:, n] += shots_k * mitigated[k, :, 1]
+    # register outcome 0 is "+" -> parent outcome; 1 is the failure slot
+    runs = shots[:, None, None] * mitigated
+    table = np.column_stack([scheme.relabel(runs[:, :, 0]).T, runs[:, :, 1].sum(axis=0)])
     table /= table.sum(axis=1, keepdims=True)
     record = TomographyRecord(table)
     fraction = float(np.mean(table[:, n]))

@@ -187,7 +187,8 @@ class PostselectionScheme:
                              f"dimension, got shape {self.states.shape}")
         _check_mixture(self.weights, self.states)
         q = self.success_probability = 1.0 / target.dim
-        effects, fail = self._realized_blocks()
+        effects, fail = _binary_mixture(self.weights, self.states)
+        effects = self.relabel(effects)  # rebound: the "+" stack is freed before the temporaries
         effects -= q * target.stack
         fail -= (1 - q) * np.eye(target.dim)
         dev = max(float(np.max(np.abs(effects))), float(np.max(np.abs(fail))))
@@ -208,20 +209,14 @@ class PostselectionScheme:
         plus, minus = _binary_mixture(self.weights, self.states)
         return Povm(np.concatenate([plus, minus[None]]))
 
-    def _realized_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The mixture's "+" of component k added into target slot
-        ``parents[k]``, in component order, and its "-" as the fail slot."""
-        plus, fail = _binary_mixture(self.weights, self.states)
-        effects = np.zeros((self.fail_index, *fail.shape), dtype=complex)
-        for parent, piece in zip(self.parents, plus):
-            effects[parent] += piece
-        return effects, fail
-
-    def simulated_povm(self) -> Povm:
-        """Assemble the mixture and relabelling into the realized POVM."""
-        effects, fail = self._realized_blocks()
-        return Povm(np.concatenate([effects, fail[None]]),
-                    labels=list(self.target.labels) + [FAIL_LABEL])
+    def relabel(self, plus: np.ndarray) -> np.ndarray:
+        """Per-component "+" values (effects, counts or frequency columns),
+        component k's added into target outcome ``parents[k]`` in component
+        order: an (n, ...) array of ``plus``'s dtype."""
+        out = np.zeros((self.fail_index, *plus.shape[1:]), dtype=plus.dtype)
+        for parent, value in zip(self.parents, plus, strict=True):
+            out[parent] += value
+        return out
 
     def to_document(self) -> dict:
         return {
@@ -292,16 +287,13 @@ def sample_postselection(scheme: PostselectionScheme, state: QuantumState,
     if shots < 1:
         raise ValueError("shots must be at least 1")
     rng = _rng(seed)
-    n = scheme.target.n_outcomes
     runs = rng.multinomial(shots, scheme.weights / scheme.weights.sum())
     # success probability of component k on this state: <e_k|rho|e_k>
     succ = np.einsum("ki,ij,kj->k", scheme.states.conj(), state.rho,
                      scheme.states).real
     plus = rng.binomial(runs, np.clip(succ, 0.0, 1.0))
-    counts = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(counts, scheme.parents, plus)
-    counts[n] = shots - counts.sum()
-    return ShotRecord(counts)
+    kept = scheme.relabel(plus)
+    return ShotRecord(np.append(kept, shots - kept.sum()))
 
 
 def hw_covariant_povm(d: int, fiducial: QuantumState) -> tuple[Povm, bool]:

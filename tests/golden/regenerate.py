@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
@@ -40,6 +41,21 @@ def _cases() -> dict[str, list[str]]:
     cases["usd_symmetric"] = ["usd", "--symmetric", "8", "0.05"]
     for ensemble in ("ensemble", "ensemble_orthonormal"):
         cases[f"usd_{ensemble}"] = ["usd", "--ensemble", str(INPUTS / f"{ensemble}.json")]
+    cases["usd_random"] = ["usd", "--random", "10", "100", "--trials", "20", "--seed", "3"]
+    cases["fixtures"] = ["fixtures"]
+    cases["simulate_tetrahedral_zero"] = ["simulate", "--povm", "tetrahedral", "--state", "zero",
+                                          "--shots", "1000000", "--seed", "7"]
+    cases["simulate_random4_x+"] = ["simulate", "--povm", "random4", "--state", "x+",
+                                    "--seed", "3"]
+    cases["simulate_trine_mixed"] = ["simulate", "--povm", "trine", "--state", "mixed",
+                                     "--seed", "5"]
+    cases["simulate_all_failed"] = ["simulate", "--povm", "tetrahedral", "--shots", "1",
+                                    "--seed", "0"]
+    # rejected input: usage errors exit 2, a POVM compare cannot run exits 1
+    cases["compare_zero_shots"] = ["compare", "--povm", "trine", "--shots", "0"]
+    cases["usd_random_too_many_states"] = ["usd", "--random", "5", "3"]
+    cases["simulate_unknown_fixture"] = ["simulate", "--povm", "nope"]
+    cases["compare_trivial"] = ["compare", "--povm", "trivial"]
     return cases
 
 
@@ -52,7 +68,9 @@ def run(argv: list[str]) -> dict:
     from povmsim.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps its usage text to $COLUMNS, else to the terminal's width
+    with (mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects argv

@@ -78,6 +78,18 @@ class TestSimulate:
         assert len(payload["rows"]) == 1
         assert payload["rows"][0]["frequency"] == 1.0
 
+    def test_every_shot_postselected_away(self, capsys):
+        # seed 0's one shot fails: a valid run with no frequency to report
+        code, out, err = run_cli(capsys, "simulate", "--povm", "tetrahedral",
+                                 "--shots", "1", "--seed", "0")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["success_rate"] == 0.0
+        assert len(payload["rows"]) == 4
+        for row in payload["rows"]:
+            assert row["frequency"] is None and row["deviation"] is None
+            assert row["born_probability"] > 0
+
     def test_missing_fixture_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate")
         assert code == 2

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -259,7 +259,7 @@ class TestPostselectionScheme:
         scheme = postselection_scheme(random4)
         traces = np.array([np.trace(m).real for m in random4.effects])
         assert np.allclose(np.sort(scheme.weights), np.sort(traces / 2), atol=1e-9)
-        assert povm_equal(scheme.simulated_povm(), build_mq(random4, 0.5), atol=1e-9)
+        assert povm_equal(single_map_view(scheme), build_mq(random4, 0.5), atol=1e-9)
 
     def test_exact_decomposition_all_fixtures(self, all_fixture_povms):
         for povm in all_fixture_povms.values():
@@ -346,14 +346,16 @@ class TestPostselectionScheme:
         doc = {**scheme.to_document(), "states": complex_to_lists(states),
                "weights": weights.tolist(), "parents": parents.tolist()}
         want, stacked = _stacked_outcome(povm, states, weights, parents)
+        projectors = states[:, :, None] * states.conj()[:, None, :]
+        weighted_projectors = weights[:, None, None] * projectors
         try:
             got = PostselectionScheme.from_document(doc)
         except InvariantViolation as err:
             assert err.invariant == want
         else:
             assert want == "ok"
-            assert np.array_equal(got._realized_blocks()[0], stacked[:-1])
-            assert np.max(np.abs(got.simulated_povm().stack - stacked)) <= 1e-15
+            assert np.array_equal(got.relabel(weighted_projectors), stacked[:-1])
+            assert np.max(np.abs(single_map_view(got).stack - stacked)) <= 1e-15
 
     def test_parts_of_another_target_rejected(self, trine, tetrahedral):
         # the trine's valid mixture, declared to realize the tetrahedral POVM
@@ -367,7 +369,41 @@ class TestPostselectionScheme:
         back = PostselectionScheme.from_document(scheme.to_document())
         assert np.allclose(back.weights, scheme.weights)
         assert list(back.parents) == list(scheme.parents)
-        assert povm_equal(back.simulated_povm(), scheme.simulated_povm(), atol=1e-12)
+        assert povm_equal(single_map_view(back), single_map_view(scheme), atol=1e-12)
+
+
+class TestRelabel:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 3), st.integers(0, 3),
+           st.integers(0, 2**31), st.sampled_from(["effects", "counts", "table"]))
+    @example(1, 0, 1, 0, 0, "effects")  # d = 1, one outcome: one component
+    @example(1, 0, 1, 0, 1, "counts")
+    @example(1, 0, 1, 2, 2, "table")
+    def test_matches_a_loop_bit_for_bit(self, d, extra, rank, zeros, seed, kind):
+        # rank > 1 repeats parents; the zero effects are parents no component names
+        rng = np.random.default_rng(seed)
+        stack = random_povm(d, d + extra, seed, rank=rank).stack
+        target = Povm(np.insert(stack, rng.integers(0, len(stack) + 1, zeros), 0, axis=0))
+        scheme = postselection_scheme(target)
+        m = scheme.n_components
+        if kind == "effects":
+            plus = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+        elif kind == "counts":
+            plus = rng.integers(0, 2**40, m)
+        else:
+            plus = rng.normal(size=(m, 6))
+        want = np.zeros((target.n_outcomes, *plus.shape[1:]), dtype=plus.dtype)
+        for k in range(m):
+            want[scheme.parents[k]] += plus[k]
+        got = scheme.relabel(plus)
+        assert got.dtype == plus.dtype
+        assert np.array_equal(got, want)
+
+    def test_wrong_length_raises(self, trine):
+        scheme = postselection_scheme(trine)
+        for m in (scheme.n_components - 1, scheme.n_components + 1):
+            with pytest.raises(ValueError):
+                scheme.relabel(np.ones(m, dtype=np.int64))
 
 
 def _stacked_outcome(target, states, weights, parents):
@@ -433,7 +469,7 @@ class TestSampler:
         state = pauli_eigenstates()[2]
         shots = 400_000
         record = sample_postselection(scheme, state, shots, seed=5)
-        p = born_probabilities(state, scheme.simulated_povm())
+        p = born_probabilities(state, single_map_view(scheme))
         freqs = record.counts() / shots
         sigma = np.sqrt(p * (1 - p) / shots)
         assert np.all(np.abs(freqs[:5] - p) <= 5 * np.maximum(sigma, 1e-9))
@@ -446,7 +482,7 @@ class TestSampler:
             n = povm.n_outcomes
             rates = []
             for state in pauli_eigenstates():
-                p = born_probabilities(state, scheme.simulated_povm())
+                p = born_probabilities(state, single_map_view(scheme))
                 rates.append(p[:n].sum())
             assert np.max(np.abs(np.array(rates) - 1 / povm.dim)) < 1e-9
 

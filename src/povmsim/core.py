@@ -55,6 +55,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _outer_products(vectors: np.ndarray) -> np.ndarray:
+    """|c_k><c_k| for the rows c_k of ``vectors``, as an (n, d, d) stack."""
+    return vectors[:, :, None] * vectors.conj()[:, None, :]
+
+
 def require_unit_rows(vectors: np.ndarray, name: str = "state vector") -> np.ndarray:
     """Check that the rows of ``vectors`` (or the one vector) are finite
     with unit norm to within NORM_ATOL."""
@@ -148,8 +153,7 @@ class RankOneParts:
 
     def effects(self) -> np.ndarray:
         """The pieces as an (m, d, d) stack, each entry formed as np.outer forms it."""
-        v = self.vectors
-        pieces = v[:, :, None] * v.conj()[:, None, :]
+        pieces = _outer_products(self.vectors)
         pieces *= self.weights[:, None, None]
         return pieces
 
@@ -294,9 +298,7 @@ class Povm:
     @classmethod
     def from_rank_one(cls, parts: RankOneParts) -> "Povm":
         """The POVM of the pieces; it keeps them as :attr:`rank_one`."""
-        povm = cls(parts.effects())
-        povm._rank_one = RankOneParts(*map(_freeze, (parts.weights, parts.vectors, parts.parents)))
-        return povm
+        return _keep_pieces(cls(parts.effects()), parts.weights, parts.vectors, parts.parents)
 
     @property
     def dim(self) -> int:
@@ -317,7 +319,11 @@ class Povm:
 
     @property
     def rank_one(self) -> RankOneParts | None:
-        """The pieces of :meth:`from_rank_one`, so no step eigensolves again."""
+        """The rank-one pieces the POVM was built from, so no step eigensolves
+        again: those of :meth:`from_rank_one` (``parents`` index the POVM they
+        refine), or one piece per effect (``parents`` 0..n-1) for
+        :func:`random_rank_one_povm` and ``simulation.hw_covariant_povm``.
+        ``None`` for a POVM given as effects, a loaded document included."""
         return self._rank_one
 
     @property
@@ -351,6 +357,13 @@ class Povm:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, outcomes={self.n_outcomes})"
+
+
+def _keep_pieces(povm: Povm, weights, vectors, parents) -> Povm:
+    """``povm``, keeping the pieces weights[k]|vectors[k]><vectors[k]| (unit
+    vectors) as its read-only :attr:`Povm.rank_one`."""
+    povm._rank_one = RankOneParts(*map(_freeze, (weights, vectors, parents)))
+    return povm
 
 
 def probability_rows(p, atol: float) -> np.ndarray:
@@ -408,17 +421,21 @@ def haar_random_pure_state(dim: int, seed) -> QuantumState:
     return QuantumState.pure(haar_random_vectors(1, dim, seed)[0])
 
 
-def _haar_outer_products(dim: int, n_outcomes: int, seed) -> np.ndarray:
-    """|c_k><c_k|, c_k the first ``dim`` entries of column k of an n x n Haar unitary."""
+def _haar_columns(dim: int, n_outcomes: int, seed) -> np.ndarray:
+    """Rows c_k: the first ``dim`` entries of column k of an n x n Haar unitary."""
     if n_outcomes < dim:
         raise ValueError("need at least dim outcomes for a rank-one POVM")
-    columns = haar_random_unitary(n_outcomes, seed)[:dim, :].T
-    return columns[:, :, None] * columns.conj()[:, None, :]
+    return haar_random_unitary(n_outcomes, seed)[:dim, :].T
 
 
 def random_rank_one_povm(dim: int, n_outcomes: int, seed) -> Povm:
-    """Random rank-one POVM from truncated columns of a Haar unitary."""
-    return Povm(_haar_outer_products(dim, n_outcomes, seed))
+    """Random rank-one POVM from truncated columns c_k of a Haar unitary:
+    effects |c_k><c_k|, kept as pieces (:attr:`Povm.rank_one`) of weight
+    |c_k|^2 and direction c_k/|c_k|, so its refinement is itself."""
+    columns = _haar_columns(dim, n_outcomes, seed)
+    norms = np.linalg.norm(columns, axis=1)
+    return _keep_pieces(Povm(_outer_products(columns)), norms ** 2, columns / norms[:, None],
+                        np.arange(n_outcomes))
 
 
 def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
@@ -427,7 +444,7 @@ def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
         raise ValueError("rank must be positive")
     if rank == 1:
         return random_rank_one_povm(dim, n_outcomes, seed)
-    pieces = hermitian_part(_haar_outer_products(dim, n_outcomes * rank, seed))[0]
+    pieces = hermitian_part(_outer_products(_haar_columns(dim, n_outcomes * rank, seed)))[0]
     return Povm(pieces.reshape(n_outcomes, rank, dim, dim).sum(axis=1))
 
 

@@ -19,6 +19,8 @@ from .core import (
     Povm,
     QuantumState,
     _freeze,
+    _keep_pieces,
+    _outer_products,
     _rng,
     complex_from_lists,
     complex_to_lists,
@@ -119,14 +121,21 @@ def build_mq(povm: Povm, q: float) -> Povm:
 def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
     """Split every effect into rank-one pieces plus the merge map undoing it.
 
-    All effects are eigendecomposed in one batched eigh; eigenvalues below
-    the POVM tolerance are dropped.  Pieces are ordered by (parent outcome,
-    descending eigenvalue).  The tiny completeness defect introduced by
-    dropping is redistributed symmetrically (v -> B^{-1/2} v for every piece
-    a|v><v|, B the sum of the pieces), which preserves rank-one-ness; a
-    defect beyond the tolerance is an error.  The refined POVM keeps its
-    pieces (:attr:`Povm.rank_one`).
+    A POVM whose :attr:`Povm.rank_one` holds one piece per effect (parents
+    0..n-1), each weight above the POVM tolerance, is its own refinement:
+    it comes back as it is, with the identity map, and nothing is solved or
+    validated again.  Otherwise all effects are eigendecomposed in one
+    batched eigh; eigenvalues below the POVM tolerance are dropped.  Pieces
+    are ordered by (parent outcome, descending eigenvalue).  The tiny
+    completeness defect introduced by dropping is redistributed
+    symmetrically (v -> B^{-1/2} v for every piece a|v><v|, B the sum of
+    the pieces), which preserves rank-one-ness; a defect beyond the
+    tolerance is an error.  The refined POVM keeps its pieces.
     """
+    parts = povm.rank_one
+    if (parts is not None and np.array_equal(parts.parents, np.arange(povm.n_outcomes))
+            and parts.weights.min() > povm.atol):
+        return povm, PostProcessingMap.identity(povm.n_outcomes)
     parts = rank_one_parts(povm.stack, povm.atol)
     if not parts.parents.size:
         raise InvariantViolation("positivity", 0.0, "POVM has no non-null effects")
@@ -157,7 +166,7 @@ def _binary_mixture(weights: np.ndarray, directions: np.ndarray) -> tuple[np.nda
     """The measurements (P_k, 1 - P_k), P_k = |v_k><v_k|, mixed with weights
     w_k: the (m, d, d) stack of "+" effects w_k P_k and the one "-" effect
     sum_k w_k (1 - P_k), taken as (sum_k w_k) 1 - sum_k w_k P_k."""
-    plus = directions[:, :, None] * directions.conj()[:, None, :]
+    plus = _outer_products(directions)
     plus *= weights[:, None, None]
     return plus, weights.sum() * np.eye(directions.shape[1]) - plus.sum(axis=0)
 
@@ -213,9 +222,14 @@ class PostselectionScheme:
         """Per-component "+" values (effects, counts or frequency columns),
         component k's added into target outcome ``parents[k]`` in component
         order: an (n, ...) array of ``plus``'s dtype."""
+        if len(plus) != len(self.parents):
+            raise ValueError(f"expected {len(self.parents)} component values, got {len(plus)}")
         out = np.zeros((self.fail_index, *plus.shape[1:]), dtype=plus.dtype)
-        for parent, value in zip(self.parents, plus, strict=True):
-            out[parent] += value
+        if plus.ndim > 2:  # np.add.at is slower than the loop on (m, d, d) stacks
+            for parent, value in zip(self.parents, plus):
+                out[parent] += value
+        else:  # unbuffered, in component order, as the loop adds
+            np.add.at(out, self.parents, plus)
         return out
 
     def to_document(self) -> dict:
@@ -299,10 +313,11 @@ def sample_postselection(scheme: PostselectionScheme, state: QuantumState,
 def hw_covariant_povm(d: int, fiducial: QuantumState) -> tuple[Povm, bool]:
     """The d^2-outcome rank-one POVM covariant under clock-and-shift orbits.
 
-    Effects are (1/d)|psi_ab><psi_ab| with |psi_ab> = X^a Z^b |fiducial>;
-    group averaging makes the collection complete for any fiducial.  Returns
-    the POVM and a flag telling whether all effect pairs are non-commuting
-    (true for a generic fiducial, the regime where the 1/d bound is tight).
+    Effects are (1/d)|psi_ab><psi_ab| with |psi_ab> = X^a Z^b |fiducial>,
+    kept as the POVM's pieces (:attr:`Povm.rank_one`); group averaging makes
+    the collection complete for any fiducial.  Returns the POVM and a flag
+    telling whether all effect pairs are non-commuting (true for a generic
+    fiducial, the regime where the 1/d bound is tight).
     """
     if not fiducial.is_pure:
         raise ValueError("fiducial state must be pure")
@@ -312,7 +327,7 @@ def hw_covariant_povm(d: int, fiducial: QuantumState) -> tuple[Povm, bool]:
     # row a*d + b is X^a Z^b |fiducial>: the cyclic shift X^a is a roll
     phased = np.stack([np.linalg.matrix_power(clock, b) @ fiducial.vector for b in range(d)])
     vectors = np.stack([np.roll(phased, a, axis=1) for a in range(d)]).reshape(d * d, d)
-    effects = vectors[:, :, None] * vectors.conj()[:, None, :] / d
+    effects = _outer_products(vectors) / d
     # one row of pairs (i, j > i) at a time: O(d^4) memory, first commuting pair ends it
     noncommuting = True
     for i in range(len(effects) - 1):
@@ -321,7 +336,8 @@ def hw_covariant_povm(d: int, fiducial: QuantumState) -> tuple[Povm, bool]:
         if np.any(comm <= default_atol(d)):
             noncommuting = False
             break
-    return Povm(effects), noncommuting
+    povm = _keep_pieces(Povm(effects), np.full(d * d, 1 / d), vectors, np.arange(d * d))
+    return povm, noncommuting
 
 
 def max_success_bound_rank_one(povm: Povm) -> float:
@@ -331,7 +347,8 @@ def max_success_bound_rank_one(povm: Povm) -> float:
     projective-simulable realization of M_q then decomposes over only n+1
     distinct projective measurements, forcing q <= 1/d.
     """
-    orthogonal = orthogonal_pairs(rank_one_parts(povm.stack, povm.atol, dominant=True).vectors)
+    parts = povm.rank_one or rank_one_parts(povm.stack, povm.atol, dominant=True)
+    orthogonal = orthogonal_pairs(parts.vectors)
     if orthogonal:
         i, j = orthogonal[0]
         raise ValueError(

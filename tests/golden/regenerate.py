@@ -33,9 +33,17 @@ def _cases() -> dict[str, list[str]]:
             for shots in ("1", "8192", MAX_SHOTS):
                 name = f"compare_{povm}_{noise}_{'max' if shots == MAX_SHOTS else shots}"
                 cases[name] = ["compare", "--povm", povm, "--noise", noise, "--shots", shots]
+    # appended shot counts keep the existing case names and their order
+    for povm in ("tetrahedral", "trine", "random4"):
+        for noise in ("ibmx4-like", "noiseless"):
+            for shots in ("3", "65536"):
+                cases[f"compare_{povm}_{noise}_{shots}"] = [
+                    "compare", "--povm", povm, "--noise", noise, "--shots", shots]
     for plan in ("plan_both", "plan_naimark", "plan_postselection", "plan_unknown_fixture"):
         cases[f"compare_{plan}"] = ["compare", "--plan", str(INPUTS / f"{plan}.json")]
     cases["compare_csv"] = ["compare", "--povm", "trine", "--seed", "3", "--format", "csv"]
+    cases["compare_readme_json"] = ["compare", "--povm", "trine", "--noise", "ibmx4-like",
+                                    "--shots", "8192", "--seed", "3"]
     cases["table1"] = ["table1"]
     cases["table1_csv"] = ["table1", "--format", "csv"]
     cases["usd_symmetric"] = ["usd", "--symmetric", "8", "0.05"]

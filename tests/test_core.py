@@ -493,6 +493,18 @@ class TestRandomPovms:
         assert np.array_equal(random_povm(3, 5, 4, rank=2).stack, want_rank_two)
         assert len(calls) == 2
 
+    def test_keeps_its_haar_pieces(self, tetrahedral):
+        columns = haar_random_unitary(5, 4)[:3].T
+        parts = random_povm(3, 5, 4).rank_one
+        norms = np.linalg.norm(columns, axis=1)
+        assert np.array_equal(parts.weights, norms ** 2)
+        assert np.array_equal(parts.vectors, columns / norms[:, None])
+        assert np.array_equal(parts.parents, np.arange(5))
+        assert np.max(np.abs(parts.effects() - random_povm(3, 5, 4).stack)) <= 1e-15
+        # glued pieces and loaded documents carry none
+        assert random_povm(3, 5, 4, rank=2).rank_one is None
+        assert tetrahedral.rank_one is None
+
 
 class TestSerialization:
     def test_povm_round_trip(self, all_fixture_povms):

@@ -10,6 +10,7 @@ from povmsim.core import (
     InvariantViolation,
     Povm,
     QuantumState,
+    RankOneParts,
     born_probabilities,
     complex_to_lists,
     default_atol,
@@ -17,6 +18,7 @@ from povmsim.core import (
     pauli_eigenstates,
     random_povm,
 )
+from povmsim.naimark import naimark_dilation
 from povmsim.simulation import (
     PostProcessingMap,
     PostselectionScheme,
@@ -147,6 +149,66 @@ class TestEigensolveCount:
         finally:
             tracemalloc.stop()
         assert peak <= 4.0 * 2**20
+
+
+class TestSelfRefinement:
+    """A POVM that carries one piece per effect is its own refinement; the
+    eigh refinement of its bare stack is the oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.integers(1, 8), st.integers(0, 16), st.integers(0, 2**31))
+    @example(1, 0, 0)  # d = 1, one outcome
+    @example(8, 16, 1)
+    def test_matches_the_eigh_refinement(self, d, extra, seed):
+        povm = random_povm(d, d + extra % (2 * d + 1), seed)
+        refined, merge = rank_one_refinement(povm)
+        solved, solved_merge = rank_one_refinement(Povm(povm.stack))
+        assert refined is povm
+        mine, theirs = refined.rank_one, solved.rank_one
+        assert np.array_equal(mine.parents, theirs.parents)
+        assert np.array_equal(merge.matrix, solved_merge.matrix)
+        assert np.max(np.abs(mine.weights - theirs.weights)) <= 1e-12
+        projectors = [p.vectors[:, :, None] * p.vectors.conj()[:, None, :] for p in (mine, theirs)]
+        assert np.max(np.abs(projectors[0] - projectors[1])) <= 1e-12
+        assert postselection_scheme(povm).mixture().allclose(
+            postselection_scheme(Povm(povm.stack)).mixture())
+
+    def test_rank_one_build_solves_nothing(self, monkeypatch):
+        povm = random_povm(32, 64, 5)
+        counts = _count_eigensolves(monkeypatch)
+        refined, merge = rank_one_refinement(povm)
+        postselection_scheme(povm)
+        naimark_dilation(povm)
+        assert counts["calls"] == 0
+        assert refined is povm
+        assert np.array_equal(merge.matrix, np.eye(64))
+
+    def test_hw_covariant_pieces_need_no_solve(self, monkeypatch):
+        povm, _ = hw_covariant_povm(3, haar_random_pure_state(3, 7))
+        counts = _count_eigensolves(monkeypatch)
+        assert rank_one_refinement(povm)[0] is povm
+        assert max_success_bound_rank_one(povm) == pytest.approx(1 / 3)
+        assert counts["calls"] == 0
+        assert np.max(np.abs(povm.stack - povm.rank_one.effects())) <= 1e-15
+
+    def test_foreign_parents_take_the_eigh_path(self, monkeypatch):
+        refined = rank_one_refinement(random_povm(3, 4, 8, rank=2))[0]
+        assert not np.array_equal(refined.rank_one.parents, np.arange(refined.n_outcomes))
+        counts = _count_eigensolves(monkeypatch)
+        again, merge = rank_one_refinement(refined)
+        assert counts["calls"] > 0 and again is not refined
+        assert povm_equal(apply_postprocessing(again, merge), refined, atol=1e-12)
+
+    def test_a_piece_at_the_tolerance_takes_the_eigh_path(self, monkeypatch):
+        small = default_atol(2) / 2
+        basis = np.eye(2, dtype=complex)
+        povm = Povm.from_rank_one(RankOneParts(np.array([1.0, 1 - small, small]),
+                                               basis[[0, 1, 1]], np.arange(3)))
+        counts = _count_eigensolves(monkeypatch)
+        refined, merge = rank_one_refinement(povm)
+        assert counts["calls"] > 0 and refined is not povm
+        assert refined.n_outcomes == 2  # the small piece is dropped and rebalanced away
+        assert povm_equal(apply_postprocessing(refined, merge), povm, atol=2 * small)
 
 
 class TestPostProcessing:

@@ -293,12 +293,12 @@ class Povm:
         self._labels = tuple(map(str, range(1, n + 1) if labels is None else labels))
         if len(self._labels) != n:
             raise ValueError("labels must match the number of effects")
-        self._rank_one = None
+        self._rank_one = self._glued_from = None
 
     @classmethod
     def from_rank_one(cls, parts: RankOneParts) -> "Povm":
-        """The POVM of the pieces; it keeps them as :attr:`rank_one`."""
-        return _keep_pieces(cls(parts.effects()), parts.weights, parts.vectors, parts.parents)
+        """The POVM of the pieces, one effect each; it keeps them as :attr:`rank_one`."""
+        return _keep_pieces(cls(parts.effects()), parts.weights, parts.vectors)
 
     @property
     def dim(self) -> int:
@@ -319,12 +319,18 @@ class Povm:
 
     @property
     def rank_one(self) -> RankOneParts | None:
-        """The rank-one pieces the POVM was built from, so no step eigensolves
-        again: those of :meth:`from_rank_one` (``parents`` index the POVM they
-        refine), or one piece per effect (``parents`` 0..n-1) for
-        :func:`random_rank_one_povm` and ``simulation.hw_covariant_povm``.
-        ``None`` for a POVM given as effects, a loaded document included."""
+        """The rank-one pieces the POVM was built from, one per effect
+        (``parents`` 0..n-1), so no step eigensolves again: set by
+        :meth:`from_rank_one`, :func:`random_rank_one_povm` and
+        ``simulation.hw_covariant_povm``.  ``None`` for a POVM given as
+        effects, a loaded document or a glued POVM (:attr:`glued_from`) included."""
         return self._rank_one
+
+    @property
+    def glued_from(self) -> tuple["Povm", np.ndarray] | None:
+        """The validated rank-one POVM whose pieces were summed into this
+        one, and each piece's effect here; set by :func:`random_povm` at rank > 1."""
+        return self._glued_from
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -359,10 +365,10 @@ class Povm:
         return f"{type(self).__name__}(dim={self.dim}, outcomes={self.n_outcomes})"
 
 
-def _keep_pieces(povm: Povm, weights, vectors, parents) -> Povm:
-    """``povm``, keeping the pieces weights[k]|vectors[k]><vectors[k]| (unit
-    vectors) as its read-only :attr:`Povm.rank_one`."""
-    povm._rank_one = RankOneParts(*map(_freeze, (weights, vectors, parents)))
+def _keep_pieces(povm: Povm, weights, vectors) -> Povm:
+    """``povm``, keeping its effects k as the pieces weights[k]|vectors[k]><vectors[k]|
+    (unit vectors) in its read-only :attr:`Povm.rank_one`."""
+    povm._rank_one = RankOneParts(*map(_freeze, (weights, vectors, np.arange(len(weights)))))
     return povm
 
 
@@ -434,18 +440,21 @@ def random_rank_one_povm(dim: int, n_outcomes: int, seed) -> Povm:
     |c_k|^2 and direction c_k/|c_k|, so its refinement is itself."""
     columns = _haar_columns(dim, n_outcomes, seed)
     norms = np.linalg.norm(columns, axis=1)
-    return _keep_pieces(Povm(_outer_products(columns)), norms ** 2, columns / norms[:, None],
-                        np.arange(n_outcomes))
+    return _keep_pieces(Povm(_outer_products(columns)), norms ** 2, columns / norms[:, None])
 
 
 def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
-    """Random POVM with effects of rank up to ``rank`` (rank-one pieces glued)."""
+    """Random POVM with effects of rank up to ``rank``: the pieces of
+    ``random_rank_one_povm(dim, n_outcomes * rank, seed)`` glued k -> k // rank,
+    kept as :attr:`Povm.glued_from` so the refinement solves nothing."""
     if rank < 1:
         raise ValueError("rank must be positive")
+    pieces = random_rank_one_povm(dim, n_outcomes * rank, seed)
     if rank == 1:
-        return random_rank_one_povm(dim, n_outcomes, seed)
-    pieces = hermitian_part(_outer_products(_haar_columns(dim, n_outcomes * rank, seed)))[0]
-    return Povm(pieces.reshape(n_outcomes, rank, dim, dim).sum(axis=1))
+        return pieces
+    povm = Povm(pieces.stack.reshape(n_outcomes, rank, dim, dim).sum(axis=1))
+    povm._glued_from = (pieces, _freeze(np.arange(n_outcomes * rank) // rank))
+    return povm
 
 
 def pauli_eigenstates() -> tuple[QuantumState, ...]:

@@ -121,21 +121,22 @@ def build_mq(povm: Povm, q: float) -> Povm:
 def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
     """Split every effect into rank-one pieces plus the merge map undoing it.
 
-    A POVM whose :attr:`Povm.rank_one` holds one piece per effect (parents
-    0..n-1), each weight above the POVM tolerance, is its own refinement:
-    it comes back as it is, with the identity map, and nothing is solved or
-    validated again.  Otherwise all effects are eigendecomposed in one
-    batched eigh; eigenvalues below the POVM tolerance are dropped.  Pieces
-    are ordered by (parent outcome, descending eigenvalue).  The tiny
-    completeness defect introduced by dropping is redistributed
-    symmetrically (v -> B^{-1/2} v for every piece a|v><v|, B the sum of
-    the pieces), which preserves rank-one-ness; a defect beyond the
-    tolerance is an error.  The refined POVM keeps its pieces.
+    The refinement is kept when every piece weight is above the POVM
+    tolerance: a POVM carrying its pieces (:attr:`Povm.rank_one`) comes back
+    as it is, with the identity map, and a glued one
+    (:attr:`Povm.glued_from`) as the rank-one POVM it was glued from, with
+    the gluing as merge map; nothing is solved or validated again.
+    Otherwise all effects are eigendecomposed in one batched eigh;
+    eigenvalues below the POVM tolerance are dropped.  Pieces are ordered by
+    (parent outcome, descending eigenvalue).  The tiny completeness defect
+    introduced by dropping is redistributed symmetrically (v -> B^{-1/2} v
+    for every piece a|v><v|, B the sum of the pieces), which preserves
+    rank-one-ness; a defect beyond the tolerance is an error.  The refined
+    POVM keeps its pieces, so it is its own refinement.
     """
-    parts = povm.rank_one
-    if (parts is not None and np.array_equal(parts.parents, np.arange(povm.n_outcomes))
-            and parts.weights.min() > povm.atol):
-        return povm, PostProcessingMap.identity(povm.n_outcomes)
+    refined, parents = povm.glued_from or (povm, np.arange(povm.n_outcomes))
+    if refined.rank_one is not None and refined.rank_one.weights.min() > povm.atol:
+        return refined, PostProcessingMap.deterministic(parents, n_out=povm.n_outcomes)
     parts = rank_one_parts(povm.stack, povm.atol)
     if not parts.parents.size:
         raise InvariantViolation("positivity", 0.0, "POVM has no non-null effects")
@@ -254,8 +255,10 @@ class PostselectionScheme:
 
 def postselection_scheme(povm: Povm) -> PostselectionScheme:
     """Build the 1/d-success postselection protocol for an arbitrary POVM."""
-    parts = rank_one_refinement(povm)[0].rank_one
-    return PostselectionScheme(povm, parts.vectors, parts.weights / povm.dim, parts.parents)
+    refined, merge = rank_one_refinement(povm)
+    parts = refined.rank_one
+    return PostselectionScheme(povm, parts.vectors, parts.weights / povm.dim,
+                               merge.matrix.argmax(axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,7 +339,7 @@ def hw_covariant_povm(d: int, fiducial: QuantumState) -> tuple[Povm, bool]:
         if np.any(comm <= default_atol(d)):
             noncommuting = False
             break
-    povm = _keep_pieces(Povm(effects), np.full(d * d, 1 / d), vectors, np.arange(d * d))
+    povm = _keep_pieces(Povm(effects), np.full(d * d, 1 / d), vectors)
     return povm, noncommuting
 
 

@@ -491,7 +491,7 @@ class TestRandomPovms:
         assert np.array_equal(povm.stack, want)  # bit for bit
         assert len(calls) == 1
         assert np.array_equal(random_povm(3, 5, 4, rank=2).stack, want_rank_two)
-        assert len(calls) == 2
+        assert len(calls) == 3  # the kept pieces once, the glued effects once
 
     def test_keeps_its_haar_pieces(self, tetrahedral):
         columns = haar_random_unitary(5, 4)[:3].T

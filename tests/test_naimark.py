@@ -74,9 +74,10 @@ class TestConstruction:
             assert dilation.unitarity_defect < 1e-9
 
     def test_rejects_full_rank_effects(self):
-        povm = Povm([np.eye(2) * 0.4, np.eye(2) * 0.6])
-        with pytest.raises(ValueError, match="rank-one"):
-            naimark_dilation(povm)
+        # a glued POVM's kept pieces are not its own
+        for povm in (Povm([np.eye(2) * 0.4, np.eye(2) * 0.6]), random_povm(4, 6, 8, rank=2)):
+            with pytest.raises(ValueError, match="rank-one"):
+                naimark_dilation(povm)
 
     def test_rejects_qubit_register_beyond_two_qubits(self):
         # the dilation exists at any size; only the two-qubit register is bounded

@@ -18,7 +18,7 @@ from povmsim.core import (
     pauli_eigenstates,
     random_povm,
 )
-from povmsim.naimark import naimark_dilation
+from povmsim.naimark import dilated_statistics, naimark_dilation
 from povmsim.simulation import (
     PostProcessingMap,
     PostselectionScheme,
@@ -99,9 +99,11 @@ class TestRankOneRefinement:
         povm = random_povm(4, 6, 8, rank=2)
         refined, merge = rank_one_refinement(povm)
         parts = refined.rank_one
-        # the stored effects are the symmetrized pieces
+        # the stored effects are the symmetrized pieces, each piece its own effect
         assert np.max(np.abs(refined.stack - parts.effects())) < 1e-15
-        assert np.array_equal(merge.matrix.argmax(axis=0), parts.parents)
+        assert np.array_equal(parts.parents, np.arange(12))
+        # the merge map sends piece k to the effect k // 2 it was glued into
+        assert np.array_equal(merge.matrix.argmax(axis=0), np.arange(12) // 2)
         assert povm.rank_one is None
         with pytest.raises(ValueError):
             parts.vectors[0, 0] = 1.0
@@ -126,8 +128,11 @@ class TestEigensolveCount:
     @pytest.mark.parametrize("d, n, rank", [(2, 3, 1), (8, 48, 1), (16, 32, 2)])
     def test_scheme_build_is_a_few_batched_solves(self, monkeypatch, d, n, rank):
         povm = random_povm(d, n, 3, rank=rank)
+        bare = Povm(povm.stack)
         counts = _count_eigensolves(monkeypatch)
         postselection_scheme(povm)
+        assert counts["calls"] == 0  # built from its pieces: they are the refinement
+        postselection_scheme(bare)
         # refinement eigh (+ rebalance) and the refined POVM's validation; the
         # realized effects are compared with M_{1/d} as stacks, not solved
         assert counts["calls"] <= 3
@@ -152,36 +157,52 @@ class TestEigensolveCount:
 
 
 class TestSelfRefinement:
-    """A POVM that carries one piece per effect is its own refinement; the
-    eigh refinement of its bare stack is the oracle."""
+    """A POVM that carries its rank-one pieces, or was glued from them, keeps
+    them as its refinement; the eigh refinement of its bare stack is the oracle."""
 
     @settings(derandomize=True, deadline=None, max_examples=80)
-    @given(st.integers(1, 8), st.integers(0, 16), st.integers(0, 2**31))
-    @example(1, 0, 0)  # d = 1, one outcome
-    @example(8, 16, 1)
-    def test_matches_the_eigh_refinement(self, d, extra, seed):
-        povm = random_povm(d, d + extra % (2 * d + 1), seed)
+    @given(st.integers(1, 8), st.integers(0, 16), st.integers(0, 2**31), st.integers(1, 3))
+    @example(1, 0, 0, 1)  # d = 1, one outcome
+    @example(8, 16, 1, 1)
+    @example(8, 16, 1, 3)
+    def test_matches_the_eigh_refinement(self, d, extra, seed, rank):
+        povm = random_povm(d, d + extra % (2 * d + 1), seed, rank=rank)
+        bare = Povm(povm.stack)
         refined, merge = rank_one_refinement(povm)
-        solved, solved_merge = rank_one_refinement(Povm(povm.stack))
-        assert refined is povm
-        mine, theirs = refined.rank_one, solved.rank_one
-        assert np.array_equal(mine.parents, theirs.parents)
-        assert np.array_equal(merge.matrix, solved_merge.matrix)
-        assert np.max(np.abs(mine.weights - theirs.weights)) <= 1e-12
-        projectors = [p.vectors[:, :, None] * p.vectors.conj()[:, None, :] for p in (mine, theirs)]
-        assert np.max(np.abs(projectors[0] - projectors[1])) <= 1e-12
-        assert postselection_scheme(povm).mixture().allclose(
-            postselection_scheme(Povm(povm.stack)).mixture())
+        solved, solved_merge = rank_one_refinement(bare)
+        assert refined is (povm.glued_from or (povm,))[0]
+        if rank == 1:  # the same pieces
+            mine, theirs = refined.rank_one, solved.rank_one
+            assert np.array_equal(mine.parents, theirs.parents)
+            assert np.array_equal(merge.matrix, solved_merge.matrix)
+            assert np.max(np.abs(mine.weights - theirs.weights)) <= 1e-12
+            projectors = [p.vectors[:, :, None] * p.vectors.conj()[:, None, :]
+                          for p in (mine, theirs)]
+            assert np.max(np.abs(projectors[0] - projectors[1])) <= 1e-12
+            assert postselection_scheme(povm).mixture().allclose(
+                postselection_scheme(bare).mixture())
+        state = haar_random_pure_state(d, seed)
+        born = born_probabilities(state, povm)
+        mq = build_mq(povm, 1 / d)
+        for target, (pieces, pmap) in ((povm, (refined, merge)), (bare, (solved, solved_merge))):
+            # glued back by its merge map, each refinement is the POVM
+            assert apply_postprocessing(pieces, pmap).allclose(povm)
+            # each scheme's mixture, merged, is M_{1/d}
+            assert single_map_view(postselection_scheme(target)).allclose(mq)
+            # the dilation of each refinement, merged, reproduces the Born rule
+            dilated = pmap.matrix @ dilated_statistics(naimark_dilation(pieces), state)
+            assert np.max(np.abs(dilated - born)) <= 1e-9
 
-    def test_rank_one_build_solves_nothing(self, monkeypatch):
-        povm = random_povm(32, 64, 5)
+    @pytest.mark.parametrize("d, n, rank", [(32, 64, 1), (16, 32, 2)])
+    def test_rank_one_build_solves_nothing(self, monkeypatch, d, n, rank):
+        povm = random_povm(d, n, 5, rank=rank)
         counts = _count_eigensolves(monkeypatch)
         refined, merge = rank_one_refinement(povm)
         postselection_scheme(povm)
-        naimark_dilation(povm)
+        naimark_dilation(refined)
         assert counts["calls"] == 0
-        assert refined is povm
-        assert np.array_equal(merge.matrix, np.eye(64))
+        assert refined is (povm if rank == 1 else povm.glued_from[0])
+        assert np.array_equal(merge.matrix, np.kron(np.eye(n), np.ones(rank)))
 
     def test_hw_covariant_pieces_need_no_solve(self, monkeypatch):
         povm, _ = hw_covariant_povm(3, haar_random_pure_state(3, 7))
@@ -191,13 +212,16 @@ class TestSelfRefinement:
         assert counts["calls"] == 0
         assert np.max(np.abs(povm.stack - povm.rank_one.effects())) <= 1e-15
 
-    def test_foreign_parents_take_the_eigh_path(self, monkeypatch):
-        refined = rank_one_refinement(random_povm(3, 4, 8, rank=2))[0]
-        assert not np.array_equal(refined.rank_one.parents, np.arange(refined.n_outcomes))
+    def test_a_refinement_refines_to_itself(self, monkeypatch, tetrahedral):
+        refined = rank_one_refinement(Povm(random_povm(3, 4, 8, rank=2).stack))[0]
+        assert np.array_equal(refined.rank_one.parents, np.arange(refined.n_outcomes))
         counts = _count_eigensolves(monkeypatch)
         again, merge = rank_one_refinement(refined)
-        assert counts["calls"] > 0 and again is not refined
-        assert povm_equal(apply_postprocessing(again, merge), refined, atol=1e-12)
+        assert counts["calls"] == 0 and again is refined
+        assert np.array_equal(merge.matrix, np.eye(refined.n_outcomes))
+        # a loaded document carries no pieces: it takes the eigh path
+        rank_one_refinement(tetrahedral)
+        assert counts["calls"] > 0
 
     def test_a_piece_at_the_tolerance_takes_the_eigh_path(self, monkeypatch):
         small = default_atol(2) / 2
@@ -634,6 +658,7 @@ class TestMaxSuccessBound:
             max_success_bound_rank_one(pm)
 
     def test_full_rank_input_rejected(self):
-        povm = Povm([np.eye(2) * 0.4, np.eye(2) * 0.6])
-        with pytest.raises(ValueError, match="rank-one"):
-            max_success_bound_rank_one(povm)
+        # a glued POVM's kept pieces are not its own
+        for povm in (Povm([np.eye(2) * 0.4, np.eye(2) * 0.6]), random_povm(4, 6, 8, rank=2)):
+            with pytest.raises(ValueError, match="rank-one"):
+                max_success_bound_rank_one(povm)

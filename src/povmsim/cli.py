@@ -57,8 +57,7 @@ def _state_by_name(name: str, dim: int) -> QuantumState:
         if name == "zero":
             return QuantumState.basis_state(dim, 0)
         raise ValueError(f"named state {name!r} is qubit-only")
-    table = dict(zip(("zero", "one", "x+", "x-", "y+", "y-"), pauli_eigenstates()))
-    return table[name]
+    return pauli_eigenstates()[STATE_NAMES.index(name)]
 
 
 def _read_json(path: str, option: str):

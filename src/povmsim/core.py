@@ -8,6 +8,7 @@ read-only, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -457,8 +458,10 @@ def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
     return povm
 
 
+@functools.cache
 def pauli_eigenstates() -> tuple[QuantumState, ...]:
-    """The six eigenstates of X, Y, Z: a standard probe set for qubit checks."""
+    """The six eigenstates of X, Y, Z (|0>, |1>, |x+>, |x->, |y+>, |y->): a
+    standard probe set for qubit checks, built once per process and shared."""
     s = 1 / np.sqrt(2)
     vectors = [(1, 0), (0, 1), (s, s), (s, -s), (s, 1j * s), (s, -1j * s)]
     return tuple(QuantumState.pure(np.array(v, dtype=complex)) for v in vectors)

@@ -6,17 +6,21 @@ precision.  The "random4" measurement and all reconstructions are known only
 to three decimal digits; the ideal random4 is therefore repaired on load to
 the nearest exact rank-one POVM (see :func:`repair_rank_one_povm`), which
 moves its entries by less than 1e-3.
+
+Each fixture is read, validated (and repaired) once per process; later calls
+return the same read-only object, so callers share it and must not mutate it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
 import numpy as np
 
-from .core import (Povm, complex_from_lists, hermitian_part, povm_from_document, rank_one_parts,
-                   rebalance)
+from .core import (Povm, _freeze, complex_from_lists, hermitian_part, povm_from_document,
+                   rank_one_parts, rebalance)
 
 IDEAL_NAMES = ("tetrahedral", "trine", "random4", "trivial")
 RECONSTRUCTION_METHODS = ("postselection", "naimark")
@@ -43,8 +47,10 @@ def repair_rank_one_povm(effects) -> Povm:
     return Povm.from_rank_one(rebalance(parts, parts.effects().sum(axis=0)))
 
 
+@functools.cache  # one object per name; a lookup that raises stores nothing
 def ideal_povm(name: str) -> Povm:
-    """One of the bundled ideal POVMs, exactly valid at default tolerance."""
+    """One of the bundled ideal POVMs, exactly valid at default tolerance: loaded
+    once per process and shared.  An unhashable ``name`` raises ``TypeError``."""
     if name not in IDEAL_NAMES:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(IDEAL_NAMES)}")
     doc = _load_document(name)
@@ -53,8 +59,10 @@ def ideal_povm(name: str) -> Povm:
     return povm_from_document(doc)
 
 
+@functools.cache
 def reconstruction(name: str, method: str) -> tuple[np.ndarray, ...]:
-    """Reconstructed effects for a fixture, as raw matrices.
+    """Reconstructed effects for a fixture, as read-only, unvalidated matrices
+    loaded once per process and shared.
 
     These are three-digit roundings of experimental reconstructions and are
     not exactly complete or positive, so they are returned unvalidated.
@@ -64,7 +72,7 @@ def reconstruction(name: str, method: str) -> tuple[np.ndarray, ...]:
     if name not in RECONSTRUCTED_NAMES:
         raise KeyError(f"no reconstruction fixture for {name!r}")
     doc = _load_document(f"{name}_{method}")
-    return tuple(complex_from_lists(doc["effects"], "effects", (None, 2, 2)))
+    return tuple(_freeze(complex_from_lists(doc["effects"], "effects", (None, 2, 2))))
 
 
 def fixture_names() -> tuple[str, ...]:

@@ -8,7 +8,7 @@ the nearest exact rank-one POVM (see :func:`repair_rank_one_povm`), which
 moves its entries by less than 1e-3.
 
 Each fixture is read, validated (and repaired) once per process; later calls
-return the same read-only object, so callers share it and must not mutate it.
+return the same read-only object.
 """
 
 from __future__ import annotations

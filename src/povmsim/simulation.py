@@ -65,8 +65,13 @@ class PostProcessingMap:
     def deterministic(cls, assignment, n_out: int | None = None) -> "PostProcessingMap":
         """Map outcome k to outcome assignment[k] with probability one."""
         assignment = np.asarray(assignment, dtype=int)
+        if assignment.ndim != 1 or not assignment.size:
+            raise ValueError("assignment must be a non-empty list of outcome indices")
         if n_out is None:
             n_out = int(assignment.max()) + 1
+        bad = assignment[(assignment < 0) | (assignment >= n_out)]
+        if bad.size:
+            raise ValueError(f"assignment index {bad[0]} is not in 0..{n_out - 1}")
         q = np.zeros((n_out, len(assignment)))
         q[assignment, np.arange(len(assignment))] = 1.0
         return cls(q)
@@ -79,6 +84,9 @@ class PostProcessingMap:
         outcomes keep their relative order.
         """
         merged = sorted({int(m) for m in merged})
+        bad = [m for m in merged if not 0 <= m < n_in]
+        if bad:
+            raise ValueError(f"merged outcome {bad[0]} is not in 0..{n_in - 1}")
         kept = [k for k in range(n_in) if k not in merged[1:]]
         return cls.deterministic([kept.index(merged[0] if k in merged else k) for k in range(n_in)],
                                  n_out=len(kept))
@@ -180,7 +188,9 @@ class PostselectionScheme:
     probability ``weights[k]``; outcome "+" is relabelled to
     ``parents[k]`` and "-" to the failure outcome (index n).  Checked inputs
     make the effects valid by construction; they are compared with M_{1/d}
-    block by block: each target slot with q M_i, the fail slot with (1 - q) 1.
+    block by block: the "+" pieces are added onto -q M_i in one buffer, and
+    the deviation is the largest |entry| of it and of the fail slot minus
+    (1 - q) 1.
     """
 
     def __init__(self, target: Povm, states, weights, parents):
@@ -198,8 +208,7 @@ class PostselectionScheme:
         _check_mixture(self.weights, self.states)
         q = self.success_probability = 1.0 / target.dim
         effects, fail = _binary_mixture(self.weights, self.states)
-        effects = self.relabel(effects)  # rebound: the "+" stack is freed before the temporaries
-        effects -= q * target.stack
+        effects = self.relabel(effects, out=target.stack * -q)  # rebound: frees the "+" stack
         fail -= (1 - q) * np.eye(target.dim)
         dev = max(float(np.max(np.abs(effects))), float(np.max(np.abs(fail))))
         if not dev <= target.atol:
@@ -219,13 +228,15 @@ class PostselectionScheme:
         plus, minus = _binary_mixture(self.weights, self.states)
         return Povm(np.concatenate([plus, minus[None]]))
 
-    def relabel(self, plus: np.ndarray) -> np.ndarray:
+    def relabel(self, plus: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-component "+" values (effects, counts or frequency columns),
         component k's added into target outcome ``parents[k]`` in component
-        order: an (n, ...) array of ``plus``'s dtype."""
+        order.  They are added onto ``out``, an (n, ...) starting buffer that
+        is returned; by default a zero array of ``plus``'s dtype."""
         if len(plus) != len(self.parents):
             raise ValueError(f"expected {len(self.parents)} component values, got {len(plus)}")
-        out = np.zeros((self.fail_index, *plus.shape[1:]), dtype=plus.dtype)
+        if out is None:
+            out = np.zeros((self.fail_index, *plus.shape[1:]), dtype=plus.dtype)
         if plus.ndim > 2:  # np.add.at is slower than the loop on (m, d, d) stacks
             for parent, value in zip(self.parents, plus):
                 out[parent] += value
@@ -298,16 +309,16 @@ def sample_postselection(scheme: PostselectionScheme, state: QuantumState,
     """Sample the protocol on a state: each shot draws a component and then
     its binary outcome.  The same law is drawn as counts, the runs of each
     component from one multinomial and its "+" count from one binomial, so
-    time and memory grow with the components, not with ``shots``."""
+    time and memory grow with the components, not with ``shots``.  Every
+    component's success probability <e_k|rho|e_k> comes from one matrix
+    product of the states with rho, for pure and mixed states alike."""
     if state.dim != scheme.target.dim:
         raise ValueError("state dimension does not match the scheme")
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be an integer of at least 1, got {shots!r}")
     rng = _rng(seed)
     runs = rng.multinomial(shots, scheme.weights / scheme.weights.sum())
-    # success probability of component k on this state: <e_k|rho|e_k>
-    succ = np.einsum("ki,ij,kj->k", scheme.states.conj(), state.rho,
-                     scheme.states).real
+    succ = ((scheme.states.conj() @ state.rho) * scheme.states).sum(axis=1).real
     plus = rng.binomial(runs, np.clip(succ, 0.0, 1.0))
     kept = scheme.relabel(plus)
     return ShotRecord(np.append(kept, shots - kept.sum()))

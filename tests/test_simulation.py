@@ -286,6 +286,22 @@ class TestPostProcessing:
                                   (0.7, apply_postprocessing(b, pmap))])
         assert povm_equal(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("assignment, n_out, bad", [([0, -1], None, -1), ([0, 3], 2, 3),
+                                                        ([1, -2, 0], 2, -2)])
+    def test_deterministic_rejects_an_index_out_of_range(self, assignment, n_out, bad):
+        with pytest.raises(ValueError, match=f"assignment index {bad} is not in"):
+            PostProcessingMap.deterministic(assignment, n_out)
+
+    @pytest.mark.parametrize("n_out", [None, 2])
+    def test_deterministic_rejects_an_empty_assignment(self, n_out):
+        with pytest.raises(ValueError, match="non-empty"):
+            PostProcessingMap.deterministic([], n_out)
+
+    @pytest.mark.parametrize("merged, bad", [((0, 5), 5), ((-1, 1), -1), ((3,), 3)])
+    def test_glue_rejects_an_outcome_out_of_range(self, merged, bad):
+        with pytest.raises(ValueError, match=f"merged outcome {bad} is not in 0..2"):
+            PostProcessingMap.glue(3, merged)
+
 
 class TestConvexCombination:
     def test_single_term(self, trine):
@@ -443,6 +459,57 @@ class TestPostselectionScheme:
             assert np.array_equal(got.relabel(weighted_projectors), stacked[:-1])
             assert np.max(np.abs(single_map_view(got).stack - stacked)) <= 1e-15
 
+    @pytest.mark.parametrize("d, n, rank", [(16, 32, 2), (32, 64, 1)])
+    @pytest.mark.parametrize("kind", ["turn", "weight", "split"])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_check_at_benchmark_sizes_matches_the_stacked_construction(self, d, n, rank, kind,
+                                                                       factor, permuted):
+        # one component perturbed by factor * atol: "turn" rotates its state
+        # towards a unit u orthogonal to it, moving its "+" block and the fail
+        # block by that much at first order; "weight" raises its weight, moving
+        # the fail block by that much and its "+" block by less; "split" hands
+        # part of its weight to a copy with the next parent, moving two "+"
+        # blocks by that much and the fail block not at all
+        povm = random_povm(d, n, 90 + d, rank=rank)
+        scheme = postselection_scheme(povm)
+        states, weights, parents = map(np.array, (scheme.states, scheme.weights, scheme.parents))
+        rng = np.random.default_rng(d)
+        if permuted:  # unsorted parents
+            order = rng.permutation(len(weights))
+            states, weights, parents = states[order], weights[order], parents[order]
+            assert np.any(np.diff(parents) < 0)
+        i = len(weights) // 2
+        e = states[i].copy()
+        if kind == "turn":
+            u = rng.normal(size=d) + 1j * rng.normal(size=d)
+            u -= np.vdot(e, u) * e
+            u /= np.linalg.norm(u)
+            tangent = weights[i] * (np.outer(u, e.conj()) + np.outer(e, u.conj()))
+            turned = e + factor * povm.atol / np.max(np.abs(tangent)) * u
+            states[i] = turned / np.linalg.norm(turned)
+        elif kind == "weight":
+            weights[i] += factor * povm.atol / np.max(np.abs(np.eye(d) - np.outer(e, e.conj())))
+        else:
+            part = factor * povm.atol / np.max(np.abs(np.outer(e, e.conj())))
+            states, weights = np.vstack([states, e]), np.append(weights, part)
+            weights[i] -= part
+            parents = np.append(parents, (parents[i] + 1) % povm.n_outcomes)
+        want, stacked = _stacked_outcome(povm, states, weights, parents)
+        assert (want == "ok") == (factor < 1)
+        doc = {**scheme.to_document(), "states": complex_to_lists(states),
+               "weights": weights.tolist(), "parents": parents.tolist()}
+        if want == "ok":
+            got = PostselectionScheme.from_document(doc)
+            assert np.array_equal(got.parents, parents) and np.array_equal(got.states, states)
+            return
+        with pytest.raises(InvariantViolation) as err:
+            PostselectionScheme.from_document(doc)
+        assert err.value.invariant == want
+        if stacked is not None:  # the weights passed: the deviation is the construction's
+            expected = np.concatenate([povm.stack / d, [(1 - 1 / d) * np.eye(d)]])
+            assert abs(err.value.deviation - np.max(np.abs(stacked - expected))) <= 1e-15
+
     def test_parts_of_another_target_rejected(self, trine, tetrahedral):
         # the trine's valid mixture, declared to realize the tetrahedral POVM
         scheme = postselection_scheme(trine)
@@ -461,29 +528,36 @@ class TestPostselectionScheme:
 class TestRelabel:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 3), st.integers(0, 3),
-           st.integers(0, 2**31), st.sampled_from(["effects", "counts", "table"]))
-    @example(1, 0, 1, 0, 0, "effects")  # d = 1, one outcome: one component
-    @example(1, 0, 1, 0, 1, "counts")
-    @example(1, 0, 1, 2, 2, "table")
-    def test_matches_a_loop_bit_for_bit(self, d, extra, rank, zeros, seed, kind):
-        # rank > 1 repeats parents; the zero effects are parents no component names
+           st.integers(0, 2**31), st.sampled_from(["effects", "counts", "table"]),
+           st.booleans())
+    @example(1, 0, 1, 0, 0, "effects", False)  # d = 1, one outcome: one component
+    @example(1, 0, 1, 0, 1, "counts", False)
+    @example(1, 0, 1, 2, 2, "table", False)
+    @example(1, 0, 1, 2, 3, "counts", True)
+    def test_matches_a_loop_bit_for_bit(self, d, extra, rank, zeros, seed, kind, seeded):
+        # rank > 1 repeats parents; the zero effects are parents no component names;
+        # a seeded call adds onto a nonzero starting buffer and returns that buffer
         rng = np.random.default_rng(seed)
         stack = random_povm(d, d + extra, seed, rank=rank).stack
         target = Povm(np.insert(stack, rng.integers(0, len(stack) + 1, zeros), 0, axis=0))
         scheme = postselection_scheme(target)
-        m = scheme.n_components
-        if kind == "effects":
-            plus = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
-        elif kind == "counts":
-            plus = rng.integers(0, 2**40, m)
-        else:
-            plus = rng.normal(size=(m, 6))
+
+        def draw(rows):
+            if kind == "effects":
+                return rng.normal(size=(rows, d, d)) + 1j * rng.normal(size=(rows, d, d))
+            return rng.integers(0, 2**40, rows) if kind == "counts" else rng.normal(size=(rows, 6))
+
+        plus = draw(scheme.n_components)
+        start = draw(target.n_outcomes) if seeded else None
         want = np.zeros((target.n_outcomes, *plus.shape[1:]), dtype=plus.dtype)
-        for k in range(m):
+        if seeded:
+            want += start
+        for k in range(scheme.n_components):
             want[scheme.parents[k]] += plus[k]
-        got = scheme.relabel(plus)
+        got = scheme.relabel(plus, start)
         assert got.dtype == plus.dtype
         assert np.array_equal(got, want)
+        assert not seeded or got is start
 
     def test_wrong_length_raises(self, trine):
         scheme = postselection_scheme(trine)
@@ -586,6 +660,34 @@ class TestSampler:
             assert np.all(counts[~possible] == 0)
             result = chisquare(counts[possible], shots * law[possible] / law[possible].sum())
             assert result.pvalue > 1e-6, (name, seed, counts, law)
+
+    def test_mixed_state_counts_follow_the_closed_form_law(self):
+        # a rank-2 density matrix at d = 8 against a rank-2 POVM
+        d = 8
+        povm = random_povm(d, 16, 28, rank=2)
+        scheme = postselection_scheme(povm)
+        a, b = haar_random_pure_state(d, 1), haar_random_pure_state(d, 2)
+        state = QuantumState.density(0.7 * a.rho + 0.3 * b.rho)
+        assert state.vector is None and np.linalg.matrix_rank(state.rho, tol=1e-9) == 2
+        shots = 200_000
+        law = np.append(born_probabilities(state, povm) / d, 1 - 1 / d)
+        for seed in range(3):
+            counts = sample_postselection(scheme, state, shots, seed).counts()
+            assert counts.sum() == shots
+            result = chisquare(counts, shots * law / law.sum())
+            assert result.pvalue > 1e-6, (seed, counts, law)
+
+    @pytest.mark.parametrize("shots", [10.5, 10.0, True, np.True_, "10", 0, -3, np.int64(0)])
+    def test_rejects_a_shot_count_that_is_not_a_positive_integer(self, trine, shots):
+        with pytest.raises(ValueError, match="shots must be an integer of at least 1"):
+            sample_postselection(postselection_scheme(trine),
+                                 QuantumState.basis_state(2, 0), shots, seed=4)
+
+    @pytest.mark.parametrize("shots", [7, np.int64(7), np.uint16(7)])
+    def test_accepts_python_and_numpy_integers(self, trine, shots):
+        record = sample_postselection(postselection_scheme(trine),
+                                      QuantumState.basis_state(2, 0), shots, seed=4)
+        assert record.shots == 7 and record.counts().dtype.kind == "i"
 
     def test_huge_shot_count_allocates_nothing_per_shot(self, trine):
         shots = 10 ** 12

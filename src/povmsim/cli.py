@@ -245,11 +245,12 @@ def cmd_compare(args) -> int:
             raise UsageError(str(err).strip('"'))
         shots, seed, scheme, noise_label = args.shots, args.seed, "both", args.noise
     result = compare_schemes(povm, noise, shots, seed, scheme)
+    post, nai = result.postselection, result.naimark
     row = {"povm": povm_name,
-           "naimark": result.d_op_naimark,
-           "our_scheme": result.d_op_postselection,
-           "postselection_fraction": result.postselection_fraction,
-           "naimark_residual_mass": result.naimark_residual_mass}
+           "naimark": nai and nai.distance,
+           "our_scheme": post and post.distance,
+           "postselection_fraction": post and post.postselection_fraction,
+           "naimark_residual_mass": nai and nai.residual_mass}
     config = {"command": "compare", "povm": povm_name, "noise": noise_label,
               "shots": shots, "seed": seed}
     if scheme != "both":

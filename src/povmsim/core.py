@@ -50,7 +50,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _rng(seed) -> np.random.Generator:
-    """Accept an int seed or an existing Generator."""
+    """Accept an int seed or an existing Generator.  Every seeded function draws
+    from its generator in call order; only compare_schemes spawns, one child per route."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -110,13 +111,34 @@ def isometry_defect(v: np.ndarray) -> float:
 
 
 def operator_norm(matrix) -> float:
-    """Largest absolute eigenvalue for Hermitian input, else largest singular
-    value; for an (..., d, d) stack, the largest over all its matrices."""
+    """Largest absolute eigenvalue for Hermitian input (:func:`_hermitian_norm`), else
+    largest singular value; for an (..., d, d) stack, the largest over all its matrices."""
     m = as_operator(matrix, stack=True)
     hermitian, defect = hermitian_part(m)
     if not np.max(defect) <= default_atol(m.shape[-1]):
         return float(np.max(np.linalg.svd(m, compute_uv=False)))
-    return float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))
+    return float(_hermitian_norm(hermitian.reshape(-1, *m.shape[-2:])))
+
+
+def _hermitian_norm(blocks) -> float:
+    """The largest |eigenvalue| that eigvalsh gives over a (b, d, d) stack of
+    Hermitian matrices.
+
+    At d = 2, over two or more blocks, each block's norm is first taken in
+    closed form (a single block is eigensolved at once): with a, b =
+    h00 / 2, h11 / 2 (halved first, so that a + b cannot overflow), it is
+    |a + b| + hypot(a - b, |h10|).  Only the blocks within 1e-12 (1 + top) of
+    the largest, top, are eigensolved.  Both the closed form and eigvalsh are
+    within a few ulps of the exact norm, so the block where eigvalsh attains
+    its maximum always survives the screen and the value returned is
+    eigvalsh's, bit for bit.  A NaN or infinite top screens nothing out.
+    """
+    if blocks.shape[-1] == 2 and len(blocks) > 1:
+        a, b = blocks[:, 0, 0].real / 2, blocks[:, 1, 1].real / 2
+        norms = np.abs(a + b) + np.hypot(a - b, np.abs(blocks[:, 1, 0]))
+        top = norms.max()
+        blocks = blocks[~(norms < top - 1e-12 * (1 + top))]
+    return np.abs(np.linalg.eigvalsh(blocks)).max()
 
 
 def min_eigenvalue(matrix) -> float:

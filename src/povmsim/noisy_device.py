@@ -507,10 +507,11 @@ def compile_naimark_circuit(dilation: NaimarkDilation) -> Circuit:
 
 @dataclass
 class PipelineResult:
-    """Bias-mitigated tomography of one implementation route."""
+    """Bias-mitigated tomography of one route, scored against the route's target POVM."""
 
     record: TomographyRecord
     reconstruction: Reconstruction
+    distance: float
     postselection_fraction: float | None = None
     residual_mass: float | None = None
     shots_total: int = 0
@@ -567,7 +568,8 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     record = TomographyRecord(table)
     fraction = float(np.mean(table[:, n]))
     kept = record.postselected(n)
-    return PipelineResult(kept, reconstruct_povm(kept),
+    reconstruction = reconstruct_povm(kept)
+    return PipelineResult(kept, reconstruction, operational_distance(scheme.target, reconstruction),
                           postselection_fraction=fraction, shots_total=shots_total)
 
 
@@ -587,19 +589,16 @@ def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed) -> Pipelin
     reconstruction = reconstruct_povm(record)
     padding = np.stack(reconstruction.effects)[povm.n_outcomes:]
     residual = float(np.trace(padding, axis1=1, axis2=2).real.sum())
-    return PipelineResult(record, reconstruction, residual_mass=residual, shots_total=shots_total)
+    return PipelineResult(record, reconstruction, operational_distance(povm, reconstruction),
+                          residual_mass=residual, shots_total=shots_total)
 
 
 @dataclass
 class SchemeComparison:
-    """Scores of the routes that ran; the fields of a route not run are None."""
+    """The scored routes that ran; a route not run is None."""
 
-    d_op_postselection: float | None = None
-    d_op_naimark: float | None = None
-    postselection_fraction: float | None = None
-    naimark_residual_mass: float | None = None
-    postselection: PipelineResult | None = None
-    naimark: PipelineResult | None = None
+    postselection: PipelineResult | None
+    naimark: PipelineResult | None
 
 
 def compare_schemes(povm: Povm, noise: NoiseModel, shots: int, seed,
@@ -612,15 +611,7 @@ def compare_schemes(povm: Povm, noise: NoiseModel, shots: int, seed,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     post_seed, naimark_seed = _rng(seed).spawn(2)
-    result = SchemeComparison()
-    if scheme != "naimark":
-        post = postselection_tomography(postselection_scheme(povm), noise, shots, post_seed)
-        result.postselection = post
-        result.d_op_postselection = operational_distance(povm, post.reconstruction)
-        result.postselection_fraction = post.postselection_fraction
-    if scheme != "postselection":
-        nai = naimark_tomography(povm, noise, shots, naimark_seed)
-        result.naimark = nai
-        result.d_op_naimark = operational_distance(povm, nai.reconstruction)
-        result.naimark_residual_mass = nai.residual_mass
-    return result
+    return SchemeComparison(
+        postselection_tomography(postselection_scheme(povm), noise, shots, post_seed)
+        if scheme != "naimark" else None,
+        naimark_tomography(povm, noise, shots, naimark_seed) if scheme != "postselection" else None)

@@ -18,6 +18,7 @@ from .core import (
     Povm,
     QuantumState,
     _freeze,
+    _hermitian_norm,
     as_operator,
     born_probabilities,
     default_atol,
@@ -140,10 +141,10 @@ def operational_distance(m, n) -> float:
     scanned; otherwise all subsets are.  The subset sums over the first
     parts form one block of at most SUBSET_BLOCK_ELEMENTS matrix entries,
     and each subset of the remaining parts adds its sum to the block as one
-    offset, so every batched norm, and memory, stays bounded in d.  Hermitian
-    sums take their norm from eigvalsh (:func:`_hermitian_norm`); at d = 2
-    every sum is screened in closed form first and only the near-maximal
-    ones are eigensolved, which returns the same value.
+    offset, so every batched norm, and memory, stays bounded in d.  Whether
+    the differences are Hermitian is decided once: if they are, each block
+    goes straight to operator_norm's Hermitian branch, :func:`_hermitian_norm`
+    (a closed-form screen at d = 2), else through operator_norm's SVD path.
     """
     ms = _effect_list(m)
     ns = _effect_list(n)
@@ -170,26 +171,6 @@ def operational_distance(m, n) -> float:
     offsets = (base + sum(part for i, part in enumerate(rest) if mask >> i & 1)
                for mask in range(2 ** len(rest)))
     return float(max(norm(block + offset) for offset in offsets))
-
-
-def _hermitian_norm(blocks) -> float:
-    """The largest |eigenvalue| that eigvalsh gives over a (b, d, d) stack of
-    Hermitian matrices.
-
-    At d = 2 each block's norm is first taken in closed form: with a, b =
-    h00 / 2, h11 / 2 (halved first, so that a + b cannot overflow), it is
-    |a + b| + hypot(a - b, |h10|).  Only the blocks within 1e-12 (1 + top) of
-    the largest, top, are eigensolved.  Both the closed form and eigvalsh are
-    within a few ulps of the exact norm, so the block where eigvalsh attains
-    its maximum always survives the screen and the value returned is
-    eigvalsh's, bit for bit.  A NaN or infinite top screens nothing out.
-    """
-    if blocks.shape[-1] == 2:
-        a, b = blocks[:, 0, 0].real / 2, blocks[:, 1, 1].real / 2
-        norms = np.abs(a + b) + np.hypot(a - b, np.abs(blocks[:, 1, 0]))
-        top = norms.max()
-        blocks = blocks[~(norms < top - 1e-12 * (1 + top))]
-    return np.abs(np.linalg.eigvalsh(blocks)).max()
 
 
 def _subset_sums(parts):

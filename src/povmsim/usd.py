@@ -30,10 +30,6 @@ from .core import (
 UNAMBIGUITY_ATOL = 1e-9
 #: relative threshold on singular values for declaring linear independence
 LINEAR_INDEPENDENCE_RTOL = 1e-10
-#: child generators spawned per call: one call per trial made 20-trial
-#: sweeps about 7% slower, and one call for all trials holds about 1 KiB
-#: per trial at once
-SPAWN_CHUNK = 64
 
 
 class Ensemble:
@@ -325,13 +321,6 @@ class RandomEnsembleExperiment:
                    for r in self.rows)
 
 
-def _spawned(parent: np.random.Generator, count: int):
-    """The generators of ``parent.spawn(count)``, in order, spawned
-    SPAWN_CHUNK at a time."""
-    for start in range(0, count, SPAWN_CHUNK):
-        yield from parent.spawn(min(SPAWN_CHUNK, count - start))
-
-
 def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
                                ) -> RandomEnsembleExperiment:
     """Sample uniform ensembles of d Haar states in dimension D >= d.
@@ -346,17 +335,16 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     upward shift at finite D from the Tracy-Widom fluctuations of the
     smallest eigenvalue; single trials may fall below the edge.
 
-    Each trial draws its states as one (d, D) block of Haar rows from its
-    own child generator of ``seed``.  Trials are drawn one at a time and
-    their generators SPAWN_CHUNK at a time, so memory holds one block and
-    at most one chunk of generators, not all of them.
+    Each trial draws its states as one (d, D) block of Haar rows, in trial
+    order, from the generator of ``seed``, so memory holds one block.
     """
     if d > space_dim:
         raise ValueError("need d <= D for linearly independent Haar states")
     if trials < 1:
         raise ValueError("need at least one trial")
     experiment = RandomEnsembleExperiment(d, space_dim)
-    for t, rng in enumerate(_spawned(_rng(seed), trials)):
+    rng = _rng(seed)
+    for t in range(trials):
         states = haar_random_vectors(d, space_dim, rng)
         lam = min_eigenvalue(states.conj() @ states.T)
         p_sp_upper = 1.0 / d

@@ -64,6 +64,16 @@ def _cases() -> dict[str, list[str]]:
     cases["usd_random_too_many_states"] = ["usd", "--random", "5", "3"]
     cases["simulate_unknown_fixture"] = ["simulate", "--povm", "nope"]
     cases["compare_trivial"] = ["compare", "--povm", "trivial"]
+    cases["simulate_incomplete_povm"] = ["simulate", "--povm-file",
+                                         str(INPUTS / "povm_incomplete.json")]
+    cases["simulate_unknown_config_key"] = ["simulate", "--povm", "trine", "--config",
+                                            str(INPUTS / "config_bogus_key.json")]
+    cases["simulate_qutrit_x+"] = ["simulate", "--povm-file", str(INPUTS / "povm_qutrit.json"),
+                                   "--state", "x+"]
+    cases["simulate_qutrit_zero"] = ["simulate", "--povm-file", str(INPUTS / "povm_qutrit.json"),
+                                     "--state", "zero", "--seed", "1"]
+    cases["compare_plan_unknown_scheme"] = ["compare", "--plan",
+                                            str(INPUTS / "plan_unknown_scheme.json")]
     return cases
 
 

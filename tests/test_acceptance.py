@@ -217,7 +217,7 @@ def test_criterion_8_qualitative_table1_ordering(all_fixture_povms):
     for name, povm in all_fixture_povms.items():
         for seed in range(5):
             result = compare_schemes(povm, noise, shots=50_000, seed=seed)
-            assert result.d_op_postselection < result.d_op_naimark, (name, seed)
+            assert result.postselection.distance < result.naimark.distance, (name, seed)
             if name == "trine":
                 assert result.naimark.reconstruction.n_outcomes == 4
                 residual = result.naimark.reconstruction.effects[3]
@@ -272,6 +272,6 @@ def test_criterion_9_metric_and_invariant_suite(all_fixture_povms, trine):
     assert np.array_equal(r1.counts(), r2.counts())
     c1 = compare_schemes(trine, NoiseModel.preset("ibmx4-like"), shots=5_000, seed=4)
     c2 = compare_schemes(trine, NoiseModel.preset("ibmx4-like"), shots=5_000, seed=4)
-    assert c1.d_op_naimark == c2.d_op_naimark
-    assert c1.d_op_postselection == c2.d_op_postselection
+    assert c1.naimark.distance == c2.naimark.distance
+    assert c1.postselection.distance == c2.postselection.distance
     _report(9, "metric and invariant suite")

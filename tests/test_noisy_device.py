@@ -347,21 +347,27 @@ class TestTwoQubitDecomposition:
             two_qubit_gate_sequence(np.eye(4))  # canonical count 0
         assert attempts == [0, 3]
 
-    @pytest.mark.parametrize("cnots", [0, 1, 2, 3], ids=["local", "one_cnot", "two_cnots", "haar"])
+    @pytest.mark.parametrize("groups", [[], [[(0, 1)]], [[(0, 1)], [(0, 1)]], None,
+                                        [[(0, 1), (1, 0)]]],
+                             ids=["local", "one_cnot", "two_cnots", "haar", "adjacent_cnots"])
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_minimal_cnot_count_up_to_phase(self, cnots, seed):
-        # local unitaries around `cnots` CNOTs; a Haar unitary needs three
+    def test_minimal_cnot_count_up_to_phase(self, groups, seed):
+        # local unitaries around each group of adjacent CNOTs; a Haar unitary
+        # needs three.  CNOT(0, 1) CNOT(1, 0) takes the S (x) sqrt(X) interior.
         rng = np.random.default_rng(seed)
-        if cnots == 3:
-            u = haar_random_unitary(4, rng)
+        if groups is None:
+            u, cnots = haar_random_unitary(4, rng), 3
         else:
-            circuit = Circuit(2)
-            for k in range(cnots + 1):
-                if k:
-                    circuit.cnot(0, 1)
-                circuit.su2(0, haar_random_unitary(2, rng)).su2(1, haar_random_unitary(2, rng))
-            u = circuit.unitary()
+            def local(c):
+                return c.su2(0, haar_random_unitary(2, rng)).su2(1, haar_random_unitary(2, rng))
+
+            circuit = local(Circuit(2))
+            for group in groups:
+                for control, target in group:
+                    circuit.cnot(control, target)
+                local(circuit)
+            u, cnots = circuit.unitary(), sum(map(len, groups))
         gates = two_qubit_gate_sequence(u)
         assert [(g.kind, g.qubits) for g in gates] == _GATE_LAYOUTS[cnots]
         assert _phase_distance(_sequence_unitary(gates), u) <= DECOMPOSITION_ATOL
@@ -597,8 +603,8 @@ class TestCompareSchemes:
         small = compare_schemes(tetrahedral, noise, shots=4_000, seed=1)
         large = compare_schemes(tetrahedral, noise, shots=400_000, seed=1)
         expected = np.sqrt(4_000 / 400_000)
-        for lo, hi in ((large.d_op_postselection, small.d_op_postselection),
-                       (large.d_op_naimark, small.d_op_naimark)):
+        for lo, hi in ((large.postselection.distance, small.postselection.distance),
+                       (large.naimark.distance, small.naimark.distance)):
             assert lo < hi
             assert lo / hi < expected * 3  # ~ 1/sqrt(shots) within a factor 3
 
@@ -606,13 +612,13 @@ class TestCompareSchemes:
         noise = NoiseModel.preset("ibmx4-like")
         a = compare_schemes(trine, noise, shots=20_000, seed=21)
         b = compare_schemes(trine, noise, shots=20_000, seed=21)
-        assert a.d_op_postselection == b.d_op_postselection
-        assert a.d_op_naimark == b.d_op_naimark
+        assert a.postselection.distance == b.postselection.distance
+        assert a.naimark.distance == b.naimark.distance
 
     def test_ordering_under_preset_noise(self, random4):
         result = compare_schemes(random4, NoiseModel.preset("ibmx4-like"),
                                  shots=50_000, seed=2)
-        assert result.d_op_postselection < result.d_op_naimark
+        assert result.postselection.distance < result.naimark.distance
 
 
 class TestBatchedEvolution:

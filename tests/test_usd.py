@@ -16,7 +16,6 @@ from povmsim.core import (
 )
 from povmsim.simulation import PostProcessingMap, apply_postprocessing, build_mq
 from povmsim.usd import (
-    SPAWN_CHUNK,
     UNAMBIGUITY_ATOL,
     Ensemble,
     dual_states,
@@ -287,12 +286,13 @@ class TestRandomEnsembleExperiment:
         assert a.rows == b.rows
 
     @pytest.mark.parametrize("d, space_dim, trials, seed",
-                             [(50, 100, 20, 7), (6, 9, 15, 123), (3, 4, 2 * SPAWN_CHUNK + 5, 2)])
+                             [(50, 100, 20, 7), (6, 9, 15, 123), (3, 4, 133, 2)])
     def test_matches_independent_build(self, d, space_dim, trials, seed):
-        # each trial's states drawn directly from its spawned generator, and
+        # each trial's states drawn in trial order from one generator, and
         # lambda_min(C) taken as sigma_min(S)^2 from an SVD, not an eigensolve
         expected = []
-        for rng in np.random.default_rng(seed).spawn(trials):
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
             rows = [rng.standard_normal(space_dim) + 1j * rng.standard_normal(space_dim)
                     for _ in range(d)]
             states = np.array([v / np.linalg.norm(v) for v in rows])
@@ -302,8 +302,9 @@ class TestRandomEnsembleExperiment:
         assert np.max(np.abs(exp.lambda_values - np.array(expected))) <= 1e-12
 
     def test_trial_generators_are_not_held_at_once(self):
-        # a child generator is about 1 KiB: spawning all 2000 up front
-        # peaked at 3.0 MiB, chunks of SPAWN_CHUNK peak at about 1.4 MiB
+        # trials draw one block at a time from one generator, so memory does
+        # not grow with the trial count beyond the kept rows (about 0.3 KiB
+        # each): 2000 trials peak at about 0.6 MiB
         tracemalloc.start()
         try:
             random_ensemble_experiment(2, 3, trials=2000, seed=1)

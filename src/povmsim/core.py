@@ -74,6 +74,12 @@ def require_unit_rows(vectors: np.ndarray, name: str = "state vector") -> np.nda
     return vectors
 
 
+def require_count(value, name: str):
+    """Check that a shot or trial count is a Python or numpy integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 def as_operator(matrix, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Coerce to a square complex matrix (with ``stack``, an (..., d, d)
     stack of them) with finite entries."""

@@ -60,9 +60,9 @@ def ideal_povm(name: str) -> Povm:
 
 
 @functools.cache
-def reconstruction(name: str, method: str) -> tuple[np.ndarray, ...]:
-    """Reconstructed effects for a fixture, as read-only, unvalidated matrices
-    loaded once per process and shared.
+def reconstruction(name: str, method: str) -> np.ndarray:
+    """Reconstructed effects for a fixture, as one read-only, unvalidated
+    (n, 2, 2) stack loaded once per process and shared.
 
     These are three-digit roundings of experimental reconstructions and are
     not exactly complete or positive, so they are returned unvalidated.
@@ -72,7 +72,7 @@ def reconstruction(name: str, method: str) -> tuple[np.ndarray, ...]:
     if name not in RECONSTRUCTED_NAMES:
         raise KeyError(f"no reconstruction fixture for {name!r}")
     doc = _load_document(f"{name}_{method}")
-    return tuple(_freeze(complex_from_lists(doc["effects"], "effects", (None, 2, 2))))
+    return _freeze(complex_from_lists(doc["effects"], "effects", (None, 2, 2)))
 
 
 def fixture_names() -> tuple[str, ...]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (PAULI_X, InvariantViolation, Povm, QuantumState, _freeze, _rng, as_operator,
-                   default_atol, isometry_defect, probability_rows)
+                   default_atol, isometry_defect, probability_rows, require_count)
 from .fixtures import fixture_names
 from .naimark import NaimarkDilation, naimark_dilation
 from .simulation import (
@@ -136,8 +136,9 @@ class Circuit:
             raise ValueError("only 1- and 2-qubit circuits are supported")
 
     def _check_qubit(self, q: int):
-        if not 0 <= q < self.n_qubits:
-            raise ValueError(f"qubit {q} out of range")
+        if (isinstance(q, bool) or not isinstance(q, (int, np.integer))
+                or not 0 <= q < self.n_qubits):
+            raise ValueError(f"qubit {q!r} is not in 0..{self.n_qubits - 1}")
 
     def su2(self, qubit: int, matrix) -> "Circuit":
         self._check_qubit(qubit)
@@ -253,8 +254,7 @@ def run_shots(circuit: Circuit, state: QuantumState, noise: NoiseModel,
               shots: int, seed) -> ShotRecord:
     """Sample readout counts over the register indices, from one multinomial
     draw; the record's fail count is always 0."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    require_count(shots, "shots")
     probs = exact_output_distribution(circuit, state, noise)
     return ShotRecord(np.append(_rng(seed).multinomial(shots, probs), 0))
 
@@ -273,8 +273,7 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
         raise ValueError("weights must be non-empty")
     if not (np.min(w) > 0 and np.isfinite(np.max(w))):  # NaN fails both
         raise ValueError("weights must be positive")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    require_count(cap, "cap")
     # an exact power-of-two rescale into [1/2, 1), so that cap * w cannot overflow
     w = np.ldexp(w, -np.frexp(np.max(w))[1])
     return np.minimum(np.rint(cap * w / np.max(w)), np.nextafter(2.0 ** 63, 0)).astype(int)
@@ -555,6 +554,7 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     (m, P, 2, 2) stack, and :func:`_mitigated` draws all their counts at once.
     """
     n = scheme.target.n_outcomes
+    require_count(cap, "shots")
     shots = np.maximum(proportional_shot_allocation(scheme.weights * scheme.target.dim, cap), 1)
 
     rotations = _rotations(scheme.states)[:, None]
@@ -576,8 +576,7 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
 def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed) -> PipelineResult:
     """Run the compiled dilation circuit over the probe set with every x-gate
     configuration, average, and reconstruct all register outcomes."""
-    if cap < 1:
-        raise ValueError("shots must be at least 1")
+    require_count(cap, "shots")
     circuit = compile_naimark_circuit(naimark_dilation(povm))
     n, dim = circuit.n_qubits, 2 ** circuit.n_qubits
     # each system probe on the last qubit, joined with the |0> ancilla
@@ -587,7 +586,7 @@ def naimark_tomography(povm: Povm, noise: NoiseModel, cap: int, seed) -> Pipelin
     mitigated, shots_total = _mitigated(evolved[None], n, noise, [cap], _rng(seed))
     record = TomographyRecord(mitigated[0])
     reconstruction = reconstruct_povm(record)
-    padding = np.stack(reconstruction.effects)[povm.n_outcomes:]
+    padding = reconstruction.effects[povm.n_outcomes:]
     residual = float(np.trace(padding, axis1=1, axis2=2).real.sum())
     return PipelineResult(record, reconstruction, operational_distance(povm, reconstruction),
                           residual_mass=residual, shots_total=shots_total)

@@ -31,6 +31,7 @@ from .core import (
     probability_rows,
     rank_one_parts,
     rebalance,
+    require_count,
     require_unit_rows,
 )
 
@@ -64,12 +65,13 @@ class PostProcessingMap:
     @classmethod
     def deterministic(cls, assignment, n_out: int | None = None) -> "PostProcessingMap":
         """Map outcome k to outcome assignment[k] with probability one."""
-        assignment = np.asarray(assignment, dtype=int)
+        assignment = np.asarray(assignment)
         if assignment.ndim != 1 or not assignment.size:
             raise ValueError("assignment must be a non-empty list of outcome indices")
         if n_out is None:
             n_out = int(assignment.max()) + 1
-        bad = assignment[(assignment < 0) | (assignment >= n_out)]
+        integer = assignment.dtype.kind in "iu"  # a float or bool entry is no index
+        bad = assignment[(assignment < 0) | (assignment >= n_out) | (not integer)]
         if bad.size:
             raise ValueError(f"assignment index {bad[0]} is not in 0..{n_out - 1}")
         q = np.zeros((n_out, len(assignment)))
@@ -314,8 +316,7 @@ def sample_postselection(scheme: PostselectionScheme, state: QuantumState,
     product of the states with rho, for pure and mixed states alike."""
     if state.dim != scheme.target.dim:
         raise ValueError("state dimension does not match the scheme")
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be an integer of at least 1, got {shots!r}")
+    require_count(shots, "shots")
     rng = _rng(seed)
     runs = rng.multinomial(shots, scheme.weights / scheme.weights.sum())
     succ = ((scheme.states.conj() @ state.rho) * scheme.states).sum(axis=1).real

@@ -23,7 +23,6 @@ from .core import (
     born_probabilities,
     default_atol,
     hermitian_part,
-    operator_norm,
     pauli_eigenstates,
 )
 
@@ -83,11 +82,11 @@ class TomographyRecord:
         return f"TomographyRecord(outcomes={self.n_outcomes})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reconstruction:
-    """Linear-inversion output: effects plus physicality diagnostics."""
+    """Linear-inversion output: a read-only (n, 2, 2) effect stack and physicality diagnostics."""
 
-    effects: tuple[np.ndarray, ...]
+    effects: np.ndarray
     completeness_defect: float
     unphysical_outcomes: tuple[int, ...]
 
@@ -119,53 +118,53 @@ def reconstruct_povm(record: TomographyRecord) -> Reconstruction:
     effects[:, 0, 1], effects[:, 1, 0] = off, off.conj()
     r = np.hypot(np.abs(off), (z0 - z1) / 2)
     unphysical = (r > t * (1 + 1e-9)) | (t + r > 1 + 1e-9)
-    defect = operator_norm(effects.sum(axis=0) - np.eye(2))
-    return Reconstruction(tuple(_freeze(effects)), defect,
-                          tuple(np.flatnonzero(unphysical).tolist()))
+    # exactly Hermitian: entry (1, 0) is summed from the conjugates of entry (0, 1)
+    defect = float(_hermitian_norm((effects.sum(axis=0) - np.eye(2))[None]))
+    return Reconstruction(_freeze(effects), defect, tuple(np.flatnonzero(unphysical).tolist()))
 
 
-def _effect_list(povm):
+def _effect_stack(povm, name: str) -> np.ndarray:
     if isinstance(povm, (Povm, Reconstruction)):
-        return [np.asarray(m) for m in povm.effects]
-    return [as_operator(m, f"effect {i}") for i, m in enumerate(povm)]
+        return povm.stack if isinstance(povm, Povm) else povm.effects
+    effects = as_operator(povm, name, stack=True)
+    if effects.ndim != 3 or not len(effects):
+        raise ValueError(f"{name} must be a non-empty (n, d, d) stack, got shape {effects.shape}")
+    return effects
 
 
 def operational_distance(m, n) -> float:
     """Worst-case distinguishability distance between two measurements.
 
     max over outcome subsets x of || sum_{i in x} (M_i - N_i) ||; equals
-    2 p_dist - 1 for the optimal entanglement-free discrimination
-    probability.  Outcome lists of unequal length are padded with zero
-    effects.  When both measurements are complete the subset and its
+    2 p_dist - 1 for the optimal entanglement-free discrimination probability.
+    Each is a Povm, a Reconstruction or an (n, d, d) effect stack; the shorter
+    is padded with zero effects.  For a complete pair the subset and its
     complement give the same norm, so only subsets containing outcome 0 are
-    scanned; otherwise all subsets are.  The subset sums over the first
-    parts form one block of at most SUBSET_BLOCK_ELEMENTS matrix entries,
-    and each subset of the remaining parts adds its sum to the block as one
-    offset, so every batched norm, and memory, stays bounded in d.  Whether
-    the differences are Hermitian is decided once: if they are, each block
-    goes straight to operator_norm's Hermitian branch, :func:`_hermitian_norm`
-    (a closed-form screen at d = 2), else through operator_norm's SVD path.
+    scanned.  The subset sums over the first parts form one block of at most
+    SUBSET_BLOCK_ELEMENTS matrix entries, and each subset of the remaining
+    parts adds its sum to the block as one offset, so memory stays bounded in
+    d.  The differences are tested for Hermiticity once: if they pass, a
+    block's norm is :func:`_hermitian_norm`, else its largest singular value.
     """
-    ms = _effect_list(m)
-    ns = _effect_list(n)
-    dim = ms[0].shape[0]
-    if ns[0].shape[0] != dim:
+    ms, ns = _effect_stack(m, "first measurement"), _effect_stack(n, "second measurement")
+    dim = ms.shape[-1]
+    if ns.shape[-1] != dim:
         raise ValueError("measurements act on different dimensions")
     k = max(len(ms), len(ns))
     if k > MAX_SUBSET_OUTCOMES:
         raise ValueError(f"subset enumeration supports at most {MAX_SUBSET_OUTCOMES} outcomes")
-    zero = np.zeros((dim, dim), dtype=complex)
-    ms = ms + [zero] * (k - len(ms))
-    ns = ns + [zero] * (k - len(ns))
-    diffs = as_operator(np.stack([a - b for a, b in zip(ms, ns)]), "effect differences",
-                        stack=True)
+    diffs = np.zeros((k, dim, dim), dtype=complex)
+    diffs[:len(ms)] = ms
+    with np.errstate(over="ignore"):  # an overflow fails the finiteness check below
+        diffs[:len(ns)] -= ns
+    diffs = as_operator(diffs, "effect differences", stack=True)
     complete_pair = float(np.max(np.abs(diffs.sum(axis=0)))) <= 1e-12
     hermitian, defect = hermitian_part(diffs)
-    if not np.max(defect) <= default_atol(dim):  # each block takes operator_norm's SVD path
-        norm = operator_norm
+    if not np.max(defect) <= default_atol(dim):
+        norm = lambda blocks: np.linalg.svd(blocks, compute_uv=False).max()  # noqa: E731
     else:  # sums of the symmetrised differences are exactly Hermitian
         diffs, norm = hermitian, _hermitian_norm
-    base, free = (diffs[0], diffs[1:]) if complete_pair else (zero, diffs)
+    base, free = (diffs[0], diffs[1:]) if complete_pair else (np.zeros_like(diffs[0]), diffs)
     bits = max(1, (SUBSET_BLOCK_ELEMENTS // dim ** 2).bit_length() - 1)
     block, rest = _subset_sums(free[:bits]), free[bits:]
     offsets = (base + sum(part for i, part in enumerate(rest) if mask >> i & 1)

@@ -23,6 +23,7 @@ from .core import (
     haar_random_vectors,
     min_eigenvalue,
     orthogonal_pairs,
+    require_count,
     require_unit_rows,
     vector_from_document,
 )
@@ -340,8 +341,7 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     """
     if d > space_dim:
         raise ValueError("need d <= D for linearly independent Haar states")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    require_count(trials, "trials")
     experiment = RandomEnsembleExperiment(d, space_dim)
     rng = _rng(seed)
     for t in range(trials):

@@ -426,6 +426,13 @@ class TestNaimarkCircuit:
 
 
 class TestRunShots:
+    @pytest.mark.parametrize("qubit", [0.5, 1.5, True, 2, -1])
+    def test_qubit_index_must_be_an_integer_in_range(self, qubit):
+        with pytest.raises(ValueError, match=f"qubit {qubit!r} is not in 0..1"):
+            Circuit(2).su2(qubit, PAULI_X)
+        with pytest.raises(ValueError, match=f"qubit {qubit!r} is not in 0..1"):
+            Circuit(2).cnot(0, qubit)
+
     def test_noiseless_five_sigma(self, trine):
         circuit = compile_naimark_circuit(naimark_dilation(trine))
         vec = np.zeros(4, dtype=complex)
@@ -582,7 +589,7 @@ class TestPipelines:
 
     @pytest.mark.parametrize("cap", (0, -3))
     def test_naimark_cap_below_one_rejected(self, trine, cap):
-        with pytest.raises(ValueError, match="shots must be at least 1"):
+        with pytest.raises(ValueError, match="shots must be an integer of at least 1"):
             naimark_tomography(trine, NoiseModel(), cap, seed=1)
 
     @pytest.mark.parametrize("cap", (1, 1000))

@@ -9,7 +9,7 @@ from povmsim.core import InvariantViolation, Povm, QuantumState, operator_norm, 
 from povmsim.noisy_device import (Circuit, compile_postselection_circuit,
                                   proportional_shot_allocation, two_qubit_gate_sequence)
 from povmsim.simulation import PostProcessingMap, convex_combination
-from povmsim.tomography import TomographyRecord
+from povmsim.tomography import TomographyRecord, operational_distance
 from povmsim.usd import Ensemble
 
 #: boundary -> (the error it must raise, a call feeding it one bad value x)
@@ -32,6 +32,8 @@ BOUNDARIES = {
     "operator_norm": (InvariantViolation, lambda x: operator_norm([[x, 0], [0, 1]])),
     "compile_postselection_circuit": (InvariantViolation,
                                       lambda x: compile_postselection_circuit([x, 1])),
+    "operational_distance": (InvariantViolation,
+                             lambda x: operational_distance([[[x, 0], [0, 1]]], [np.eye(2)])),
 }
 
 

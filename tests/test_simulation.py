@@ -19,6 +19,8 @@ from povmsim.core import (
     random_povm,
 )
 from povmsim.naimark import dilated_statistics, naimark_dilation
+from povmsim.noisy_device import (Circuit, NoiseModel, naimark_tomography,
+                                  postselection_tomography, run_shots)
 from povmsim.simulation import (
     PostProcessingMap,
     PostselectionScheme,
@@ -32,6 +34,7 @@ from povmsim.simulation import (
     rank_one_refinement,
     sample_postselection,
 )
+from povmsim.usd import random_ensemble_experiment
 
 
 def computational_basis(dim: int = 2) -> Povm:
@@ -287,7 +290,9 @@ class TestPostProcessing:
         assert povm_equal(lhs, rhs, atol=1e-12)
 
     @pytest.mark.parametrize("assignment, n_out, bad", [([0, -1], None, -1), ([0, 3], 2, 3),
-                                                        ([1, -2, 0], 2, -2)])
+                                                        ([1, -2, 0], 2, -2),
+                                                        ([0.5, 1.7], None, 0.5),
+                                                        ([True, False], 2, True)])
     def test_deterministic_rejects_an_index_out_of_range(self, assignment, n_out, bad):
         with pytest.raises(ValueError, match=f"assignment index {bad} is not in"):
             PostProcessingMap.deterministic(assignment, n_out)
@@ -678,10 +683,20 @@ class TestSampler:
             assert result.pvalue > 1e-6, (seed, counts, law)
 
     @pytest.mark.parametrize("shots", [10.5, 10.0, True, np.True_, "10", 0, -3, np.int64(0)])
-    def test_rejects_a_shot_count_that_is_not_a_positive_integer(self, trine, shots):
-        with pytest.raises(ValueError, match="shots must be an integer of at least 1"):
-            sample_postselection(postselection_scheme(trine),
-                                 QuantumState.basis_state(2, 0), shots, seed=4)
+    @pytest.mark.parametrize("sample", [
+        lambda povm, n: sample_postselection(postselection_scheme(povm),
+                                             QuantumState.basis_state(2, 0), n, seed=4),
+        lambda povm, n: run_shots(Circuit(1), QuantumState.basis_state(2, 0), NoiseModel(),
+                                  n, seed=4),
+        lambda povm, n: postselection_tomography(postselection_scheme(povm), NoiseModel(), n,
+                                                 seed=4),
+        lambda povm, n: naimark_tomography(povm, NoiseModel(), n, seed=4),
+        lambda povm, n: random_ensemble_experiment(2, 3, n, seed=4),
+    ], ids=["sample_postselection", "run_shots", "postselection_tomography",
+            "naimark_tomography", "random_ensemble_experiment"])
+    def test_rejects_a_shot_count_that_is_not_a_positive_integer(self, trine, sample, shots):
+        with pytest.raises(ValueError, match="(shots|trials) must be an integer of at least 1"):
+            sample(trine, shots)
 
     @pytest.mark.parametrize("shots", [7, np.int64(7), np.uint16(7)])
     def test_accepts_python_and_numpy_integers(self, trine, shots):

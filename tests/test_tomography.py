@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from povmsim import fixtures
 from povmsim.core import (
+    InvariantViolation,
     QuantumState,
     born_probabilities,
     haar_random_unitary,
@@ -303,25 +304,41 @@ class TestOperationalDistance:
         glued_rec = [rec[0], rec[1], rec[2] + rec[3]]
         assert operational_distance(glued_ideal, glued_rec) <= base + 1e-12
 
-    def test_dimension_mismatch(self, trine):
-        with pytest.raises(ValueError, match="dimension"):
-            operational_distance(trine, [np.eye(3)])
+    @pytest.mark.parametrize("m, n, error, match", [
+        ([np.eye(2)], [np.eye(3)], ValueError, "dimension"),
+        ([np.eye(2)], [], ValueError, r"second measurement .* got shape \(0,\)"),
+        ([], [np.eye(2)], ValueError, r"first measurement .* got shape \(0,\)"),
+        ([np.eye(2)], np.zeros((0, 2, 2)), ValueError, r"non-empty .* got shape \(0, 2, 2\)"),
+        (np.eye(2), [np.eye(2)], ValueError, r"\(n, d, d\) stack, got shape \(2, 2\)"),
+        # each effect is finite, but their difference overflows
+        ([1e308 * np.eye(2)], [-1e308 * np.eye(2)], InvariantViolation,
+         "effect differences has non-finite entries"),
+    ], ids=["dimension", "empty", "empty_first", "empty_stack", "one_matrix", "overflow"])
+    def test_malformed_pair_rejected(self, m, n, error, match):
+        with pytest.raises(error, match=match):
+            operational_distance(m, n)
 
     @settings(derandomize=True, deadline=None)
     @given(dim=st.sampled_from((2, 3)), k=st.integers(1, 8),
            kind=st.sampled_from(("complete", "incomplete", "padded")),
+           form=st.sampled_from(("povm", "stack", "list")),
            seed=st.integers(0, 2**32 - 1))
-    def test_batched_scan_matches_reference(self, dim, k, kind, seed):
+    def test_batched_scan_matches_reference(self, dim, k, kind, form, seed):
         rng = np.random.default_rng(seed)
-        m = _any_povm(dim, k, rng).effects
+        m = _any_povm(dim, k, rng)
         if kind == "padded":
-            n = _any_povm(dim, int(rng.integers(1, k + 1)), rng).effects
+            n = _any_povm(dim, int(rng.integers(1, k + 1)), rng)
         else:
-            n = _any_povm(dim, k, rng).effects
-            if kind == "incomplete":
-                n = [(1 - 1e-3) * e for e in n]
+            n = _any_povm(dim, k, rng)
+            if kind == "incomplete":  # no longer a Povm
+                n = [(1 - 1e-3) * e for e in n.effects]
+        # a Povm as itself, as its stack or as a list of arrays gives the identical float
+        given_as = {"povm": lambda p: p, "stack": lambda p: np.array(list(p)), "list": list}[form]
+        m, n = given_as(m), given_as(n)
         for a, b in ((m, n), (n, m)):
-            assert abs(operational_distance(a, b) - _reference_distance(a, b)) <= 1e-12
+            distance = operational_distance(a, b)
+            assert distance == operational_distance(list(a), list(b))
+            assert abs(distance - _reference_distance(a, b)) <= 1e-12
 
     @settings(derandomize=True, deadline=None)
     @given(k=st.integers(1, 14),

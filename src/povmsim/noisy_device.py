@@ -563,7 +563,7 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
 
     # register outcome 0 is "+" -> parent outcome; 1 is the failure slot
     runs = shots[:, None, None] * mitigated
-    table = np.column_stack([scheme.relabel(runs[:, :, 0]).T, runs[:, :, 1].sum(axis=0)])
+    table = np.column_stack([scheme.merge.relabel(runs[:, :, 0]).T, runs[:, :, 1].sum(axis=0)])
     table /= table.sum(axis=1, keepdims=True)
     record = TomographyRecord(table)
     fraction = float(np.mean(table[:, n]))

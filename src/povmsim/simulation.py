@@ -28,7 +28,6 @@ from .core import (
     orthogonal_pairs,
     povm_from_document,
     povm_to_document,
-    probability_rows,
     rank_one_parts,
     rebalance,
     require_count,
@@ -39,69 +38,72 @@ FAIL_LABEL = "fail"
 
 
 class PostProcessingMap:
-    """Conditional probabilities q(j|k) mapping measurement outcomes k to
-    relabelled outcomes j.  Stored as a (n_out, n_in) matrix whose columns
-    are probability vectors, each checked, clipped and renormalised by
-    :func:`core.probability_rows` at ``default_atol(n_in)``."""
+    """Outcome k relabelled to outcome ``parents[k]`` of ``n_out`` (by
+    default the largest parent plus one).  The one check on outcome indices:
+    ``parents`` is a read-only, non-empty 1-d vector of integer type, no bool
+    among them, with every entry in 0..n_out-1.  A stochastic map q(j|k) is
+    a convex combination of such maps (:func:`convex_combination`).
+    """
 
-    def __init__(self, matrix):
-        q = np.asarray(matrix, dtype=float)
-        if q.ndim != 2:
-            raise ValueError("post-processing map must be a 2-d matrix")
-        self.matrix = _freeze(probability_rows(q.T, default_atol(q.shape[1])).T)
+    def __init__(self, assignment, n_out: int | None = None):
+        parents = np.asarray(assignment)
+        if parents.ndim != 1 or not parents.size:
+            raise ValueError("assignment must be a non-empty list of outcome indices")
+        if isinstance(assignment, np.ndarray):  # its dtype speaks for every entry
+            wrong = [] if parents.dtype.kind in "iu" else [parents[0]]
+        else:  # entry by entry: np.asarray makes [0, True] int64 and [0, 2**70] object
+            wrong = [a for a in assignment if isinstance(a, (bool, np.bool_))
+                     or not isinstance(a, (int, np.integer)) or not -2**63 <= a < 2**63]
+        if wrong:
+            raise ValueError(f"assignment index {wrong[0]} is not an integer index")
+        self.n_out = int(parents.max()) + 1 if n_out is None else n_out
+        bad = parents[(parents < 0) | (parents >= self.n_out)]
+        if bad.size:
+            raise ValueError(f"assignment index {bad[0]} is not in 0..{self.n_out - 1}")
+        self.parents = _freeze(parents)
 
     @property
     def n_in(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.parents)
 
     @property
-    def n_out(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "PostProcessingMap":
-        return cls(np.eye(n))
-
-    @classmethod
-    def deterministic(cls, assignment, n_out: int | None = None) -> "PostProcessingMap":
-        """Map outcome k to outcome assignment[k] with probability one."""
-        assignment = np.asarray(assignment)
-        if assignment.ndim != 1 or not assignment.size:
-            raise ValueError("assignment must be a non-empty list of outcome indices")
-        if n_out is None:
-            n_out = int(assignment.max()) + 1
-        integer = assignment.dtype.kind in "iu"  # a float or bool entry is no index
-        bad = assignment[(assignment < 0) | (assignment >= n_out) | (not integer)]
-        if bad.size:
-            raise ValueError(f"assignment index {bad[0]} is not in 0..{n_out - 1}")
-        q = np.zeros((n_out, len(assignment)))
-        q[assignment, np.arange(len(assignment))] = 1.0
-        return cls(q)
+    def matrix(self) -> np.ndarray:
+        """The (n_out, n_in) 0/1 matrix q(j|k), built on each read."""
+        q = np.zeros((self.n_out, self.n_in))
+        q[self.parents, np.arange(self.n_in)] = 1.0
+        return q
 
     @classmethod
     def glue(cls, n_in: int, merged: tuple[int, ...]) -> "PostProcessingMap":
-        """Merge the listed outcomes into a single one, keeping the others.
-
-        The merged group takes the slot of its smallest member; remaining
-        outcomes keep their relative order.
-        """
-        merged = sorted({int(m) for m in merged})
-        bad = [m for m in merged if not 0 <= m < n_in]
-        if bad:
-            raise ValueError(f"merged outcome {bad[0]} is not in 0..{n_in - 1}")
+        """Merge the listed outcomes, checked as a map's indices, into the slot
+        of the smallest; the other outcomes keep their relative order."""
+        merged = sorted(set(cls(merged, n_in).parents.tolist()))
         kept = [k for k in range(n_in) if k not in merged[1:]]
-        return cls.deterministic([kept.index(merged[0] if k in merged else k) for k in range(n_in)],
-                                 n_out=len(kept))
+        return cls([kept.index(merged[0] if k in merged else k) for k in range(n_in)], len(kept))
+
+    def relabel(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-outcome values (effects, counts or frequency columns), outcome
+        k's added into outcome ``parents[k]`` in outcome order.  They are
+        added onto ``out``, an (n_out, ...) starting buffer that is returned;
+        by default a zero array of ``values``'s dtype."""
+        if len(values) != self.n_in:
+            raise ValueError(f"map expects {self.n_in} outcome values, got {len(values)}")
+        if out is None:
+            out = np.zeros((self.n_out, *values.shape[1:]), dtype=values.dtype)
+        if values.ndim > 2:  # np.add.at is slower than the loop on (m, d, d) stacks
+            for parent, value in zip(self.parents, values):
+                out[parent] += value
+        else:  # unbuffered, in outcome order, as the loop adds
+            np.add.at(out, self.parents, values)
+        return out
 
     def __repr__(self) -> str:
         return f"PostProcessingMap({self.n_in} -> {self.n_out})"
 
 
 def apply_postprocessing(povm: Povm, pmap: PostProcessingMap) -> Povm:
-    """N_j = sum_k q(j|k) M_k."""
-    if pmap.n_in != povm.n_outcomes:
-        raise ValueError(f"map expects {pmap.n_in} outcomes, POVM has {povm.n_outcomes}")
-    return Povm(np.einsum("jk,kab->jab", pmap.matrix, povm.stack))
+    """N_j = sum_k q(j|k) M_k: each effect added into its parent's slot."""
+    return Povm(pmap.relabel(povm.stack))
 
 
 def convex_combination(terms) -> Povm:
@@ -146,7 +148,7 @@ def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
     """
     refined, parents = povm.glued_from or (povm, np.arange(povm.n_outcomes))
     if refined.rank_one is not None and refined.rank_one.weights.min() > povm.atol:
-        return refined, PostProcessingMap.deterministic(parents, n_out=povm.n_outcomes)
+        return refined, PostProcessingMap(parents, povm.n_outcomes)
     parts = rank_one_parts(povm.stack, povm.atol)
     if not parts.parents.size:
         raise InvariantViolation("positivity", 0.0, "POVM has no non-null effects")
@@ -157,9 +159,7 @@ def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
                                  f"refinement leaves completeness defect {defect:.3e}")
     if defect > 1e-14:
         parts = rebalance(parts, total)
-    refined = Povm.from_rank_one(parts)
-    merge = PostProcessingMap.deterministic(parts.parents, n_out=povm.n_outcomes)
-    return refined, merge
+    return Povm.from_rank_one(parts), PostProcessingMap(parts.parents, povm.n_outcomes)
 
 
 def _check_mixture(weights: np.ndarray, directions: np.ndarray) -> None:
@@ -187,30 +187,29 @@ class PostselectionScheme:
     and postselection at success probability 1/d.
 
     ``states[k]`` is the projector direction of component k, drawn with
-    probability ``weights[k]``; outcome "+" is relabelled to
-    ``parents[k]`` and "-" to the failure outcome (index n).  Checked inputs
-    make the effects valid by construction; they are compared with M_{1/d}
-    block by block: the "+" pieces are added onto -q M_i in one buffer, and
-    the deviation is the largest |entry| of it and of the fail slot minus
-    (1 - q) 1.
+    probability ``weights[k]``; outcome "+" is relabelled to ``parents[k]``
+    (``merge.parents``) by ``merge`` and "-" to the failure outcome (index
+    n).  Checked inputs make the effects valid by construction; they are
+    compared with M_{1/d} block by block: the "+" pieces are added onto
+    -q M_i in one buffer, and the deviation is the largest |entry| of it and
+    of the fail slot minus (1 - q) 1.
     """
 
     def __init__(self, target: Povm, states, weights, parents):
         self.target = target
         self.states = _freeze(np.asarray(states, dtype=complex))
         self.weights = _freeze(np.asarray(weights, dtype=float))
-        self.parents = _freeze(np.asarray(parents, dtype=int))
+        self.merge = PostProcessingMap(parents, target.n_outcomes)
+        self.parents = self.merge.parents
         if not (len(self.states) == len(self.weights) == len(self.parents)):
             raise ValueError("states, weights and parents must have equal length")
-        if np.any((self.parents < 0) | (self.parents >= target.n_outcomes)):
-            raise ValueError(f"parents must lie in 0..{target.n_outcomes - 1}")
         if self.states.ndim != 2 or self.states.shape[1] != target.dim:
             raise ValueError(f"states must be an (m, {target.dim}) array for the target's "
                              f"dimension, got shape {self.states.shape}")
         _check_mixture(self.weights, self.states)
         q = self.success_probability = 1.0 / target.dim
         effects, fail = _binary_mixture(self.weights, self.states)
-        effects = self.relabel(effects, out=target.stack * -q)  # rebound: frees the "+" stack
+        effects = self.merge.relabel(effects, out=target.stack * -q)  # rebound: frees the "+" stack
         fail -= (1 - q) * np.eye(target.dim)
         dev = max(float(np.max(np.abs(effects))), float(np.max(np.abs(fail))))
         if not dev <= target.atol:
@@ -226,25 +225,9 @@ class PostselectionScheme:
 
     def mixture(self) -> Povm:
         """The mixture before relabelling: component k's "+" in slot k and
-        every "-" in slot m; ``deterministic([*parents, fail_index])`` merges it."""
+        every "-" in slot m; ``PostProcessingMap([*parents, fail_index])`` merges it."""
         plus, minus = _binary_mixture(self.weights, self.states)
         return Povm(np.concatenate([plus, minus[None]]))
-
-    def relabel(self, plus: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Per-component "+" values (effects, counts or frequency columns),
-        component k's added into target outcome ``parents[k]`` in component
-        order.  They are added onto ``out``, an (n, ...) starting buffer that
-        is returned; by default a zero array of ``plus``'s dtype."""
-        if len(plus) != len(self.parents):
-            raise ValueError(f"expected {len(self.parents)} component values, got {len(plus)}")
-        if out is None:
-            out = np.zeros((self.fail_index, *plus.shape[1:]), dtype=plus.dtype)
-        if plus.ndim > 2:  # np.add.at is slower than the loop on (m, d, d) stacks
-            for parent, value in zip(self.parents, plus):
-                out[parent] += value
-        else:  # unbuffered, in component order, as the loop adds
-            np.add.at(out, self.parents, plus)
-        return out
 
     def to_document(self) -> dict:
         return {
@@ -270,8 +253,7 @@ def postselection_scheme(povm: Povm) -> PostselectionScheme:
     """Build the 1/d-success postselection protocol for an arbitrary POVM."""
     refined, merge = rank_one_refinement(povm)
     parts = refined.rank_one
-    return PostselectionScheme(povm, parts.vectors, parts.weights / povm.dim,
-                               merge.matrix.argmax(axis=0))
+    return PostselectionScheme(povm, parts.vectors, parts.weights / povm.dim, merge.parents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +303,7 @@ def sample_postselection(scheme: PostselectionScheme, state: QuantumState,
     runs = rng.multinomial(shots, scheme.weights / scheme.weights.sum())
     succ = ((scheme.states.conj() @ state.rho) * scheme.states).sum(axis=1).real
     plus = rng.binomial(runs, np.clip(succ, 0.0, 1.0))
-    kept = scheme.relabel(plus)
+    kept = scheme.merge.relabel(plus)
     return ShotRecord(np.append(kept, shots - kept.sum()))
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    InvariantViolation,
     Povm,
     QuantumState,
     _freeze,
@@ -143,8 +144,8 @@ def operational_distance(m, n) -> float:
     scanned.  The subset sums over the first parts form one block of at most
     SUBSET_BLOCK_ELEMENTS matrix entries, and each subset of the remaining
     parts adds its sum to the block as one offset, so memory stays bounded in
-    d.  The differences are tested for Hermiticity once: if they pass, a
-    block's norm is :func:`_hermitian_norm`, else its largest singular value.
+    d.  The differences are checked for Hermiticity once, and a block's norm
+    is :func:`_hermitian_norm`.
     """
     ms, ns = _effect_stack(m, "first measurement"), _effect_stack(n, "second measurement")
     dim = ms.shape[-1]
@@ -159,17 +160,17 @@ def operational_distance(m, n) -> float:
         diffs[:len(ns)] -= ns
     diffs = as_operator(diffs, "effect differences", stack=True)
     complete_pair = float(np.max(np.abs(diffs.sum(axis=0)))) <= 1e-12
-    hermitian, defect = hermitian_part(diffs)
-    if not np.max(defect) <= default_atol(dim):
-        norm = lambda blocks: np.linalg.svd(blocks, compute_uv=False).max()  # noqa: E731
-    else:  # sums of the symmetrised differences are exactly Hermitian
-        diffs, norm = hermitian, _hermitian_norm
+    diffs, defect = hermitian_part(diffs)  # their subset sums are then exactly Hermitian
+    defect = float(np.max(defect))
+    if not defect <= default_atol(dim):
+        raise InvariantViolation("hermiticity", defect,
+                                 f"effect differences are not Hermitian (defect {defect:.3e})")
     base, free = (diffs[0], diffs[1:]) if complete_pair else (np.zeros_like(diffs[0]), diffs)
     bits = max(1, (SUBSET_BLOCK_ELEMENTS // dim ** 2).bit_length() - 1)
     block, rest = _subset_sums(free[:bits]), free[bits:]
     offsets = (base + sum(part for i, part in enumerate(rest) if mask >> i & 1)
                for mask in range(2 ** len(rest)))
-    return float(max(norm(block + offset) for offset in offsets))
+    return float(max(_hermitian_norm(block + offset) for offset in offsets))
 
 
 def _subset_sums(parts):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ORTHOGONALITY_ATOL,
     DocumentError,
     InvariantViolation,
     Povm,
@@ -31,6 +32,8 @@ from .core import (
 UNAMBIGUITY_ATOL = 1e-9
 #: relative threshold on singular values for declaring linear independence
 LINEAR_INDEPENDENCE_RTOL = 1e-10
+#: the most cliques projective_simulable_optimum extends before it gives up
+MAX_CLIQUE_BRANCHES = 2**16
 
 
 class Ensemble:
@@ -179,31 +182,42 @@ def equal_probability_measurement(ensemble: Ensemble) -> Povm:
 
 
 def projective_simulable_optimum(ensemble: Ensemble) -> float:
-    """Exact USD optimum over projective-simulable measurements.
-
-    It is 1 for orthonormal states: measure them directly.  For linearly
-    independent, pairwise non-orthogonal states the only
-    unambiguous projective measurements are rank-one, pointing along the
-    (unique) dual direction of a single outcome; mixing them cannot beat the
-    best single one, so the optimum is max_i p_i |<psi_i|phi_i>|^2 =
-    max_i p_i / (C^{-1})_{ii}.
+    """Exact USD optimum over projective measurements on the span of the n
+    states, mixed and post-processed (ratio <= n is for these; with D > n,
+    one on all of C^D can do better).  An unambiguous projector for state i
+    lies along its dual phi_i and detects it with probability 1 /
+    (C^{-1})_ii, so one measurement detects a clique of states whose duals
+    are orthogonal, |(C^{-1})_ij| <= ORTHOGONALITY_ATOL sqrt((C^{-1})_ii
+    (C^{-1})_jj).  The optimum is the largest sum of p_i / (C^{-1})_ii over
+    a clique, found by branch and bound over the vertices with an edge.
     """
-    pairs = orthogonal_pairs(ensemble.states)
-    d = ensemble.n_states
-    if len(pairs) == d * (d - 1) // 2:
-        return 1.0
-    if pairs:
-        raise ValueError(f"states {pairs[0]} are orthogonal; the structural optimum "
-                         "requires orthonormal or pairwise non-orthogonal states")
     if not ensemble.linearly_independent:
         raise InvariantViolation("linear independence", ensemble.smallest_singular_value)
-    c = ensemble.gram()
-    inv_diag = np.diag(np.linalg.solve(c, np.eye(ensemble.n_states))).real
-    return float(np.max(ensemble.probs / inv_diag))
+    n = ensemble.n_states
+    inverse = np.linalg.solve(ensemble.gram(), np.eye(n))
+    inv_diag = np.diag(inverse).real
+    adjacent = np.abs(inverse) <= ORTHOGONALITY_ATOL * np.sqrt(np.outer(inv_diag, inv_diag))
+    if adjacent.sum() == n * (n - 1):  # orthonormal states (no loop: (C^{-1})_ii >= 1)
+        return 1.0
+    values = ensemble.probs / inv_diag
+    best, stack, extended = float(values.max()), [(0.0, np.flatnonzero(adjacent.any(axis=1)))], 0
+    while stack:
+        extended += 1
+        if extended > MAX_CLIQUE_BRANCHES:
+            raise ValueError(f"clique search passed MAX_CLIQUE_BRANCHES = {MAX_CLIQUE_BRANCHES}")
+        weight, candidates = stack.pop()
+        best = max(best, weight)
+        for i, v in enumerate(candidates):
+            if weight + values[candidates[i:]].sum() <= best:  # no extension can win
+                break
+            rest = candidates[i + 1:]
+            stack.append((weight + values[v], rest[adjacent[v, rest]]))
+    return best
 
 
 def projective_simulable_optimum_by_search(ensemble: Ensemble) -> float:
-    """Independent evaluation of the projective-simulable optimum.
+    """Independent evaluation of the projective-simulable optimum, for
+    pairwise non-orthogonal states with pairwise non-orthogonal duals only.
 
     Enumerates the structural family directly: for each outcome i, the
     unambiguous direction within the span is found as the null space of the
@@ -328,8 +342,9 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
 
     Each trial records lambda_min of the Gram matrix (the POVM-side success
     lower bound) and the band it implies for the POVM/projective advantage
-    ratio: d * lambda_min <= ratio <= d, the upper end from the 1/d cap on
-    projective-simulable success for generic (non-orthogonal) states.
+    ratio: d * lambda_min <= ratio <= d, from the 1/d cap on projective-
+    simulable success, which holds when no two duals are orthogonal: for
+    Haar states, with probability one.
 
     For gamma = d / D < 1, lambda_min concentrates just above the
     Marchenko-Pastur lower edge (1 - sqrt(gamma))^2, with an O(D^(-2/3))

@@ -47,7 +47,8 @@ def _cases() -> dict[str, list[str]]:
     cases["table1"] = ["table1"]
     cases["table1_csv"] = ["table1", "--format", "csv"]
     cases["usd_symmetric"] = ["usd", "--symmetric", "8", "0.05"]
-    for ensemble in ("ensemble", "ensemble_orthonormal"):
+    # ensemble_cholesky: overlaps .25, .5, .5, yet states 0 and 1 have orthogonal duals
+    for ensemble in ("ensemble", "ensemble_orthonormal", "ensemble_cholesky"):
         cases[f"usd_{ensemble}"] = ["usd", "--ensemble", str(INPUTS / f"{ensemble}.json")]
     cases["usd_random"] = ["usd", "--random", "10", "100", "--trials", "20", "--seed", "3"]
     cases["fixtures"] = ["fixtures"]

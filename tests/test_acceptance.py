@@ -95,7 +95,7 @@ def test_criterion_3_exact_decomposition(all_fixture_povms):
     def check(povm):
         scheme = postselection_scheme(povm)
         # the single-map view: one mixture, one deterministic relabelling
-        merge = PostProcessingMap.deterministic([*scheme.parents, scheme.fail_index])
+        merge = PostProcessingMap([*scheme.parents, scheme.fail_index])
         simulated = apply_postprocessing(scheme.mixture(), merge)
         target = build_mq(povm, 1 / povm.dim)
         for got, want in zip(simulated.effects, target.effects):

@@ -17,7 +17,7 @@ BOUNDARIES = {
     "Povm": (InvariantViolation, lambda x: Povm([[[x, 0], [0, 1]], np.zeros((2, 2))])),
     "QuantumState.density": (InvariantViolation,
                              lambda x: QuantumState.density([[x, 0], [0, 0.5]])),
-    "PostProcessingMap": (InvariantViolation, lambda x: PostProcessingMap([[x, 0], [1, 1]])),
+    "PostProcessingMap": (ValueError, lambda x: PostProcessingMap([x, 0])),
     "TomographyRecord": (ValueError,
                          lambda x: TomographyRecord([[x, 0.5]] + [[0.5, 0.5]] * 3)),
     "Ensemble.probs": (ValueError, lambda x: Ensemble([[1, 0], [0.6, 0.8]], probs=[x, 0.5])),

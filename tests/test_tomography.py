@@ -415,10 +415,12 @@ class TestOperationalDistance:
         # blocks of 2**12 sums whatever d is peaked at 64 MiB here
         assert peak < 4 * 2**20
 
-    def test_non_hermitian_difference_takes_singular_values(self):
-        # the one subset's difference has eigenvalues 0, 0 and singular values 1, 0
+    def test_non_hermitian_difference_rejected(self):
+        # eigenvalues 0, 0 and singular values 1, 0: no measurement has this difference
         a = np.array([[0, 1], [0, 0]], dtype=complex)
-        assert operational_distance([a], [np.zeros((2, 2))]) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(InvariantViolation, match="effect differences are not Hermitian") as err:
+            operational_distance([a], [np.zeros((2, 2))])
+        assert err.value.invariant == "hermiticity" and err.value.deviation == 1.0
 
     def test_outcome_limit(self):
         effects = [np.eye(2) / (MAX_SUBSET_OUTCOMES + 1)] * (MAX_SUBSET_OUTCOMES + 1)

@@ -1,10 +1,15 @@
+import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from povmsim import usd
 from povmsim.core import (
+    ORTHOGONALITY_ATOL,
     InvariantViolation,
     Povm,
     QuantumState,
@@ -36,6 +41,45 @@ def haar_ensemble(n, dim, seed):
     rng = np.random.default_rng(seed)
     states = np.array([haar_random_pure_state(dim, rng).vector for _ in range(n)])
     return Ensemble(states)
+
+
+#: states whose overlaps .25, .5 and .5 are all non-zero, yet (C^{-1})_01 = 0
+CHOLESKY_STATES = np.linalg.cholesky([[1, .25, .5], [.25, 1, .5], [.5, .5, 1]])
+
+
+def exhaustive_projective_optimum(ensemble):
+    """The projective-simulable optimum by brute force over subsets of the
+    states: each dual is the null space of the other states' overlaps within
+    the span (QR + SVD, no Gram inversion), a subset counts when its unit
+    duals are mutually orthogonal, and it scores sum p_i |<phi_i|psi_i>|^2.
+    Returns the best score, its subset and the unit duals."""
+    span, _ = np.linalg.qr(ensemble.states.T)
+    duals = []
+    for i in range(ensemble.n_states):
+        constraints = np.delete(ensemble.states, i, axis=0).conj() @ span
+        direction = span @ np.linalg.svd(constraints)[2][-1].conj()
+        duals.append(direction / np.linalg.norm(direction))
+    duals = np.array(duals)
+    scores = ensemble.probs * np.abs(np.sum(duals.conj() * ensemble.states, axis=1)) ** 2
+    overlaps = np.abs(duals.conj() @ duals.T)
+    best = (0.0, ())
+    for size in range(1, ensemble.n_states + 1):
+        for subset in itertools.combinations(range(ensemble.n_states), size):
+            if all(overlaps[i, j] <= ORTHOGONALITY_ATOL
+                   for i, j in itertools.combinations(subset, 2)):
+                best = max(best, (float(scores[list(subset)].sum()), subset))
+    return (*best, duals)
+
+
+def clique_measurement(ensemble, subset, duals):
+    """The projective measurement detecting the states of ``subset`` along
+    their duals, every other outcome empty and the rest inconclusive."""
+    effects = np.zeros((ensemble.n_states + 1, ensemble.space_dim, ensemble.space_dim),
+                       dtype=complex)
+    for i in subset:
+        effects[i] = np.outer(duals[i], duals[i].conj())
+    effects[-1] = np.eye(ensemble.space_dim) - effects.sum(axis=0)
+    return Povm(effects)
 
 
 class TestUsdSuccess:
@@ -161,12 +205,53 @@ class TestProjectiveSimulableOptimum:
         ensemble = Ensemble(states, probs=[0.5, 0.3, 0.2])
         assert projective_simulable_optimum(ensemble) <= 0.5 + 1e-12
 
-    def test_near_orthogonal_pair_rejected(self):
+    def test_near_orthogonal_pair_matches_the_exhaustive_search(self):
         eps = 1e-12
-        states = np.array([[1, 0, 0], [eps, np.sqrt(1 - eps**2), 0],
-                           [0.5, 0.5, np.sqrt(0.5)]], dtype=complex)
-        with pytest.raises(ValueError, match="orthogonal"):
-            projective_simulable_optimum(Ensemble(states))
+        ensemble = Ensemble(np.array([[1, 0, 0], [eps, np.sqrt(1 - eps**2), 0],
+                                      [0.5, 0.5, np.sqrt(0.5)]], dtype=complex))
+        best, subset, _ = exhaustive_projective_optimum(ensemble)
+        assert len(subset) == 1
+        assert projective_simulable_optimum(ensemble) == pytest.approx(best, abs=1e-12)
+
+    def test_orthogonal_duals_are_detected_together(self):
+        # the bug this rule mends: max_i p_i / (C^{-1})_ii gave 0.25 here
+        ensemble = Ensemble(CHOLESKY_STATES)
+        best, subset, duals = exhaustive_projective_optimum(ensemble)
+        assert subset == (0, 1) and best == pytest.approx(0.5, abs=1e-15)
+        assert projective_simulable_optimum(ensemble) == pytest.approx(0.5, abs=1e-15)
+        result = usd_success(ensemble, clique_measurement(ensemble, subset, duals))
+        assert result.unambiguous and result.success == pytest.approx(0.5, abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(2, 7), st.integers(0, 2), st.floats(0.0, 1.0), st.integers(0, 2**31))
+    def test_planted_orthogonal_duals_match_the_exhaustive_search(self, n, extra, density,
+                                                                   seed):
+        # C^{-1} with chosen zeros: a diagonally dominant B, normalised to unit states
+        rng = np.random.default_rng(seed)
+        b = np.triu(rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < density), k=1)
+        b = b + b.T
+        b += np.diag(1 + np.abs(b).sum(axis=1))
+        c = np.linalg.inv(b)
+        c /= np.sqrt(np.outer(np.diag(c), np.diag(c)))
+        states = np.hstack([np.linalg.cholesky(c), np.zeros((n, extra))])
+        states = states @ haar_random_unitary(n + extra, rng).T
+        ensemble = Ensemble(states, probs=rng.dirichlet(np.ones(n)))
+        best, subset, duals = exhaustive_projective_optimum(ensemble)
+        p_sp = projective_simulable_optimum(ensemble)
+        assert p_sp == pytest.approx(best, abs=1e-12)
+        singles = ensemble.probs * np.abs(np.sum(duals.conj() * ensemble.states, axis=1)) ** 2
+        assert singles.max() - 1e-12 <= p_sp <= 1 + 1e-12
+        result = usd_success(ensemble, clique_measurement(ensemble, subset, duals))
+        assert result.unambiguous and result.success == pytest.approx(p_sp, abs=1e-12)
+
+    def test_clique_search_cap_is_named(self, monkeypatch):
+        # the empty clique is the one extended when no two duals are orthogonal
+        monkeypatch.setattr(usd, "MAX_CLIQUE_BRANCHES", 1)
+        ensemble = haar_ensemble(4, 6, 40)
+        assert projective_simulable_optimum(ensemble) == pytest.approx(
+            projective_simulable_optimum_by_search(ensemble), abs=1e-12)
+        with pytest.raises(ValueError, match="MAX_CLIQUE_BRANCHES = 1"):
+            projective_simulable_optimum(Ensemble(CHOLESKY_STATES))
 
     def test_orthonormal_states_are_measured_directly(self):
         assert projective_simulable_optimum(Ensemble(np.eye(4))) == 1.0
@@ -238,10 +323,15 @@ class TestAdvantageBound:
         assert bound.ratio == pytest.approx(1.0)
         assert bound.bound_ok
 
-    def test_partly_orthogonal_ensemble_rejected(self):
-        s = np.sqrt(0.5)
-        with pytest.raises(ValueError, match=r"states \(0, 1\) are orthogonal"):
-            usd_advantage_bound(Ensemble([[1, 0, 0], [0, 1, 0], [s, 0, s]]))
+    @pytest.mark.parametrize("third, p_sp", [([np.sqrt(0.5), 0, np.sqrt(0.5)], 0.5),
+                                             (np.ones(3) / np.sqrt(3), 1 / 6)])
+    def test_partly_orthogonal_ensemble_has_a_value(self, third, p_sp):
+        # e0 and e1 are orthogonal; their duals are orthogonal only in the first case
+        ensemble = Ensemble([[1, 0, 0], [0, 1, 0], third])
+        bound = usd_advantage_bound(ensemble)
+        assert bound.p_sp == pytest.approx(p_sp, abs=1e-15) and bound.bound_ok
+        assert bound.p_sp == pytest.approx(exhaustive_projective_optimum(ensemble)[0],
+                                           abs=1e-12)
 
     def test_haar_random_case(self):
         bound = usd_advantage_bound(haar_ensemble(10, 25, 3))

@@ -48,6 +48,8 @@ MAX_TRIALS = 100_000
 MAX_DIM = 4096
 
 STATE_NAMES = ("zero", "one", "x+", "x-", "y+", "y-", "mixed")
+#: what ``compare`` runs for a flag not given (parsed as None); ``--plan`` sets all three
+COMPARE_DEFAULTS = {"noise": "ibmx4-like", "shots": 8192, "seed": 0}
 
 
 def _state_by_name(name: str, dim: int) -> QuantumState:
@@ -226,7 +228,11 @@ def cmd_usd(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    given = [k for k in ("povm", "povm_file", *COMPARE_DEFAULTS) if getattr(args, k) is not None]
     if args.plan:
+        if given:
+            raise UsageError(f"--{given[0].replace('_', '-')} cannot be given with --plan, "
+                             "which sets it")
         try:
             plan = load_experiment_plan(_read_json(args.plan, "--plan"))
         except ValueError as err:
@@ -239,11 +245,13 @@ def cmd_compare(args) -> int:
                        "noise.readout_bias": noise.readout_bias}
     else:
         povm, povm_name = _resolve_povm(args)
+        noise_label, shots, seed = (getattr(args, k) if k in given else value
+                                    for k, value in COMPARE_DEFAULTS.items())
         try:
-            noise = NoiseModel.preset(args.noise)
+            noise = NoiseModel.preset(noise_label)
         except KeyError as err:
             raise UsageError(str(err).strip('"'))
-        shots, seed, scheme, noise_label = args.shots, args.seed, "both", args.noise
+        scheme = "both"
     result = compare_schemes(povm, noise, shots, seed, scheme)
     post, nai = result.postselection, result.naimark
     row = {"povm": povm_name,
@@ -381,11 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="noisy postselection-vs-Naimark comparison")
     povm_source(p)
-    p.add_argument("--noise", default="ibmx4-like")
-    p.add_argument("--shots", type=shot_count, default=8192)
-    p.add_argument("--plan", help="experiment plan JSON (noise.* keys override everything)")
+    p.add_argument("--noise")
+    p.add_argument("--shots", type=shot_count)
+    p.add_argument("--plan", help="experiment plan JSON; it sets the POVM, noise, shots and seed")
     common(p)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, seed=None)  # COMPARE_DEFAULTS fills what is not given
 
     p = sub.add_parser("table1", help="recompute distances from bundled reconstructions")
     common(p)

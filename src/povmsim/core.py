@@ -217,11 +217,11 @@ def rebalance(parts: RankOneParts, total: np.ndarray) -> RankOneParts:
     return RankOneParts(parts.weights * norms ** 2, u / norms[:, None], parts.parents)
 
 
-def orthogonal_pairs(vectors: np.ndarray) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j in row-major order, of the rows of
-    ``vectors`` whose overlap |<v_i|v_j>| is at most ORTHOGONALITY_ATOL."""
-    overlaps = np.abs(vectors.conj() @ vectors.T)
-    return [tuple(p) for p in np.argwhere(np.triu(overlaps <= ORTHOGONALITY_ATOL, k=1)).tolist()]
+def orthogonality_graph(gram: np.ndarray) -> np.ndarray:
+    """i ~ j iff |G_ij| <= ORTHOGONALITY_ATOL sqrt(G_ii G_jj): orthogonality of the
+    vectors with Gram matrix G, their V* V^T (or C^{-1} for the duals of states)."""
+    diag = np.diag(gram).real
+    return np.abs(gram) <= ORTHOGONALITY_ATOL * np.sqrt(np.outer(diag, diag))
 
 
 class QuantumState:

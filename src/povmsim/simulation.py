@@ -25,7 +25,7 @@ from .core import (
     complex_from_lists,
     complex_to_lists,
     default_atol,
-    orthogonal_pairs,
+    orthogonality_graph,
     povm_from_document,
     povm_to_document,
     rank_one_parts,
@@ -325,14 +325,9 @@ def hw_covariant_povm(d: int, fiducial: QuantumState) -> tuple[Povm, bool]:
     phased = np.stack([np.linalg.matrix_power(clock, b) @ fiducial.vector for b in range(d)])
     vectors = np.stack([np.roll(phased, a, axis=1) for a in range(d)]).reshape(d * d, d)
     effects = _outer_products(vectors) / d
-    # one row of pairs (i, j > i) at a time: O(d^4) memory, first commuting pair ends it
-    noncommuting = True
-    for i in range(len(effects) - 1):
-        rest = effects[i + 1:]
-        comm = np.abs(effects[i] @ rest - rest @ effects[i]).max(axis=(1, 2))
-        if np.any(comm <= default_atol(d)):
-            noncommuting = False
-            break
+    # rank-one projectors commute iff orthogonal or parallel, and a parallel pair in an
+    # orbit makes the fiducial an eigenvector of some Weyl operator, hence an orthogonal pair
+    noncommuting = not orthogonality_graph(vectors.conj() @ vectors.T).any()
     povm = _keep_pieces(Povm(effects), np.full(d * d, 1 / d), vectors)
     return povm, noncommuting
 
@@ -345,9 +340,9 @@ def max_success_bound_rank_one(povm: Povm) -> float:
     distinct projective measurements, forcing q <= 1/d.
     """
     parts = povm.rank_one or rank_one_parts(povm.stack, povm.atol, dominant=True)
-    orthogonal = orthogonal_pairs(parts.vectors)
-    if orthogonal:
-        i, j = orthogonal[0]
+    edges = np.argwhere(np.triu(orthogonality_graph(parts.vectors.conj() @ parts.vectors.T)))
+    if edges.size:
+        i, j = edges[0]
         raise ValueError(
             f"effects {i} and {j} have orthogonal states; the bound does not apply")
     return 1.0 / povm.dim

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ORTHOGONALITY_ATOL,
     DocumentError,
     InvariantViolation,
     Povm,
@@ -23,7 +22,7 @@ from .core import (
     default_atol,
     haar_random_vectors,
     min_eigenvalue,
-    orthogonal_pairs,
+    orthogonality_graph,
     require_count,
     require_unit_rows,
     vector_from_document,
@@ -187,16 +186,16 @@ def projective_simulable_optimum(ensemble: Ensemble) -> float:
     one on all of C^D can do better).  An unambiguous projector for state i
     lies along its dual phi_i and detects it with probability 1 /
     (C^{-1})_ii, so one measurement detects a clique of states whose duals
-    are orthogonal, |(C^{-1})_ij| <= ORTHOGONALITY_ATOL sqrt((C^{-1})_ii
-    (C^{-1})_jj).  The optimum is the largest sum of p_i / (C^{-1})_ii over
-    a clique, found by branch and bound over the vertices with an edge.
+    are orthogonal: adjacent in ``orthogonality_graph`` of C^{-1}, their Gram
+    matrix.  The optimum is the largest sum of p_i / (C^{-1})_ii over a
+    clique, found by branch and bound over the vertices with an edge.
     """
     if not ensemble.linearly_independent:
         raise InvariantViolation("linear independence", ensemble.smallest_singular_value)
     n = ensemble.n_states
     inverse = np.linalg.solve(ensemble.gram(), np.eye(n))
     inv_diag = np.diag(inverse).real
-    adjacent = np.abs(inverse) <= ORTHOGONALITY_ATOL * np.sqrt(np.outer(inv_diag, inv_diag))
+    adjacent = orthogonality_graph(inverse)
     if adjacent.sum() == n * (n - 1):  # orthonormal states (no loop: (C^{-1})_ii >= 1)
         return 1.0
     values = ensemble.probs / inv_diag
@@ -223,9 +222,9 @@ def projective_simulable_optimum_by_search(ensemble: Ensemble) -> float:
     unambiguous direction within the span is found as the null space of the
     other states' overlap constraints (QR + SVD, no Gram inversion).
     """
-    pairs = orthogonal_pairs(ensemble.states)
-    if pairs:
-        raise ValueError(f"states {pairs[0]} are orthogonal")
+    edges = np.argwhere(np.triu(orthogonality_graph(ensemble.gram())))
+    if edges.size:
+        raise ValueError(f"states {tuple(edges[0].tolist())} are orthogonal")
     span, _ = np.linalg.qr(ensemble.states.T)  # (D, n) orthonormal basis
     n = ensemble.n_states
     best = 0.0
@@ -259,8 +258,6 @@ def usd_advantage_bound(ensemble: Ensemble) -> AdvantageBound:
     lambda_min(C); the projective-simulable side is the exact structural
     optimum.  For fully orthogonal ensembles both optima are 1.
     """
-    if not ensemble.linearly_independent:
-        raise InvariantViolation("linear independence", ensemble.smallest_singular_value)
     d = ensemble.n_states
     lam = min_eigenvalue(ensemble.gram())
     p_sp = projective_simulable_optimum(ensemble)

@@ -130,6 +130,15 @@ class TestUsd:
         assert len(payload["rows"]) == 20
         assert payload["band_ok"]
 
+    def test_dependent_ensemble_is_an_invariant_failure(self, capsys, tmp_path):
+        path = tmp_path / "ensemble.json"
+        state = {"dim": 2, "vector": [[1, 0], [0, 0]]}
+        path.write_text(json.dumps({"states": [state, state]}))
+        code, out, err = run_cli(capsys, "usd", "--ensemble", str(path))
+        assert code == 1 and out == ""
+        assert err == ("invariant failure: invariant 'linear independence': "
+                       "violated by 0.000e+00\n")
+
     def test_mode_required(self, capsys):
         code, _, err = run_cli(capsys, "usd")
         assert code == 2
@@ -276,6 +285,21 @@ class TestCompare:
         payload = json.loads(out)
         assert payload["config"]["noise"]["noise.cnot"] == 0.1
         assert payload["rows"][0]["povm"] == "trine"
+
+    @pytest.mark.parametrize("flag, value", [("--povm", "random4"), ("--povm-file", "p.json"),
+                                             ("--noise", "noiseless"), ("--shots", "5"),
+                                             ("--seed", "99"), ("--seed", "0")])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_plan_with_another_setting_is_a_usage_error(self, capsys, tmp_path, flag, value,
+                                                        via_config):
+        # the plan sets the POVM, noise, shots and seed; a default value counts as given
+        plan = str(Path(__file__).parent / "golden" / "inputs" / "plan_postselection.json")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({flag[2:]: int(value) if value.isdigit() else value}))
+        extra = ["--config", str(config)] if via_config else [flag, value]
+        code, err = usage_exit(capsys, "compare", "--plan", plan, *extra)
+        assert code == 2
+        assert err == f"error: {flag} cannot be given with --plan, which sets it\n"
 
     def test_low_shot_tomography_reports_unphysical_outcome(self, capsys):
         # three shots reconstruct an outcome with alpha = 1.048 > 1

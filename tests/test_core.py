@@ -22,7 +22,7 @@ from povmsim.core import (
     isometry_defect,
     min_eigenvalue,
     operator_norm,
-    orthogonal_pairs,
+    orthogonality_graph,
     pauli_eigenstates,
     povm_from_document,
     povm_to_document,
@@ -114,7 +114,7 @@ class TestRankOneHelpers:
         with pytest.raises(ValueError, match="do not span"):
             rebalance(parts, parts.effects().sum(axis=0))
 
-    def test_orthogonal_pairs_in_row_major_order(self):
+    def test_orthogonality_graph_in_row_major_order(self):
         rng = np.random.default_rng(2)
         vectors = haar_random_vectors(6, 4, rng)
         vectors[3] = [1, 0, 0, 0]
@@ -124,7 +124,8 @@ class TestRankOneHelpers:
         want = [(i, j) for i in range(6) for j in range(i + 1, 6)
                 if overlaps[i, j] <= ORTHOGONALITY_ATOL]
         assert want == [(0, 1), (0, 3), (1, 3), (1, 5), (3, 5)]
-        assert orthogonal_pairs(vectors) == want
+        graph = orthogonality_graph(vectors.conj() @ vectors.T)
+        assert [tuple(p) for p in np.argwhere(np.triu(graph)).tolist()] == want
 
 
 class TestInvariantDefects:

@@ -727,6 +727,26 @@ class TestSampler:
         assert np.all(np.delete(counts, scheme.parents[0]) > 0)
 
 
+def commutator_scan(effects, d):
+    """Whether no two of ``effects`` commute, scanning their commutators row
+    by row against default_atol(d): an oracle that builds no Gram matrix."""
+    for i in range(len(effects) - 1):
+        rest = effects[i + 1:]
+        if np.any(np.abs(effects[i] @ rest - rest @ effects[i]).max(axis=(1, 2))
+                  <= default_atol(d)):
+            return False
+    return True
+
+
+def weyl_eigenvectors(d):
+    """The computational basis and the eigenvectors of every X^a Z^b != 1."""
+    clock = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    shift = np.roll(np.eye(d), 1, axis=0)
+    ops = [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+           for a in range(d) for b in range(d) if a or b]
+    return [*np.eye(d), *(v for w in ops for v in np.linalg.eig(w)[1].T)]
+
+
 class TestHwCovariant:
     def test_completeness_many_fiducials(self):
         rng = np.random.default_rng(31)
@@ -748,8 +768,20 @@ class TestHwCovariant:
         assert povm.n_outcomes == 9
         assert noncommuting
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_flag_matches_the_commutator_scan(self, d):
+        # Haar fiducials make every pair non-commuting; a Weyl eigenvector makes
+        # parallel and orthogonal pairs, which commute
+        rng = np.random.default_rng(60 + d)
+        haar = [haar_random_pure_state(d, rng) for _ in range(20)]
+        eigen = [QuantumState.pure(v / np.linalg.norm(v)) for v in weyl_eigenvectors(d)]
+        for fiducials, want in ((haar, True), (eigen, False)):
+            for fiducial in fiducials:
+                povm, noncommuting = hw_covariant_povm(d, fiducial)
+                assert noncommuting == commutator_scan(povm.stack, d) == want
+
     def test_d16_smoke(self):
-        # every pair is checked for a generic fiducial; a basis fiducial stops early
+        # one 256 x 256 Gram matrix decides the flag for either fiducial
         povm, noncommuting = hw_covariant_povm(16, haar_random_pure_state(16, 5))
         assert povm.n_outcomes == 256 and noncommuting
         assert not hw_covariant_povm(16, QuantumState.basis_state(16, 0))[1]

@@ -17,6 +17,7 @@ from povmsim.core import (
     haar_random_unitary,
     haar_random_vectors,
     min_eigenvalue,
+    orthogonality_graph,
     random_povm,
 )
 from povmsim.simulation import PostProcessingMap, apply_postprocessing, build_mq
@@ -69,6 +70,21 @@ def exhaustive_projective_optimum(ensemble):
                    for i, j in itertools.combinations(subset, 2)):
                 best = max(best, (float(scores[list(subset)].sum()), subset))
     return (*best, duals)
+
+
+def planted_ensemble(n, extra, density, seed):
+    """n states in dimension n + extra whose C^{-1} has zeros planted with the
+    given density: a diagonally dominant B, normalised to unit states, with
+    Dirichlet priors."""
+    rng = np.random.default_rng(seed)
+    b = np.triu(rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < density), k=1)
+    b = b + b.T
+    b += np.diag(1 + np.abs(b).sum(axis=1))
+    c = np.linalg.inv(b)
+    c /= np.sqrt(np.outer(np.diag(c), np.diag(c)))
+    states = np.hstack([np.linalg.cholesky(c), np.zeros((n, extra))])
+    states = states @ haar_random_unitary(n + extra, rng).T
+    return Ensemble(states, probs=rng.dirichlet(np.ones(n)))
 
 
 def clique_measurement(ensemble, subset, duals):
@@ -226,16 +242,7 @@ class TestProjectiveSimulableOptimum:
     @given(st.integers(2, 7), st.integers(0, 2), st.floats(0.0, 1.0), st.integers(0, 2**31))
     def test_planted_orthogonal_duals_match_the_exhaustive_search(self, n, extra, density,
                                                                    seed):
-        # C^{-1} with chosen zeros: a diagonally dominant B, normalised to unit states
-        rng = np.random.default_rng(seed)
-        b = np.triu(rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < density), k=1)
-        b = b + b.T
-        b += np.diag(1 + np.abs(b).sum(axis=1))
-        c = np.linalg.inv(b)
-        c /= np.sqrt(np.outer(np.diag(c), np.diag(c)))
-        states = np.hstack([np.linalg.cholesky(c), np.zeros((n, extra))])
-        states = states @ haar_random_unitary(n + extra, rng).T
-        ensemble = Ensemble(states, probs=rng.dirichlet(np.ones(n)))
+        ensemble = planted_ensemble(n, extra, density, seed)
         best, subset, duals = exhaustive_projective_optimum(ensemble)
         p_sp = projective_simulable_optimum(ensemble)
         assert p_sp == pytest.approx(best, abs=1e-12)
@@ -263,6 +270,25 @@ class TestProjectiveSimulableOptimum:
             a = projective_simulable_optimum(ensemble)
             b = projective_simulable_optimum_by_search(ensemble)
             assert a == pytest.approx(b, abs=1e-10)
+
+
+class TestOrthogonalityGraph:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(2, 7), st.integers(0, 2), st.floats(0.0, 1.0), st.integers(0, 2**31))
+    def test_matches_overlaps_and_null_space_duals(self, n, extra, density, seed):
+        # unit vectors with coordinates zeroed at random: disjoint supports are orthogonal
+        rng = np.random.default_rng(seed)
+        vectors = haar_random_vectors(n, n + extra, rng) * (rng.random((n, n + extra)) < 0.5)
+        vectors[:, 0] += np.all(vectors == 0, axis=1)
+        vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+        ensemble = planted_ensemble(n, extra, density, seed)
+        duals = exhaustive_projective_optimum(ensemble)[2]
+        for gram, unit_rows in ((vectors.conj() @ vectors.T, vectors),
+                                (np.linalg.inv(ensemble.gram()), duals)):
+            graph = orthogonality_graph(gram)
+            assert np.array_equal(graph, graph.T)
+            assert np.array_equal(graph, np.abs(unit_rows.conj() @ unit_rows.T)
+                                  <= ORTHOGONALITY_ATOL)
 
 
 class TestSymmetricEnsembles:
@@ -332,6 +358,11 @@ class TestAdvantageBound:
         assert bound.p_sp == pytest.approx(p_sp, abs=1e-15) and bound.bound_ok
         assert bound.p_sp == pytest.approx(exhaustive_projective_optimum(ensemble)[0],
                                            abs=1e-12)
+
+    def test_dependent_ensemble_is_an_invariant_violation(self):
+        with pytest.raises(InvariantViolation) as err:
+            usd_advantage_bound(Ensemble([[1, 0], [1, 0]]))
+        assert str(err.value) == "invariant 'linear independence': violated by 0.000e+00"
 
     def test_haar_random_case(self):
         bound = usd_advantage_bound(haar_ensemble(10, 25, 3))

@@ -401,20 +401,25 @@ def _keep_pieces(povm: Povm, weights, vectors) -> Povm:
     return povm
 
 
-def probability_rows(p, atol: float) -> np.ndarray:
-    """Distributions along the last axis of ``p``: an entry below -atol, or a
-    row sum off 1 by more than atol (NaN included), is an error; otherwise
-    entries are clipped at 0 and each row is divided by its sum."""
+def require_distribution(p, atol: float, name: str = "probability") -> np.ndarray:
+    """``p`` clipped at 0, not renormalised, once each row along its last axis is a
+    distribution: an entry below -atol is ``<name> positivity``, a clipped sum off 1
+    by more than atol (NaN and inf included) is ``<name> normalization``."""
     p = np.asarray(p, dtype=float)
     low = -float(p.min())
     if not low <= atol:
-        raise InvariantViolation("probability positivity", low)
+        raise InvariantViolation(f"{name} positivity", low)
     p = np.maximum(p, 0.0)  # equals np.clip(p, 0, None) at a third of its cost on small rows
-    total = p.sum(axis=-1, keepdims=True)
-    defect = float(abs(total - 1.0).max())
+    defect = float(abs(p.sum(axis=-1) - 1.0).max())
     if not defect <= atol:
-        raise InvariantViolation("probability normalization", defect)
-    return p / total
+        raise InvariantViolation(f"{name} normalization", defect)
+    return p
+
+
+def probability_rows(p, atol: float) -> np.ndarray:
+    """:func:`require_distribution`'s rows, each divided by its sum."""
+    p = require_distribution(p, atol)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def born_probabilities(state: QuantumState | np.ndarray, povm: Povm) -> np.ndarray:

@@ -22,6 +22,7 @@ from .core import (
     _keep_pieces,
     _outer_products,
     _rng,
+    array_from_lists,
     complex_from_lists,
     complex_to_lists,
     default_atol,
@@ -31,6 +32,7 @@ from .core import (
     rank_one_parts,
     rebalance,
     require_count,
+    require_distribution,
     require_unit_rows,
 )
 
@@ -111,14 +113,12 @@ def convex_combination(terms) -> Povm:
     terms = list(terms)
     if not terms:
         raise ValueError("need at least one term")
-    weights = np.array([float(w) for w, _ in terms])
-    if np.min(weights) < 0:
-        raise ValueError("weights must be non-negative")
+    for i, (w, _) in enumerate(terms):
+        if isinstance(w, (bool, np.bool_, str)):  # float() would take True and "0.5"
+            raise ValueError(f"term {i} has weight {w!r}, not a number")
+    weights = require_distribution([float(w) for w, _ in terms], default_atol(len(terms)), "weight")
     if len({p.stack.shape for _, p in terms}) > 1:
         raise ValueError("all POVMs must share outcome count and dimension")
-    defect = abs(weights.sum() - 1.0)
-    if not defect <= default_atol(terms[0][1].n_outcomes):  # NaN fails
-        raise InvariantViolation("weight normalization", defect)
     return Povm(np.einsum("t,tkij->kij", weights, np.stack([p.stack for _, p in terms])))
 
 
@@ -162,17 +162,6 @@ def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
     return Povm.from_rank_one(parts), PostProcessingMap(parts.parents, povm.n_outcomes)
 
 
-def _check_mixture(weights: np.ndarray, directions: np.ndarray) -> None:
-    """Weights form a distribution and directions are unit vectors: the mixture is a POVM."""
-    defect = abs(weights.sum() - 1.0)
-    if not defect <= default_atol(len(weights)):
-        raise InvariantViolation("weight normalization", defect)
-    if np.min(weights) < 0:
-        raise InvariantViolation("weight positivity", -float(np.min(weights)),
-                                 "weights must be non-negative")
-    require_unit_rows(directions, "direction")
-
-
 def _binary_mixture(weights: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The measurements (P_k, 1 - P_k), P_k = |v_k><v_k|, mixed with weights
     w_k: the (m, d, d) stack of "+" effects w_k P_k and the one "-" effect
@@ -198,15 +187,18 @@ class PostselectionScheme:
     def __init__(self, target: Povm, states, weights, parents):
         self.target = target
         self.states = _freeze(np.asarray(states, dtype=complex))
-        self.weights = _freeze(np.asarray(weights, dtype=float))
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1:
+            raise ValueError(f"weights must be a 1-d vector, got shape {weights.shape}")
         self.merge = PostProcessingMap(parents, target.n_outcomes)
         self.parents = self.merge.parents
-        if not (len(self.states) == len(self.weights) == len(self.parents)):
+        if not (len(self.states) == len(weights) == len(self.parents)):
             raise ValueError("states, weights and parents must have equal length")
         if self.states.ndim != 2 or self.states.shape[1] != target.dim:
             raise ValueError(f"states must be an (m, {target.dim}) array for the target's "
                              f"dimension, got shape {self.states.shape}")
-        _check_mixture(self.weights, self.states)
+        self.weights = _freeze(require_distribution(weights, default_atol(len(weights)), "weight"))
+        require_unit_rows(self.states, "direction")
         q = self.success_probability = 1.0 / target.dim
         effects, fail = _binary_mixture(self.weights, self.states)
         effects = self.merge.relabel(effects, out=target.stack * -q)  # rebound: frees the "+" stack
@@ -242,7 +234,8 @@ class PostselectionScheme:
     def from_document(cls, doc: dict) -> "PostselectionScheme":
         target = povm_from_document(doc["target"])
         states = complex_from_lists(doc["states"], "states", (None, None))
-        return cls(target, states, doc["weights"], doc["parents"])
+        return cls(target, states, array_from_lists(doc["weights"], "weights", (None,)),
+                   doc["parents"])
 
     def __repr__(self) -> str:
         return (f"PostselectionScheme(outcomes={self.target.n_outcomes}, "

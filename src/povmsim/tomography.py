@@ -25,6 +25,7 @@ from .core import (
     default_atol,
     hermitian_part,
     pauli_eigenstates,
+    require_distribution,
 )
 
 MAX_SUBSET_OUTCOMES = 20
@@ -51,14 +52,9 @@ class TomographyRecord:
 
     def __init__(self, frequencies):
         f = np.asarray(frequencies, dtype=float)
-        if f.ndim != 2 or f.shape[0] != 4:
+        if f.ndim != 2 or f.shape[0] != 4 or f.shape[1] < 1:
             raise ValueError("frequencies must be a (4 probes, n_outcomes) table")
-        if np.min(f) < -1e-12:
-            raise ValueError("frequencies must be non-negative")
-        row_defect = float(np.max(np.abs(f.sum(axis=1) - 1.0)))
-        if not row_defect <= 1e-9:  # also catches NaN
-            raise ValueError(f"each probe's frequencies must sum to 1 (defect {row_defect:.3e})")
-        self.frequencies = _freeze(np.clip(f, 0.0, None))
+        self.frequencies = _freeze(require_distribution(f, 1e-9, "frequency"))
 
     @property
     def n_outcomes(self) -> int:

@@ -24,6 +24,7 @@ from .core import (
     min_eigenvalue,
     orthogonality_graph,
     require_count,
+    require_distribution,
     require_unit_rows,
     vector_from_document,
 )
@@ -47,16 +48,12 @@ class Ensemble:
         if probs is None:
             probs = np.full(n, 1.0 / n)
             probs = probs / probs.sum()
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != (n,) or not np.min(probs) >= 0:  # NaN fails
-            raise ValueError("probs must be a non-negative vector matching the states")
-        defect = abs(probs.sum() - 1.0)
-        if not defect <= default_atol(n):
-            raise InvariantViolation("probability normalization", defect)
+        if np.shape(probs) != (n,):
+            raise ValueError("probs must be a vector matching the states")
         self.states = _freeze(mat)
         # not divided by their sum: that is not idempotent in floating point,
         # so a saved ensemble would load back with other probs
-        self.probs = _freeze(probs)
+        self.probs = _freeze(require_distribution(probs, default_atol(n)))
         sv = np.linalg.svd(mat, compute_uv=False)
         self.smallest_singular_value = float(sv[-1])
         self.linearly_independent = bool(sv[-1] > LINEAR_INDEPENDENCE_RTOL * sv[0])
@@ -277,10 +274,7 @@ def symmetric_ensemble(d: int, coefficients) -> SymmetricEnsemble:
     c = np.asarray(coefficients, dtype=complex).reshape(-1)
     if c.size != d:
         raise ValueError(f"need {d} coefficients, got {c.size}")
-    total = float(np.sum(np.abs(c) ** 2))
-    if not abs(total - d) <= 1e-9 * d:  # NaN fails
-        raise InvariantViolation("coefficient normalization", abs(total - d),
-                                 f"sum |c_k|^2 must equal d={d}, got {total:.12f}")
+    require_distribution(np.abs(c) ** 2 / d, 1e-9, "coefficient")
     if np.min(np.abs(c)) == 0:
         raise ValueError("all coefficients must be non-zero for linear independence")
     omega = np.exp(2j * np.pi / d)

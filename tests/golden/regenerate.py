@@ -3,9 +3,13 @@
 Each case runs ``povmsim.cli.main`` in this process, with the repository
 root as working directory, and records its exit code, stdout and stderr
 in ``expected/<case>.json``.  ``test_golden.py`` compares them byte for
-byte.  Regenerate only when a change to the printed output is intended:
+byte.  Regenerate only when a change to the printed output is intended,
+and only the cases it moves:
 
-    python3 tests/golden/regenerate.py
+    python3 tests/golden/regenerate.py CASE [CASE ...]
+
+With no argument every case is written.  An unknown case name writes
+nothing, lists the known ones and exits with status 2.
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ def _cases() -> dict[str, list[str]]:
                                      "--state", "zero", "--seed", "1"]
     cases["compare_plan_unknown_scheme"] = ["compare", "--plan",
                                             str(INPUTS / "plan_unknown_scheme.json")]
+    cases["usd_ensemble_negative_prior"] = ["usd", "--ensemble",
+                                            str(INPUTS / "ensemble_negative_prior.json")]
     return cases
 
 
@@ -97,16 +103,24 @@ def run(argv: list[str]) -> dict:
     return {"argv": argv, "exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def main() -> None:
+def main(names: list[str]) -> int:
+    """Write the named cases (every case if none is named); exit status."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}\nknown cases: {', '.join(CASES)}",
+              file=sys.stderr)
+        return 2
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     EXPECTED.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    names = names or list(CASES)
+    for name in names:
         with open(EXPECTED / f"{name}.json", "w", encoding="utf-8") as f:
-            json.dump(run(argv), f, indent=1)
+            json.dump(run(CASES[name]), f, indent=1)
             f.write("\n")
-    print(f"wrote {len(CASES)} cases to {EXPECTED}")
+    print(f"wrote {len(names)} cases to {EXPECTED}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

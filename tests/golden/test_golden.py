@@ -27,3 +27,12 @@ def test_cli_output_is_unchanged(name, monkeypatch):
     assert got["exit_code"] == expected["exit_code"]
     assert got["stderr"].encode() == expected["stderr"].encode()
     assert got["stdout"].encode() == expected["stdout"].encode()
+
+
+def test_regenerate_rejects_an_unknown_case_and_writes_nothing(capsys):
+    before = {p.name: p.stat().st_mtime_ns for p in golden.EXPECTED.iterdir()}
+    assert golden.main(["usd_symmetric", "no_such_case"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown case(s): no_such_case\n" in err
+    assert all(name in err for name in golden.CASES)
+    assert {p.name: p.stat().st_mtime_ns for p in golden.EXPECTED.iterdir()} == before

@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from povmsim import core
@@ -31,6 +32,7 @@ from povmsim.core import (
     random_rank_one_povm,
     rank_one_parts,
     rebalance,
+    require_distribution,
     require_hermitian,
     state_from_document,
     state_to_document,
@@ -95,6 +97,65 @@ class TestProbabilityRows:
     def test_violation_raises(self, row, invariant):
         with pytest.raises(InvariantViolation, match=invariant):
             probability_rows([[0.5, 0.5], row], 1e-9)
+
+
+@st.composite
+def _planted_distributions(draw):
+    """A vector or (rows, n) table of distributions, the first row's sum moved
+    by k atol, with up to two entries replaced by NaN, +-inf or a negative
+    entry of -0.5 or -2 atol (its mass moved on, so the clipped sum keeps)."""
+    atol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    shape = draw(st.sampled_from([(), (1,), (3,)])) + (draw(st.integers(1, 6)),)
+    p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))).reshape(-1, shape[-1])
+    p /= np.array([[math.fsum(row)] for row in p])
+    p[0, 0] += draw(st.sampled_from([0, 0, 0, 0, -4, -2, -0.5, 0.5, 2, 4])) * atol
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        r, i = draw(st.integers(0, len(p) - 1)), draw(st.integers(0, shape[-1] - 1))
+        planted = draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.5, -0.5, -0.5, -2.0]))
+        if abs(planted) < 3:
+            p[r, (i + 1) % shape[-1]] += p[r, i] if shape[-1] > 1 else 0.0
+            planted *= atol
+        p[r, i] = planted
+    return p.reshape(shape), atol
+
+
+def _distribution_oracle(rows, atol, name):
+    """The invariant a plain-Python check names first, or the clipped rows."""
+    if any(not x >= -atol for row in rows for x in row):
+        return f"{name} positivity"
+    clipped = [[x if x > 0 else 0.0 for x in row] for row in rows]
+    if any(not abs(math.fsum(row) - 1.0) <= atol for row in clipped):
+        return f"{name} normalization"
+    return clipped
+
+
+class TestRequireDistribution:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_planted_distributions(), st.sampled_from(["probability", "weight", "frequency"]))
+    @example((np.array([[0.5, -5e-10, 0.5], [0.25, 0.25, 0.5]]), 1e-9), "weight")
+    @example((np.array([0.5, -2e-9, 0.5]), 1e-9), "frequency")
+    def test_matches_a_plain_python_oracle(self, planted, name):
+        p, atol = planted
+        want = _distribution_oracle(p.reshape(-1, p.shape[-1]).tolist(), atol, name)
+        try:
+            got = require_distribution(p, atol, name)
+        except InvariantViolation as err:
+            assert err.invariant == want
+            return
+        assert not isinstance(want, str), want
+        assert got.shape == p.shape
+        assert got.tobytes() == np.array(want).reshape(p.shape).tobytes()
+        # probability_rows is the check and then the division, bit for bit
+        clipped = np.maximum(p, 0.0)
+        assert probability_rows(p, atol).tobytes() == (
+            clipped / clipped.sum(axis=-1, keepdims=True)).tobytes()
+
+    def test_no_renormalisation_and_input_kept(self):
+        p = np.array([-1e-10, 0.5, 0.5 + 5e-10])
+        got = require_distribution(p, 1e-9, "weight")
+        assert got.tolist() == [0.0, 0.5, 0.5 + 5e-10]
+        assert p[0] == -1e-10
 
 
 class TestRankOneHelpers:

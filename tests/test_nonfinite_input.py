@@ -5,12 +5,13 @@ returns or fails later inside numpy."""
 import numpy as np
 import pytest
 
-from povmsim.core import InvariantViolation, Povm, QuantumState, operator_norm, random_povm
+from povmsim.core import (InvariantViolation, Povm, QuantumState, born_probabilities,
+                          operator_norm, random_povm)
 from povmsim.noisy_device import (Circuit, compile_postselection_circuit,
                                   proportional_shot_allocation, two_qubit_gate_sequence)
-from povmsim.simulation import PostProcessingMap, convex_combination
+from povmsim.simulation import PostProcessingMap, PostselectionScheme, convex_combination
 from povmsim.tomography import TomographyRecord, operational_distance
-from povmsim.usd import Ensemble
+from povmsim.usd import Ensemble, symmetric_ensemble
 
 #: boundary -> (the error it must raise, a call feeding it one bad value x)
 BOUNDARIES = {
@@ -18,9 +19,10 @@ BOUNDARIES = {
     "QuantumState.density": (InvariantViolation,
                              lambda x: QuantumState.density([[x, 0], [0, 0.5]])),
     "PostProcessingMap": (ValueError, lambda x: PostProcessingMap([x, 0])),
-    "TomographyRecord": (ValueError,
+    "TomographyRecord": (InvariantViolation,
                          lambda x: TomographyRecord([[x, 0.5]] + [[0.5, 0.5]] * 3)),
-    "Ensemble.probs": (ValueError, lambda x: Ensemble([[1, 0], [0.6, 0.8]], probs=[x, 0.5])),
+    "Ensemble.probs": (InvariantViolation,
+                       lambda x: Ensemble([[1, 0], [0.6, 0.8]], probs=[x, 0.5])),
     "Circuit.su2": (InvariantViolation, lambda x: Circuit(1).su2(0, [[x, 0], [0, 1]])),
     "two_qubit_gate_sequence": (InvariantViolation,
                                 lambda x: two_qubit_gate_sequence(np.diag([1, x, 1, 1]))),
@@ -43,3 +45,30 @@ def test_non_finite_input_is_rejected(boundary, value):
     error, call = BOUNDARIES[boundary]
     with pytest.raises(error):
         call(value)
+
+
+BASIS = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+#: site of the one distribution check -> (its invariant name, its tolerance,
+#: a call feeding it the two-outcome distribution p)
+DISTRIBUTIONS = {
+    "Born rows": ("probability", BASIS.atol, lambda p: born_probabilities(np.diag(p), BASIS)),
+    "scheme weights": ("weight", 2e-9, lambda p: PostselectionScheme(BASIS, np.eye(2), p, [0, 1])),
+    "mixture weights": ("weight", 2e-9,
+                        lambda p: convex_combination([(p[0], BASIS), (p[1], BASIS)])),
+    "ensemble priors": ("probability", 2e-9,
+                        lambda p: Ensemble([[1, 0], [0.6, 0.8]], probs=p)),
+    "record frequencies": ("frequency", 1e-9, lambda p: TomographyRecord([p] * 4)),
+    "symmetric coefficients": ("coefficient", 1e-9,
+                               lambda p: symmetric_ensemble(2, np.sqrt(2 * np.asarray(p)))),
+}
+
+
+@pytest.mark.parametrize("site", list(DISTRIBUTIONS))
+def test_each_distribution_site_names_its_invariant(site):
+    name, atol, call = DISTRIBUTIONS[site]
+    call([0.5, 0.5])  # a distribution passes
+    with pytest.raises(InvariantViolation, match=f"'{name} positivity'"):
+        call([np.nan, 0.5])
+    with pytest.raises(InvariantViolation, match=f"'{name} normalization'"):
+        call([0.5, 0.5 + 2 * atol])

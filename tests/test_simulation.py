@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from povmsim.core import (
+    DocumentError,
     InvariantViolation,
     Povm,
     QuantumState,
@@ -17,6 +18,8 @@ from povmsim.core import (
     haar_random_pure_state,
     pauli_eigenstates,
     random_povm,
+    require_distribution,
+    require_unit_rows,
 )
 from povmsim.naimark import dilated_statistics, naimark_dilation
 from povmsim.noisy_device import (Circuit, NoiseModel, naimark_tomography,
@@ -24,7 +27,6 @@ from povmsim.noisy_device import (Circuit, NoiseModel, naimark_tomography,
 from povmsim.simulation import (
     PostProcessingMap,
     PostselectionScheme,
-    _check_mixture,
     apply_postprocessing,
     build_mq,
     convex_combination,
@@ -318,6 +320,13 @@ class TestConvexCombination:
         with pytest.raises(InvariantViolation, match="weight"):
             convex_combination([(0.6, trine), (0.6, trine)])
 
+    @pytest.mark.parametrize("weights, bad", [(["0.5", "0.5"], 0), ([0.0, True], 1),
+                                              ([np.True_], 0)])
+    def test_bool_and_str_weights_rejected(self, trine, weights, bad):
+        # float() parses "0.5" and True, so these would pass as numbers
+        with pytest.raises(ValueError, match=f"term {bad} has weight"):
+            convex_combination([(w, trine) for w in weights])
+
 
 class TestBuildMq:
     def test_tetrahedral_half(self, tetrahedral):
@@ -409,6 +418,21 @@ class TestPostselectionScheme:
                 PostselectionScheme.from_document({**doc, "parents": parents})
             else:
                 PostselectionScheme(computational_basis(), [zero, one], [0.5, 0.5], parents)
+
+    @pytest.mark.parametrize("kind", ["strings", "scalar", "null", "column", "empty"])
+    def test_malformed_document_weights_named(self, trine, kind):
+        doc = postselection_scheme(trine).to_document()
+        weights = {"strings": [str(w) for w in doc["weights"]], "scalar": 1.0, "null": None,
+                   "column": [[w] for w in doc["weights"]], "empty": []}[kind]
+        with pytest.raises(DocumentError, match="'weights'"):
+            PostselectionScheme.from_document({**doc, "weights": weights})
+
+    @pytest.mark.parametrize("shape", [(3, 1), ()])
+    def test_weights_must_be_a_vector(self, trine, shape):
+        scheme = postselection_scheme(trine)
+        weights = np.full(shape, 1 / 3)
+        with pytest.raises(ValueError, match="weights must be a 1-d vector"):
+            PostselectionScheme(trine, scheme.states, weights, scheme.parents)
 
     def test_state_dimension_checked(self, trine):
         with pytest.raises(ValueError, match=r"states must be an \(m, 2\) array"):
@@ -576,7 +600,8 @@ def _stacked_outcome(target, states, weights, parents):
     slots, against M_{1/d} concatenated into one stack.  The invariant it
     raised ("ok" if none) and the realized stack."""
     try:
-        _check_mixture(weights, states)
+        weights = require_distribution(weights, default_atol(len(weights)), "weight")
+        require_unit_rows(states, "direction")
     except InvariantViolation as err:
         return err.invariant, None
     q = 1.0 / target.dim

@@ -467,17 +467,21 @@ class TestBiasMitigation:
 
 class TestRecords:
     def test_row_sums_enforced(self):
-        with pytest.raises(ValueError, match="sum to 1"):
+        with pytest.raises(InvariantViolation, match="frequency normalization"):
             TomographyRecord(np.full((4, 3), 0.2))
 
     def test_nan_rejected(self):
         table = [[np.nan, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]
-        with pytest.raises(ValueError, match="sum to 1"):
+        with pytest.raises(InvariantViolation, match="frequency positivity"):
             TomographyRecord(table)
 
     def test_four_probes_required(self):
         with pytest.raises(ValueError, match="4 probes"):
             TomographyRecord(np.full((3, 2), 0.5))
+
+    def test_an_outcome_required(self):
+        with pytest.raises(ValueError, match="4 probes"):
+            TomographyRecord(np.zeros((4, 0)))
 
     def test_from_born_rows_are_the_probe_born_rows(self, all_fixture_povms):
         povms = [*all_fixture_povms.values(), random_povm(2, 5, 8, rank=2)]

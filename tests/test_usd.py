@@ -323,7 +323,7 @@ class TestSymmetricEnsembles:
         # named as the coefficient invariant, not later as a non-finite state
         with pytest.raises(InvariantViolation) as err:
             symmetric_ensemble(2, [np.nan, 1.0])
-        assert err.value.invariant == "coefficient normalization"
+        assert err.value.invariant == "coefficient positivity"
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
@@ -475,5 +475,6 @@ class TestEnsembleProbs:
     @pytest.mark.parametrize("probs", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
     def test_nan_probs_rejected(self, probs):
         # NaN compares false both ways, so a `< 0` check lets it through to p_sp = nan
-        with pytest.raises(ValueError, match="probs"):
+        with pytest.raises(InvariantViolation) as err:
             Ensemble(self.STATES, probs=probs)
+        assert err.value.invariant == "probability positivity"

@@ -405,21 +405,27 @@ def require_distribution(p, atol: float, name: str = "probability") -> np.ndarra
     """``p`` clipped at 0, not renormalised, once each row along its last axis is a
     distribution: an entry below -atol is ``<name> positivity``, a clipped sum off 1
     by more than atol (NaN and inf included) is ``<name> normalization``."""
+    return _clipped_rows_and_sums(p, atol, name)[0]
+
+
+def _clipped_rows_and_sums(p, atol: float, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`require_distribution`'s check, returning the clipped rows and their sums."""
     p = np.asarray(p, dtype=float)
     low = -float(p.min())
     if not low <= atol:
         raise InvariantViolation(f"{name} positivity", low)
     p = np.maximum(p, 0.0)  # equals np.clip(p, 0, None) at a third of its cost on small rows
-    defect = float(abs(p.sum(axis=-1) - 1.0).max())
+    sums = p.sum(axis=-1)
+    defect = float(abs(sums - 1.0).max())
     if not defect <= atol:
         raise InvariantViolation(f"{name} normalization", defect)
-    return p
+    return p, sums
 
 
 def probability_rows(p, atol: float) -> np.ndarray:
-    """:func:`require_distribution`'s rows, each divided by its sum."""
-    p = require_distribution(p, atol)
-    return p / p.sum(axis=-1, keepdims=True)
+    """:func:`require_distribution`'s rows, each divided by the sum it checked."""
+    p, sums = _clipped_rows_and_sums(p, atol, "probability")
+    return p / sums[..., None]
 
 
 def born_probabilities(state: QuantumState | np.ndarray, povm: Povm) -> np.ndarray:

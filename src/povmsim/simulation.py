@@ -83,15 +83,13 @@ class PostProcessingMap:
         kept = [k for k in range(n_in) if k not in merged[1:]]
         return cls([kept.index(merged[0] if k in merged else k) for k in range(n_in)], len(kept))
 
-    def relabel(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def relabel(self, values: np.ndarray) -> np.ndarray:
         """Per-outcome values (effects, counts or frequency columns), outcome
-        k's added into outcome ``parents[k]`` in outcome order.  They are
-        added onto ``out``, an (n_out, ...) starting buffer that is returned;
-        by default a zero array of ``values``'s dtype."""
+        k's added into outcome ``parents[k]`` in outcome order, as a new
+        (n_out, ...) array of ``values``'s dtype."""
         if len(values) != self.n_in:
             raise ValueError(f"map expects {self.n_in} outcome values, got {len(values)}")
-        if out is None:
-            out = np.zeros((self.n_out, *values.shape[1:]), dtype=values.dtype)
+        out = np.zeros((self.n_out, *values.shape[1:]), dtype=values.dtype)
         if values.ndim > 2:  # np.add.at is slower than the loop on (m, d, d) stacks
             for parent, value in zip(self.parents, values):
                 out[parent] += value
@@ -162,31 +160,27 @@ def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
     return Povm.from_rank_one(parts), PostProcessingMap(parts.parents, povm.n_outcomes)
 
 
-def _binary_mixture(weights: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The measurements (P_k, 1 - P_k), P_k = |v_k><v_k|, mixed with weights
-    w_k: the (m, d, d) stack of "+" effects w_k P_k and the one "-" effect
-    sum_k w_k (1 - P_k), taken as (sum_k w_k) 1 - sum_k w_k P_k."""
-    plus = _outer_products(directions)
-    plus *= weights[:, None, None]
-    return plus, weights.sum() * np.eye(directions.shape[1]) - plus.sum(axis=0)
-
-
 class PostselectionScheme:
     """The protocol realizing a POVM with binary projective measurements
     and postselection at success probability 1/d.
 
-    ``states[k]`` is the projector direction of component k, drawn with
+    ``states[k]`` is the projector direction v_k of component k, drawn with
     probability ``weights[k]``; outcome "+" is relabelled to ``parents[k]``
     (``merge.parents``) by ``merge`` and "-" to the failure outcome (index
     n).  Checked inputs make the effects valid by construction; they are
-    compared with M_{1/d} block by block: the "+" pieces are added onto
-    -q M_i in one buffer, and the deviation is the largest |entry| of it and
-    of the fail slot minus (1 - q) 1.
+    compared with M_{1/d} block by block, with no per-component stack: one
+    batched product over zero-padded (n, r, d) blocks of rows, r the most
+    components one parent has, gives every parent's d sum_k w_k |v_k><v_k|
+    minus M_i, and one d x d product gives the fail block minus (1 - 1/d) 1.
+    The deviation is the largest |entry| of the first over d and of the second.
     """
 
     def __init__(self, target: Povm, states, weights, parents):
         self.target = target
         self.states = _freeze(np.asarray(states, dtype=complex))
+        if self.states.ndim != 2 or self.states.shape[1] != target.dim:
+            raise ValueError(f"states must be an (m, {target.dim}) array for the target's "
+                             f"dimension, got shape {self.states.shape}")
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1:
             raise ValueError(f"weights must be a 1-d vector, got shape {weights.shape}")
@@ -194,16 +188,25 @@ class PostselectionScheme:
         self.parents = self.merge.parents
         if not (len(self.states) == len(weights) == len(self.parents)):
             raise ValueError("states, weights and parents must have equal length")
-        if self.states.ndim != 2 or self.states.shape[1] != target.dim:
-            raise ValueError(f"states must be an (m, {target.dim}) array for the target's "
-                             f"dimension, got shape {self.states.shape}")
         self.weights = _freeze(require_distribution(weights, default_atol(len(weights)), "weight"))
         require_unit_rows(self.states, "direction")
-        q = self.success_probability = 1.0 / target.dim
-        effects, fail = _binary_mixture(self.weights, self.states)
-        effects = self.merge.relabel(effects, out=target.stack * -q)  # rebound: frees the "+" stack
-        fail -= (1 - q) * np.eye(target.dim)
-        dev = max(float(np.max(np.abs(effects))), float(np.max(np.abs(fail))))
+        d = target.dim
+        q = self.success_probability = 1.0 / d
+        # component k goes to row slot j of its parent's block, j the number of
+        # components before it with the same parent
+        order = np.argsort(self.parents, kind="stable")
+        grouped = self.parents[order]
+        slots = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+        rows = np.zeros((target.n_outcomes, slots.max() + 1, d), dtype=complex)
+        scaled = np.zeros(rows.shape[:2])
+        rows[grouped, slots] = self.states[order]
+        scaled[grouped, slots] = d * self.weights[order]
+        blocks = (rows.transpose(0, 2, 1) * scaled[:, None, :]) @ rows.conj()
+        blocks -= target.stack
+        # the fail block sum_k w_k (1 - P_k) minus (1 - q) 1
+        fail = (self.states.T * -self.weights) @ self.states.conj()
+        fail.flat[::d + 1] += self.weights.sum() - 1 + q
+        dev = max(float(abs(blocks).max()) / d, float(abs(fail).max()))
         if not dev <= target.atol:
             raise InvariantViolation("postselection construction", dev)
 
@@ -216,9 +219,12 @@ class PostselectionScheme:
         return self.target.n_outcomes
 
     def mixture(self) -> Povm:
-        """The mixture before relabelling: component k's "+" in slot k and
-        every "-" in slot m; ``PostProcessingMap([*parents, fail_index])`` merges it."""
-        plus, minus = _binary_mixture(self.weights, self.states)
+        """The mixture before relabelling: component k's "+" effect w_k P_k,
+        P_k = |v_k><v_k|, in slot k and the one "-" effect sum_k w_k (1 - P_k),
+        taken as (sum_k w_k) 1 - sum_k w_k P_k, in slot m;
+        ``PostProcessingMap([*parents, fail_index])`` merges it."""
+        plus = _outer_products(self.states) * self.weights[:, None, None]
+        minus = self.weights.sum() * np.eye(self.target.dim) - plus.sum(axis=0)
         return Povm(np.concatenate([plus, minus[None]]))
 
     def to_document(self) -> dict:

@@ -148,7 +148,8 @@ class TestEigensolveCount:
         postselection_scheme(povm)
         assert counts["calls"] <= 3
 
-    @pytest.mark.parametrize("d, n, rank, bound", [(32, 64, 1, 1.7 * 2**20), (16, 32, 2, 300 * 2**10)])
+    @pytest.mark.parametrize("d, n, rank, bound",
+                             [(32, 64, 1, 1.7 * 2**20), (16, 32, 2, 300 * 2**10)])
     def test_scheme_build_traced_peak(self, d, n, rank, bound):
         # a (64, 32, 32) complex stack is 1 MiB: the check's one (n, d, d)
         # residual and its |entry| array fit, a second stack of that size does not
@@ -543,7 +544,7 @@ class TestPostselectionScheme:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2),
            st.integers(0, 2**31), st.lists(st.integers(1, 4), max_size=4),
-           st.sampled_from(["none", "weight", "state", "misroute"]),
+           st.sampled_from(["none", "weight", "total", "state", "misroute"]),
            st.sampled_from([0.5, 0.9, 1.1, 2.0]))
     @example(1, 0, 1, 1, 0, [2], "weight", 0.9)
     @example(2, 1, 2, 2, 1, [3, 1, 2], "misroute", 1.0)
@@ -552,10 +553,11 @@ class TestPostselectionScheme:
         # the target's inserted zero effects are parents no component names;
         # splitting component k into splits[k] equal parts makes the groups
         # uneven, and a permutation leaves them unsorted.  "weight" moves
-        # mass between two components and "state" turns one, each by factor
-        # times the tolerance at first order; "misroute" hands one parent's
-        # components to the next parent, which leaves a nonzero effect with
-        # no component
+        # mass between two components, "total" adds mass to one, which moves
+        # the weights' sum and the fail block, and "state" turns one, each by
+        # factor times the tolerance at first order; "misroute" hands one
+        # parent's components to the next parent, which leaves a nonzero
+        # effect with no component
         rng = np.random.default_rng(seed)
         stack = random_povm(d, d + extra, seed, rank=rank).stack
         target = Povm(np.insert(stack, rng.integers(0, len(stack) + 1, zeros), 0, axis=0))
@@ -578,6 +580,12 @@ class TestPostselectionScheme:
                 weights[i] += factor * target.atol / size
                 weights[j] -= factor * target.atol / size
                 expect = "ok" if factor < 1 else "postselection construction"
+        elif kind == "total" and d > 1:
+            size = factor * target.atol / max(np.max(np.abs(projector[0])),
+                                               np.max(np.abs(np.eye(d) - projector[0])))
+            weights[i] += size
+            expect = ("weight normalization" if size > default_atol(len(weights))
+                      else "ok" if factor < 1 else "postselection construction")
         elif kind == "state" and d > 1:
             u = rng.normal(size=d) + 1j * rng.normal(size=d)
             u -= np.vdot(states[i], u) * states[i]
@@ -595,8 +603,9 @@ class TestPostselectionScheme:
             PostselectionScheme(target, states, weights, parents)
         except InvariantViolation as err:
             assert err.invariant == want
-            expected = np.concatenate([target.stack / d, [(1 - 1 / d) * np.eye(d)]])
-            assert abs(err.deviation - np.max(np.abs(stacked - expected))) <= 1e-15
+            if stacked is not None:  # the weights passed: the deviation is the construction's
+                expected = np.concatenate([target.stack / d, [(1 - 1 / d) * np.eye(d)]])
+                assert abs(err.deviation - np.max(np.abs(stacked - expected))) <= 1e-15
         else:
             assert want == "ok"
 
@@ -627,7 +636,7 @@ class TestRelabel:
     def test_matches_a_loop_bit_for_bit(self, d, extra, rank, zeros, seed, kind, strided):
         # rank > 1 repeats parents; the zero effects are parents no component names;
         # a strided call relabels a read-only view of every other row of a larger
-        # draw, which it leaves as it was, into a new array
+        # draw into a new array
         rng = np.random.default_rng(seed)
         stack = random_povm(d, d + extra, seed, rank=rank).stack
         target = Povm(np.insert(stack, rng.integers(0, len(stack) + 1, zeros), 0, axis=0))
@@ -639,9 +648,8 @@ class TestRelabel:
             return rng.integers(0, 2**40, rows) if kind == "counts" else rng.normal(size=(rows, 6))
 
         if strided:
-            drawn = draw(2 * scheme.n_components)
-            drawn.setflags(write=False)
-            plus, kept = drawn[::2], drawn.copy()
+            plus = draw(2 * scheme.n_components)[::2]
+            plus.setflags(write=False)
         else:
             plus = draw(scheme.n_components)
         want = np.zeros((target.n_outcomes, *plus.shape[1:]), dtype=plus.dtype)
@@ -651,7 +659,6 @@ class TestRelabel:
         assert got.dtype == plus.dtype
         assert np.array_equal(got, want)
         assert got.flags.writeable and not np.shares_memory(got, plus)
-        assert not strided or np.array_equal(drawn, kept)
 
     def test_wrong_length_raises(self, trine):
         scheme = postselection_scheme(trine)

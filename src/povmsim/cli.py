@@ -47,6 +47,9 @@ MAX_TRIALS = 100_000
 #: and Gram matrix stay within a 4096 x 4096 complex square (256 MiB)
 MAX_DIM = 4096
 
+#: the options whose --config value is a two-entry list
+TWO_VALUE_OPTIONS = ("symmetric", "random")
+
 STATE_NAMES = ("zero", "one", "x+", "x-", "y+", "y-", "mixed")
 #: what ``compare`` runs for a flag not given (parsed as None); ``--plan`` sets all three
 COMPARE_DEFAULTS = {"noise": "ibmx4-like", "shots": 8192, "seed": 0}
@@ -347,6 +350,10 @@ def _apply_config_file(args, argv, parser):
             parser.error(f"config key {key!r} does not match any option")
         if value is None:
             parser.error(f"config key {key!r} is null; give a value or leave it out")
+        pair = attr in TWO_VALUE_OPTIONS
+        if isinstance(value, list) and not (pair and len(value) == 2):
+            takes = "two values" if pair else "one value"
+            parser.error(f"config key {key!r} takes {takes}, got {json.dumps(value)}")
         extra.append("--" + attr.replace("_", "-"))
         extra += [str(v) for v in (value if isinstance(value, list) else [value])]
     return parser.parse_args([*argv, *extra])

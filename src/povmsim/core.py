@@ -235,9 +235,9 @@ class QuantumState:
         if (matrix is None) == (vector is None):
             raise ValueError("provide exactly one of matrix or vector")
         if vector is not None:
-            v = np.asarray(vector, dtype=complex).reshape(-1)
-            if v.size < 1:
-                raise ValueError("state vector must not be empty")
+            v = np.asarray(vector, dtype=complex)
+            if v.ndim != 1 or not v.size:
+                raise ValueError(f"state vector must be non-empty and 1-d, got shape {v.shape}")
             self._vector = _freeze(require_unit_rows(v))
             self._rho = _freeze(np.outer(v, v.conj()))
         else:

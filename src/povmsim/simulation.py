@@ -22,13 +22,8 @@ from .core import (
     _keep_pieces,
     _outer_products,
     _rng,
-    array_from_lists,
-    complex_from_lists,
-    complex_to_lists,
     default_atol,
     orthogonality_graph,
-    povm_from_document,
-    povm_to_document,
     rank_one_parts,
     rebalance,
     require_count,
@@ -75,14 +70,6 @@ class PostProcessingMap:
         q[self.parents, np.arange(self.n_in)] = 1.0
         return q
 
-    @classmethod
-    def glue(cls, n_in: int, merged: tuple[int, ...]) -> "PostProcessingMap":
-        """Merge the listed outcomes, checked as a map's indices, into the slot
-        of the smallest; the other outcomes keep their relative order."""
-        merged = sorted(set(cls(merged, n_in).parents.tolist()))
-        kept = [k for k in range(n_in) if k not in merged[1:]]
-        return cls([kept.index(merged[0] if k in merged else k) for k in range(n_in)], len(kept))
-
     def relabel(self, values: np.ndarray) -> np.ndarray:
         """Per-outcome values (effects, counts or frequency columns), outcome
         k's added into outcome ``parents[k]`` in outcome order, as a new
@@ -90,11 +77,7 @@ class PostProcessingMap:
         if len(values) != self.n_in:
             raise ValueError(f"map expects {self.n_in} outcome values, got {len(values)}")
         out = np.zeros((self.n_out, *values.shape[1:]), dtype=values.dtype)
-        if values.ndim > 2:  # np.add.at is slower than the loop on (m, d, d) stacks
-            for parent, value in zip(self.parents, values):
-                out[parent] += value
-        else:  # unbuffered, in outcome order, as the loop adds
-            np.add.at(out, self.parents, values)
+        np.add.at(out, self.parents, values)  # unbuffered, in outcome order
         return out
 
     def __repr__(self) -> str:
@@ -226,22 +209,6 @@ class PostselectionScheme:
         plus = _outer_products(self.states) * self.weights[:, None, None]
         minus = self.weights.sum() * np.eye(self.target.dim) - plus.sum(axis=0)
         return Povm(np.concatenate([plus, minus[None]]))
-
-    def to_document(self) -> dict:
-        return {
-            "success_probability": self.success_probability,
-            "weights": [float(w) for w in self.weights],
-            "parents": [int(p) for p in self.parents],
-            "states": complex_to_lists(self.states),
-            "target": povm_to_document(self.target),
-        }
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "PostselectionScheme":
-        target = povm_from_document(doc["target"])
-        states = complex_from_lists(doc["states"], "states", (None, None))
-        return cls(target, states, array_from_lists(doc["weights"], "weights", (None,)),
-                   doc["parents"])
 
     def __repr__(self) -> str:
         return (f"PostselectionScheme(outcomes={self.target.n_outcomes}, "

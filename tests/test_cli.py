@@ -15,7 +15,8 @@ from povmsim import fixtures
 from povmsim.cli import MAX_DIM, MAX_TRIALS, build_parser, main, table1_rows
 from povmsim.core import Povm, QuantumState, povm_to_document
 from povmsim.noisy_device import MAX_SHOTS, Circuit, NoiseModel, compare_schemes
-from povmsim.simulation import postselection_scheme
+from povmsim.simulation import (PostProcessingMap, apply_postprocessing, build_mq,
+                                postselection_scheme)
 from povmsim.tomography import TomographyRecord
 
 
@@ -467,6 +468,22 @@ class TestOutputPlumbing:
         assert exit_info.value.code == 2
         assert message.format(config) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, override, message", [
+        (("simulate", "--povm", "trine"), {"shots": [1, 2]},
+         "config key 'shots' takes one value, got [1, 2]"),
+        (("simulate",), {"povm": ["trine"]}, """config key 'povm' takes one value, got ["trine"]"""),
+        (("table1",), {"seed": []}, "config key 'seed' takes one value, got []"),
+        (("usd",), {"symmetric": [8, 0.05, 1]},
+         "config key 'symmetric' takes two values, got [8, 0.05, 1]"),
+    ])
+    def test_config_list_for_the_wrong_arity_names_its_key(self, capsys, tmp_path, argv,
+                                                          override, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(override))
+        code, err = usage_exit(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert message in err
+
     @pytest.mark.parametrize("unbuffered", [True, False])
     def test_closed_pipe_exits_quietly(self, unbuffered):
         # the reading end is closed before povmsim writes a byte; buffered
@@ -526,6 +543,16 @@ class TestReadme:
         success_rate, conditional, born = capsys.readouterr().out.splitlines()
         assert float(success_rate) == pytest.approx(0.5, abs=5 * np.sqrt(0.25 / 1_000_000))
         assert born == str(np.array([0.5, 1 / 6, 1 / 6, 1 / 6]))
+
+    @pytest.mark.parametrize("name", fixtures.IDEAL_NAMES)
+    def test_single_map_view_block_is_m_over_d(self, name):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("gives the\nsingle-map view", 1)[1].split("```python", 1)[1]
+        povm = fixtures.ideal_povm(name)
+        view = eval(block.split("```", 1)[0], {
+            "scheme": postselection_scheme(povm), "apply_postprocessing": apply_postprocessing,
+            "PostProcessingMap": PostProcessingMap})
+        assert np.max(np.abs(view.stack - build_mq(povm, 1 / povm.dim).stack)) <= 1e-12
 
     def test_names_traced_by_the_benchmark_exist(self):
         # perfbench wraps these names by lookup, and its hooks read attributes

@@ -325,6 +325,15 @@ class TestHaarStates:
             assert abs(sample.mean() - mean) < 5 * stderr
 
 
+class TestPureState:
+    @pytest.mark.parametrize("vector, shape", [([[1, 0], [0, 0]], r"\(2, 2\)"),
+                                               ([[1, 0]], r"\(1, 2\)"), (1.0, r"\(\)"),
+                                               ([], r"\(0,\)")])
+    def test_needs_a_non_empty_1d_vector(self, vector, shape):
+        with pytest.raises(ValueError, match=f"must be non-empty and 1-d, got shape {shape}"):
+            QuantumState.pure(vector)
+
+
 class TestPovmValidation:
     def test_incomplete_rejected(self):
         effects = [0.9 * np.eye(2) / 2, 0.9 * np.eye(2) / 2]

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from povmsim.core import (
-    DocumentError,
     InvariantViolation,
     Povm,
     QuantumState,
     RankOneParts,
     born_probabilities,
-    complex_to_lists,
     default_atol,
     haar_random_pure_state,
     pauli_eigenstates,
@@ -256,7 +254,7 @@ class TestPostProcessing:
         d = 2
         mq = build_mq(tetrahedral, 1 / d)  # 5 outcomes
         extended = Povm(list(mq.effects[:4]) + [mq.effects[4] / 2, mq.effects[4] / 2])
-        glued = apply_postprocessing(extended, PostProcessingMap.glue(6, (4, 5)))
+        glued = apply_postprocessing(extended, PostProcessingMap([0, 1, 2, 3, 4, 4], 5))
         assert glued.n_outcomes == 5
         assert povm_equal(glued, mq, atol=1e-12)
 
@@ -298,12 +296,6 @@ class TestPostProcessing:
     def test_deterministic_rejects_an_empty_assignment(self, n_out):
         with pytest.raises(ValueError, match="non-empty"):
             PostProcessingMap([], n_out)
-
-    @pytest.mark.parametrize("merged, bad", [((0, 5), 5), ((-1, 1), -1), ((3,), 3),
-                                             ((0.5, 2), 0.5), ((True, 2), True)])
-    def test_glue_rejects_an_outcome_out_of_range(self, merged, bad):
-        with pytest.raises(ValueError, match=f"assignment index {bad} is not"):
-            PostProcessingMap.glue(3, merged)
 
 
 class TestConvexCombination:
@@ -411,23 +403,10 @@ class TestPostselectionScheme:
 
     @pytest.mark.parametrize("parents, bad", [([0, 2], 2), ([-1, 1], -1), ([0.2, 1.9], 0.2),
                                               ([False, True], False), ([0.4, 1.6], 0.4)])
-    @pytest.mark.parametrize("loaded", [False, True])
-    def test_out_of_range_parent_rejected(self, parents, bad, loaded):
+    def test_out_of_range_parent_rejected(self, parents, bad):
         zero, one = np.eye(2, dtype=complex)
-        doc = postselection_scheme(computational_basis()).to_document()
         with pytest.raises(ValueError, match=f"assignment index {bad} is not"):
-            if loaded:  # the document boundary, as a JSON list
-                PostselectionScheme.from_document({**doc, "parents": parents})
-            else:
-                PostselectionScheme(computational_basis(), [zero, one], [0.5, 0.5], parents)
-
-    @pytest.mark.parametrize("kind", ["strings", "scalar", "null", "column", "empty"])
-    def test_malformed_document_weights_named(self, trine, kind):
-        doc = postselection_scheme(trine).to_document()
-        weights = {"strings": [str(w) for w in doc["weights"]], "scalar": 1.0, "null": None,
-                   "column": [[w] for w in doc["weights"]], "empty": []}[kind]
-        with pytest.raises(DocumentError, match="'weights'"):
-            PostselectionScheme.from_document({**doc, "weights": weights})
+            PostselectionScheme(computational_basis(), [zero, one], [0.5, 0.5], parents)
 
     @pytest.mark.parametrize("shape", [(3, 1), ()])
     def test_weights_must_be_a_vector(self, trine, shape):
@@ -443,16 +422,10 @@ class TestPostselectionScheme:
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(2, 5), st.integers(0, 4), st.integers(1, 2), st.integers(0, 2**31))
-    def test_view_reproduces_mq_and_document_round_trips(self, d, extra, rank, seed):
+    def test_view_reproduces_mq(self, d, extra, rank, seed):
         povm = random_povm(d, d + extra, seed, rank=rank)
-        scheme = postselection_scheme(povm)
-        simulated = single_map_view(scheme)
+        simulated = single_map_view(postselection_scheme(povm))
         assert np.max(np.abs(simulated.stack - build_mq(povm, 1 / d).stack)) <= 1e-9
-        back = PostselectionScheme.from_document(scheme.to_document())
-        assert np.array_equal(back.weights, scheme.weights)
-        assert np.array_equal(back.parents, scheme.parents)
-        assert np.array_equal(back.states, scheme.states)
-        assert np.array_equal(back.target.stack, povm.stack)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(2, 6), st.integers(0, 3), st.integers(1, 2), st.integers(0, 2**31),
@@ -476,13 +449,11 @@ class TestPostselectionScheme:
         elif kind == "state":
             states[i] += size * np.exp(1j * np.arange(d))
             states[i] /= np.linalg.norm(states[i])
-        doc = {**scheme.to_document(), "states": complex_to_lists(states),
-               "weights": weights.tolist(), "parents": parents.tolist()}
         want, stacked = _stacked_outcome(povm, states, weights, parents)
         projectors = states[:, :, None] * states.conj()[:, None, :]
         weighted_projectors = weights[:, None, None] * projectors
-        try:
-            got = PostselectionScheme.from_document(doc)
+        try:  # lists, as the per-entry parents check reads them
+            got = PostselectionScheme(povm, states, weights.tolist(), parents.tolist())
         except InvariantViolation as err:
             assert err.invariant == want
         else:
@@ -528,14 +499,13 @@ class TestPostselectionScheme:
             parents = np.append(parents, (parents[i] + 1) % povm.n_outcomes)
         want, stacked = _stacked_outcome(povm, states, weights, parents)
         assert (want == "ok") == (factor < 1)
-        doc = {**scheme.to_document(), "states": complex_to_lists(states),
-               "weights": weights.tolist(), "parents": parents.tolist()}
+        args = povm, states, weights.tolist(), parents.tolist()
         if want == "ok":
-            got = PostselectionScheme.from_document(doc)
+            got = PostselectionScheme(*args)
             assert np.array_equal(got.parents, parents) and np.array_equal(got.states, states)
             return
         with pytest.raises(InvariantViolation) as err:
-            PostselectionScheme.from_document(doc)
+            PostselectionScheme(*args)
         assert err.value.invariant == want
         if stacked is not None:  # the weights passed: the deviation is the construction's
             expected = np.concatenate([povm.stack / d, [(1 - 1 / d) * np.eye(d)]])
@@ -615,13 +585,6 @@ class TestPostselectionScheme:
         with pytest.raises(InvariantViolation) as err:
             PostselectionScheme(tetrahedral, scheme.states, scheme.weights, scheme.parents)
         assert err.value.invariant == "postselection construction"
-
-    def test_serialization_round_trip(self, trine):
-        scheme = postselection_scheme(trine)
-        back = PostselectionScheme.from_document(scheme.to_document())
-        assert np.allclose(back.weights, scheme.weights)
-        assert list(back.parents) == list(scheme.parents)
-        assert povm_equal(single_map_view(back), single_map_view(scheme), atol=1e-12)
 
 
 class TestRelabel:

@@ -299,7 +299,7 @@ class TestOperationalDistance:
     def test_gluing_monotonicity(self, tetrahedral):
         rec = fixtures.reconstruction("tetrahedral", "naimark")
         base = operational_distance(tetrahedral, rec)
-        glue = PostProcessingMap.glue(4, (2, 3))
+        glue = PostProcessingMap([0, 1, 2, 2], 3)
         glued_ideal = apply_postprocessing(tetrahedral, glue)
         glued_rec = [rec[0], rec[1], rec[2] + rec[3]]
         assert operational_distance(glued_ideal, glued_rec) <= base + 1e-12

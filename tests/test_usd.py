@@ -380,7 +380,7 @@ class TestGluedPostselectionInvariant:
             m_star = equal_probability_measurement(ensemble)
             d = m_star.dim
             mq = build_mq(m_star, 1 / d)  # n + 2 outcomes
-            glued = apply_postprocessing(mq, PostProcessingMap.glue(n + 2, (n, n + 1)))
+            glued = apply_postprocessing(mq, PostProcessingMap([*range(n + 1), n], n + 1))
             direct = usd_success(ensemble, m_star)
             scaled = usd_success(ensemble, glued)
             assert scaled.success == pytest.approx(direct.success / d, abs=1e-10)

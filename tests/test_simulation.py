@@ -403,8 +403,12 @@ class TestPostselectionScheme:
 
     @pytest.mark.parametrize("parents, bad", [([0, 2], 2), ([-1, 1], -1), ([0.2, 1.9], 0.2),
                                               ([False, True], False), ([0.4, 1.6], 0.4)])
-    def test_out_of_range_parent_rejected(self, parents, bad):
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_out_of_range_parent_rejected(self, parents, bad, as_array):
+        # a list is checked entry by entry, an array by its dtype
         zero, one = np.eye(2, dtype=complex)
+        if as_array:
+            parents = np.array(parents)
         with pytest.raises(ValueError, match=f"assignment index {bad} is not"):
             PostselectionScheme(computational_basis(), [zero, one], [0.5, 0.5], parents)
 

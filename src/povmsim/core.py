@@ -20,6 +20,9 @@ import numpy as np
 TOLERANCE_SCALE = 1e-9
 NORM_ATOL = 1e-12
 ORTHOGONALITY_ATOL = 1e-9
+# matrix entries in one batched temporary: the scheme check's residual and
+# operational_distance's subset sums are built in blocks of at most this many
+BLOCK_ELEMENTS = 2 ** 14
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -75,7 +78,8 @@ def require_unit_rows(vectors: np.ndarray, name: str = "state vector") -> np.nda
 
 
 def require_count(value, name: str):
-    """Check that a shot or trial count is a Python or numpy integer (not a bool) of at least 1."""
+    """Check that a count (shots, trials, outcomes) is a Python or numpy
+    integer, not a bool, of at least 1."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLOCK_ELEMENTS,
     InvariantViolation,
     Povm,
     QuantumState,
@@ -36,7 +37,8 @@ FAIL_LABEL = "fail"
 
 class PostProcessingMap:
     """Outcome k relabelled to outcome ``parents[k]`` of ``n_out`` (by
-    default the largest parent plus one).  The one check on outcome indices:
+    default the largest parent plus one; a given ``n_out`` is an integer,
+    not a bool, of at least 1).  The one check on outcome indices:
     ``parents`` is a read-only, non-empty 1-d vector of integer type, no bool
     among them, with every entry in 0..n_out-1.  A stochastic map q(j|k) is
     a convex combination of such maps (:func:`convex_combination`).
@@ -53,7 +55,9 @@ class PostProcessingMap:
                      or not isinstance(a, (int, np.integer)) or not -2**63 <= a < 2**63]
         if wrong:
             raise ValueError(f"assignment index {wrong[0]} is not an integer index")
-        self.n_out = int(parents.max()) + 1 if n_out is None else n_out
+        if n_out is not None:
+            require_count(n_out, "n_out")
+        self.n_out = int(parents.max()) + 1 if n_out is None else int(n_out)
         bad = parents[(parents < 0) | (parents >= self.n_out)]
         if bad.size:
             raise ValueError(f"assignment index {bad[0]} is not in 0..{self.n_out - 1}")
@@ -151,11 +155,14 @@ class PostselectionScheme:
     probability ``weights[k]``; outcome "+" is relabelled to ``parents[k]``
     (``merge.parents``) by ``merge`` and "-" to the failure outcome (index
     n).  Checked inputs make the effects valid by construction; they are
-    compared with M_{1/d} block by block, with no per-component stack: one
-    batched product over zero-padded (n, r, d) blocks of rows, r the most
-    components one parent has, gives every parent's d sum_k w_k |v_k><v_k|
-    minus M_i, and one d x d product gives the fail block minus (1 - 1/d) 1.
-    The deviation is the largest |entry| of the first over d and of the second.
+    compared with M_{1/d} block by block, with no per-component stack: the
+    states go into zero-padded (n, r, d) blocks of rows, r the most
+    components one parent has, and one batched product per group of
+    parents, in parent order, gives each parent's d sum_k w_k |v_k><v_k|
+    minus M_i.  A group holds max(1, :data:`core.BLOCK_ELEMENTS` // d**2)
+    parents, so the residual's memory does not grow with n.  One d x d
+    product gives the fail block minus (1 - 1/d) 1.  The deviation is the
+    largest |entry| of the parents' blocks over d and of the fail block.
     """
 
     def __init__(self, target: Povm, states, weights, parents):
@@ -184,12 +191,18 @@ class PostselectionScheme:
         scaled = np.zeros(rows.shape[:2])
         rows[grouped, slots] = self.states[order]
         scaled[grouped, slots] = d * self.weights[order]
-        blocks = (rows.transpose(0, 2, 1) * scaled[:, None, :]) @ rows.conj()
-        blocks -= target.stack
+        # the parents' blocks minus their M_i, a group of parents of at most
+        # BLOCK_ELEMENTS entries at a time; np.maximum keeps a NaN
+        group, worst = max(1, BLOCK_ELEMENTS // d ** 2), 0.0
+        for start in range(0, target.n_outcomes, group):
+            part = slice(start, start + group)
+            block = (rows[part].transpose(0, 2, 1) * scaled[part, None, :]) @ rows[part].conj()
+            block -= target.stack[part]
+            worst = np.maximum(worst, abs(block).max())
         # the fail block sum_k w_k (1 - P_k) minus (1 - q) 1
         fail = (self.states.T * -self.weights) @ self.states.conj()
         fail.flat[::d + 1] += self.weights.sum() - 1 + q
-        dev = max(float(abs(blocks).max()) / d, float(abs(fail).max()))
+        dev = max(float(worst) / d, float(abs(fail).max()))
         if not dev <= target.atol:
             raise InvariantViolation("postselection construction", dev)
 

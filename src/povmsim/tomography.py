@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLOCK_ELEMENTS,
     InvariantViolation,
     Povm,
     QuantumState,
@@ -29,7 +30,6 @@ from .core import (
 )
 
 MAX_SUBSET_OUTCOMES = 20
-SUBSET_BLOCK_ELEMENTS = 2 ** 14  # matrix entries per batch of subset sums: 2**12 at d = 2
 
 
 def probe_states() -> tuple[QuantumState, ...]:
@@ -138,10 +138,10 @@ def operational_distance(m, n) -> float:
     is padded with zero effects.  For a complete pair the subset and its
     complement give the same norm, so only subsets containing outcome 0 are
     scanned.  The subset sums over the first parts form one block of at most
-    SUBSET_BLOCK_ELEMENTS matrix entries, and each subset of the remaining
-    parts adds its sum to the block as one offset, so memory stays bounded in
-    d.  The differences are checked for Hermiticity once, and a block's norm
-    is :func:`_hermitian_norm`.
+    :data:`core.BLOCK_ELEMENTS` matrix entries (2**12 subsets at d = 2), and
+    each subset of the remaining parts adds its sum to the block as one
+    offset, so memory stays bounded in d.  The differences are checked for
+    Hermiticity once, and a block's norm is :func:`_hermitian_norm`.
     """
     ms, ns = _effect_stack(m, "first measurement"), _effect_stack(n, "second measurement")
     dim = ms.shape[-1]
@@ -162,7 +162,7 @@ def operational_distance(m, n) -> float:
         raise InvariantViolation("hermiticity", defect,
                                  f"effect differences are not Hermitian (defect {defect:.3e})")
     base, free = (diffs[0], diffs[1:]) if complete_pair else (np.zeros_like(diffs[0]), diffs)
-    bits = max(1, (SUBSET_BLOCK_ELEMENTS // dim ** 2).bit_length() - 1)
+    bits = max(1, (BLOCK_ELEMENTS // dim ** 2).bit_length() - 1)
     block, rest = _subset_sums(free[:bits]), free[bits:]
     offsets = (base + sum(part for i, part in enumerate(rest) if mask >> i & 1)
                for mask in range(2 ** len(rest)))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from povmsim import simulation
 from povmsim.core import (
     InvariantViolation,
     Povm,
@@ -147,10 +148,13 @@ class TestEigensolveCount:
         assert counts["calls"] <= 3
 
     @pytest.mark.parametrize("d, n, rank, bound",
-                             [(32, 64, 1, 1.7 * 2**20), (16, 32, 2, 300 * 2**10)])
+                             [(32, 64, 1, 0.8 * 2**20), (32, 256, 1, 1.25 * 2**20),
+                              (16, 32, 2, 300 * 2**10)])
     def test_scheme_build_traced_peak(self, d, n, rank, bound):
-        # a (64, 32, 32) complex stack is 1 MiB: the check's one (n, d, d)
-        # residual and its |entry| array fit, a second stack of that size does not
+        # a (64, 32, 32) complex stack is 1 MiB, and the check's residual is
+        # built for core.BLOCK_ELEMENTS entries (16 parents at d = 32) at a
+        # time: the peak stays below one (n, d, d) stack and does not grow
+        # fourfold with n, as a whole residual would (1.6 and 6.3 MiB)
         povm = random_povm(d, n, 5, rank=rank)
         tracemalloc.start()
         try:
@@ -291,6 +295,15 @@ class TestPostProcessing:
     def test_deterministic_rejects_an_index_out_of_range(self, assignment, n_out, bad):
         with pytest.raises(ValueError, match=f"assignment index {bad} is not"):
             PostProcessingMap(assignment, n_out)
+
+    @pytest.mark.parametrize("n_out", [2.5, True, np.True_, 0, -1, "3"])
+    def test_rejects_an_outcome_count_that_is_not_a_positive_integer(self, n_out):
+        with pytest.raises(ValueError, match="n_out must be an integer"):
+            PostProcessingMap([0, 1], n_out)
+
+    def test_accepts_a_numpy_outcome_count(self):
+        pmap = PostProcessingMap([0, 1], np.int64(3))
+        assert pmap.n_out == 3 and pmap.relabel(np.array([1, 2])).tolist() == [1, 2, 0]
 
     @pytest.mark.parametrize("n_out", [None, 2])
     def test_deterministic_rejects_an_empty_assignment(self, n_out):
@@ -465,6 +478,69 @@ class TestPostselectionScheme:
             assert np.array_equal(got.merge.relabel(weighted_projectors), stacked[:-1])
             assert np.max(np.abs(single_map_view(got).stack - stacked)) <= 1e-15
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(2, 6), st.integers(0, 3), st.integers(1, 2), st.integers(0, 2**31),
+           st.booleans(), st.sampled_from(["none", "weight", "state", "split"]),
+           st.sampled_from(["first", "middle", "last"]), st.sampled_from([0.5, 0.9, 1.1, 2.0]),
+           st.integers(0, 99), st.integers(0, 35))
+    def test_blocked_check_matches_the_unblocked_one(self, d, extra, rank, seed, halves, kind,
+                                                     where, factor, pick, spare):
+        # the bound patched down to a few d x d blocks: n >= 5 parents span two
+        # or more groups and the last group is ragged, with two or more parents.
+        # One component of the first, a middle or the last parent is perturbed
+        # by factor times the tolerance at first order: "weight" moves mass to
+        # another component, "state" turns it, and "split" hands part of its
+        # weight to a copy at a neighbouring parent of its group, which moves
+        # two "+" blocks and leaves the fail block alone
+        n = max(d + extra, 5)
+        povm = random_povm(d, n, seed, rank=rank)
+        scheme = postselection_scheme(povm)
+        states, weights, parents = map(np.array, (scheme.states, scheme.weights, scheme.parents))
+        if halves:  # component 0 drawn as two halves: a repeated parent
+            states, parents = np.vstack([states, states[:1]]), np.append(parents, parents[0])
+            weights = np.append(weights, weights[0] / 2)
+            weights[0] /= 2
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(len(weights))
+        states, weights, parents = states[order], weights[order], parents[order]
+        groups = [g for g in range(2, n) if n % g >= 2]
+        group = groups[pick % len(groups)]
+        parent = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        i = int(np.flatnonzero(parents == parent)[0])
+        e = states[i].copy()
+        if kind == "weight":
+            j = (i + 1) % len(weights)
+            pi, pj = (np.outer(v, v.conj()) for v in (e, states[j]))
+            changes = [pi - pj] + ([pi, pj] if parents[j] != parent else [])
+            size = max(np.max(np.abs(c)) for c in changes)
+            if size > 1e-12:  # not the other half of a halved component
+                weights[i] += factor * povm.atol / size
+                weights[j] -= factor * povm.atol / size
+        elif kind == "state":
+            u = rng.normal(size=d) + 1j * rng.normal(size=d)
+            u -= np.vdot(e, u) * e
+            u /= np.linalg.norm(u)
+            tangent = weights[i] * (np.outer(u, e.conj()) + np.outer(e, u.conj()))
+            turned = e + factor * povm.atol / np.max(np.abs(tangent)) * u
+            states[i] = turned / np.linalg.norm(turned)
+        elif kind == "split":
+            part = factor * povm.atol / np.max(np.abs(np.outer(e, e.conj())))
+            states, weights = np.vstack([states, e]), np.append(weights, part)
+            weights[i] -= part
+            parents = np.append(parents, parent - 1 if where == "last" else parent + 1)
+        want = _unblocked_deviation(povm, states, weights, parents)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "BLOCK_ELEMENTS", group * d * d + spare % (d * d))
+            try:
+                PostselectionScheme(povm, states, weights, parents)
+            except InvariantViolation as err:
+                assert err.invariant == "postselection construction"
+                assert err.deviation == want
+            else:
+                assert want <= povm.atol
+        if kind == "split":  # the two moved "+" blocks alone see it
+            assert (want > povm.atol) == (factor > 1)
+
     @pytest.mark.parametrize("d, n, rank", [(16, 32, 2), (32, 64, 1)])
     @pytest.mark.parametrize("kind", ["turn", "weight", "split"])
     @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -632,6 +708,24 @@ class TestRelabel:
         for m in (scheme.n_components - 1, scheme.n_components + 1):
             with pytest.raises(ValueError):
                 scheme.merge.relabel(np.ones(m, dtype=np.int64))
+
+
+def _unblocked_deviation(target, states, weights, parents):
+    """The construction check's deviation with every parent's block in one
+    batched product, as the check computed it before it was blocked."""
+    d = target.dim
+    order = np.argsort(parents, kind="stable")
+    grouped = parents[order]
+    slots = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+    rows = np.zeros((target.n_outcomes, slots.max() + 1, d), dtype=complex)
+    scaled = np.zeros(rows.shape[:2])
+    rows[grouped, slots] = states[order]
+    scaled[grouped, slots] = d * weights[order]
+    blocks = (rows.transpose(0, 2, 1) * scaled[:, None, :]) @ rows.conj()
+    blocks -= target.stack
+    fail = (states.T * -weights) @ states.conj()
+    fail.flat[::d + 1] += weights.sum() - 1 + 1 / d
+    return max(float(abs(blocks).max()) / d, float(abs(fail).max()))
 
 
 def _stacked_outcome(target, states, weights, parents):

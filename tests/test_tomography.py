@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from povmsim import fixtures
 from povmsim.core import (
+    BLOCK_ELEMENTS,
     InvariantViolation,
     QuantumState,
     born_probabilities,
@@ -20,7 +21,6 @@ from povmsim.core import (
 from povmsim.simulation import PostProcessingMap, apply_postprocessing
 from povmsim.tomography import (
     MAX_SUBSET_OUTCOMES,
-    SUBSET_BLOCK_ELEMENTS,
     TomographyRecord,
     _subset_sums,
     bias_mitigated_statistics,
@@ -67,7 +67,7 @@ def _every_block_eigensolved(ms, ns) -> float:
         base, free = hermitian[0], hermitian[1:]
     else:
         base, free = zero, hermitian
-    bits = (SUBSET_BLOCK_ELEMENTS // 4).bit_length() - 1
+    bits = (BLOCK_ELEMENTS // 4).bit_length() - 1
     block, offsets = _subset_sums(free[:bits]), _subset_sums(free[bits:]) + base
     return float(max(np.abs(np.linalg.eigvalsh(block + offset)).max() for offset in offsets))
 

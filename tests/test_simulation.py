@@ -490,8 +490,9 @@ class TestPostselectionScheme:
         # One component of the first, a middle or the last parent is perturbed
         # by factor times the tolerance at first order: "weight" moves mass to
         # another component, "state" turns it, and "split" hands part of its
-        # weight to a copy at a neighbouring parent of its group, which moves
-        # two "+" blocks and leaves the fail block alone
+        # weight to a copy at a neighbouring parent, which moves two "+"
+        # blocks and leaves the fail block alone; the last parent's neighbour
+        # is the one before it, in the same ragged group
         n = max(d + extra, 5)
         povm = random_povm(d, n, seed, rank=rank)
         scheme = postselection_scheme(povm)

@@ -173,7 +173,6 @@ class Circuit:
 _CNOTS = {(0, 1): _freeze(np.eye(4, dtype=complex)[[0, 1, 3, 2]]),
           (1, 0): _freeze(np.eye(4, dtype=complex)[[0, 3, 2, 1]])}
 _EYES = {dim: _freeze(np.eye(dim)) for dim in (2, 4)}
-_HALF_EYE = _freeze(np.eye(2) / 2)  # the maximally mixed qubit
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,15 +204,20 @@ def depolarize(rho: np.ndarray, p: float, qubits, n_qubits: int) -> np.ndarray:
         dim = 2 ** n_qubits
         trace = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
         return (1 - p) * rho + p * trace * _EYES[dim] / dim
-    # single qubit of a two-qubit register: trace it out and re-tensor
+    # single qubit of a two-qubit register: trace it out and re-tensor with
+    # 1/2, by slices.  Half the reduced state is added onto zeros, not assigned,
+    # so that no entry is -0, as in np.trace and np.einsum's accumulated sums
     (q,) = qubits
     t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    mixed = np.zeros_like(t)
     if q == 0:
-        reduced = np.trace(t, axis1=-4, axis2=-2)  # keeps qubit 1
-        mixed = np.einsum("ac,...bd->...abcd", _HALF_EYE, reduced)
+        block = mixed[..., 0, :, 0, :]  # keeps qubit 1
+        block += 0.5 * (t[..., 0, :, 0, :] + t[..., 1, :, 1, :])
+        mixed[..., 1, :, 1, :] = block
     else:
-        reduced = np.trace(t, axis1=-3, axis2=-1)  # keeps qubit 0
-        mixed = np.einsum("...ac,bd->...abcd", reduced, _HALF_EYE)
+        block = mixed[..., :, 0, :, 0]  # keeps qubit 0
+        block += 0.5 * (t[..., :, 0, :, 0] + t[..., :, 1, :, 1])
+        mixed[..., :, 1, :, 1] = block
     return (1 - p) * rho + p * mixed.reshape(rho.shape)
 
 
@@ -284,8 +288,11 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
 # double-coset method of Shende, Markov & Bullock: one interior of CNOTs and
 # fixed SU(2) gates per CNOT count, read off the spectrum of gamma, between two
 # SU(2) layers.  Each real/imaginary mixing of the simultaneous diagonalization
-# gives one candidate gate list, and each candidate is checked once, against
-# the input; the canonical CNOT count goes first, the 3-CNOT form last.
+# gives one candidate gate list, in this order; a mixing whose eigenbasis leaves
+# a form off-diagonal (a repeated eigenvalue of the mixture, as trine's at 1.0)
+# is skipped before anything is built.  Each candidate is checked once, by its
+# product against the input; the canonical CNOT count goes first, the 3-CNOT
+# form last.
 
 _MAGIC = np.array([[1, 1j, 0, 0],
                    [0, 0, 1j, 1],
@@ -298,6 +305,7 @@ _S_GATE = np.diag([1.0, 1j])
 _SX_GATE = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 
 _MIXINGS = (1.0, 0.618033988749895, 2.23606797749979, 3.302775637731995, 0.0)
+_OFF_DIAGONAL = _freeze(~np.eye(4, dtype=bool))
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -354,13 +362,19 @@ def _kron_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _diagonalize_symmetric_unitary(s: np.ndarray, mixing: float) -> np.ndarray:
-    """Real orthogonal p with p^T s p diagonal, for unitary symmetric s.
+def _diagonalize_symmetric_unitary(s: np.ndarray, mixing: float) -> np.ndarray | None:
+    """Real orthogonal p with p^T s p diagonal, for unitary symmetric s; None
+    when this mixing's p leaves an off-diagonal entry above 1e-6.
 
     Real and imaginary parts of s are commuting real symmetric matrices, so
-    a common eigenbasis exists; it is found from a generic real mixture."""
+    a common eigenbasis exists; it is found from a generic real mixture.  A
+    mixture with a repeated eigenvalue that s does not repeat gives a basis
+    that misses it by order one, and a basis that diagonalizes leaves about
+    1e-12, so the threshold sits far from both."""
     sym = s.real + mixing * s.imag if mixing != 0.0 else s.real
     _, p = np.linalg.eigh((sym + sym.T) / 2)
+    if np.max(np.abs((p.T @ s @ p)[_OFF_DIAGONAL])) > 1e-6:
+        return None
     if np.linalg.det(p) < 0:
         p[:, -1] = -p[:, -1]
     return p
@@ -380,8 +394,9 @@ def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
     """Decompose a 4x4 unitary into SU(2) gates and at most 3 CNOTs.
 
     Tries the candidates of the canonical CNOT count, then those of the
-    3-CNOT form, and returns the first whose gates give the input to within
-    DECOMPOSITION_ATOL up to a global phase.
+    3-CNOT form, and returns the first whose product, as
+    :func:`_candidates` yields it, is the input to within DECOMPOSITION_ATOL
+    up to a global phase: one check per candidate.
     """
     u_in = as_operator(unitary, "two-qubit gate")
     if u_in.shape != (4, 4) or not isometry_defect(u_in) <= 1e-9:
@@ -389,8 +404,8 @@ def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
     u = _to_su4(u_in)
     canonical, spectrum = _num_cnots(u)
     for count in dict.fromkeys((canonical, 3)):
-        for gates in _candidates(u, count, spectrum):
-            if _phase_distance(_sequence_unitary(gates), u_in) < DECOMPOSITION_ATOL:
+        for gates, product in _candidates(u, count, spectrum):
+            if _phase_distance(product, u_in) < DECOMPOSITION_ATOL:
                 return gates
     raise RuntimeError("two-qubit decomposition failed: no candidate verified to "
                        f"{DECOMPOSITION_ATOL:g}")
@@ -401,15 +416,18 @@ def _sequence_unitary(gates: list[Gate]) -> np.ndarray:
 
 
 def _candidates(u: np.ndarray, count: int, spectrum: np.ndarray | None):
-    """Gate lists for ``count`` CNOTs, one per mixing: SU(2) layers around the
-    interior v, read off the magic-basis forms t of the target and of v, which
-    real orthogonal G from the simultaneous diagonalizations of t t^T and
-    v v^T connect.  For 1 and 3 CNOTs the interior is matched against SWAP u
-    (scaled back into SU(4)); moving that SWAP through the output layer
-    exchanges its two factors, and the SWAPs cancel.  ``spectrum`` is that of
-    gamma(u), from :func:`_num_cnots`."""
+    """(gates, product) for ``count`` CNOTs, at most one per mixing: SU(2)
+    layers around the interior v, read off the magic-basis forms t of the
+    target and of v, which real orthogonal G from the simultaneous
+    diagonalizations of t t^T and v v^T connect, and the unitary the gates
+    make, kron(a, b) v kron(c, d).  A mixing whose eigenbasis leaves either
+    form off-diagonal yields nothing.  For 1 and 3 CNOTs the interior is
+    matched against SWAP u (scaled back into SU(4)); moving that SWAP through
+    the output layer exchanges its two factors, and the SWAPs cancel.
+    ``spectrum`` is that of gamma(u), from :func:`_num_cnots`."""
     if count == 0:
-        yield [Gate("su2", (q,), f) for q, f in enumerate(_kron_factor(u))]
+        a, b = _kron_factor(u)
+        yield [Gate("su2", (0,), a), Gate("su2", (1,), b)], _kron(a, b)
         return
     swapped = count != 2
     target = np.exp(1j * np.pi / 4) * _SWAP @ u if swapped else u
@@ -417,15 +435,20 @@ def _candidates(u: np.ndarray, count: int, spectrum: np.ndarray | None):
     v_inner = _sequence_unitary(interior)
     t = _MAGIC_DAG @ target @ _MAGIC
     v = _MAGIC_DAG @ (_SWAP @ v_inner if swapped else v_inner) @ _MAGIC
+    t_form, v_form = t @ t.T, v @ v.T
     for mixing in _MIXINGS:
-        p, q = (_diagonalize_symmetric_unitary(m @ m.T, mixing) for m in (t, v))
+        p = _diagonalize_symmetric_unitary(t_form, mixing)
+        q = None if p is None else _diagonalize_symmetric_unitary(v_form, mixing)
+        if q is None:
+            continue
         g = p @ q.T
         a, b = _kron_factor(_MAGIC @ g @ _MAGIC_DAG)
         c, d = _kron_factor(_MAGIC @ (v.conj().T @ g.T @ t) @ _MAGIC_DAG)
         if swapped:
             a, b = b, a
-        yield [Gate("su2", (0,), c), Gate("su2", (1,), d), *interior,
-               Gate("su2", (0,), a), Gate("su2", (1,), b)]
+        yield ([Gate("su2", (0,), c), Gate("su2", (1,), d), *interior,
+                Gate("su2", (0,), a), Gate("su2", (1,), b)],
+               _kron(a, b) @ v_inner @ _kron(c, d))
 
 
 def _interior(target: np.ndarray, count: int, evs: np.ndarray | None) -> list[Gate]:

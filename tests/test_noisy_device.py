@@ -75,6 +75,18 @@ def _reference_depolarize(rho, p, qubits, n_qubits):
     return (1 - p) * rho + p * mixed
 
 
+def _einsum_depolarize(rho, p, qubit):
+    """The single-qubit channel on a two-qubit stack as np.trace and np.einsum
+    with the maximally mixed qubit formed it."""
+    t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    half_eye = np.eye(2) / 2
+    if qubit == 0:
+        mixed = np.einsum("ac,...bd->...abcd", half_eye, np.trace(t, axis1=-4, axis2=-2))
+    else:
+        mixed = np.einsum("...ac,bd->...abcd", np.trace(t, axis1=-3, axis2=-1), half_eye)
+    return (1 - p) * rho + p * mixed.reshape(rho.shape)
+
+
 def _reference_distribution(circuit, rho, noise):
     """The former simulator: one probe, one full-register gate at a time,
     and the readout confusion built one qubit at a time."""
@@ -150,6 +162,70 @@ def _per_component_postselection(scheme, noise, cap, seed):
     return table, shots_total
 
 
+def _unscreened_eigenbasis(s, mixing):
+    """A mixing's real eigenbasis of the symmetric form s, kept whatever it
+    leaves off the diagonal."""
+    sym = s.real + mixing * s.imag if mixing != 0.0 else s.real
+    _, p = np.linalg.eigh((sym + sym.T) / 2)
+    if np.linalg.det(p) < 0:
+        p[:, -1] = -p[:, -1]
+    return p
+
+
+def _unscreened_candidates(u, count, spectrum):
+    """Every mixing's gate list, built from the decomposition's private helpers."""
+    nd = noisy_device
+    if count == 0:
+        yield [nd.Gate("su2", (q,), f) for q, f in enumerate(nd._kron_factor(u))]
+        return
+    swapped = count != 2
+    target = np.exp(1j * np.pi / 4) * nd._SWAP @ u if swapped else u
+    interior = nd._interior(target, count, None if swapped else spectrum)
+    v_inner = _sequence_unitary(interior)
+    t = nd._MAGIC_DAG @ target @ nd._MAGIC
+    v = nd._MAGIC_DAG @ (nd._SWAP @ v_inner if swapped else v_inner) @ nd._MAGIC
+    for mixing in nd._MIXINGS:
+        p, q = (_unscreened_eigenbasis(m @ m.T, mixing) for m in (t, v))
+        g = p @ q.T
+        a, b = nd._kron_factor(nd._MAGIC @ g @ nd._MAGIC_DAG)
+        c, d = nd._kron_factor(nd._MAGIC @ (v.conj().T @ g.T @ t) @ nd._MAGIC_DAG)
+        if swapped:
+            a, b = b, a
+        yield [nd.Gate("su2", (0,), c), nd.Gate("su2", (1,), d), *interior,
+               nd.Gate("su2", (0,), a), nd.Gate("su2", (1,), b)]
+
+
+def _unscreened_gate_sequence(unitary):
+    """The first candidate whose full circuit unitary is the input, and how
+    many candidates were built to find it."""
+    u_in = np.asarray(unitary, dtype=complex)
+    u = noisy_device._to_su4(u_in)
+    canonical, spectrum = noisy_device._num_cnots(u)
+    built = 0
+    for count in dict.fromkeys((canonical, 3)):
+        for gates in _unscreened_candidates(u, count, spectrum):
+            built += 1
+            if _phase_distance(_sequence_unitary(gates), u_in) < DECOMPOSITION_ATOL:
+                return gates, built
+    raise AssertionError("no unscreened candidate verified")
+
+
+def _register(povm):
+    """The 4x4 register unitary compile_naimark_circuit decomposes."""
+    dilation = naimark_dilation(povm)
+    register = np.eye(4, dtype=complex)
+    register[:dilation.n_outcomes, :dilation.n_outcomes] = dilation.unitary
+    return register
+
+
+def _assert_same_gates(got, want):
+    """Gate lists equal bit for bit: kinds, qubits and matrix bytes."""
+    assert [(g.kind, g.qubits) for g in got] == [(g.kind, g.qubits) for g in want]
+    for g, w in zip(got, want):
+        assert (g.matrix is None and w.matrix is None
+                or g.matrix.dtype == w.matrix.dtype and g.matrix.tobytes() == w.matrix.tobytes())
+
+
 @st.composite
 def _noisy_circuits(draw):
     n = draw(st.sampled_from((1, 2)))
@@ -221,6 +297,28 @@ class TestDepolarizingChannel:
         for qubits in ((0,), (1,), (0, 1)):
             out = depolarize(rho, 0.7, qubits, 2)
             assert abs(np.trace(out) - 1.0) < 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(lead=st.sampled_from(((), (3,), (2, 5))), qubit=st.sampled_from((0, 1)),
+           p=st.sampled_from((1e-3, 0.05, 0.5, 1.0)) | st.floats(0.0, 1.0),
+           dtype=st.sampled_from((complex, float)), share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_single_qubit_kernel_is_the_einsum_form_bit_for_bit(self, lead, qubit, p, dtype,
+                                                                share, seed):
+        # exact zeros of both signs and the smallest subnormals in a share of
+        # the entries: the signs of the zeros the kernel leaves must match too
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((2, *lead, 4, 4))
+        hit = rng.random(parts.shape) < share
+        parts[hit] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0], hit.sum())
+        rho = np.empty((*lead, 4, 4), dtype=dtype)
+        if dtype is complex:
+            rho.real, rho.imag = parts
+        else:
+            rho[...] = parts[0]
+        got, want = depolarize(rho, p, (qubit,), 2), _einsum_depolarize(rho, p, qubit)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPostselectionCircuit:
@@ -319,13 +417,56 @@ class TestTwoQubitDecomposition:
         assert sum(1 for g in gates if g.kind == "cnot") == 2
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("case", ["fixtures", "registers", "haar", "cnot_groups"])
+    def test_gate_lists_are_the_unscreened_loop_bit_for_bit(self, case, all_fixture_povms):
+        # the screen skips only candidates that cannot verify, and the one
+        # check of each product accepts what the full circuit unitary accepts
+        rng = np.random.default_rng(37)
+        if case == "fixtures":
+            unitaries = [_register(povm) for povm in all_fixture_povms.values()]
+        elif case == "registers":
+            unitaries = [_register(random_rank_one_povm(2, 2 + seed % 3, seed))
+                         for seed in range(400)]
+        elif case == "haar":
+            unitaries = [haar_random_unitary(4, rng) for _ in range(200)]
+        else:
+            unitaries = [np.eye(4), _CNOTS[(0, 1)] @ _CNOTS[(1, 0)]]
+            for k in range(100):
+                circuit = Circuit(2)
+                for _ in range(k % 4):
+                    circuit.su2(0, haar_random_unitary(2, rng)).su2(1, haar_random_unitary(2, rng))
+                    circuit.cnot(k % 2, 1 - k % 2)
+                unitaries.append(circuit.su2(0, haar_random_unitary(2, rng)).unitary())
+        for u in unitaries:
+            want, _ = _unscreened_gate_sequence(u)
+            _assert_same_gates(two_qubit_gate_sequence(u), want)
+
+    def test_trine_builds_one_candidate(self, trine, monkeypatch):
+        # at mixing 1.0 the real mixture of trine's form repeats an eigenvalue
+        # the form does not, so the unscreened loop builds and fails that
+        # candidate first; the screen skips it before it is built
+        dilation = naimark_dilation(trine)
+        want, built = _unscreened_gate_sequence(_register(trine))
+        assert built == 2
+        yielded, candidates = [], noisy_device._candidates
+
+        def counting(u, count, spectrum):
+            for candidate in candidates(u, count, spectrum):
+                yielded.append(count)
+                yield candidate
+
+        monkeypatch.setattr(noisy_device, "_candidates", counting)
+        _assert_same_gates(compile_naimark_circuit(dilation).gates, want)
+        assert yielded == [2]
+
     def test_a_wrong_candidate_is_skipped_for_a_right_one(self, monkeypatch):
         u = haar_random_unitary(4, np.random.default_rng(4))
         right = two_qubit_gate_sequence(u)
         candidates = noisy_device._candidates
 
         def wrong_first(u, count, spectrum):
-            yield [noisy_device.Gate("su2", (0,), PAULI_X), *right]
+            wrong = [noisy_device.Gate("su2", (0,), PAULI_X), *right]
+            yield wrong, _sequence_unitary(wrong)
             yield from candidates(u, count, spectrum)
 
         monkeypatch.setattr(noisy_device, "_candidates", wrong_first)
@@ -339,8 +480,9 @@ class TestTwoQubitDecomposition:
 
         def wrong(u, count, spectrum):
             attempts.append(count)
-            yield [noisy_device.Gate("su2", (0,), PAULI_X)]
-            yield [noisy_device.Gate("su2", (1,), PAULI_X)]
+            for qubit in (0, 1):
+                gates = [noisy_device.Gate("su2", (qubit,), PAULI_X)]
+                yield gates, _sequence_unitary(gates)
 
         monkeypatch.setattr(noisy_device, "_candidates", wrong)
         with pytest.raises(RuntimeError, match="two-qubit decomposition failed"):

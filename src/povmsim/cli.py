@@ -1,10 +1,10 @@
 """Command-line front end: reproducible experiments over the bundled
 fixtures with CSV/JSON output.
 
-Every command is a pure function of its (seeded) configuration; outputs
-embed the seed and a hash of the effective config so runs can be audited
-and replayed.  Exit codes: 0 success, 1 invariant or assertion failure,
-2 usage error.
+Every command is a pure function of its configuration; outputs embed a
+hash of the effective config, and those of simulate, usd and compare their
+seed, so runs can be audited and replayed.  Exit codes: 0 success, 1
+invariant or assertion failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import fixtures
 from .core import (
     DocumentError,
@@ -29,7 +27,7 @@ from .core import (
     pauli_eigenstates,
     povm_from_document,
 )
-from .noisy_device import MAX_SHOTS, NoiseModel, compare_schemes, load_experiment_plan
+from .noisy_device import MAX_SHOTS, NOISE_PRESETS, compare_schemes, load_experiment_plan
 from .simulation import postselection_scheme, sample_postselection
 from .tomography import operational_distance
 from .usd import (
@@ -101,9 +99,8 @@ def _resolve_povm(args):
         raise UsageError("a POVM fixture name is required (--povm)")
     try:
         return fixtures.ideal_povm(name), name
-    except KeyError:
-        raise UsageError(f"unknown fixture {name!r}; "
-                         f"available: {', '.join(fixtures.fixture_names())}")
+    except KeyError as err:
+        raise UsageError(err.args[0])
 
 
 class UsageError(Exception):
@@ -111,7 +108,7 @@ class UsageError(Exception):
 
 
 def _config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, default=str)
+    canonical = json.dumps(config, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -123,7 +120,7 @@ def _emit(payload: dict, config: dict, args) -> None:
     if args.format == "csv":
         text = _payload_csv(payload)
     else:
-        text = json.dumps(payload, indent=2, default=_jsonable)
+        text = json.dumps(payload, indent=2)
     if args.out:  # an absolute --out ignores POVMSIM_OUTPUT_DIR, as os.path.join does
         path = os.path.join(os.environ.get("POVMSIM_OUTPUT_DIR", ""), args.out)
         try:
@@ -136,23 +133,14 @@ def _emit(payload: dict, config: dict, args) -> None:
         print(text)
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)}")
-
-
 def _payload_csv(payload: dict) -> str:
-    rows = payload.get("rows")
-    if not rows:
-        raise UsageError("this payload has no tabular rows; use --format json")
+    """Rows as CSV under ``# key: value`` lines; every command emits a row."""
+    rows = payload["rows"]
     buf = io.StringIO()
     writer = csv.writer(buf)
     meta = {k: v for k, v in payload.items() if k not in ("rows", "config")}
     for key, value in meta.items():
-        buf.write(f"# {key}: {json.dumps(value, default=_jsonable)}\n")
+        buf.write(f"# {key}: {json.dumps(value)}\n")
     writer.writerow(rows[0].keys())
     for row in rows:
         writer.writerow([row[k] for k in rows[0].keys()])
@@ -250,10 +238,7 @@ def cmd_compare(args) -> int:
         povm, povm_name = _resolve_povm(args)
         noise_label, shots, seed = (getattr(args, k) if k in given else value
                                     for k, value in COMPARE_DEFAULTS.items())
-        try:
-            noise = NoiseModel.preset(noise_label)
-        except KeyError as err:
-            raise UsageError(str(err).strip('"'))
+        noise = NOISE_PRESETS[noise_label]  # a name the parser checked
         scheme = "both"
     result = compare_schemes(povm, noise, shots, seed, scheme)
     post, nai = result.postselection, result.naimark
@@ -372,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--povm", help="fixture name")
         source.add_argument("--povm-file", help="POVM JSON document")
 
-    def common(p):
-        p.add_argument("--seed", type=non_negative_int, default=0)
+    def common(p, seeded=True):
+        if seeded:
+            p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--out", help="output file (relative paths use POVMSIM_OUTPUT_DIR)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--config", help="JSON config file; overrides flags")
@@ -396,18 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="noisy postselection-vs-Naimark comparison")
     povm_source(p)
-    p.add_argument("--noise")
+    p.add_argument("--noise", choices=NOISE_PRESETS, metavar="NOISE")
     p.add_argument("--shots", type=shot_count)
     p.add_argument("--plan", help="experiment plan JSON; it sets the POVM, noise, shots and seed")
     common(p)
     p.set_defaults(func=cmd_compare, seed=None)  # COMPARE_DEFAULTS fills what is not given
 
     p = sub.add_parser("table1", help="recompute distances from bundled reconstructions")
-    common(p)
+    common(p, seeded=False)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("fixtures", help="list bundled fixture names")
-    common(p)
+    common(p, seeded=False)
     p.set_defaults(func=cmd_fixtures)
 
     return parser

@@ -55,15 +55,16 @@ class NoiseModel:
 
     @classmethod
     def preset(cls, name: str) -> "NoiseModel":
-        if name == "noiseless":
-            return cls()
-        if name == "ibmx4-like":
-            # synthetic two-qubit-gate-dominated error budget; tunable
-            # config values, not a hardware calibration
-            return cls(cnot_depolarizing=0.05, su2_depolarizing=0.001,
-                       readout_bias=0.02)
-        raise KeyError(f"unknown noise preset {name!r}; "
-                       "available: noiseless, ibmx4-like")
+        return NOISE_PRESETS[name]
+
+
+#: the named noise models; ibmx4-like is a synthetic two-qubit-gate-dominated
+#: error budget of tunable config values, not a hardware calibration
+NOISE_PRESETS = {
+    "noiseless": NoiseModel(),
+    "ibmx4-like": NoiseModel(cnot_depolarizing=0.05, su2_depolarizing=0.001,
+                             readout_bias=0.02),
+}
 
 
 @dataclass(frozen=True)

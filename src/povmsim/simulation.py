@@ -286,14 +286,13 @@ def sample_postselection(scheme: PostselectionScheme, state: QuantumState,
     return ShotRecord(np.append(kept, shots - kept.sum()))
 
 
-def hw_covariant_povm(d: int, fiducial: QuantumState) -> tuple[Povm, bool]:
+def hw_covariant_povm(d: int, fiducial: QuantumState) -> Povm:
     """The d^2-outcome rank-one POVM covariant under clock-and-shift orbits.
 
     Effects are (1/d)|psi_ab><psi_ab| with |psi_ab> = X^a Z^b |fiducial>,
     kept as the POVM's pieces (:attr:`Povm.rank_one`); group averaging makes
-    the collection complete for any fiducial.  Returns the POVM and a flag
-    telling whether all effect pairs are non-commuting (true for a generic
-    fiducial, the regime where the 1/d bound is tight).
+    the collection complete for any fiducial.  For a generic one no two
+    pieces are orthogonal, as :func:`max_success_bound_rank_one` checks.
     """
     if not fiducial.is_pure:
         raise ValueError("fiducial state must be pure")
@@ -304,11 +303,7 @@ def hw_covariant_povm(d: int, fiducial: QuantumState) -> tuple[Povm, bool]:
     phased = np.stack([np.linalg.matrix_power(clock, b) @ fiducial.vector for b in range(d)])
     vectors = np.stack([np.roll(phased, a, axis=1) for a in range(d)]).reshape(d * d, d)
     effects = _outer_products(vectors) / d
-    # rank-one projectors commute iff orthogonal or parallel, and a parallel pair in an
-    # orbit makes the fiducial an eigenvector of some Weyl operator, hence an orthogonal pair
-    noncommuting = not orthogonality_graph(vectors.conj() @ vectors.T).any()
-    povm = _keep_pieces(Povm(effects), np.full(d * d, 1 / d), vectors)
-    return povm, noncommuting
+    return _keep_pieces(Povm(effects), np.full(d * d, 1 / d), vectors)
 
 
 def max_success_bound_rank_one(povm: Povm) -> float:
@@ -316,7 +311,9 @@ def max_success_bound_rank_one(povm: Povm) -> float:
 
     Valid for rank-one POVMs with pairwise non-orthogonal states: any
     projective-simulable realization of M_q then decomposes over only n+1
-    distinct projective measurements, forcing q <= 1/d.
+    distinct projective measurements, forcing q <= 1/d.  The one check of
+    that condition: ValueError names the first orthogonal pair of the kept
+    pieces (:attr:`Povm.rank_one`) or else of the effects' rank-one parts.
     """
     parts = povm.rank_one or rank_one_parts(povm.stack, povm.atol, dominant=True)
     edges = np.argwhere(np.triu(orthogonality_graph(parts.vectors.conj() @ parts.vectors.T)))

@@ -6,7 +6,7 @@ the two families on symmetric and Haar-random ensembles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -299,18 +299,22 @@ def symmetric_ensemble_from_gap(d: int, epsilon: float) -> SymmetricEnsemble:
     return symmetric_ensemble(d, np.sqrt(mags))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RandomEnsembleExperiment:
-    """Per-trial smallest Gram eigenvalues of Haar-random ensembles, with
-    the resulting two-sided advantage-ratio band."""
+    """Per-trial smallest Gram eigenvalues of Haar-random ensembles, as one
+    read-only array, with the resulting two-sided advantage-ratio band."""
 
     d: int
     space_dim: int
-    rows: list[dict] = field(default_factory=list)
+    lambda_values: np.ndarray
 
     @property
-    def lambda_values(self) -> np.ndarray:
-        return np.array([r["lambda_min"] for r in self.rows])
+    def rows(self) -> list[dict]:
+        """One dict per trial, built on each read."""
+        p_sp_upper = 1.0 / self.d
+        return [{"trial": t, "lambda_min": float(lam), "p_sp_upper": p_sp_upper,
+                 "ratio_lower": float(lam / p_sp_upper), "ratio_upper": float(self.d)}
+                for t, lam in enumerate(self.lambda_values)]
 
     @property
     def mean_lambda_min(self) -> float:
@@ -323,8 +327,7 @@ class RandomEnsembleExperiment:
     @property
     def band_ok(self) -> bool:
         """Trial-wise check that ratio_lower never exceeds ratio_upper."""
-        return all(r["ratio_lower"] <= r["ratio_upper"] + default_atol(self.d)
-                   for r in self.rows)
+        return bool(np.all(self.lambda_values / (1.0 / self.d) <= self.d + default_atol(self.d)))
 
 
 def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
@@ -348,17 +351,9 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     if d > space_dim:
         raise ValueError("need d <= D for linearly independent Haar states")
     require_count(trials, "trials")
-    experiment = RandomEnsembleExperiment(d, space_dim)
     rng = _rng(seed)
+    lams = np.empty(trials)
     for t in range(trials):
         states = haar_random_vectors(d, space_dim, rng)
-        lam = min_eigenvalue(states.conj() @ states.T)
-        p_sp_upper = 1.0 / d
-        experiment.rows.append({
-            "trial": t,
-            "lambda_min": float(lam),
-            "p_sp_upper": p_sp_upper,
-            "ratio_lower": float(lam / p_sp_upper),
-            "ratio_upper": float(d),
-        })
-    return experiment
+        lams[t] = min_eigenvalue(states.conj() @ states.T)
+    return RandomEnsembleExperiment(d, space_dim, _freeze(lams))

@@ -270,11 +270,15 @@ class TestCompare:
         assert row["our_scheme"] < row["naimark"]
         assert row["naimark_residual_mass"] > 0
 
-    def test_unknown_noise_preset(self, capsys):
-        code, _, err = run_cli(capsys, "compare", "--povm", "trine",
-                               "--noise", "bogus")
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_unknown_noise_preset(self, capsys, tmp_path, via_config):
+        # checked by the parser like every other option, from either source
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"noise": "bogus"}))
+        extra = ["--config", str(config)] if via_config else ["--noise", "bogus"]
+        code, err = usage_exit(capsys, "compare", "--povm", "trine", *extra)
         assert code == 2
-        assert "preset" in err
+        assert "argument --noise: invalid choice: 'bogus'" in err
 
     def test_plan_run(self, capsys, tmp_path):
         path = tmp_path / "plan.json"
@@ -444,7 +448,7 @@ class TestOutputPlumbing:
         (("usd", "--random", "3", "4"), {"trials": "x"}, "--trials"),
         (("compare", "--povm", "trine"), {"shots": 8192.5}, "--shots"),
         (("table1",), {"format": "xml"}, "--format"),
-        (("fixtures",), {"seed": "one"}, "--seed"),
+        (("simulate", "--povm", "trine"), {"seed": "one"}, "--seed"),
         (("usd", "--random", "3", "4"), {"trials": 2**63}, "--trials"),
         (("usd",), {"random": [2, MAX_DIM + 1]}, "--random"),
         (("usd",), {"random": [10**10, 10**12]}, "--random"),
@@ -472,7 +476,8 @@ class TestOutputPlumbing:
         (("simulate", "--povm", "trine"), {"shots": [1, 2]},
          "config key 'shots' takes one value, got [1, 2]"),
         (("simulate",), {"povm": ["trine"]}, """config key 'povm' takes one value, got ["trine"]"""),
-        (("table1",), {"seed": []}, "config key 'seed' takes one value, got []"),
+        (("simulate", "--povm", "trine"), {"seed": []},
+         "config key 'seed' takes one value, got []"),
         (("usd",), {"symmetric": [8, 0.05, 1]},
          "config key 'symmetric' takes two values, got [8, 0.05, 1]"),
     ])
@@ -514,6 +519,12 @@ class TestOutputPlumbing:
         code, err = usage_exit(capsys, *argv, *extra)
         assert code == 2
         assert "argument --seed: must be a non-negative integer, got -1" in err
+
+    @pytest.mark.parametrize("command", ["table1", "fixtures"])
+    def test_unseeded_commands_take_no_seed(self, capsys, command):
+        code, err = usage_exit(capsys, command, "--seed", "1")
+        assert code == 2
+        assert "unrecognized arguments: --seed 1" in err
 
     def test_seed_recorded_in_payload(self, capsys):
         _, out, _ = run_cli(capsys, "usd", "--symmetric", "4", "0.1", "--seed", "17")

@@ -214,7 +214,7 @@ class TestSelfRefinement:
         assert np.array_equal(merge.matrix, np.kron(np.eye(n), np.ones(rank)))
 
     def test_hw_covariant_pieces_need_no_solve(self, monkeypatch):
-        povm, _ = hw_covariant_povm(3, haar_random_pure_state(3, 7))
+        povm = hw_covariant_povm(3, haar_random_pure_state(3, 7))
         counts = _count_eigensolves(monkeypatch)
         assert rank_one_refinement(povm)[0] is povm
         assert max_success_bound_rank_one(povm) == pytest.approx(1 / 3)
@@ -907,44 +907,57 @@ def weyl_eigenvectors(d):
     return [*np.eye(d), *(v for w in ops for v in np.linalg.eig(w)[1].T)]
 
 
+def bound_applies(povm) -> bool:
+    """Whether the 1/d witness accepts ``povm``: it raises on an orthogonal pair."""
+    try:
+        max_success_bound_rank_one(povm)
+    except ValueError as err:
+        assert "orthogonal" in str(err)
+        return False
+    return True
+
+
 class TestHwCovariant:
     def test_completeness_many_fiducials(self):
         rng = np.random.default_rng(31)
         for d in (2, 3, 4, 5):
             for _ in range(100):
                 fiducial = haar_random_pure_state(d, rng)
-                povm, _ = hw_covariant_povm(d, fiducial)  # constructor checks sum
+                povm = hw_covariant_povm(d, fiducial)  # constructor checks sum
                 assert povm.n_outcomes == d * d
 
     def test_zero_fiducial_is_degenerate(self):
-        povm, noncommuting = hw_covariant_povm(2, QuantumState.basis_state(2, 0))
-        assert not noncommuting
+        povm = hw_covariant_povm(2, QuantumState.basis_state(2, 0))
+        assert not bound_applies(povm)
         half_zero = np.diag([0.5, 0.0])
         hits = sum(1 for m in povm.effects if np.max(np.abs(m - half_zero)) < 1e-12)
         assert hits == 2
 
     def test_generic_fiducial_noncommuting(self):
-        povm, noncommuting = hw_covariant_povm(3, haar_random_pure_state(3, 123))
+        povm = hw_covariant_povm(3, haar_random_pure_state(3, 123))
         assert povm.n_outcomes == 9
-        assert noncommuting
+        assert bound_applies(povm)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_flag_matches_the_commutator_scan(self, d):
         # Haar fiducials make every pair non-commuting; a Weyl eigenvector makes
-        # parallel and orthogonal pairs, which commute
+        # parallel and orthogonal pairs, which commute.  Rank-one projectors commute
+        # iff orthogonal or parallel, and a parallel pair in an orbit makes the
+        # fiducial a Weyl eigenvector, hence gives an orthogonal pair too: so the
+        # witness raises exactly when the scan finds a commuting pair
         rng = np.random.default_rng(60 + d)
         haar = [haar_random_pure_state(d, rng) for _ in range(20)]
         eigen = [QuantumState.pure(v / np.linalg.norm(v)) for v in weyl_eigenvectors(d)]
         for fiducials, want in ((haar, True), (eigen, False)):
             for fiducial in fiducials:
-                povm, noncommuting = hw_covariant_povm(d, fiducial)
-                assert noncommuting == commutator_scan(povm.stack, d) == want
+                povm = hw_covariant_povm(d, fiducial)
+                assert bound_applies(povm) == commutator_scan(povm.stack, d) == want
 
     def test_d16_smoke(self):
-        # one 256 x 256 Gram matrix decides the flag for either fiducial
-        povm, noncommuting = hw_covariant_povm(16, haar_random_pure_state(16, 5))
-        assert povm.n_outcomes == 256 and noncommuting
-        assert not hw_covariant_povm(16, QuantumState.basis_state(16, 0))[1]
+        # one 256 x 256 Gram matrix of the kept pieces decides either fiducial
+        povm = hw_covariant_povm(16, haar_random_pure_state(16, 5))
+        assert povm.n_outcomes == 256 and bound_applies(povm)
+        assert not bound_applies(hw_covariant_povm(16, QuantumState.basis_state(16, 0)))
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
@@ -956,8 +969,7 @@ class TestMaxSuccessBound:
         assert max_success_bound_rank_one(tetrahedral) == pytest.approx(0.5)
 
     def test_hw_covariant_d3(self):
-        povm, noncommuting = hw_covariant_povm(3, haar_random_pure_state(3, 7))
-        assert noncommuting
+        povm = hw_covariant_povm(3, haar_random_pure_state(3, 7))
         assert max_success_bound_rank_one(povm) == pytest.approx(1 / 3)
 
     def test_projective_input_rejected(self):

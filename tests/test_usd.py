@@ -13,6 +13,7 @@ from povmsim.core import (
     InvariantViolation,
     Povm,
     QuantumState,
+    default_atol,
     haar_random_pure_state,
     haar_random_unitary,
     haar_random_vectors,
@@ -24,6 +25,7 @@ from povmsim.simulation import PostProcessingMap, apply_postprocessing, build_mq
 from povmsim.usd import (
     UNAMBIGUITY_ATOL,
     Ensemble,
+    RandomEnsembleExperiment,
     dual_states,
     ensemble_from_document,
     ensemble_to_document,
@@ -387,7 +389,45 @@ class TestGluedPostselectionInvariant:
             assert scaled.unambiguous
 
 
+def reference_rows(d, space_dim, trials, seed):
+    """The per-trial rows built one dict per draw, as the experiment once held them."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for t in range(trials):
+        states = haar_random_vectors(d, space_dim, rng)
+        lam = min_eigenvalue(states.conj() @ states.T)
+        p_sp_upper = 1.0 / d
+        rows.append({"trial": t, "lambda_min": float(lam), "p_sp_upper": p_sp_upper,
+                     "ratio_lower": float(lam / p_sp_upper), "ratio_upper": float(d)})
+    return rows
+
+
+def reference_band_ok(d, rows):
+    return all(r["ratio_lower"] <= r["ratio_upper"] + default_atol(d) for r in rows)
+
+
 class TestRandomEnsembleExperiment:
+    @pytest.mark.parametrize("d, space_dim, trials, seed",
+                             [(1, 1, 3, 0), (1, 5, 4, 9), (3, 4, 20, 1), (6, 9, 15, 123),
+                              (10, 10, 5, 1), (50, 100, 20, 7)])
+    def test_rows_match_the_per_trial_build(self, d, space_dim, trials, seed):
+        exp = random_ensemble_experiment(d, space_dim, trials, seed)
+        reference = reference_rows(d, space_dim, trials, seed)
+        assert exp.rows == reference
+        assert exp.band_ok == reference_band_ok(d, reference)
+
+    def test_lambda_values_are_read_only(self):
+        exp = random_ensemble_experiment(3, 4, trials=5, seed=2)
+        assert exp.lambda_values.shape == (5,)
+        with pytest.raises(ValueError):
+            exp.lambda_values[0] = 0.5
+
+    @pytest.mark.parametrize("lams", [[1.0, 0.2], [1.0 + 1e-13, 0.5], [1.5, 0.2], [np.nan, 0.1]])
+    def test_band_ok_matches_the_trial_wise_check(self, lams):
+        # d = 1 puts ratio_lower = lambda_min against ratio_upper = 1
+        exp = RandomEnsembleExperiment(1, 2, np.array(lams))
+        assert exp.band_ok == reference_band_ok(1, exp.rows)
+
     def test_single_state_always_one(self):
         exp = random_ensemble_experiment(1, 5, trials=10, seed=0)
         assert np.allclose(exp.lambda_values, 1.0, atol=1e-10)
@@ -424,8 +464,8 @@ class TestRandomEnsembleExperiment:
 
     def test_trial_generators_are_not_held_at_once(self):
         # trials draw one block at a time from one generator, so memory does
-        # not grow with the trial count beyond the kept rows (about 0.3 KiB
-        # each): 2000 trials peak at about 0.6 MiB
+        # not grow with the trial count beyond the kept lambda_min values
+        # (8 bytes each): 2000 trials peak at about 0.03 MiB once numpy is warm
         tracemalloc.start()
         try:
             random_ensemble_experiment(2, 3, trials=2000, seed=1)

@@ -20,8 +20,9 @@ import numpy as np
 TOLERANCE_SCALE = 1e-9
 NORM_ATOL = 1e-12
 ORTHOGONALITY_ATOL = 1e-9
-# matrix entries in one batched temporary: the scheme check's residual and
-# operational_distance's subset sums are built in blocks of at most this many
+# matrix entries in one batched temporary: the scheme check's residual,
+# operational_distance's subset sums and the random USD experiment's states
+# are built in blocks of at most this many
 BLOCK_ELEMENTS = 2 ** 14
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -151,11 +152,17 @@ def _hermitian_norm(blocks) -> float:
     return np.abs(np.linalg.eigvalsh(blocks)).max()
 
 
-def min_eigenvalue(matrix) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    m = as_operator(matrix)
-    m = require_hermitian(m, default_atol(m.shape[0]))
-    return float(np.linalg.eigvalsh(m)[0])
+def min_eigenvalue(matrix):
+    """Smallest eigenvalue of a Hermitian matrix, as a float; of an (..., d, d)
+    stack, each matrix's as an (...) array, with one Hermiticity check and one
+    eigvalsh for the whole stack."""
+    m = as_operator(matrix, stack=True)
+    hermitian, defect = hermitian_part(m)
+    worst = np.max(defect)
+    if not worst <= default_atol(m.shape[-1]):
+        raise InvariantViolation("hermiticity", worst, f"matrix is not Hermitian (defect {worst:.3e})")
+    lams = np.linalg.eigvalsh(hermitian)[..., 0]
+    return float(lams) if m.ndim == 2 else lams
 
 
 def validate_effects(stack: np.ndarray, atol: float) -> np.ndarray:

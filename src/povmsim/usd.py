@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLOCK_ELEMENTS,
     DocumentError,
     InvariantViolation,
     Povm,
@@ -279,7 +280,7 @@ def symmetric_ensemble(d: int, coefficients) -> SymmetricEnsemble:
         raise ValueError("all coefficients must be non-zero for linear independence")
     omega = np.exp(2j * np.pi / d)
     k = np.arange(d)
-    states = np.array([c * omega ** (i * k) for i in range(d)]) / np.sqrt(d)
+    states = c * omega ** np.outer(k, k) / np.sqrt(d)
     return SymmetricEnsemble(states, float(np.min(np.abs(c) ** 2)))
 
 
@@ -345,15 +346,21 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     upward shift at finite D from the Tracy-Widom fluctuations of the
     smallest eigenvalue; single trials may fall below the edge.
 
-    Each trial draws its states as one (d, D) block of Haar rows, in trial
-    order, from the generator of ``seed``, so memory holds one block.
+    Each trial draws its states as one (d, D) array of Haar rows, in trial
+    order, from the generator of ``seed``.  Trials run in blocks of at most
+    :data:`core.BLOCK_ELEMENTS` state entries (at least one trial each): one
+    draw, one batched Gram product and one :func:`core.min_eigenvalue` (one
+    Hermitian check, one eigvalsh) per block, so memory holds one block.
     """
     if d > space_dim:
         raise ValueError("need d <= D for linearly independent Haar states")
     require_count(trials, "trials")
     rng = _rng(seed)
     lams = np.empty(trials)
-    for t in range(trials):
-        states = haar_random_vectors(d, space_dim, rng)
-        lams[t] = min_eigenvalue(states.conj() @ states.T)
-    return RandomEnsembleExperiment(d, space_dim, _freeze(lams))
+    block = max(1, BLOCK_ELEMENTS // (d * space_dim))
+    for start in range(0, trials, block):
+        b = min(block, trials - start)
+        states = haar_random_vectors(b * d, space_dim, rng).reshape(b, d, space_dim)
+        lams[start:start + b] = min_eigenvalue(states.conj() @ states.swapaxes(-1, -2))
+    lams.setflags(write=False)  # frozen in place: a copy would double the kept values
+    return RandomEnsembleExperiment(d, space_dim, lams)

@@ -270,6 +270,42 @@ class TestMinEigenvalue:
         with pytest.raises(InvariantViolation, match="herm"):
             min_eigenvalue(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("matrix", [np.eye(4), np.diag([2.0, 0.5, 1.0]), [[1.0]]])
+    def test_matrix_gives_a_python_float(self, matrix):
+        assert type(min_eigenvalue(matrix)) is float
+
+    @staticmethod
+    def gram_stack(shape, d, space_dim, seed):
+        states = haar_random_vectors(int(np.prod(shape)) * d, space_dim, seed)
+        states = states.reshape(*shape, d, space_dim)
+        return states.conj() @ states.swapaxes(-1, -2)
+
+    @pytest.mark.parametrize("shape, d, space_dim", [((5,), 1, 3), ((5,), 3, 4), ((5,), 10, 100),
+                                                     ((2, 3), 4, 6)])
+    def test_stack_matches_each_matrix(self, shape, d, space_dim):
+        grams = self.gram_stack(shape, d, space_dim, 17)
+        lams = min_eigenvalue(grams)
+        assert isinstance(lams, np.ndarray) and lams.shape == shape
+        for index in np.ndindex(*shape):
+            assert lams[index] == min_eigenvalue(grams[index])
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_stack_rejects_one_non_hermitian_matrix(self, k):
+        grams = self.gram_stack((5,), 3, 4, 5)
+        grams[k, 0, 1] += 1e-3
+        with pytest.raises(InvariantViolation) as err:
+            min_eigenvalue(grams)
+        assert err.value.invariant == "hermiticity"
+        assert err.value.deviation == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_stack_rejects_a_nan(self, k):
+        grams = self.gram_stack((5,), 3, 4, 5)
+        grams[k, 1, 1] = np.nan
+        with pytest.raises(InvariantViolation) as err:
+            min_eigenvalue(grams)
+        assert err.value.invariant == "finite entries"
+
 
 class TestHaarStates:
     def test_dim_one_is_a_phase(self):

@@ -409,7 +409,14 @@ def reference_band_ok(d, rows):
 class TestRandomEnsembleExperiment:
     @pytest.mark.parametrize("d, space_dim, trials, seed",
                              [(1, 1, 3, 0), (1, 5, 4, 9), (3, 4, 20, 1), (6, 9, 15, 123),
-                              (10, 10, 5, 1), (50, 100, 20, 7)])
+                              (10, 10, 5, 1), (50, 100, 20, 7),
+                              # around the block of 16 trials at (10, 100)
+                              (10, 100, 15, 2), (10, 100, 16, 2), (10, 100, 17, 2),
+                              (10, 100, 33, 2),
+                              # d * D above BLOCK_ELEMENTS: one trial per block
+                              (130, 130, 3, 4),
+                              # 163 trials: exactly one full block
+                              (5, 20, 163, 6)])
     def test_rows_match_the_per_trial_build(self, d, space_dim, trials, seed):
         exp = random_ensemble_experiment(d, space_dim, trials, seed)
         reference = reference_rows(d, space_dim, trials, seed)
@@ -465,14 +472,18 @@ class TestRandomEnsembleExperiment:
     def test_trial_generators_are_not_held_at_once(self):
         # trials draw one block at a time from one generator, so memory does
         # not grow with the trial count beyond the kept lambda_min values
-        # (8 bytes each): 2000 trials peak at about 0.03 MiB once numpy is warm
-        tracemalloc.start()
-        try:
-            random_ensemble_experiment(2, 3, trials=2000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.2 * 2**20
+        # (8 bytes each): both counts span several blocks of 2730 trials, and
+        # their traced peaks differ by the extra trials' values alone
+        random_ensemble_experiment(2, 3, trials=10_000, seed=1)  # numpy warm
+        peaks = []
+        for trials in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                random_ensemble_experiment(2, 3, trials=trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 8 * 90_000 + 2**14
 
     def test_determinism_and_csv(self):
         a = random_ensemble_experiment(4, 8, trials=6, seed=11)

@@ -20,9 +20,9 @@ import numpy as np
 TOLERANCE_SCALE = 1e-9
 NORM_ATOL = 1e-12
 ORTHOGONALITY_ATOL = 1e-9
-# matrix entries in one batched temporary: the scheme check's residual,
-# operational_distance's subset sums and the random USD experiment's states
-# are built in blocks of at most this many
+# matrix entries in one batched temporary: the scheme check's residual and
+# operational_distance's subset sums are built in blocks of at most this many,
+# and the random USD experiment's Gaussian draws in blocks of as many floats
 BLOCK_ELEMENTS = 2 ** 14
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -158,7 +158,7 @@ def min_eigenvalue(matrix):
     eigvalsh for the whole stack."""
     m = as_operator(matrix, stack=True)
     hermitian, defect = hermitian_part(m)
-    worst = np.max(defect)
+    worst = defect.max()
     if not worst <= default_atol(m.shape[-1]):
         raise InvariantViolation("hermiticity", worst, f"matrix is not Hermitian (defect {worst:.3e})")
     lams = np.linalg.eigvalsh(hermitian)[..., 0]

@@ -347,9 +347,10 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     smallest eigenvalue; single trials may fall below the edge.
 
     Each trial draws its states as one (d, D) array of Haar rows, in trial
-    order, from the generator of ``seed``.  Trials run in blocks of at most
-    :data:`core.BLOCK_ELEMENTS` state entries (at least one trial each): one
-    draw, one batched Gram product and one :func:`core.min_eigenvalue` (one
+    order, from the generator of ``seed``.  Trials run in blocks whose
+    Gaussian draw, 2 d D floats per trial, holds at most
+    :data:`core.BLOCK_ELEMENTS` floats (at least one trial each): one draw,
+    one batched Gram product and one :func:`core.min_eigenvalue` (one
     Hermitian check, one eigvalsh) per block, so memory holds one block.
     """
     if d > space_dim:
@@ -357,7 +358,10 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     require_count(trials, "trials")
     rng = _rng(seed)
     lams = np.empty(trials)
-    block = max(1, BLOCK_ELEMENTS // (d * space_dim))
+    # a block's largest temporaries (its draw and its states) stay within
+    # 128 KiB, glibc's default mmap threshold: with blocks of twice as many
+    # trials, d = 50, D = 100 ran 4% slower than one trial at a time
+    block = max(1, BLOCK_ELEMENTS // (2 * d * space_dim))
     for start in range(0, trials, block):
         b = min(block, trials - start)
         states = haar_random_vectors(b * d, space_dim, rng).reshape(b, d, space_dim)

@@ -410,13 +410,13 @@ class TestRandomEnsembleExperiment:
     @pytest.mark.parametrize("d, space_dim, trials, seed",
                              [(1, 1, 3, 0), (1, 5, 4, 9), (3, 4, 20, 1), (6, 9, 15, 123),
                               (10, 10, 5, 1), (50, 100, 20, 7),
-                              # around the block of 16 trials at (10, 100)
-                              (10, 100, 15, 2), (10, 100, 16, 2), (10, 100, 17, 2),
-                              (10, 100, 33, 2),
+                              # around the blocks of 8 trials at (10, 100)
+                              (10, 100, 8, 2), (10, 100, 9, 2), (10, 100, 15, 2),
+                              (10, 100, 16, 2), (10, 100, 17, 2), (10, 100, 33, 2),
                               # d * D above BLOCK_ELEMENTS: one trial per block
                               (130, 130, 3, 4),
-                              # 163 trials: exactly one full block
-                              (5, 20, 163, 6)])
+                              # 81 trials: exactly one full block
+                              (5, 20, 81, 6)])
     def test_rows_match_the_per_trial_build(self, d, space_dim, trials, seed):
         exp = random_ensemble_experiment(d, space_dim, trials, seed)
         reference = reference_rows(d, space_dim, trials, seed)
@@ -472,7 +472,7 @@ class TestRandomEnsembleExperiment:
     def test_trial_generators_are_not_held_at_once(self):
         # trials draw one block at a time from one generator, so memory does
         # not grow with the trial count beyond the kept lambda_min values
-        # (8 bytes each): both counts span several blocks of 2730 trials, and
+        # (8 bytes each): both counts span several blocks of 1365 trials, and
         # their traced peaks differ by the extra trials' values alone
         random_ensemble_experiment(2, 3, trials=10_000, seed=1)  # numpy warm
         peaks = []

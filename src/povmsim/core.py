@@ -108,9 +108,11 @@ def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def require_hermitian(m: np.ndarray, atol: float, name: str = "matrix") -> np.ndarray:
+    """The Hermitian part of a matrix or (..., d, d) stack, checked on its largest defect."""
     hermitian, defect = hermitian_part(m)
-    if not defect <= atol:
-        raise InvariantViolation("hermiticity", defect, f"{name} is not Hermitian (defect {defect:.3e})")
+    worst = defect.max()
+    if not worst <= atol:
+        raise InvariantViolation("hermiticity", worst, f"{name} is not Hermitian (defect {worst:.3e})")
     return hermitian
 
 
@@ -157,11 +159,7 @@ def min_eigenvalue(matrix):
     stack, each matrix's as an (...) array, with one Hermiticity check and one
     eigvalsh for the whole stack."""
     m = as_operator(matrix, stack=True)
-    hermitian, defect = hermitian_part(m)
-    worst = defect.max()
-    if not worst <= default_atol(m.shape[-1]):
-        raise InvariantViolation("hermiticity", worst, f"matrix is not Hermitian (defect {worst:.3e})")
-    lams = np.linalg.eigvalsh(hermitian)[..., 0]
+    lams = np.linalg.eigvalsh(require_hermitian(m, default_atol(m.shape[-1])))[..., 0]
     return float(lams) if m.ndim == 2 else lams
 
 

@@ -154,7 +154,7 @@ def _hermitian_norm(blocks) -> float:
     return np.abs(np.linalg.eigvalsh(blocks)).max()
 
 
-def min_eigenvalue(matrix):
+def min_eigenvalue(matrix) -> float | np.ndarray:
     """Smallest eigenvalue of a Hermitian matrix, as a float; of an (..., d, d)
     stack, each matrix's as an (...) array, with one Hermiticity check and one
     eigvalsh for the whole stack."""

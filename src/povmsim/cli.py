@@ -278,7 +278,7 @@ def cmd_table1(args) -> int:
 
 def cmd_fixtures(args) -> int:
     config = {"command": "fixtures"}
-    _emit({"rows": [{"name": n} for n in fixtures.fixture_names()]}, config, args)
+    _emit({"rows": [{"name": n} for n in fixtures.IDEAL_NAMES]}, config, args)
     return 0
 
 

@@ -87,10 +87,11 @@ def require_count(value, name: str):
 
 def as_operator(matrix, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Coerce to a square complex matrix (with ``stack``, an (..., d, d)
-    stack of them) with finite entries."""
+    stack of them holding at least one) with finite entries."""
     m = np.asarray(matrix, dtype=complex)
-    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-2] != m.shape[-1] or m.shape[-1] < 1:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-2] != m.shape[-1] or 0 in m.shape:
+        kind = "non-empty stack of square matrices" if stack else "square matrix"
+        raise ValueError(f"{name} must be a {kind}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvariantViolation("finite entries", np.inf, f"{name} has non-finite entries")
     return m
@@ -496,8 +497,7 @@ def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
     """Random POVM with effects of rank up to ``rank``: the pieces of
     ``random_rank_one_povm(dim, n_outcomes * rank, seed)`` glued k -> k // rank,
     kept as :attr:`Povm.glued_from` so the refinement solves nothing."""
-    if rank < 1:
-        raise ValueError("rank must be positive")
+    require_count(rank, "rank")
     pieces = random_rank_one_povm(dim, n_outcomes * rank, seed)
     if rank == 1:
         return pieces
@@ -523,7 +523,6 @@ class DocumentError(ValueError):
     """A document value of the wrong type, shape or size; names its key."""
 
     def __init__(self, key: str, message: str):
-        self.key = key
         super().__init__(f"key {key!r} {message}")
 
 

@@ -74,6 +74,3 @@ def reconstruction(name: str, method: str) -> np.ndarray:
     doc = _load_document(f"{name}_{method}")
     return _freeze(complex_from_lists(doc["effects"], "effects", (None, 2, 2)))
 
-
-def fixture_names() -> tuple[str, ...]:
-    return IDEAL_NAMES

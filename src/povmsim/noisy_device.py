@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (PAULI_X, InvariantViolation, Povm, QuantumState, _freeze, _rng, as_operator,
                    default_atol, isometry_defect, probability_rows, require_count)
-from .fixtures import fixture_names
+from .fixtures import IDEAL_NAMES
 from .naimark import NaimarkDilation, naimark_dilation
 from .simulation import (
     PostselectionScheme,
@@ -52,10 +52,6 @@ class NoiseModel:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-    @classmethod
-    def preset(cls, name: str) -> "NoiseModel":
-        return NOISE_PRESETS[name]
 
 
 #: the named noise models; ibmx4-like is a synthetic two-qubit-gate-dominated
@@ -111,9 +107,9 @@ def load_experiment_plan(doc) -> ExperimentPlan:
                           shots=typed("shots", 8192, int,
                                       f"an integer in [1, {MAX_SHOTS}]", 1, MAX_SHOTS),
                           seed=typed("seed", 0, int, "a non-negative integer", 0))
-    if plan.povm_fixture not in fixture_names():
+    if plan.povm_fixture not in IDEAL_NAMES:
         raise ValueError(f"unknown povm_fixture {plan.povm_fixture!r}; "
-                         f"available: {', '.join(fixture_names())}")
+                         f"available: {', '.join(IDEAL_NAMES)}")
     return plan
 
 
@@ -148,9 +144,6 @@ class Circuit:
             raise ValueError("su2 payload must be a 2x2 unitary")
         self.gates.append(Gate("su2", (qubit,), m))
         return self
-
-    def x(self, qubit: int) -> "Circuit":
-        return self.su2(qubit, PAULI_X)
 
     def cnot(self, control: int, target: int) -> "Circuit":
         self._check_qubit(control)
@@ -412,10 +405,6 @@ def two_qubit_gate_sequence(unitary: np.ndarray) -> list[Gate]:
                        f"{DECOMPOSITION_ATOL:g}")
 
 
-def _sequence_unitary(gates: list[Gate]) -> np.ndarray:
-    return Circuit(2, gates).unitary()
-
-
 def _candidates(u: np.ndarray, count: int, spectrum: np.ndarray | None):
     """(gates, product) for ``count`` CNOTs, at most one per mixing: SU(2)
     layers around the interior v, read off the magic-basis forms t of the
@@ -433,7 +422,7 @@ def _candidates(u: np.ndarray, count: int, spectrum: np.ndarray | None):
     swapped = count != 2
     target = np.exp(1j * np.pi / 4) * _SWAP @ u if swapped else u
     interior = _interior(target, count, None if swapped else spectrum)
-    v_inner = _sequence_unitary(interior)
+    v_inner = Circuit(2, interior).unitary()
     t = _MAGIC_DAG @ target @ _MAGIC
     v = _MAGIC_DAG @ (_SWAP @ v_inner if swapped else v_inner) @ _MAGIC
     t_form, v_form = t @ t.T, v @ v.T
@@ -577,7 +566,6 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     leaves no component unmeasured.  All component rotations evolve as one
     (m, P, 2, 2) stack, and :func:`_mitigated` draws all their counts at once.
     """
-    n = scheme.target.n_outcomes
     require_count(cap, "shots")
     shots = np.maximum(proportional_shot_allocation(scheme.weights * scheme.target.dim, cap), 1)
 
@@ -589,9 +577,8 @@ def postselection_tomography(scheme: PostselectionScheme, noise: NoiseModel,
     runs = shots[:, None, None] * mitigated
     table = np.column_stack([scheme.merge.relabel(runs[:, :, 0]).T, runs[:, :, 1].sum(axis=0)])
     table /= table.sum(axis=1, keepdims=True)
-    record = TomographyRecord(table)
-    fraction = float(np.mean(table[:, n]))
-    kept = record.postselected(n)
+    fraction = float(np.mean(table[:, -1]))
+    kept = TomographyRecord(table).postselected()
     reconstruction = reconstruct_povm(kept)
     return PipelineResult(kept, reconstruction, operational_distance(scheme.target, reconstruction),
                           postselection_fraction=fraction, shots_total=shots_total)

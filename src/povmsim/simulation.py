@@ -135,8 +135,6 @@ def rank_one_refinement(povm: Povm) -> tuple[Povm, PostProcessingMap]:
     if refined.rank_one is not None and refined.rank_one.weights.min() > povm.atol:
         return refined, PostProcessingMap(parents, povm.n_outcomes)
     parts = rank_one_parts(povm.stack, povm.atol)
-    if not parts.parents.size:
-        raise InvariantViolation("positivity", 0.0, "POVM has no non-null effects")
     total = (parts.vectors.T * parts.weights) @ parts.vectors.conj()  # sum_k a_k v_k v_k^dagger
     defect = float(np.max(np.abs(total - np.eye(povm.dim))))
     if defect > povm.atol:
@@ -286,8 +284,9 @@ def sample_postselection(scheme: PostselectionScheme, state: QuantumState,
     return ShotRecord(np.append(kept, shots - kept.sum()))
 
 
-def hw_covariant_povm(d: int, fiducial: QuantumState) -> Povm:
-    """The d^2-outcome rank-one POVM covariant under clock-and-shift orbits.
+def hw_covariant_povm(fiducial: QuantumState) -> Povm:
+    """``hw_covariant_povm(fiducial)``: the d^2-outcome rank-one POVM covariant
+    under clock-and-shift orbits, d the dimension of the pure ``fiducial``.
 
     Effects are (1/d)|psi_ab><psi_ab| with |psi_ab> = X^a Z^b |fiducial>,
     kept as the POVM's pieces (:attr:`Povm.rank_one`); group averaging makes
@@ -296,8 +295,7 @@ def hw_covariant_povm(d: int, fiducial: QuantumState) -> Povm:
     """
     if not fiducial.is_pure:
         raise ValueError("fiducial state must be pure")
-    if fiducial.dim != d:
-        raise ValueError(f"fiducial dimension {fiducial.dim} does not match d={d}")
+    d = fiducial.dim
     clock = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
     # row a*d + b is X^a Z^b |fiducial>: the cyclic shift X^a is a roll
     phased = np.stack([np.linalg.matrix_power(clock, b) @ fiducial.vector for b in range(d)])

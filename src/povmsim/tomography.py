@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     BLOCK_ELEMENTS,
-    InvariantViolation,
     Povm,
     QuantumState,
     _freeze,
@@ -24,9 +23,9 @@ from .core import (
     as_operator,
     born_probabilities,
     default_atol,
-    hermitian_part,
     pauli_eigenstates,
     require_distribution,
+    require_hermitian,
 )
 
 MAX_SUBSET_OUTCOMES = 20
@@ -65,11 +64,10 @@ class TomographyRecord:
         """Exact statistics: the infinite-shot record of a known POVM."""
         return cls(born_probabilities(PROBE_RHOS, povm))
 
-    def postselected(self, fail_index: int) -> "TomographyRecord":
-        """Drop one outcome column and renormalize each probe row,
-        keeping only non-rejected outcomes."""
-        keep = [i for i in range(self.n_outcomes) if i != fail_index]
-        table = self.frequencies[:, keep]
+    def postselected(self) -> "TomographyRecord":
+        """``record.postselected()``: drop the last outcome column, the fail
+        outcome, and renormalize each probe row over the kept outcomes."""
+        table = self.frequencies[:, :-1]
         totals = table.sum(axis=1, keepdims=True)
         if np.min(totals) <= 0:
             raise ValueError("a probe has no surviving outcomes after postselection")
@@ -124,8 +122,8 @@ def _effect_stack(povm, name: str) -> np.ndarray:
     if isinstance(povm, (Povm, Reconstruction)):
         return povm.stack if isinstance(povm, Povm) else povm.effects
     effects = as_operator(povm, name, stack=True)
-    if effects.ndim != 3 or not len(effects):
-        raise ValueError(f"{name} must be a non-empty (n, d, d) stack, got shape {effects.shape}")
+    if effects.ndim != 3:
+        raise ValueError(f"{name} must be an (n, d, d) stack, got shape {effects.shape}")
     return effects
 
 
@@ -156,11 +154,8 @@ def operational_distance(m, n) -> float:
         diffs[:len(ns)] -= ns
     diffs = as_operator(diffs, "effect differences", stack=True)
     complete_pair = float(np.max(np.abs(diffs.sum(axis=0)))) <= 1e-12
-    diffs, defect = hermitian_part(diffs)  # their subset sums are then exactly Hermitian
-    defect = float(np.max(defect))
-    if not defect <= default_atol(dim):
-        raise InvariantViolation("hermiticity", defect,
-                                 f"effect differences are not Hermitian (defect {defect:.3e})")
+    # the Hermitian parts' subset sums are exactly Hermitian
+    diffs = require_hermitian(diffs, default_atol(dim), "effect difference")
     base, free = (diffs[0], diffs[1:]) if complete_pair else (np.zeros_like(diffs[0]), diffs)
     bits = max(1, (BLOCK_ELEMENTS // dim ** 2).bit_length() - 1)
     block, rest = _subset_sums(free[:bits]), free[bits:]
@@ -198,6 +193,8 @@ def bias_mitigated_statistics(records: dict) -> TomographyRecord:
     (:func:`flip_average`).  The full mask set is required: 2 variants for
     one qubit, 4 for two.
     """
+    if not records:
+        raise ValueError("need one record per flip mask: 0..1 for one qubit, 0..3 for two")
     variants = sorted(records.items(), key=lambda item: int(item[0]))
     masks = [int(m) for m, _ in variants]
     n_outcomes = variants[0][1].n_outcomes

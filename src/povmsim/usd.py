@@ -119,10 +119,6 @@ class UsdResult:
     def unambiguous(self) -> bool:
         return not self.violations
 
-    @property
-    def max_violation(self) -> float:
-        return max((v for _, _, v in self.violations), default=0.0)
-
 
 def usd_success(ensemble: Ensemble, povm: Povm) -> UsdResult:
     """sum_i p_i tr(rho_i M_i) with M_{n+1} the inconclusive effect.
@@ -246,7 +242,6 @@ class AdvantageBound:
     p_sp: float
     ratio: float
     bound_ok: bool
-    d: int
 
 
 def usd_advantage_bound(ensemble: Ensemble) -> AdvantageBound:
@@ -261,11 +256,12 @@ def usd_advantage_bound(ensemble: Ensemble) -> AdvantageBound:
     p_sp = projective_simulable_optimum(ensemble)
     ratio = lam / p_sp
     bound_ok = lam <= d * p_sp + default_atol(d)
-    return AdvantageBound(float(lam), float(p_sp), float(ratio), bool(bound_ok), d)
+    return AdvantageBound(float(lam), float(p_sp), float(ratio), bool(bound_ok))
 
 
-def symmetric_ensemble(d: int, coefficients) -> SymmetricEnsemble:
-    """Uniform ensemble of Fourier-symmetric states with known USD optimum.
+def symmetric_ensemble(coefficients) -> SymmetricEnsemble:
+    """``symmetric_ensemble(coefficients)``: the uniform ensemble of d =
+    ``len(coefficients)`` Fourier-symmetric states with known USD optimum.
 
     |phi_i> = (1/sqrt(d)) sum_k c_k w^{ik} |k> with w = exp(2 pi i / d);
     normalization requires sum |c_k|^2 = d, every c_k must be non-zero, and
@@ -273,8 +269,7 @@ def symmetric_ensemble(d: int, coefficients) -> SymmetricEnsemble:
     eigenvalue; the ensemble Gram is circulant with eigenvalues |c_k|^2).
     """
     c = np.asarray(coefficients, dtype=complex).reshape(-1)
-    if c.size != d:
-        raise ValueError(f"need {d} coefficients, got {c.size}")
+    d = c.size
     require_distribution(np.abs(c) ** 2 / d, 1e-9, "coefficient")
     if np.min(np.abs(c)) == 0:
         raise ValueError("all coefficients must be non-zero for linear independence")
@@ -297,7 +292,7 @@ def symmetric_ensemble_from_gap(d: int, epsilon: float) -> SymmetricEnsemble:
         raise ValueError("need d >= 2")
     mags = np.full(d, (d - 1 + epsilon) / (d - 1))
     mags[0] = 1 - epsilon
-    return symmetric_ensemble(d, np.sqrt(mags))
+    return symmetric_ensemble(np.sqrt(mags))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from povmsim.core import (
 )
 from povmsim.naimark import dilated_statistics, naimark_dilation
 from povmsim.noisy_device import (
+    NOISE_PRESETS,
     NoiseModel,
     compare_schemes,
     compile_naimark_circuit,
@@ -213,7 +214,7 @@ def test_criterion_7_tomography_round_trip(all_fixture_povms):
 
 def test_criterion_8_qualitative_table1_ordering(all_fixture_povms):
     start = time.perf_counter()
-    noise = NoiseModel.preset("ibmx4-like")
+    noise = NOISE_PRESETS["ibmx4-like"]
     for name, povm in all_fixture_povms.items():
         for seed in range(5):
             result = compare_schemes(povm, noise, shots=50_000, seed=seed)
@@ -270,8 +271,8 @@ def test_criterion_9_metric_and_invariant_suite(all_fixture_povms, trine):
     r1 = sample_postselection(scheme, state, 20_000, seed=77)
     r2 = sample_postselection(scheme, state, 20_000, seed=77)
     assert np.array_equal(r1.counts(), r2.counts())
-    c1 = compare_schemes(trine, NoiseModel.preset("ibmx4-like"), shots=5_000, seed=4)
-    c2 = compare_schemes(trine, NoiseModel.preset("ibmx4-like"), shots=5_000, seed=4)
+    c1 = compare_schemes(trine, NOISE_PRESETS["ibmx4-like"], shots=5_000, seed=4)
+    c2 = compare_schemes(trine, NOISE_PRESETS["ibmx4-like"], shots=5_000, seed=4)
     assert c1.naimark.distance == c2.naimark.distance
     assert c1.postselection.distance == c2.postselection.distance
     _report(9, "metric and invariant suite")

@@ -38,7 +38,8 @@ from povmsim.core import (
     state_to_document,
     validate_effects,
 )
-from povmsim.tomography import TomographyRecord, probe_states, reconstruct_povm
+from povmsim.tomography import (TomographyRecord, operational_distance, probe_states,
+                                reconstruct_povm)
 
 
 class TestBornProbabilities:
@@ -305,6 +306,15 @@ class TestMinEigenvalue:
         with pytest.raises(InvariantViolation) as err:
             min_eigenvalue(grams)
         assert err.value.invariant == "finite entries"
+
+
+@pytest.mark.parametrize("call", [min_eigenvalue, operator_norm,
+                                  lambda m: operational_distance(m, m)],
+                         ids=["min_eigenvalue", "operator_norm", "operational_distance"])
+def test_stack_of_no_matrices_rejected(call):
+    # named by the one shape check, not left to numpy's zero-size reduction error
+    with pytest.raises(ValueError, match=r"non-empty stack of square matrices, got shape \(0,"):
+        call(np.zeros((0, 2, 2)))
 
 
 class TestHaarStates:
@@ -583,6 +593,11 @@ class TestRandomPovms:
     def test_needs_enough_outcomes(self):
         with pytest.raises(ValueError):
             random_rank_one_povm(3, 2, 0)
+
+    @pytest.mark.parametrize("rank", [0, 1.5, True, "2"])
+    def test_rank_is_a_count(self, rank):
+        with pytest.raises(ValueError, match="rank must be an integer of at least 1"):
+            random_povm(2, 3, 0, rank=rank)
 
     def test_stack_is_the_outer_products_validated_once(self, monkeypatch):
         rows = haar_random_unitary(5, 4)[:3]

@@ -18,6 +18,7 @@ from povmsim.naimark import dilated_statistics, naimark_dilation
 from povmsim.noisy_device import (
     DECOMPOSITION_ATOL,
     MAX_SHOTS,
+    NOISE_PRESETS,
     Circuit,
     NoiseModel,
     _evolve,
@@ -26,7 +27,6 @@ from povmsim.noisy_device import (
     _mitigated,
     _phase_distance,
     _readout,
-    _sequence_unitary,
     compare_schemes,
     compile_naimark_circuit,
     compile_postselection_circuit,
@@ -114,7 +114,7 @@ def _flipped(circuit, mask):
     flipped = Circuit(n, list(circuit.gates))
     for q in range(n):
         if mask >> (n - 1 - q) & 1:
-            flipped.x(q)
+            flipped.su2(q, PAULI_X)
     return flipped
 
 
@@ -181,7 +181,7 @@ def _unscreened_candidates(u, count, spectrum):
     swapped = count != 2
     target = np.exp(1j * np.pi / 4) * nd._SWAP @ u if swapped else u
     interior = nd._interior(target, count, None if swapped else spectrum)
-    v_inner = _sequence_unitary(interior)
+    v_inner = Circuit(2, interior).unitary()
     t = nd._MAGIC_DAG @ target @ nd._MAGIC
     v = nd._MAGIC_DAG @ (nd._SWAP @ v_inner if swapped else v_inner) @ nd._MAGIC
     for mixing in nd._MIXINGS:
@@ -205,7 +205,7 @@ def _unscreened_gate_sequence(unitary):
     for count in dict.fromkeys((canonical, 3)):
         for gates in _unscreened_candidates(u, count, spectrum):
             built += 1
-            if _phase_distance(_sequence_unitary(gates), u_in) < DECOMPOSITION_ATOL:
+            if _phase_distance(Circuit(2, gates).unitary(), u_in) < DECOMPOSITION_ATOL:
                 return gates, built
     raise AssertionError("no unscreened candidate verified")
 
@@ -248,7 +248,7 @@ def _noisy_circuits(draw):
 
 _NOISE_MODELS = st.one_of(
     st.sampled_from((NoiseModel(), NoiseModel(readout_bias=0.1), NoiseModel(readout_bias=0.5),
-                     NoiseModel.preset("ibmx4-like"))),
+                     NOISE_PRESETS["ibmx4-like"])),
     st.builds(NoiseModel, st.floats(0.0, 0.3), st.floats(0.0, 0.3), st.floats(0.0, 0.3)),
 )
 _CAPS = st.one_of(st.just(1), st.integers(1, 50), st.integers(1, 10 ** 6))
@@ -267,11 +267,8 @@ class TestNoiseModel:
             NoiseModel(readout_bias=-0.1)
 
     def test_presets(self):
-        preset = NoiseModel.preset("ibmx4-like")
-        assert preset.cnot_depolarizing == 0.05
-        assert NoiseModel.preset("noiseless") == NoiseModel()
-        with pytest.raises(KeyError):
-            NoiseModel.preset("bogus")
+        assert NOISE_PRESETS["ibmx4-like"].cnot_depolarizing == 0.05
+        assert NOISE_PRESETS["noiseless"] == NoiseModel()
 
 
 class TestDepolarizingChannel:
@@ -366,7 +363,7 @@ class TestTwoQubitDecomposition:
                         dtype=complex)
         gates = two_qubit_gate_sequence(swap)
         assert sum(1 for g in gates if g.kind == "cnot") == 3
-        assert _phase_distance(_sequence_unitary(gates), swap) < 1e-8
+        assert _phase_distance(Circuit(2, gates).unitary(), swap) < 1e-8
 
     def test_random_unitaries(self):
         rng = np.random.default_rng(7)
@@ -374,14 +371,14 @@ class TestTwoQubitDecomposition:
             u = haar_random_unitary(4, rng)
             gates = two_qubit_gate_sequence(u)
             assert sum(1 for g in gates if g.kind == "cnot") <= 3
-            assert _phase_distance(_sequence_unitary(gates), u) < 1e-8
+            assert _phase_distance(Circuit(2, gates).unitary(), u) < 1e-8
 
     def test_local_unitaries(self):
         rng = np.random.default_rng(8)
         u = np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
         gates = two_qubit_gate_sequence(u)
         assert sum(1 for g in gates if g.kind == "cnot") == 0
-        assert _phase_distance(_sequence_unitary(gates), u) < 1e-8
+        assert _phase_distance(Circuit(2, gates).unitary(), u) < 1e-8
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -466,7 +463,7 @@ class TestTwoQubitDecomposition:
 
         def wrong_first(u, count, spectrum):
             wrong = [noisy_device.Gate("su2", (0,), PAULI_X), *right]
-            yield wrong, _sequence_unitary(wrong)
+            yield wrong, Circuit(2, wrong).unitary()
             yield from candidates(u, count, spectrum)
 
         monkeypatch.setattr(noisy_device, "_candidates", wrong_first)
@@ -482,7 +479,7 @@ class TestTwoQubitDecomposition:
             attempts.append(count)
             for qubit in (0, 1):
                 gates = [noisy_device.Gate("su2", (qubit,), PAULI_X)]
-                yield gates, _sequence_unitary(gates)
+                yield gates, Circuit(2, gates).unitary()
 
         monkeypatch.setattr(noisy_device, "_candidates", wrong)
         with pytest.raises(RuntimeError, match="two-qubit decomposition failed"):
@@ -512,7 +509,7 @@ class TestTwoQubitDecomposition:
             u, cnots = circuit.unitary(), sum(map(len, groups))
         gates = two_qubit_gate_sequence(u)
         assert [(g.kind, g.qubits) for g in gates] == _GATE_LAYOUTS[cnots]
-        assert _phase_distance(_sequence_unitary(gates), u) <= DECOMPOSITION_ATOL
+        assert _phase_distance(Circuit(2, gates).unitary(), u) <= DECOMPOSITION_ATOL
 
 
 class TestNaimarkCircuit:
@@ -588,7 +585,7 @@ class TestRunShots:
         assert np.all(np.abs(freqs - p) <= 5 * np.maximum(sigma, 1e-9))
 
     def test_full_bias_reads_zero(self):
-        circuit = Circuit(1).x(0)  # ends in |1>
+        circuit = Circuit(1).su2(0, PAULI_X)  # ends in |1>
         record = run_shots(circuit, QuantumState.basis_state(2, 0),
                            NoiseModel(readout_bias=1.0), 1000, seed=0)
         assert np.array_equal(record.counts(), [1000, 0, 0])
@@ -695,14 +692,14 @@ class TestPipelines:
         assert result.residual_mass < 1e-6  # padding outcome silent without noise
 
     def test_noisy_trine_residual_effect(self, trine):
-        result = naimark_tomography(trine, NoiseModel.preset("ibmx4-like"),
+        result = naimark_tomography(trine, NOISE_PRESETS["ibmx4-like"],
                                     cap=100_000, seed=4)
         assert result.reconstruction.n_outcomes == 4
         assert result.residual_mass > 0.01
 
     def test_postselection_keeps_three_outcomes(self, trine):
         scheme = postselection_scheme(trine)
-        result = postselection_tomography(scheme, NoiseModel.preset("ibmx4-like"),
+        result = postselection_tomography(scheme, NOISE_PRESETS["ibmx4-like"],
                                           cap=100_000, seed=4)
         assert result.reconstruction.n_outcomes == 3
 
@@ -710,7 +707,7 @@ class TestPipelines:
         # at cap 1 the random4 weights round to [0, 0, 1, 1]: every
         # component still runs once
         scheme = postselection_scheme(random4)
-        noise = NoiseModel.preset("noiseless")
+        noise = NOISE_PRESETS["noiseless"]
         per_run = 2 * len(probe_states())
         block = postselection_tomography(scheme, noise, cap=1, seed=5)
         assert block.shots_total == per_run * 4
@@ -758,14 +755,14 @@ class TestCompareSchemes:
             assert lo / hi < expected * 3  # ~ 1/sqrt(shots) within a factor 3
 
     def test_deterministic_outputs(self, trine):
-        noise = NoiseModel.preset("ibmx4-like")
+        noise = NOISE_PRESETS["ibmx4-like"]
         a = compare_schemes(trine, noise, shots=20_000, seed=21)
         b = compare_schemes(trine, noise, shots=20_000, seed=21)
         assert a.postselection.distance == b.postselection.distance
         assert a.naimark.distance == b.naimark.distance
 
     def test_ordering_under_preset_noise(self, random4):
-        result = compare_schemes(random4, NoiseModel.preset("ibmx4-like"),
+        result = compare_schemes(random4, NOISE_PRESETS["ibmx4-like"],
                                  shots=50_000, seed=2)
         assert result.postselection.distance < result.naimark.distance
 
@@ -811,7 +808,7 @@ class TestBatchedEvolution:
 
     def test_exact_distribution_is_a_row_of_the_batched_pass(self, trine):
         circuit = compile_naimark_circuit(naimark_dilation(trine))
-        noise = NoiseModel.preset("ibmx4-like")
+        noise = NOISE_PRESETS["ibmx4-like"]
         states = [QuantumState.pure(np.kron([1, 0], p.vector)) for p in pauli_eigenstates()]
         rhos = np.stack([s.rho for s in states])
         batched = _readout(_evolve(circuit.gates, 2, rhos, noise), 2, noise.readout_bias)
@@ -859,7 +856,7 @@ class TestBatchedEvolution:
         assert total == 2 ** n * len(rhos) * shots
 
     def test_naimark_pipeline_five_sigma(self, trine):
-        noise = NoiseModel.preset("ibmx4-like")
+        noise = NOISE_PRESETS["ibmx4-like"]
         circuit = compile_naimark_circuit(naimark_dilation(trine))
         shots = 100_000
         result = naimark_tomography(trine, noise, cap=shots, seed=5)
@@ -888,7 +885,7 @@ class TestBatchedPipelines:
                 postselection_tomography(scheme, noise, cap, seed)
             return
         result = postselection_tomography(scheme, noise, cap, seed)
-        kept = TomographyRecord(table).postselected(n)
+        kept = TomographyRecord(table).postselected()
         assert np.array_equal(result.record.frequencies, kept.frequencies)
         assert result.postselection_fraction == float(np.mean(table[:, n]))
         assert result.shots_total == shots_total

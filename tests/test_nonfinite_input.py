@@ -60,7 +60,7 @@ DISTRIBUTIONS = {
                         lambda p: Ensemble([[1, 0], [0.6, 0.8]], probs=p)),
     "record frequencies": ("frequency", 1e-9, lambda p: TomographyRecord([p] * 4)),
     "symmetric coefficients": ("coefficient", 1e-9,
-                               lambda p: symmetric_ensemble(2, np.sqrt(2 * np.asarray(p)))),
+                               lambda p: symmetric_ensemble(np.sqrt(2 * np.asarray(p)))),
 }
 
 

@@ -214,7 +214,7 @@ class TestSelfRefinement:
         assert np.array_equal(merge.matrix, np.kron(np.eye(n), np.ones(rank)))
 
     def test_hw_covariant_pieces_need_no_solve(self, monkeypatch):
-        povm = hw_covariant_povm(3, haar_random_pure_state(3, 7))
+        povm = hw_covariant_povm(haar_random_pure_state(3, 7))
         counts = _count_eigensolves(monkeypatch)
         assert rank_one_refinement(povm)[0] is povm
         assert max_success_bound_rank_one(povm) == pytest.approx(1 / 3)
@@ -923,18 +923,18 @@ class TestHwCovariant:
         for d in (2, 3, 4, 5):
             for _ in range(100):
                 fiducial = haar_random_pure_state(d, rng)
-                povm = hw_covariant_povm(d, fiducial)  # constructor checks sum
+                povm = hw_covariant_povm(fiducial)  # constructor checks sum
                 assert povm.n_outcomes == d * d
 
     def test_zero_fiducial_is_degenerate(self):
-        povm = hw_covariant_povm(2, QuantumState.basis_state(2, 0))
+        povm = hw_covariant_povm(QuantumState.basis_state(2, 0))
         assert not bound_applies(povm)
         half_zero = np.diag([0.5, 0.0])
         hits = sum(1 for m in povm.effects if np.max(np.abs(m - half_zero)) < 1e-12)
         assert hits == 2
 
     def test_generic_fiducial_noncommuting(self):
-        povm = hw_covariant_povm(3, haar_random_pure_state(3, 123))
+        povm = hw_covariant_povm(haar_random_pure_state(3, 123))
         assert povm.n_outcomes == 9
         assert bound_applies(povm)
 
@@ -950,18 +950,14 @@ class TestHwCovariant:
         eigen = [QuantumState.pure(v / np.linalg.norm(v)) for v in weyl_eigenvectors(d)]
         for fiducials, want in ((haar, True), (eigen, False)):
             for fiducial in fiducials:
-                povm = hw_covariant_povm(d, fiducial)
+                povm = hw_covariant_povm(fiducial)
                 assert bound_applies(povm) == commutator_scan(povm.stack, d) == want
 
     def test_d16_smoke(self):
         # one 256 x 256 Gram matrix of the kept pieces decides either fiducial
-        povm = hw_covariant_povm(16, haar_random_pure_state(16, 5))
+        povm = hw_covariant_povm(haar_random_pure_state(16, 5))
         assert povm.n_outcomes == 256 and bound_applies(povm)
-        assert not bound_applies(hw_covariant_povm(16, QuantumState.basis_state(16, 0)))
-
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            hw_covariant_povm(3, QuantumState.basis_state(2, 0))
+        assert not bound_applies(hw_covariant_povm(QuantumState.basis_state(16, 0)))
 
 
 class TestMaxSuccessBound:
@@ -969,7 +965,7 @@ class TestMaxSuccessBound:
         assert max_success_bound_rank_one(tetrahedral) == pytest.approx(0.5)
 
     def test_hw_covariant_d3(self):
-        povm = hw_covariant_povm(3, haar_random_pure_state(3, 7))
+        povm = hw_covariant_povm(haar_random_pure_state(3, 7))
         assert max_success_bound_rank_one(povm) == pytest.approx(1 / 3)
 
     def test_projective_input_rejected(self):

@@ -418,7 +418,7 @@ class TestOperationalDistance:
     def test_non_hermitian_difference_rejected(self):
         # eigenvalues 0, 0 and singular values 1, 0: no measurement has this difference
         a = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(InvariantViolation, match="effect differences are not Hermitian") as err:
+        with pytest.raises(InvariantViolation, match="effect difference is not Hermitian") as err:
             operational_distance([a], [np.zeros((2, 2))])
         assert err.value.invariant == "hermiticity" and err.value.deviation == 1.0
 
@@ -458,6 +458,10 @@ class TestBiasMitigation:
         # balanced rows are fixed points: no residual there at all
         assert np.max(np.abs(mitigated.frequencies[2] - truth[2])) < 1e-12
 
+    def test_no_variants_rejected(self):
+        with pytest.raises(ValueError, match="one record per flip mask: 0..1 for one qubit"):
+            bias_mitigated_statistics({})
+
     def test_missing_variant_rejected(self):
         table = np.full((4, 4), 0.25)
         with pytest.raises(ValueError, match="mask"):
@@ -494,7 +498,7 @@ class TestRecords:
         from povmsim.simulation import build_mq
         mq = build_mq(tetrahedral, 0.5)
         record = TomographyRecord.from_born(mq)
-        kept = record.postselected(4)
+        kept = record.postselected()
         oracle = TomographyRecord.from_born(tetrahedral)
         assert np.max(np.abs(kept.frequencies - oracle.frequencies)) < 1e-12
 

@@ -122,7 +122,7 @@ class TestUsdSuccess:
         effects = [np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.zeros((2, 2))]
         result = usd_success(ensemble, Povm(effects))
         assert not result.unambiguous
-        assert result.max_violation == pytest.approx(1.0)
+        assert result.violations == ((0, 1, 1.0), (1, 0, 1.0))
 
     def test_matches_a_double_loop(self):
         rng = np.random.default_rng(17)
@@ -295,12 +295,12 @@ class TestOrthogonalityGraph:
 
 class TestSymmetricEnsembles:
     def test_fourier_case_is_orthonormal(self):
-        ens = symmetric_ensemble(3, np.ones(3))
+        ens = symmetric_ensemble(np.ones(3))
         assert np.max(np.abs(ens.gram() - np.eye(3))) < 1e-12
         assert ens.exact_optimum == pytest.approx(1.0)
 
     def test_explicit_magnitudes(self):
-        ens = symmetric_ensemble(3, np.sqrt([0.9, 0.9, 1.2]))
+        ens = symmetric_ensemble(np.sqrt([0.9, 0.9, 1.2]))
         assert ens.exact_optimum == pytest.approx(0.9)
         assert usd_success(ens, equal_probability_measurement(ens)).success == \
             pytest.approx(0.9, abs=1e-10)
@@ -313,23 +313,23 @@ class TestSymmetricEnsembles:
         rng = np.random.default_rng(8)
         mags = rng.random(5) + 0.2
         mags *= 5 / mags.sum()
-        ens = symmetric_ensemble(5, np.sqrt(mags))
+        ens = symmetric_ensemble(np.sqrt(mags))
         evs = np.sort(np.linalg.eigvalsh(ens.gram()))
         assert np.allclose(evs, np.sort(mags), atol=1e-10)
 
     def test_normalization_enforced(self):
         with pytest.raises(InvariantViolation, match="normalization"):
-            symmetric_ensemble(3, np.ones(3) * 0.9)
+            symmetric_ensemble(np.ones(3) * 0.9)
 
     def test_nan_coefficient_breaks_normalization(self):
         # named as the coefficient invariant, not later as a non-finite state
         with pytest.raises(InvariantViolation) as err:
-            symmetric_ensemble(2, [np.nan, 1.0])
+            symmetric_ensemble([np.nan, 1.0])
         assert err.value.invariant == "coefficient positivity"
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
-            symmetric_ensemble(2, [np.sqrt(2), 0.0])
+            symmetric_ensemble([np.sqrt(2), 0.0])
 
     def test_epsilon_range(self):
         with pytest.raises(ValueError, match="epsilon"):
@@ -512,7 +512,7 @@ class TestEnsembleSerialization:
 
     @pytest.mark.parametrize("build", [
         lambda: Ensemble(np.eye(2) * (1 + 1e-10)),
-        lambda: symmetric_ensemble(2, [1.0, np.sqrt(1 + 1e-10)]),
+        lambda: symmetric_ensemble([1.0, np.sqrt(1 + 1e-10)]),
     ], ids=["ensemble", "symmetric_coefficients"])
     def test_norm_checked_as_documents_check_it(self, build):
         with pytest.raises(InvariantViolation) as err:

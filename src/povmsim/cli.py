@@ -20,6 +20,7 @@ import sys
 
 from . import fixtures
 from .core import (
+    MAX_COUNT,
     DocumentError,
     InvariantViolation,
     QuantumState,
@@ -27,7 +28,7 @@ from .core import (
     pauli_eigenstates,
     povm_from_document,
 )
-from .noisy_device import MAX_SHOTS, NOISE_PRESETS, compare_schemes, load_experiment_plan
+from .noisy_device import NOISE_PRESETS, compare_schemes, load_experiment_plan
 from .simulation import postselection_scheme, sample_postselection
 from .tomography import operational_distance
 from .usd import (
@@ -282,30 +283,25 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
+def _count(limit: int, text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _at_most(limit: int, text: str) -> int:
-    value = positive_int(text)
     if value > limit:
         raise argparse.ArgumentTypeError(f"must be at most {limit}, got {value}")
     return value
 
 
 def shot_count(text: str) -> int:
-    return _at_most(MAX_SHOTS, text)
+    return _count(MAX_COUNT, text)
 
 
 def trial_count(text: str) -> int:
-    return _at_most(MAX_TRIALS, text)
+    return _count(MAX_TRIALS, text)
 
 
 def dimension(text: str) -> int:
-    return _at_most(MAX_DIM, text)
+    return _count(MAX_DIM, text)
 
 
 def non_negative_int(text: str) -> int:

@@ -24,6 +24,8 @@ ORTHOGONALITY_ATOL = 1e-9
 # operational_distance's subset sums are built in blocks of at most this many,
 # and the random USD experiment's Gaussian draws in blocks of as many floats
 BLOCK_ELEMENTS = 2 ** 14
+#: the largest count require_count takes: the largest numpy's int64 samplers take
+MAX_COUNT = int(np.iinfo(np.int64).max)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -79,10 +81,12 @@ def require_unit_rows(vectors: np.ndarray, name: str = "state vector") -> np.nda
 
 
 def require_count(value, name: str):
-    """Check that a count (shots, trials, outcomes) is a Python or numpy
-    integer, not a bool, of at least 1."""
+    """Check that a count (shots, trials, outcomes, dimension) is a Python or
+    numpy integer, not a bool, in 1..MAX_COUNT."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} must be at most {MAX_COUNT}, got {value!r}")
 
 
 def as_operator(matrix, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -273,12 +277,17 @@ class QuantumState:
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "QuantumState":
+        require_count(dim, "dim")
+        if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
+                or not 0 <= index < dim):
+            raise ValueError(f"index must be an integer in 0..{dim - 1}, got {index!r}")
         v = np.zeros(dim, dtype=complex)
         v[index] = 1.0
         return cls(vector=v)
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "QuantumState":
+        require_count(dim, "dim")
         return cls(matrix=np.eye(dim, dtype=complex) / dim)
 
     @property
@@ -421,11 +430,14 @@ def require_distribution(p, atol: float, name: str = "probability") -> np.ndarra
 def _clipped_rows_and_sums(p, atol: float, name: str) -> tuple[np.ndarray, np.ndarray]:
     """:func:`require_distribution`'s check, returning the clipped rows and their sums."""
     p = np.asarray(p, dtype=float)
+    if not p.size:
+        raise ValueError(f"{name} distribution must be non-empty, got shape {p.shape}")
     low = -float(p.min())
     if not low <= atol:
         raise InvariantViolation(f"{name} positivity", low)
     p = np.maximum(p, 0.0)  # equals np.clip(p, 0, None) at a third of its cost on small rows
-    sums = p.sum(axis=-1)
+    with np.errstate(over="ignore"):  # a sum past the largest float is inf, reported below
+        sums = p.sum(axis=-1)
     defect = float(abs(sums - 1.0).max())
     if not defect <= atol:
         raise InvariantViolation(f"{name} normalization", defect)
@@ -450,6 +462,7 @@ def born_probabilities(state: QuantumState | np.ndarray, povm: Povm) -> np.ndarr
 
 def haar_random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    require_count(dim, "dim")
     rng = _rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -463,8 +476,8 @@ def haar_random_vectors(count: int, dim: int, seed) -> np.ndarray:
     (count, dim) array.  Row k takes the real then the imaginary parts of
     one complex Gaussian vector, so the stream is used exactly as ``count``
     calls to :func:`haar_random_pure_state` use it."""
-    if count < 1 or dim < 1:
-        raise ValueError("count and dimension must be at least 1")
+    require_count(count, "count")
+    require_count(dim, "dim")
     g = _rng(seed).standard_normal((count, 2, dim))
     v = g[:, 0] + 1j * g[:, 1]
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -472,23 +485,18 @@ def haar_random_vectors(count: int, dim: int, seed) -> np.ndarray:
 
 def haar_random_pure_state(dim: int, seed) -> QuantumState:
     """Unit vector distributed as the first column of a Haar unitary."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
     return QuantumState.pure(haar_random_vectors(1, dim, seed)[0])
-
-
-def _haar_columns(dim: int, n_outcomes: int, seed) -> np.ndarray:
-    """Rows c_k: the first ``dim`` entries of column k of an n x n Haar unitary."""
-    if n_outcomes < dim:
-        raise ValueError("need at least dim outcomes for a rank-one POVM")
-    return haar_random_unitary(n_outcomes, seed)[:dim, :].T
 
 
 def random_rank_one_povm(dim: int, n_outcomes: int, seed) -> Povm:
     """Random rank-one POVM from truncated columns c_k of a Haar unitary:
     effects |c_k><c_k|, kept as pieces (:attr:`Povm.rank_one`) of weight
     |c_k|^2 and direction c_k/|c_k|, so its refinement is itself."""
-    columns = _haar_columns(dim, n_outcomes, seed)
+    require_count(dim, "dim")
+    require_count(n_outcomes, "n_outcomes")
+    if n_outcomes < dim:
+        raise ValueError("need at least dim outcomes for a rank-one POVM")
+    columns = haar_random_unitary(n_outcomes, seed)[:dim, :].T
     norms = np.linalg.norm(columns, axis=1)
     return _keep_pieces(Povm(_outer_products(columns)), norms ** 2, columns / norms[:, None])
 
@@ -498,6 +506,7 @@ def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
     ``random_rank_one_povm(dim, n_outcomes * rank, seed)`` glued k -> k // rank,
     kept as :attr:`Povm.glued_from` so the refinement solves nothing."""
     require_count(rank, "rank")
+    require_count(n_outcomes, "n_outcomes")
     pieces = random_rank_one_povm(dim, n_outcomes * rank, seed)
     if rank == 1:
         return pieces

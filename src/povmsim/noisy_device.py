@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (PAULI_X, InvariantViolation, Povm, QuantumState, _freeze, _rng, as_operator,
-                   default_atol, isometry_defect, probability_rows, require_count)
+from .core import (MAX_COUNT, PAULI_X, InvariantViolation, Povm, QuantumState, _freeze, _rng,
+                   as_operator, default_atol, isometry_defect, probability_rows, require_count)
 from .fixtures import IDEAL_NAMES
 from .naimark import NaimarkDilation, naimark_dilation
 from .simulation import (
@@ -35,8 +35,6 @@ from .tomography import (
 
 DECOMPOSITION_ATOL = 1e-8
 SCHEMES = ("postselection", "naimark", "both")
-#: the largest shot count numpy's int64 samplers (multinomial, binomial) take
-MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ def load_experiment_plan(doc) -> ExperimentPlan:
 
     Recognized keys: noise.cnot, noise.su2, noise.readout_bias, shots, seed,
     scheme, povm_fixture.  A value of the wrong type or range raises
-    ValueError naming its key; shots must be in [1, MAX_SHOTS], and
+    ValueError naming its key; shots must be in [1, core.MAX_COUNT], and
     povm_fixture must name a bundled fixture.
     """
     if not isinstance(doc, dict):
@@ -105,7 +103,7 @@ def load_experiment_plan(doc) -> ExperimentPlan:
     plan = ExperimentPlan(povm_fixture=typed("povm_fixture", "tetrahedral", str, "a string"),
                           scheme=scheme, noise=noise,
                           shots=typed("shots", 8192, int,
-                                      f"an integer in [1, {MAX_SHOTS}]", 1, MAX_SHOTS),
+                                      f"an integer in [1, {MAX_COUNT}]", 1, MAX_COUNT),
                           seed=typed("seed", 0, int, "a non-negative integer", 0))
     if plan.povm_fixture not in IDEAL_NAMES:
         raise ValueError(f"unknown povm_fixture {plan.povm_fixture!r}; "
@@ -263,7 +261,7 @@ def proportional_shot_allocation(weights, cap: int) -> np.ndarray:
     Block-allocation stand-in for per-run randomization: downstream
     frequency normalization divides by sum N_j, which reproduces the
     weights exactly in expectation.  Counts round through float, so they
-    stop at the largest float below 2**63: a cap of MAX_SHOTS stays in int64;
+    stop at the largest float below 2**63: a cap of core.MAX_COUNT stays in int64;
     weights up to the largest float do not overflow.
     """
     w = np.asarray(weights, dtype=float)

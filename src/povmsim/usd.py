@@ -288,6 +288,7 @@ def symmetric_ensemble_from_gap(d: int, epsilon: float) -> SymmetricEnsemble:
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1) for non-orthogonal symmetric states")
+    require_count(d, "d")
     if d < 2:
         raise ValueError("need d >= 2")
     mags = np.full(d, (d - 1 + epsilon) / (d - 1))
@@ -348,6 +349,8 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     one batched Gram product and one :func:`core.min_eigenvalue` (one
     Hermitian check, one eigvalsh) per block, so memory holds one block.
     """
+    require_count(d, "d")
+    require_count(space_dim, "space_dim")
     if d > space_dim:
         raise ValueError("need d <= D for linearly independent Haar states")
     require_count(trials, "trials")

@@ -14,7 +14,8 @@ import povmsim
 from povmsim import fixtures
 from povmsim.cli import MAX_DIM, MAX_TRIALS, build_parser, main, table1_rows
 from povmsim.core import Povm, QuantumState, povm_to_document
-from povmsim.noisy_device import MAX_SHOTS, Circuit, NoiseModel, compare_schemes
+from povmsim.core import MAX_COUNT as MAX_SHOTS
+from povmsim.noisy_device import Circuit, NoiseModel, compare_schemes
 from povmsim.simulation import (PostProcessingMap, apply_postprocessing, build_mq,
                                 postselection_scheme)
 from povmsim.tomography import TomographyRecord
@@ -225,6 +226,19 @@ class TestDocuments:
         code, err = usage_exit(capsys, command, option, str(path))
         assert code == 2
         assert option in err and key in err
+
+    def test_overflowing_priors_print_one_error_line(self, tmp_path):
+        # run as a process, where numpy's two-line overflow warning reached stderr first
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps({"states": [{"dim": 2, "vector": [[1, 0], [0, 0]]},
+                                               {"dim": 2, "vector": [[0, 0], [1, 0]]}],
+                                    "probs": [1e308, 1e308]}))
+        env = {**os.environ, "PYTHONPATH": str(Path(povmsim.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-m", "povmsim.cli", "usd", "--ensemble",
+                                 str(path)], capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 1
+        assert result.stderr == ("invariant failure: invariant 'probability normalization': "
+                                 "violated by inf\n")
 
     @pytest.mark.parametrize("command, option", [("simulate", "--povm-file"),
                                                  ("usd", "--ensemble")])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from povmsim import core
 from povmsim.core import (
+    MAX_COUNT,
     NORM_ATOL,
     ORTHOGONALITY_ATOL,
     InvariantViolation,
@@ -40,6 +41,7 @@ from povmsim.core import (
 )
 from povmsim.tomography import (TomographyRecord, operational_distance, probe_states,
                                 reconstruct_povm)
+from povmsim.usd import symmetric_ensemble
 
 
 class TestBornProbabilities:
@@ -157,6 +159,17 @@ class TestRequireDistribution:
         got = require_distribution(p, 1e-9, "weight")
         assert got.tolist() == [0.0, 0.5, 0.5 + 5e-10]
         assert p[0] == -1e-10
+
+    @pytest.mark.parametrize("check, name", [
+        (lambda p: require_distribution(p, 1e-9), "probability"),
+        (lambda p: probability_rows(p, 1e-9), "probability"),
+        (lambda p: symmetric_ensemble(p), "coefficient"),
+    ], ids=["require_distribution", "probability_rows", "symmetric_ensemble"])
+    @pytest.mark.parametrize("p", [[], np.zeros((2, 0)), np.zeros((0, 3))])
+    def test_an_empty_input_is_named(self, check, name, p):
+        # not numpy's zero-size reduction error
+        with pytest.raises(ValueError, match=f"{name} distribution must be non-empty, got shape"):
+            check(p)
 
 
 class TestRankOneHelpers:
@@ -342,6 +355,17 @@ class TestHaarStates:
         with pytest.raises(ValueError):
             haar_random_vectors(count, dim, 0)
 
+    @pytest.mark.parametrize("build, name, value", [
+        (lambda n: haar_random_vectors(n, 3, 0), "count", True),
+        (lambda n: haar_random_vectors(2, n, 0), "dim", 2.5),
+        (lambda n: haar_random_pure_state(n, 0), "dim", np.True_),
+        (lambda n: haar_random_unitary(n, 0), "dim", 0),  # an empty array before
+        (lambda n: haar_random_unitary(n, 0), "dim", 1.0),
+    ])
+    def test_sizes_are_counts(self, build, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+            build(value)
+
     def test_seeded_reproducibility(self):
         a = haar_random_pure_state(4, 42).vector
         b = haar_random_pure_state(4, 42).vector
@@ -369,6 +393,24 @@ class TestHaarStates:
         for sample, mean in ((purity, 2 / (dim + 1)), (square.real, 0.0), (square.imag, 0.0)):
             stderr = sample.std(ddof=1) / np.sqrt(draws)
             assert abs(sample.mean() - mean) < 5 * stderr
+
+
+class TestNamedStates:
+    def test_basis_state(self):
+        assert np.array_equal(QuantumState.basis_state(3, np.int64(2)).vector, [0, 0, 1])
+
+    @pytest.mark.parametrize("index", [-1, 3, True, 1.0, np.int64(-1)])
+    def test_basis_state_index_is_in_range(self, index):
+        # -1 gave the last basis state and 3 numpy's bare IndexError
+        with pytest.raises(ValueError, match=r"index must be an integer in 0\.\.2, got"):
+            QuantumState.basis_state(3, index)
+
+    @pytest.mark.parametrize("build", [lambda dim: QuantumState.basis_state(dim, 0),
+                                       QuantumState.maximally_mixed])
+    @pytest.mark.parametrize("dim", [0, -2, 2.0, True])
+    def test_dimension_is_a_count(self, build, dim):
+        with pytest.raises(ValueError, match="dim must be an integer of at least 1"):
+            build(dim)
 
 
 class TestPureState:
@@ -598,6 +640,20 @@ class TestRandomPovms:
     def test_rank_is_a_count(self, rank):
         with pytest.raises(ValueError, match="rank must be an integer of at least 1"):
             random_povm(2, 3, 0, rank=rank)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: random_povm(-1, 2, 0), "dim"),  # a 1-dimensional POVM before
+        (lambda: random_rank_one_povm(True, 2, 0), "dim"),  # likewise
+        (lambda: random_rank_one_povm(2, 2.5, 0), "n_outcomes"),
+        (lambda: random_povm(2, True, 0, rank=2), "n_outcomes"),  # a bare TypeError before
+    ])
+    def test_sizes_are_counts(self, build, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+            build()
+
+    def test_outcomes_times_rank_stay_within_the_count_ceiling(self):
+        with pytest.raises(ValueError, match=f"n_outcomes must be at most {MAX_COUNT}"):
+            random_povm(2, 2 ** 62, 0, rank=2)
 
     def test_stack_is_the_outer_products_validated_once(self, monkeypatch):
         rows = haar_random_unitary(5, 4)[:3]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from povmsim import noisy_device
 from povmsim.core import (
+    MAX_COUNT as MAX_SHOTS,
     PAULI_X,
     InvariantViolation,
     QuantumState,
@@ -17,7 +18,6 @@ from povmsim.core import (
 from povmsim.naimark import dilated_statistics, naimark_dilation
 from povmsim.noisy_device import (
     DECOMPOSITION_ATOL,
-    MAX_SHOTS,
     NOISE_PRESETS,
     Circuit,
     NoiseModel,

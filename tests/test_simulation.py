@@ -8,6 +8,7 @@ from scipy.stats import chisquare
 
 from povmsim import simulation
 from povmsim.core import (
+    MAX_COUNT,
     InvariantViolation,
     Povm,
     QuantumState,
@@ -21,7 +22,7 @@ from povmsim.core import (
     require_unit_rows,
 )
 from povmsim.naimark import dilated_statistics, naimark_dilation
-from povmsim.noisy_device import (Circuit, NoiseModel, naimark_tomography,
+from povmsim.noisy_device import (Circuit, NoiseModel, compare_schemes, naimark_tomography,
                                   postselection_tomography, run_shots)
 from povmsim.simulation import (
     PostProcessingMap,
@@ -855,6 +856,23 @@ class TestSampler:
             "naimark_tomography", "random_ensemble_experiment"])
     def test_rejects_a_shot_count_that_is_not_a_positive_integer(self, trine, sample, shots):
         with pytest.raises(ValueError, match="(shots|trials) must be an integer of at least 1"):
+            sample(trine, shots)
+
+    @pytest.mark.parametrize("shots", [2 ** 63, np.uint64(2 ** 63), 10 ** 30])
+    @pytest.mark.parametrize("sample", [
+        lambda povm, n: sample_postselection(postselection_scheme(povm),
+                                             QuantumState.basis_state(2, 0), n, seed=4),
+        lambda povm, n: run_shots(Circuit(1), QuantumState.basis_state(2, 0), NoiseModel(),
+                                  n, seed=4),
+        lambda povm, n: postselection_tomography(postselection_scheme(povm), NoiseModel(), n,
+                                                 seed=4),
+        lambda povm, n: naimark_tomography(povm, NoiseModel(), n, seed=4),
+        # the postselection route ran on a clamped allocation before the Naimark route failed
+        lambda povm, n: compare_schemes(povm, NoiseModel(), n, seed=4),
+    ], ids=["sample_postselection", "run_shots", "postselection_tomography",
+            "naimark_tomography", "compare_schemes"])
+    def test_rejects_a_shot_count_past_the_int64_samplers(self, trine, sample, shots):
+        with pytest.raises(ValueError, match=f"shots must be at most {MAX_COUNT}, got"):
             sample(trine, shots)
 
     @pytest.mark.parametrize("shots", [7, np.int64(7), np.uint16(7)])

@@ -335,6 +335,12 @@ class TestSymmetricEnsembles:
         with pytest.raises(ValueError, match="epsilon"):
             symmetric_ensemble_from_gap(3, 0.0)
 
+    @pytest.mark.parametrize("d", [2.5, True, 2.0])
+    def test_gap_dimension_is_a_count(self, d):
+        # 2.5 and 2.0 reached np.full, which raised a bare TypeError
+        with pytest.raises(ValueError, match="d must be an integer of at least 1"):
+            symmetric_ensemble_from_gap(d, 0.1)
+
 
 class TestAdvantageBound:
     def test_symmetric_band(self):
@@ -448,6 +454,13 @@ class TestRandomEnsembleExperiment:
         with pytest.raises(ValueError):
             random_ensemble_experiment(6, 5, trials=1, seed=0)
 
+    @pytest.mark.parametrize("d, space_dim, name", [(0, 3, "d"), (2, 2.5, "space_dim"),
+                                                    (True, 3, "d"), (-1, -1, "d")])
+    def test_sizes_are_counts(self, d, space_dim, name):
+        # d = 0 ended in ZeroDivisionError while sizing the blocks
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+            random_ensemble_experiment(d, space_dim, trials=2, seed=0)
+
     def test_generator_seed_matches_int_seed(self):
         a = random_ensemble_experiment(4, 8, trials=6, seed=11)
         b = random_ensemble_experiment(4, 8, trials=6, seed=np.random.default_rng(11))
@@ -522,6 +535,12 @@ class TestEnsembleSerialization:
 
 class TestEnsembleProbs:
     STATES = [[1, 0], [0.6, 0.8]]
+
+    def test_overflowing_probs_are_inf_without_a_warning(self):
+        # numpy's overflow warning, an error under the suite's filterwarnings, came first
+        with pytest.raises(InvariantViolation, match="normalization': violated by inf") as err:
+            Ensemble(np.eye(2), [1e308, 1e308])
+        assert err.value.deviation == np.inf
 
     @pytest.mark.parametrize("probs", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
     def test_nan_probs_rejected(self, probs):

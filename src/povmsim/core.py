@@ -22,7 +22,8 @@ NORM_ATOL = 1e-12
 ORTHOGONALITY_ATOL = 1e-9
 # matrix entries in one batched temporary: the scheme check's residual and
 # operational_distance's subset sums are built in blocks of at most this many,
-# and the random USD experiment's Gaussian draws in blocks of as many floats
+# and the random USD experiment's Gaussian draws in blocks of as many floats; at
+# d = 2 the subset sums are Bloch rows of 4 floats, 2**12 subsets to a block
 BLOCK_ELEMENTS = 2 ** 14
 #: the largest count require_count takes: the largest numpy's int64 samplers take
 MAX_COUNT = int(np.iinfo(np.int64).max)
@@ -140,22 +141,9 @@ def operator_norm(matrix) -> float:
 
 def _hermitian_norm(blocks) -> float:
     """The largest |eigenvalue| that eigvalsh gives over a (b, d, d) stack of
-    Hermitian matrices.
-
-    At d = 2, over two or more blocks, each block's norm is first taken in
-    closed form (a single block is eigensolved at once): with a, b =
-    h00 / 2, h11 / 2 (halved first, so that a + b cannot overflow), it is
-    |a + b| + hypot(a - b, |h10|).  Only the blocks within 1e-12 (1 + top) of
-    the largest, top, are eigensolved.  Both the closed form and eigvalsh are
-    within a few ulps of the exact norm, so the block where eigvalsh attains
-    its maximum always survives the screen and the value returned is
-    eigvalsh's, bit for bit.  A NaN or infinite top screens nothing out.
-    """
-    if blocks.shape[-1] == 2 and len(blocks) > 1:
-        a, b = blocks[:, 0, 0].real / 2, blocks[:, 1, 1].real / 2
-        norms = np.abs(a + b) + np.hypot(a - b, np.abs(blocks[:, 1, 0]))
-        top = norms.max()
-        blocks = blocks[~(norms < top - 1e-12 * (1 + top))]
+    Hermitian matrices.  It eigensolves every block: the qubit subset scan of
+    :func:`tomography.operational_distance` screens its sums in Bloch
+    coordinates first and passes only the near-maximal ones here."""
     return np.abs(np.linalg.eigvalsh(blocks)).max()
 
 
@@ -507,6 +495,9 @@ def random_povm(dim: int, n_outcomes: int, seed, rank: int = 1) -> Povm:
     kept as :attr:`Povm.glued_from` so the refinement solves nothing."""
     require_count(rank, "rank")
     require_count(n_outcomes, "n_outcomes")
+    if int(n_outcomes) * int(rank) > MAX_COUNT:
+        raise ValueError(f"n_outcomes * rank must be at most {MAX_COUNT}, "
+                         f"got {n_outcomes} * {rank}")
     pieces = random_rank_one_povm(dim, n_outcomes * rank, seed)
     if rank == 1:
         return pieces

@@ -10,6 +10,7 @@ eigenvalue outside [0, 1] are reported, never projected away.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +140,9 @@ def operational_distance(m, n) -> float:
     :data:`core.BLOCK_ELEMENTS` matrix entries (2**12 subsets at d = 2), and
     each subset of the remaining parts adds its sum to the block as one
     offset, so memory stays bounded in d.  The differences are checked for
-    Hermiticity once, and a block's norm is :func:`_hermitian_norm`.
+    Hermiticity once.  At d > 2 every block's norm is :func:`_hermitian_norm`;
+    at d = 2 the block is scanned in Bloch coordinates
+    (:func:`_qubit_distance`), and the value is still eigvalsh's, bit for bit.
     """
     ms, ns = _effect_stack(m, "first measurement"), _effect_stack(n, "second measurement")
     dim = ms.shape[-1]
@@ -158,10 +161,84 @@ def operational_distance(m, n) -> float:
     diffs = require_hermitian(diffs, default_atol(dim), "effect difference")
     base, free = (diffs[0], diffs[1:]) if complete_pair else (np.zeros_like(diffs[0]), diffs)
     bits = max(1, (BLOCK_ELEMENTS // dim ** 2).bit_length() - 1)
-    block, rest = _subset_sums(free[:bits]), free[bits:]
+    parts, rest = free[:bits], free[bits:]
     offsets = (base + sum(part for i, part in enumerate(rest) if mask >> i & 1)
                for mask in range(2 ** len(rest)))
+    if dim == 2:
+        return _qubit_distance(parts, offsets)
+    block = _subset_sums(parts)
     return float(max(_hermitian_norm(block + offset) for offset in offsets))
+
+
+# (c0, cx, cy, cz) of a Hermitian h = c0 1 + c.sigma from the real view of its entries
+# (re h00, im h00, re h01, im h01, re h10, im h10, re h11, im h11): one rounding each
+_BLOCH_MAP = _freeze(np.array([[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                               [0, 1, 0, 0], [0, 0, 1, 0], [0.5, 0, 0, -0.5], [0, 0, 0, 0]]))
+
+
+def _bloch(stack) -> np.ndarray:
+    """The (b, 4) Bloch rows (c0, cx, cy, cz) of a C-ordered (b, 2, 2) Hermitian stack."""
+    return stack.reshape(-1, 4).view(float) @ _BLOCH_MAP
+
+
+@functools.cache
+def _members(count: int) -> np.ndarray:
+    """A read-only (count + 1, 2**count) table whose column j is subset j of ``count``
+    parts: row 0 is 1, for the offset's row, and row i + 1 is bit i of j."""
+    table = np.ones((count + 1, 2 ** count))
+    bits = np.arange(count, dtype=np.int32)[:, None]
+    table[1:] = np.arange(2 ** count, dtype=np.int32) >> bits & 1
+    table.setflags(write=False)
+    return table
+
+
+def _qubit_distance(parts, offsets) -> float:
+    """max over the offsets and the subsets x of ``parts`` of the largest
+    |eigenvalue| that eigvalsh gives for ``_subset_sums(parts)[x] + offset``.
+
+    Each subset sum is first formed as its Bloch row s = (s0, s1, s2, s3):
+    one product of the offset's and the parts' rows with :func:`_members`
+    gives the block, 4 floats per subset and at most
+    :data:`core.BLOCK_ELEMENTS` floats in all.  A sum's norm is
+    |s0| + |(s1, s2, s3)|.  Only the sums within 20e-12 (1 + top) of the
+    largest so far, top, are rebuilt as matrices and eigensolved: a few as
+    the 0/1 sum of the parts, row by row; more than fit in one block of
+    floats by indexing the whole block, doubled once.  Both add in the
+    order of :func:`_subset_sums`, so each rebuilt matrix is its
+    ``block + offset``, bit for bit.  Every float on the way to a norm (the
+    Bloch rows, their sums in another order, the matrix sums and eigvalsh's
+    own error) is within a few hundred ulps of the parts' summed size, which
+    is at most 2 k times the largest part's norm, and top reaches that norm
+    by the block of the maximising sum.  20e-12 (1 + top), k = 20 times the
+    margin of a single sum, covers them with room to spare, so that sum is
+    always rebuilt and the value returned is eigvalsh's.  A coordinate whose
+    square overflows makes top infinite and a NaN survives the screen, so
+    neither screens a sum out.
+    """
+    members = _members(len(parts))
+    entries = parts.reshape(-1, 1, 4).view(float)
+    group, block = BLOCK_ELEMENTS // (entries.size + 8), None  # terms and sums per survivor
+    top = best = 0.0
+    for offset in offsets:
+        s = _bloch(np.concatenate([offset[None], parts])).T @ members
+        norms = np.sqrt(np.einsum("ij,ij->j", s[1:], s[1:]))
+        norms += np.abs(s[0])
+        top = max(top, float(norms.max()))
+        kept = (~(norms < top - MAX_SUBSET_OUTCOMES * 1e-12 * (1 + top))).nonzero()[0]
+        if not kept.size:
+            continue
+        if kept.size > group:  # many near-ties: index the whole block, doubled once
+            block = _subset_sums(parts) if block is None else block
+            sums = block[kept]
+        else:
+            # numpy adds over a leading axis row by row (pairwise only along a contiguous
+            # one); each row is a part's real entries times 1 or 0, and the sum starts at
+            # +0.0, so it is never -0.0, a zero row of either sign leaves it as it is, and
+            # each part adds the float that _subset_sums' doubling adds
+            terms = members[1:, kept, None] * entries
+            sums = np.add.reduce(terms, axis=0, initial=0.0).view(complex).reshape(-1, 2, 2)
+        best = max(best, _hermitian_norm(sums + offset))
+    return float(best)
 
 
 def _subset_sums(parts):

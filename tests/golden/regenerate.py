@@ -26,8 +26,11 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 EXPECTED = HERE / "expected"
 INPUTS = HERE.relative_to(ROOT) / "inputs"
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, also when run as a script
 
-MAX_SHOTS = "9223372036854775807"
+from povmsim.core import MAX_COUNT  # noqa: E402
+
+MAX_SHOTS = str(MAX_COUNT)
 
 
 def _cases() -> dict[str, list[str]]:
@@ -110,7 +113,6 @@ def main(names: list[str]) -> int:
         print(f"unknown case(s): {', '.join(unknown)}\nknown cases: {', '.join(CASES)}",
               file=sys.stderr)
         return 2
-    sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     EXPECTED.mkdir(exist_ok=True)
     names = names or list(CASES)

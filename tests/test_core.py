@@ -652,8 +652,11 @@ class TestRandomPovms:
             build()
 
     def test_outcomes_times_rank_stay_within_the_count_ceiling(self):
-        with pytest.raises(ValueError, match=f"n_outcomes must be at most {MAX_COUNT}"):
-            random_povm(2, 2 ** 62, 0, rank=2)
+        # the product is checked, and named, before any rank-one POVM of that size is asked for
+        for n_outcomes, rank in ((2 ** 62, 2), (np.int64(2 ** 62), np.int64(2)), (2, 2 ** 62)):
+            message = rf"n_outcomes \* rank must be at most {MAX_COUNT}, got {n_outcomes} \* {rank}"
+            with pytest.raises(ValueError, match=message + "$"):
+                random_povm(2, n_outcomes, 0, rank=rank)
 
     def test_stack_is_the_outer_products_validated_once(self, monkeypatch):
         rows = haar_random_unitary(5, 4)[:3]

@@ -369,6 +369,44 @@ class TestOperationalDistance:
         for a, b in ((m, n), (n, m)):
             assert operational_distance(a, b) == _every_block_eigensolved(a, b)
 
+    @settings(derandomize=True, deadline=None)
+    @given(k=st.integers(2, 14), scale=st.floats(1, 1e6),
+           residue=st.sampled_from((0.0, 1e-12, 1e-9, 1e-6, 1e-3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_large_cancelling_qubit_differences_give_the_eigensolved_maximum(
+            self, k, scale, residue, seed):
+        # differences up to 1e6 in size that cancel in pairs up to a residue, so that the
+        # subset sums add far larger parts than they end at: polygon parts, whose signed sums
+        # tie in exact arithmetic, each followed by its negative plus the residue
+        rng = np.random.default_rng(seed)
+        u = haar_random_unitary(2, rng)
+        half = -(-k // 2)
+        polygon = [scale * u @ np.array([[0, p.conjugate()], [p, 0]]) @ u.conj().T / 2
+                   for p in np.exp(1j * np.pi * np.arange(half) / half)]
+        h = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+        diffs = [polygon[i // 2] if i % 2 == 0 else residue * (h[i] + h[i].conj().T) / 2
+                 - polygon[i // 2] for i in range(k)]
+        zeros = [np.zeros((2, 2))] * k
+        for a, b in ((diffs, zeros), (zeros, diffs)):
+            assert operational_distance(a, b) == _every_block_eigensolved(a, b)
+
+    @pytest.mark.parametrize("k, kind", [(15, "complete"), (16, "incomplete"), (17, "padded"),
+                                         (18, "duplicated"), (19, "complete"), (20, "incomplete")])
+    def test_nested_qubit_offsets_give_the_eigensolved_maximum(self, k, kind):
+        # past 12 free parts, each subset of the rest is one offset to the scanned block
+        rng = np.random.default_rng(k)
+        m = _any_povm(2, k, rng).effects
+        if kind == "padded":
+            n = _any_povm(2, int(rng.integers(1, k)), rng).effects
+        elif kind == "duplicated":  # each difference twice: sums tie across offsets
+            m = [e / 2 for e in _any_povm(2, k // 2, rng).effects] * 2
+            n = [e / 2 for e in _any_povm(2, k // 2, rng).effects] * 2
+        else:
+            n = _any_povm(2, k, rng).effects
+            if kind == "incomplete":
+                n = [(1 - 1e-3) * e for e in n]
+        assert operational_distance(m, n) == _every_block_eigensolved(m, n)
+
     def test_qubit_scan_eigensolves_only_the_near_maximal_sums(self, monkeypatch):
         rng = np.random.default_rng(13)
         m = random_povm(2, 13, rng).effects
@@ -414,6 +452,20 @@ class TestOperationalDistance:
             tracemalloc.stop()
         # blocks of 2**12 sums whatever d is peaked at 64 MiB here
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("kind", ("incomplete", "self"))
+    def test_qubit_scan_memory_flat_at_twenty_outcomes(self, kind):
+        rng = np.random.default_rng(20)
+        m = random_povm(2, 20, rng).effects
+        n = m if kind == "self" else [(1 - 1e-3) * e for e in random_povm(2, 20, rng).effects]
+        tracemalloc.start()
+        try:
+            operational_distance(m, n)  # "self": every sum ties, so every sum is eigensolved
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all 2**20 Bloch rows at once would take 32 MiB, and their 2x2 sums 64 MiB
+        assert peak < 2 * 2**20
 
     def test_non_hermitian_difference_rejected(self):
         # eigenvalues 0, 0 and singular values 1, 0: no measurement has this difference

@@ -23,7 +23,8 @@ ORTHOGONALITY_ATOL = 1e-9
 # matrix entries in one batched temporary: the scheme check's residual and
 # operational_distance's subset sums are built in blocks of at most this many,
 # and the random USD experiment's Gaussian draws in blocks of as many floats; at
-# d = 2 the subset sums are Bloch rows of 4 floats, 2**12 subsets to a block
+# d = 2 the subset sums are Bloch rows of 4 floats, 2**12 subsets to a block, and
+# the near-maximal ones are rebuilt as matrices from at most this many floats at once
 BLOCK_ELEMENTS = 2 ** 14
 #: the largest count require_count takes: the largest numpy's int64 samplers take
 MAX_COUNT = int(np.iinfo(np.int64).max)

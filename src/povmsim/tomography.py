@@ -184,7 +184,8 @@ def _bloch(stack) -> np.ndarray:
 @functools.cache
 def _members(count: int) -> np.ndarray:
     """A read-only (count + 1, 2**count) table whose column j is subset j of ``count``
-    parts: row 0 is 1, for the offset's row, and row i + 1 is bit i of j."""
+    parts: row 0 is 1, for the offset's row (a rebuilt sum's +0.0 start), and row
+    i + 1 is bit i of j."""
     table = np.ones((count + 1, 2 ** count))
     bits = np.arange(count, dtype=np.int32)[:, None]
     table[1:] = np.arange(2 ** count, dtype=np.int32) >> bits & 1
@@ -200,11 +201,15 @@ def _qubit_distance(parts, offsets) -> float:
     one product of the offset's and the parts' rows with :func:`_members`
     gives the block, 4 floats per subset and at most
     :data:`core.BLOCK_ELEMENTS` floats in all.  A sum's norm is
-    |s0| + |(s1, s2, s3)|.  Only the sums within 20e-12 (1 + top) of the
-    largest so far, top, are rebuilt as matrices and eigensolved: a few as
-    the 0/1 sum of the parts, row by row; more than fit in one block of
-    floats by indexing the whole block, doubled once.  Both add in the
-    order of :func:`_subset_sums`, so each rebuilt matrix is its
+    |s0| + |(s1, s2, s3)|, the latter the square root of the sum of
+    squares.  Only the sums within 20e-12 (1 + top) of the largest so far,
+    top, are rebuilt as matrices and eigensolved, in groups whose terms
+    take at most a block of floats.  A rebuilt sum is the running sum of
+    +0.0 (the offset's row holds zeros there) and the parts' real entries
+    times 1 or 0.  np.add.accumulate adds them in that order by definition;
+    a sum that starts at +0.0 is never -0.0, and a zero of either sign
+    leaves it as it is, so each part adds the float that the doubling of
+    :func:`_subset_sums` adds, and each rebuilt matrix is its
     ``block + offset``, bit for bit.  Every float on the way to a norm (the
     Bloch rows, their sums in another order, the matrix sums and eigvalsh's
     own error) is within a few hundred ulps of the parts' summed size, which
@@ -216,8 +221,9 @@ def _qubit_distance(parts, offsets) -> float:
     neither screens a sum out.
     """
     members = _members(len(parts))
-    entries = parts.reshape(-1, 1, 4).view(float)
-    group, block = BLOCK_ELEMENTS // (entries.size + 8), None  # terms and sums per survivor
+    entries = np.zeros((len(parts) + 1, 1, 8))  # the start, then each part's real entries
+    entries[1:, 0] = parts.reshape(-1, 4).view(float)
+    group = BLOCK_ELEMENTS // entries.size  # sums rebuilt at once
     top = best = 0.0
     for offset in offsets:
         s = _bloch(np.concatenate([offset[None], parts])).T @ members
@@ -225,19 +231,10 @@ def _qubit_distance(parts, offsets) -> float:
         norms += np.abs(s[0])
         top = max(top, float(norms.max()))
         kept = (~(norms < top - MAX_SUBSET_OUTCOMES * 1e-12 * (1 + top))).nonzero()[0]
-        if not kept.size:
-            continue
-        if kept.size > group:  # many near-ties: index the whole block, doubled once
-            block = _subset_sums(parts) if block is None else block
-            sums = block[kept]
-        else:
-            # numpy adds over a leading axis row by row (pairwise only along a contiguous
-            # one); each row is a part's real entries times 1 or 0, and the sum starts at
-            # +0.0, so it is never -0.0, a zero row of either sign leaves it as it is, and
-            # each part adds the float that _subset_sums' doubling adds
-            terms = members[1:, kept, None] * entries
-            sums = np.add.reduce(terms, axis=0, initial=0.0).view(complex).reshape(-1, 2, 2)
-        best = max(best, _hermitian_norm(sums + offset))
+        for start in range(0, kept.size, group):
+            chunk = kept[start:start + group]
+            rebuilt = np.add.accumulate(members[:, chunk, None] * entries, axis=0)[-1]
+            best = max(best, _hermitian_norm(rebuilt.view(complex).reshape(-1, 2, 2) + offset))
     return float(best)
 
 

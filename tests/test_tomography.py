@@ -415,6 +415,22 @@ class TestOperationalDistance:
         operational_distance(m, n)  # 2**13 subset sums
         assert sum(counts) <= 4
 
+    def test_many_near_ties_are_rebuilt_a_group_at_a_time(self, monkeypatch):
+        # one unit difference and 13 below the screen's tolerance: every sum that holds the
+        # first survives, 2**11 of each block's 2**12, far more than one group of terms
+        rng = np.random.default_rng(14)
+        h = rng.standard_normal((14, 2, 2)) + 1j * rng.standard_normal((14, 2, 2))
+        h = (h + h.conj().transpose(0, 2, 1)) / 2
+        diffs = [h[0]] + [1e-14 * e for e in h[1:]]
+        zeros = [np.zeros((2, 2))] * 14
+        expected = _every_block_eigensolved(diffs, zeros)
+        counts = _count_eigensolved(monkeypatch)
+        assert operational_distance(diffs, zeros) == expected
+        # 4 offsets of 2**11 survivors, each group's 0/1 terms of 12 parts and a start in
+        # one block of floats
+        assert sum(counts) == 4 * 2**11
+        assert max(counts) * 13 * 8 <= BLOCK_ELEMENTS < 2 * max(counts) * 13 * 8
+
     def test_qutrit_scan_eigensolves_every_sum(self, monkeypatch):
         rng = np.random.default_rng(3)
         m = random_povm(3, 6, rng).effects

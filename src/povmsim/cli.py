@@ -42,8 +42,9 @@ SCHEMA_VERSION = 1
 
 #: ``--trials`` cap: the experiment prints one row per trial
 MAX_TRIALS = 100_000
-#: ``--random`` and ``--symmetric`` dimension cap: one trial's state block
-#: and Gram matrix stay within a 4096 x 4096 complex square (256 MiB)
+#: ``--random`` and ``--symmetric`` dimension cap: a random trial's Bartlett
+#: factor and Gram matrix, and a symmetric ensemble's states, are each at most
+#: a 4096 x 4096 complex square (256 MiB)
 MAX_DIM = 4096
 
 #: the options whose --config value is a two-entry list

@@ -21,7 +21,6 @@ from .core import (
     born_probabilities,
     complex_to_lists,
     default_atol,
-    haar_random_vectors,
     min_eigenvalue,
     orthogonality_graph,
     require_count,
@@ -342,12 +341,20 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     upward shift at finite D from the Tracy-Widom fluctuations of the
     smallest eigenvalue; single trials may fall below the edge.
 
-    Each trial draws its states as one (d, D) array of Haar rows, in trial
-    order, from the generator of ``seed``.  Trials run in blocks whose
-    Gaussian draw, 2 d D floats per trial, holds at most
-    :data:`core.BLOCK_ELEMENTS` floats (at least one trial each): one draw,
-    one batched Gram product and one :func:`core.min_eigenvalue` (one
-    Hermitian check, one eigvalsh) per block, so memory holds one block.
+    Each trial's Gram matrix is drawn without its states, from their complex
+    Bartlett factor (Goodman, Ann. Math. Statist. 34, 152 (1963)): the Gram
+    matrix of d complex Gaussian rows in C^D is distributed as T T^dagger,
+    with T lower triangular and independent entries, row i holding i complex
+    normals below the diagonal and sqrt(chi^2 with 2 (D - i) degrees of
+    freedom) on it.  Normalising T's rows gives the Gram matrix of d Haar
+    states.  Trial by trial, in trial order, the generator of ``seed``
+    gives T's strictly lower entries as one (2, d (d - 1) / 2) standard
+    normal draw (real parts, then imaginary parts, row by row) and its
+    diagonal as one chi-square draw, so trial t's lambda_min depends on the
+    seed and t alone.  Trials run in blocks whose (b, d, d) complex stack
+    holds at most :data:`core.BLOCK_ELEMENTS` floats (at least one trial
+    each), with one batched Gram product and one :func:`core.min_eigenvalue`
+    (one Hermitian check, one eigvalsh) per block, so memory holds one block.
     """
     require_count(d, "d")
     require_count(space_dim, "space_dim")
@@ -356,13 +363,23 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     require_count(trials, "trials")
     rng = _rng(seed)
     lams = np.empty(trials)
-    # a block's largest temporaries (its draw and its states) stay within
-    # 128 KiB, glibc's default mmap threshold: with blocks of twice as many
-    # trials, d = 50, D = 100 ran 4% slower than one trial at a time
-    block = max(1, BLOCK_ELEMENTS // (2 * d * space_dim))
+    rows, cols = np.tril_indices(d, -1)
+    diagonal = np.arange(d)
+    dof = 2.0 * (space_dim - diagonal)
+    # a block's largest temporaries (its factors and their Gram matrices)
+    # stay within 128 KiB, glibc's default mmap threshold
+    block = max(1, BLOCK_ELEMENTS // (2 * d * d))
     for start in range(0, trials, block):
         b = min(block, trials - start)
-        states = haar_random_vectors(b * d, space_dim, rng).reshape(b, d, space_dim)
-        lams[start:start + b] = min_eigenvalue(states.conj() @ states.swapaxes(-1, -2))
+        normals = np.empty((b, 2, rows.size))
+        chi2 = np.empty((b, d))
+        for k in range(b):
+            rng.standard_normal(out=normals[k])
+            chi2[k] = rng.chisquare(dof)
+        factor = np.zeros((b, d, d), dtype=complex)
+        factor[:, rows, cols] = normals[:, 0] + 1j * normals[:, 1]
+        factor[:, diagonal, diagonal] = np.sqrt(chi2)
+        factor /= np.linalg.norm(factor, axis=-1, keepdims=True)
+        lams[start:start + b] = min_eigenvalue(factor.conj() @ factor.swapaxes(-1, -2))
     lams.setflags(write=False)  # frozen in place: a copy would double the kept values
     return RandomEnsembleExperiment(d, space_dim, lams)

@@ -344,7 +344,7 @@ class TestHaarStates:
 
     @pytest.mark.parametrize("count, dim", [(50, 100), (90, 100), (10, 100)])
     def test_vector_rows_are_finite_unit_vectors(self, count, dim):
-        # usd.random_ensemble_experiment uses these blocks without a re-check
+        # haar_random_pure_state and the tests' Haar ensembles take these rows as unit vectors
         for rng in np.random.default_rng(count).spawn(20):
             block = haar_random_vectors(count, dim, rng)
             assert np.all(np.isfinite(block))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstest
 
 from povmsim import usd
 from povmsim.core import (
@@ -395,17 +396,41 @@ class TestGluedPostselectionInvariant:
             assert scaled.unambiguous
 
 
+def reference_factor(d, space_dim, rng):
+    """One trial's row-normalised complex Bartlett factor, drawn as the
+    experiment draws it: the strictly lower entries' real then imaginary
+    parts, row by row, then the chi-square diagonal."""
+    normals = rng.standard_normal((2, d * (d - 1) // 2))
+    chi2 = rng.chisquare(2 * (space_dim - np.arange(d)))
+    factor = np.zeros((d, d), dtype=complex)
+    factor[np.tril_indices(d, -1)] = normals[0] + 1j * normals[1]
+    factor[np.diag_indices(d)] = np.sqrt(chi2)
+    return factor / np.linalg.norm(factor, axis=1, keepdims=True)
+
+
 def reference_rows(d, space_dim, trials, seed):
-    """The per-trial rows built one dict per draw, as the experiment once held them."""
+    """The per-trial rows built one dict per draw, one factor at a time."""
     rng = np.random.default_rng(seed)
     rows = []
     for t in range(trials):
-        states = haar_random_vectors(d, space_dim, rng)
-        lam = min_eigenvalue(states.conj() @ states.T)
+        factor = reference_factor(d, space_dim, rng)
+        lam = min_eigenvalue(factor.conj() @ factor.T)
         p_sp_upper = 1.0 / d
         rows.append({"trial": t, "lambda_min": float(lam), "p_sp_upper": p_sp_upper,
                      "ratio_lower": float(lam / p_sp_upper), "ratio_upper": float(d)})
     return rows
+
+
+def explicit_haar_lambdas(d, space_dim, trials, seed):
+    """lambda_min(C) of ensembles of d Haar states built explicitly in C^D,
+    the construction the Bartlett draw replaced, as the distribution's
+    reference."""
+    rng = np.random.default_rng(seed)
+    lams = []
+    for _ in range(trials):
+        states = haar_random_vectors(d, space_dim, rng)
+        lams.append(min_eigenvalue(states.conj() @ states.T))
+    return np.array(lams)
 
 
 def reference_band_ok(d, rows):
@@ -416,13 +441,13 @@ class TestRandomEnsembleExperiment:
     @pytest.mark.parametrize("d, space_dim, trials, seed",
                              [(1, 1, 3, 0), (1, 5, 4, 9), (3, 4, 20, 1), (6, 9, 15, 123),
                               (10, 10, 5, 1), (50, 100, 20, 7),
-                              # around the blocks of 8 trials at (10, 100)
-                              (10, 100, 8, 2), (10, 100, 9, 2), (10, 100, 15, 2),
-                              (10, 100, 16, 2), (10, 100, 17, 2), (10, 100, 33, 2),
-                              # d * D above BLOCK_ELEMENTS: one trial per block
-                              (130, 130, 3, 4),
-                              # 81 trials: exactly one full block
-                              (5, 20, 81, 6)])
+                              # around the blocks of 81 trials at d = 10
+                              (10, 100, 80, 2), (10, 100, 81, 2), (10, 100, 82, 2),
+                              (10, 100, 163, 2),
+                              # around the blocks of 3 trials at d = 50
+                              (50, 100, 3, 5), (50, 100, 4, 5), (50, 100, 7, 5),
+                              # 2 d^2 above BLOCK_ELEMENTS: one trial per block
+                              (130, 130, 3, 4)])
     def test_rows_match_the_per_trial_build(self, d, space_dim, trials, seed):
         exp = random_ensemble_experiment(d, space_dim, trials, seed)
         reference = reference_rows(d, space_dim, trials, seed)
@@ -469,23 +494,59 @@ class TestRandomEnsembleExperiment:
     @pytest.mark.parametrize("d, space_dim, trials, seed",
                              [(50, 100, 20, 7), (6, 9, 15, 123), (3, 4, 133, 2)])
     def test_matches_independent_build(self, d, space_dim, trials, seed):
-        # each trial's states drawn in trial order from one generator, and
-        # lambda_min(C) taken as sigma_min(S)^2 from an SVD, not an eigensolve
+        # each trial's factor rebuilt row by row from the same draws, in trial
+        # order from one generator, and lambda_min(C) taken as sigma_min(T)^2
+        # of the row-normalised factor from an SVD, not an eigensolve
         expected = []
         rng = np.random.default_rng(seed)
         for _ in range(trials):
-            rows = [rng.standard_normal(space_dim) + 1j * rng.standard_normal(space_dim)
-                    for _ in range(d)]
-            states = np.array([v / np.linalg.norm(v) for v in rows])
-            expected.append(np.linalg.svd(states, compute_uv=False)[-1] ** 2)
+            normals = rng.standard_normal((2, d * (d - 1) // 2))
+            chi2 = rng.chisquare(2 * (space_dim - np.arange(d)))
+            rows = []
+            for i in range(d):
+                first = i * (i - 1) // 2
+                below = normals[0, first:first + i] + 1j * normals[1, first:first + i]
+                row = np.concatenate([below, [np.sqrt(chi2[i])], np.zeros(d - 1 - i)])
+                rows.append(row / np.linalg.norm(row))
+            expected.append(np.linalg.svd(np.array(rows), compute_uv=False)[-1] ** 2)
         exp = random_ensemble_experiment(d, space_dim, trials, seed)
         assert [r["trial"] for r in exp.rows] == list(range(trials))
         assert np.max(np.abs(exp.lambda_values - np.array(expected))) <= 1e-12
 
+    @pytest.mark.parametrize("d, space_dim, trials", [(10, 100, 81), (50, 100, 3), (2, 3, 2048)])
+    def test_trials_are_a_prefix_across_a_block_edge(self, d, space_dim, trials):
+        # trial t draws in trial order, so one more trial, which opens a new
+        # block, leaves the earlier ones bit for bit as they were
+        short = random_ensemble_experiment(d, space_dim, trials, seed=8)
+        longer = random_ensemble_experiment(d, space_dim, trials + 1, seed=8)
+        assert np.array_equal(longer.lambda_values[:trials], short.lambda_values)
+
+    @pytest.mark.parametrize("space_dim, seed", [(2, 21), (3, 22), (8, 23)])
+    def test_two_state_distribution_matches_its_closed_form(self, space_dim, seed):
+        # at d = 2, lambda_min = 1 - |<psi_1|psi_2>| with |<psi_1|psi_2>|^2 ~
+        # Beta(1, D - 1), so P(lambda_min <= x) = (1 - (1 - x)^2)^(D - 1)
+        lams = random_ensemble_experiment(2, space_dim, 4000, seed).lambda_values
+        result = kstest(lams, lambda x: (1 - (1 - np.clip(x, 0, 1)) ** 2) ** (space_dim - 1))
+        assert result.pvalue > 1e-3
+
+    @pytest.mark.parametrize("d, space_dim, trials", [(3, 4, 4000), (10, 12, 2000), (50, 100, 300)])
+    def test_moments_match_the_explicit_haar_build(self, d, space_dim, trials):
+        # the Bartlett draw against d Haar vectors built in C^D: mean and
+        # standard deviation within 5 standard errors of their difference
+        ours = random_ensemble_experiment(d, space_dim, trials, seed=31).lambda_values
+        theirs = explicit_haar_lambdas(d, space_dim, trials, seed=32)
+        mean_se = np.sqrt((ours.var() + theirs.var()) / trials)
+        assert abs(ours.mean() - theirs.mean()) <= 5 * mean_se
+
+        def sd_variance(x):  # delta method: Var(s) ~ (mu_4 - sigma^4) / (4 n sigma^2)
+            return (np.mean((x - x.mean()) ** 4) - x.var() ** 2) / (4 * x.size * x.var())
+        sd_se = np.sqrt(sd_variance(ours) + sd_variance(theirs))
+        assert abs(ours.std() - theirs.std()) <= 5 * sd_se
+
     def test_trial_generators_are_not_held_at_once(self):
         # trials draw one block at a time from one generator, so memory does
         # not grow with the trial count beyond the kept lambda_min values
-        # (8 bytes each): both counts span several blocks of 1365 trials, and
+        # (8 bytes each): both counts span several blocks of 2048 trials, and
         # their traced peaks differ by the extra trials' values alone
         random_ensemble_experiment(2, 3, trials=10_000, seed=1)  # numpy warm
         peaks = []

@@ -59,7 +59,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _rng(seed) -> np.random.Generator:
     """Accept an int seed or an existing Generator.  Every seeded function draws
-    from its generator in call order; only compare_schemes spawns, one child per route."""
+    from its generator in call order, except the two that spawn one child per
+    independent stream: compare_schemes, one per route, and
+    random_ensemble_experiment, one for its factors' normals and one for their
+    chi-square diagonals.  Their children come from a Generator's SeedSequence
+    and spawn count, not from its state, and each call spawns fresh ones."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)

@@ -347,21 +347,23 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     with T lower triangular and independent entries, row i holding i complex
     normals below the diagonal and sqrt(chi^2 with 2 (D - i) degrees of
     freedom) on it.  Normalising T's rows gives the Gram matrix of d Haar
-    states.  Trial by trial, in trial order, the generator of ``seed``
-    gives T's strictly lower entries as one (2, d (d - 1) / 2) standard
-    normal draw (real parts, then imaginary parts, row by row) and its
-    diagonal as one chi-square draw, so trial t's lambda_min depends on the
-    seed and t alone.  Trials run in blocks whose (b, d, d) complex stack
+    states.  The generator of ``seed`` spawns two child streams (from its
+    SeedSequence and spawn count, not its state): one for T's strictly lower
+    entries (real parts, then imaginary parts, row by row), one for its
+    chi-square diagonal.  Trials run in blocks whose (b, d, d) complex stack
     holds at most :data:`core.BLOCK_ELEMENTS` floats (at least one trial
-    each), with one batched Gram product and one :func:`core.min_eigenvalue`
-    (one Hermitian check, one eigvalsh) per block, so memory holds one block.
+    each).  A block takes one (b, 2, d (d - 1) / 2) standard normal draw from
+    the first child, one (b, d) chi-square draw from the second, one batched
+    Gram product and one :func:`core.min_eigenvalue`, so memory holds one
+    block.  Each child is consumed in trial order, so trial t's lambda_min
+    depends on the seed and t alone, whatever the block size.
     """
     require_count(d, "d")
     require_count(space_dim, "space_dim")
     if d > space_dim:
         raise ValueError("need d <= D for linearly independent Haar states")
     require_count(trials, "trials")
-    rng = _rng(seed)
+    normal_rng, chi2_rng = _rng(seed).spawn(2)
     lams = np.empty(trials)
     rows, cols = np.tril_indices(d, -1)
     diagonal = np.arange(d)
@@ -371,11 +373,8 @@ def random_ensemble_experiment(d: int, space_dim: int, trials: int, seed,
     block = max(1, BLOCK_ELEMENTS // (2 * d * d))
     for start in range(0, trials, block):
         b = min(block, trials - start)
-        normals = np.empty((b, 2, rows.size))
-        chi2 = np.empty((b, d))
-        for k in range(b):
-            rng.standard_normal(out=normals[k])
-            chi2[k] = rng.chisquare(dof)
+        normals = normal_rng.standard_normal((b, 2, rows.size))
+        chi2 = chi2_rng.chisquare(dof, size=(b, d))
         factor = np.zeros((b, d, d), dtype=complex)
         factor[:, rows, cols] = normals[:, 0] + 1j * normals[:, 1]
         factor[:, diagonal, diagonal] = np.sqrt(chi2)

@@ -396,12 +396,13 @@ class TestGluedPostselectionInvariant:
             assert scaled.unambiguous
 
 
-def reference_factor(d, space_dim, rng):
+def reference_factor(d, space_dim, normal_rng, chi2_rng):
     """One trial's row-normalised complex Bartlett factor, drawn as the
     experiment draws it: the strictly lower entries' real then imaginary
-    parts, row by row, then the chi-square diagonal."""
-    normals = rng.standard_normal((2, d * (d - 1) // 2))
-    chi2 = rng.chisquare(2 * (space_dim - np.arange(d)))
+    parts, row by row, from the normals' stream, and the diagonal from the
+    chi-square stream."""
+    normals = normal_rng.standard_normal((2, d * (d - 1) // 2))
+    chi2 = chi2_rng.chisquare(2 * (space_dim - np.arange(d)))
     factor = np.zeros((d, d), dtype=complex)
     factor[np.tril_indices(d, -1)] = normals[0] + 1j * normals[1]
     factor[np.diag_indices(d)] = np.sqrt(chi2)
@@ -409,11 +410,12 @@ def reference_factor(d, space_dim, rng):
 
 
 def reference_rows(d, space_dim, trials, seed):
-    """The per-trial rows built one dict per draw, one factor at a time."""
-    rng = np.random.default_rng(seed)
+    """The per-trial rows built one dict per draw, one factor at a time,
+    from the seed's two spawned streams, normals first."""
+    streams = np.random.default_rng(seed).spawn(2)
     rows = []
     for t in range(trials):
-        factor = reference_factor(d, space_dim, rng)
+        factor = reference_factor(d, space_dim, *streams)
         lam = min_eigenvalue(factor.conj() @ factor.T)
         p_sp_upper = 1.0 / d
         rows.append({"trial": t, "lambda_min": float(lam), "p_sp_upper": p_sp_upper,
@@ -491,17 +493,33 @@ class TestRandomEnsembleExperiment:
         b = random_ensemble_experiment(4, 8, trials=6, seed=np.random.default_rng(11))
         assert a.rows == b.rows
 
+    def test_one_generator_passed_twice_gives_fresh_streams(self):
+        # each call spawns new children from the generator it is given
+        rng = np.random.default_rng(11)
+        a = random_ensemble_experiment(4, 8, trials=6, seed=rng)
+        b = random_ensemble_experiment(4, 8, trials=6, seed=rng)
+        assert not np.array_equal(a.lambda_values, b.lambda_values)
+
+    @pytest.mark.parametrize("block_elements", [200, 600, 1413, 2**16])
+    def test_block_size_does_not_change_the_values(self, block_elements, monkeypatch):
+        # from one trial a block (200 = 2 d^2) to all 170 trials in one (2**16)
+        expected = random_ensemble_experiment(10, 100, 170, 5).lambda_values
+        monkeypatch.setattr(usd, "BLOCK_ELEMENTS", block_elements)
+        exp = random_ensemble_experiment(10, 100, 170, 5)
+        assert np.array_equal(exp.lambda_values, expected)
+
     @pytest.mark.parametrize("d, space_dim, trials, seed",
                              [(50, 100, 20, 7), (6, 9, 15, 123), (3, 4, 133, 2)])
     def test_matches_independent_build(self, d, space_dim, trials, seed):
         # each trial's factor rebuilt row by row from the same draws, in trial
-        # order from one generator, and lambda_min(C) taken as sigma_min(T)^2
-        # of the row-normalised factor from an SVD, not an eigensolve
+        # order from the seed's two spawned streams (normals, then chi-square),
+        # and lambda_min(C) taken as sigma_min(T)^2 of the row-normalised
+        # factor from an SVD, not an eigensolve
         expected = []
-        rng = np.random.default_rng(seed)
+        normal_rng, chi2_rng = np.random.default_rng(seed).spawn(2)
         for _ in range(trials):
-            normals = rng.standard_normal((2, d * (d - 1) // 2))
-            chi2 = rng.chisquare(2 * (space_dim - np.arange(d)))
+            normals = normal_rng.standard_normal((2, d * (d - 1) // 2))
+            chi2 = chi2_rng.chisquare(2 * (space_dim - np.arange(d)))
             rows = []
             for i in range(d):
                 first = i * (i - 1) // 2
@@ -544,8 +562,8 @@ class TestRandomEnsembleExperiment:
         assert abs(ours.std() - theirs.std()) <= 5 * sd_se
 
     def test_trial_generators_are_not_held_at_once(self):
-        # trials draw one block at a time from one generator, so memory does
-        # not grow with the trial count beyond the kept lambda_min values
+        # trials draw one block at a time from two spawned streams, so memory
+        # does not grow with the trial count beyond the kept lambda_min values
         # (8 bytes each): both counts span several blocks of 2048 trials, and
         # their traced peaks differ by the extra trials' values alone
         random_ensemble_experiment(2, 3, trials=10_000, seed=1)  # numpy warm

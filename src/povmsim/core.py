@@ -23,8 +23,7 @@ ORTHOGONALITY_ATOL = 1e-9
 # matrix entries in one batched temporary: the scheme check's residual and
 # operational_distance's subset sums are built in blocks of at most this many,
 # and the random USD experiment's Gaussian draws in blocks of as many floats; at
-# d = 2 the subset sums are Bloch rows of 4 floats, 2**12 subsets to a block, and
-# the near-maximal ones are rebuilt as matrices from at most this many floats at once
+# d = 2 the subset sums are Bloch rows of 4 floats, 2**12 subsets to a block
 BLOCK_ELEMENTS = 2 ** 14
 #: the largest count require_count takes: the largest numpy's int64 samplers take
 MAX_COUNT = int(np.iinfo(np.int64).max)
@@ -146,9 +145,9 @@ def operator_norm(matrix) -> float:
 
 def _hermitian_norm(blocks) -> float:
     """The largest |eigenvalue| that eigvalsh gives over a (b, d, d) stack of
-    Hermitian matrices.  It eigensolves every block: the qubit subset scan of
-    :func:`tomography.operational_distance` screens its sums in Bloch
-    coordinates first and passes only the near-maximal ones here."""
+    Hermitian matrices.  It eigensolves every block; the qubit subset scan of
+    :func:`tomography.operational_distance` takes its norms in closed form
+    and never calls it."""
     return np.abs(np.linalg.eigvalsh(blocks)).max()
 
 

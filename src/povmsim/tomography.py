@@ -141,8 +141,8 @@ def operational_distance(m, n) -> float:
     each subset of the remaining parts adds its sum to the block as one
     offset, so memory stays bounded in d.  The differences are checked for
     Hermiticity once.  At d > 2 every block's norm is :func:`_hermitian_norm`;
-    at d = 2 the block is scanned in Bloch coordinates
-    (:func:`_qubit_distance`), and the value is still eigvalsh's, bit for bit.
+    at d = 2 each norm is |s0| + |s| in the sum's Bloch coordinates
+    (:func:`_qubit_distance`), within a few ulps of eigvalsh's.
     """
     ms, ns = _effect_stack(m, "first measurement"), _effect_stack(n, "second measurement")
     dim = ms.shape[-1]
@@ -184,8 +184,7 @@ def _bloch(stack) -> np.ndarray:
 @functools.cache
 def _members(count: int) -> np.ndarray:
     """A read-only (count + 1, 2**count) table whose column j is subset j of ``count``
-    parts: row 0 is 1, for the offset's row (a rebuilt sum's +0.0 start), and row
-    i + 1 is bit i of j."""
+    parts: row 0 is 1, for the offset's row, and row i + 1 is bit i of j."""
     table = np.ones((count + 1, 2 ** count))
     bits = np.arange(count, dtype=np.int32)[:, None]
     table[1:] = np.arange(2 ** count, dtype=np.int32) >> bits & 1
@@ -194,48 +193,28 @@ def _members(count: int) -> np.ndarray:
 
 
 def _qubit_distance(parts, offsets) -> float:
-    """max over the offsets and the subsets x of ``parts`` of the largest
-    |eigenvalue| that eigvalsh gives for ``_subset_sums(parts)[x] + offset``.
+    """max over the offsets and the subsets x of ``parts`` of the operator
+    norm of ``_subset_sums(parts)[x] + offset``, in closed form.
 
-    Each subset sum is first formed as its Bloch row s = (s0, s1, s2, s3):
-    one product of the offset's and the parts' rows with :func:`_members`
-    gives the block, 4 floats per subset and at most
-    :data:`core.BLOCK_ELEMENTS` floats in all.  A sum's norm is
-    |s0| + |(s1, s2, s3)|, the latter the square root of the sum of
-    squares.  Only the sums within 20e-12 (1 + top) of the largest so far,
-    top, are rebuilt as matrices and eigensolved, in groups whose terms
-    take at most a block of floats.  A rebuilt sum is the running sum of
-    +0.0 (the offset's row holds zeros there) and the parts' real entries
-    times 1 or 0.  np.add.accumulate adds them in that order by definition;
-    a sum that starts at +0.0 is never -0.0, and a zero of either sign
-    leaves it as it is, so each part adds the float that the doubling of
-    :func:`_subset_sums` adds, and each rebuilt matrix is its
-    ``block + offset``, bit for bit.  Every float on the way to a norm (the
-    Bloch rows, their sums in another order, the matrix sums and eigvalsh's
-    own error) is within a few hundred ulps of the parts' summed size, which
-    is at most 2 k times the largest part's norm, and top reaches that norm
-    by the block of the maximising sum.  20e-12 (1 + top), k = 20 times the
-    margin of a single sum, covers them with room to spare, so that sum is
-    always rebuilt and the value returned is eigvalsh's.  A coordinate whose
-    square overflows makes top infinite and a NaN survives the screen, so
-    neither screens a sum out.
+    A Hermitian s0 1 + s.sigma has eigenvalues s0 -+ |s|, so its norm is
+    |s0| + |s|, the latter the square root of the sum of squares.  Per
+    offset, one product of the offset's and the parts' Bloch rows with
+    :func:`_members` gives every subset sum's row (s0, s1, s2, s3), 4 floats
+    per subset and at most :data:`core.BLOCK_ELEMENTS` floats in all.  The
+    rows are first rescaled, exactly, by the power of two that brings their
+    largest |entry| into [1/2, 1), so that the squares of the largest sums
+    neither overflow nor underflow, and the maximum is scaled back.
     """
     members = _members(len(parts))
-    entries = np.zeros((len(parts) + 1, 1, 8))  # the start, then each part's real entries
-    entries[1:, 0] = parts.reshape(-1, 4).view(float)
-    group = BLOCK_ELEMENTS // entries.size  # sums rebuilt at once
-    top = best = 0.0
+    best = 0.0
     for offset in offsets:
-        s = _bloch(np.concatenate([offset[None], parts])).T @ members
+        rows = _bloch(np.concatenate([offset[None], parts]))
+        exponent = np.frexp(np.max(np.abs(rows)))[1]
+        s = np.ldexp(rows, -exponent).T @ members
         norms = np.sqrt(np.einsum("ij,ij->j", s[1:], s[1:]))
         norms += np.abs(s[0])
-        top = max(top, float(norms.max()))
-        kept = (~(norms < top - MAX_SUBSET_OUTCOMES * 1e-12 * (1 + top))).nonzero()[0]
-        for start in range(0, kept.size, group):
-            chunk = kept[start:start + group]
-            rebuilt = np.add.accumulate(members[:, chunk, None] * entries, axis=0)[-1]
-            best = max(best, _hermitian_norm(rebuilt.view(complex).reshape(-1, 2, 2) + offset))
-    return float(best)
+        best = max(best, float(np.ldexp(norms.max(), exponent)))
+    return best
 
 
 def _subset_sums(parts):
